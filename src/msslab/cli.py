@@ -27,6 +27,7 @@ from .report import (
 )
 from .search import SearchSpec, enumerate_structures
 from .structure import verify
+from .verdicts import DEFAULT_SEED
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -42,8 +43,16 @@ class _Parser(argparse.ArgumentParser):
 
 def _common_flags(p, strict=True):
     p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument("--jobs", type=int, default=1, help="worker cap for axiom checks")
-    p.add_argument("--seed", type=int, default=None, help="seed for sampled checks")
+    p.add_argument(
+        "--jobs", type=int, default=1, help="accepted for compatibility; checks run serially"
+    )
+    p.add_argument(
+        "--seed",
+        type=int,
+        default=None,
+        help="seed for sampled checks; defaults to the config seed, "
+        f"then MSSLAB_SEED, then {DEFAULT_SEED}",
+    )
     p.add_argument("--output", type=Path, default=None, help="write report here instead of stdout")
     if strict:
         p.add_argument(
@@ -85,13 +94,13 @@ def _load_json(path: Path) -> dict:
         raise ParseError(f"invalid JSON in {path}: line {exc.lineno}: {exc.msg}")
 
 
-def _pick_seed(cli_seed, config_seed):
+def _pick_seed(cli_seed, config_seed) -> int:
     if cli_seed is not None:
         return cli_seed
     if config_seed is not None:
         return config_seed
     env = os.environ.get("MSSLAB_SEED")
-    return int(env) if env else None
+    return int(env) if env else DEFAULT_SEED
 
 
 def _emit(report: dict, args) -> None:
@@ -137,7 +146,7 @@ def _search_report(spec_data: dict, cli_seed) -> dict:
             required=tuple(spec_data.get("required", ())),
             forbidden=tuple(spec_data.get("forbidden", ())),
             budget=spec_data.get("budget", 10_000),
-            seed=seed if seed is not None else 0,
+            seed=seed,
             density=spec_data.get("density", 0.5),
             exhaustive=spec_data.get("exhaustive", True),
         )

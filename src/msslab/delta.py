@@ -7,23 +7,26 @@ extensional predicates are given by an explicit triple table.
 
 from __future__ import annotations
 
+import operator
 from typing import Callable, Iterable, Mapping, Optional
 
 from .errors import ConfigurationError, MsslabError
 from .granules import Granulation, OperatorSuite, lower as granular_lower
-from .sets import PartialResult, Subset, Universe, omega_equal, omega_star_equal
+from .sets import UNDEFINED, MaskTable, PartialResult, Subset, Universe, encode
 from .verdicts import DEFAULT_SAMPLE_BUDGET, Verdict, deferred, sweep
 
 BUILTIN_DELTAS = ("E0", "E1", "E2", "uE1")
-COHERENCE_AXIOMS = ("i-coh", "n-coh", "i-coh-2", "strict-n-coh", "trans-1")
-SUM_AXIOMS = (
-    "omega-star-com",
-    "omega-id",
-    "omega-asso",
-    "delta-sum1",
-    "delta-sum2",
-    "delta-sum3",
-)
+COHERENCE_ARITY = {"i-coh": 2, "n-coh": 3, "i-coh-2": 2, "strict-n-coh": 3, "trans-1": 4}
+SUM_ARITY = {
+    "omega-star-com": 2,
+    "omega-id": 1,
+    "omega-asso": 3,
+    "delta-sum1": 3,
+    "delta-sum2": 3,
+    "delta-sum3": 3,
+}
+COHERENCE_AXIOMS = tuple(COHERENCE_ARITY)
+SUM_AXIOMS = tuple(SUM_ARITY)
 
 EXTENSIONAL_TABLE_LIMIT = 6
 
@@ -60,11 +63,20 @@ class NearnessMap:
     def __call__(self, a: Subset, b: Subset) -> Subset:
         return self._fn(a, b)
 
+    def masked(self) -> Callable[[int, int], int]:
+        """The map on masks, through a decode adapter."""
+        fn, from_mask = self._fn, self.universe.from_mask
+        return lambda a, b: fn(from_mask(a), from_mask(b)).mask
+
 
 class DeltaPredicate:
-    """Ternary predicate over subsets; total on the powerset cube."""
+    """Ternary predicate over subsets; total on the powerset cube.
 
-    __slots__ = ("universe", "kind", "ops", "nearness", "table")
+    Every kind is defined once, on masks (``masked``); calling the
+    predicate on subsets encodes them and evaluates that definition.
+    """
+
+    __slots__ = ("universe", "kind", "ops", "nearness", "table", "_masked")
 
     def __init__(self, universe, kind, ops=None, nearness=None, table=None):
         self.universe = universe
@@ -72,6 +84,7 @@ class DeltaPredicate:
         self.ops = ops
         self.nearness = nearness
         self.table = table
+        self._masked = None
 
     @classmethod
     def builtin(
@@ -113,24 +126,43 @@ class DeltaPredicate:
             raise ConfigurationError("predicate has no extensional table")
         return tuple(sorted(self.table))
 
-    def __call__(self, a: Subset, b: Subset, c: Subset) -> bool:
+    def masked(self) -> Callable[[int, int, int], bool]:
+        """The predicate on masks, compiled at the first call.
+
+        E2 and uE1 read l and u through tables of this predicate's own
+        operator suite, filled as they are read.
+        """
+        if self._masked is None:
+            self._masked = self._compile()
+        return self._masked
+
+    def _compile(self) -> Callable[[int, int, int], bool]:
         kind = self.kind
         if kind == "E0":
-            return (a | b) <= (a | c)
+            return lambda a, b, c: not (a | b) & ~(a | c)
         if kind == "E1":
-            return (a | b) < (a | c)
+            return lambda a, b, c: (a | b) != (a | c) and not (a | b) & ~(a | c)
         if kind == "E2":
-            lo = self.ops.lower
-            return lo(a & c) < lo(a & b)
+            lower = MaskTable(self.universe, self.ops.lower)
+
+            def e2(a, b, c):
+                left, right = lower[a & c], lower[a & b]
+                return left != right and not left & ~right
+
+            return e2
         if kind == "uE1":
-            up = self.ops.upper
-            return up(a | b) <= up(a | c)
+            upper = MaskTable(self.universe, self.ops.upper)
+            return lambda a, b, c: not upper[a | b] & ~upper[a | c]
         if kind == "def0":
-            f = self.nearness
-            return f(a, b) <= f(a, c)
+            f = self.nearness.masked()
+            return lambda a, b, c: not f(a, b) & ~f(a, c)
         if kind == "extensional":
-            return (a.mask, b.mask, c.mask) in self.table
+            table = self.table
+            return lambda a, b, c: (a, b, c) in table
         raise ConfigurationError(f"unknown delta kind {self.kind!r}")
+
+    def __call__(self, a: Subset, b: Subset, c: Subset) -> bool:
+        return self.masked()(*encode(self.universe, (a, b, c)))
 
     def __repr__(self):
         return f"DeltaPredicate({self.kind})"
@@ -148,13 +180,14 @@ class SumOperation:
     ``extensional-partial`` table lists the defined pairs.
     """
 
-    __slots__ = ("universe", "mode", "granulation", "table")
+    __slots__ = ("universe", "mode", "granulation", "table", "_masked")
 
     def __init__(self, universe, mode, granulation=None, table=None):
         self.universe = universe
         self.mode = mode
         self.granulation = granulation
         self.table = table
+        self._masked = None
 
     @classmethod
     def total_union(cls, universe: Universe) -> "SumOperation":
@@ -170,22 +203,37 @@ class SumOperation:
     ) -> "SumOperation":
         return cls(universe, "extensional-partial", table=dict(table))
 
+    def masked(self) -> Callable[[int, int], int]:
+        """The sum on masks, ``UNDEFINED`` where it is undefined; compiled
+        at the first call."""
+        if self._masked is None:
+            self._masked = self._compile()
+        return self._masked
+
+    def _compile(self) -> Callable[[int, int], int]:
+        if self.mode == "total-union":
+            return operator.or_
+        if self.mode == "granular-sum":
+            g = self.granulation
+            lower = MaskTable(self.universe, lambda a: granular_lower(a, g))
+
+            def granular_sum(a, b):
+                u = a | b
+                return u if lower[u] == u else UNDEFINED
+
+            return granular_sum
+        if self.mode == "extensional-partial":
+            get = self.table.get
+            return lambda a, b: get((a, b), UNDEFINED)
+        raise ConfigurationError(f"unknown sum mode {self.mode!r}")
+
     def __call__(self, a: Subset, b: Subset) -> PartialResult:
         if a.universe != self.universe or b.universe != self.universe:
             raise MsslabError("sum operands drawn from a different universe")
-        if self.mode == "total-union":
-            return PartialResult.of(a | b)
-        if self.mode == "granular-sum":
-            u = a | b
-            if granular_lower(u, self.granulation) == u:
-                return PartialResult.of(u)
+        value = self.masked()(a.mask, b.mask)
+        if value == UNDEFINED:
             return PartialResult.undefined()
-        if self.mode == "extensional-partial":
-            value = self.table.get((a.mask, b.mask))
-            if value is None:
-                return PartialResult.undefined()
-            return PartialResult.of(self.universe.from_mask(value))
-        raise ConfigurationError(f"unknown sum mode {self.mode!r}")
+        return PartialResult.of(self.universe.from_mask(value))
 
     def __repr__(self):
         return f"SumOperation({self.mode})"
@@ -195,33 +243,28 @@ def eval_sum(s: SumOperation, a: Subset, b: Subset) -> PartialResult:
     return s(a, b)
 
 
-def coherence_instance(d: DeltaPredicate, axiom: str, args) -> Optional[bool]:
-    """Evaluate one quantifier instance; None means vacuously satisfied."""
+def coherence_evaluator(d: Callable[[int, int, int], bool], axiom: str):
+    """One coherence law on masks, for the predicate ``d`` on masks.
+
+    The evaluator returns True (satisfied), None (vacuously satisfied) or
+    False (violated).
+    """
     if axiom == "i-coh":
-        a, b = args
-        return d(b, b, a)
+        return lambda a, b: d(b, b, a)
     if axiom == "n-coh":
-        a, b, c = args
-        if not d(a, b, c):
-            return None
-        return d(b, a, c)
+        return lambda a, b, c: d(b, a, c) if d(a, b, c) else None
     if axiom == "i-coh-2":
-        a, b = args
-        return not d(a, b, b)
+        return lambda a, b: not d(a, b, b)
     if axiom == "strict-n-coh":
-        a, b, c = args
-        if not d(a, b, c):
-            return None
-        return not d(a, c, b)
+        return lambda a, b, c: not d(a, c, b) if d(a, b, c) else None
     if axiom == "trans-1":
-        a, b, c, e = args
-        if not (d(a, b, c) and d(a, e, b)):
-            return None
-        return not d(a, e, c)
+        return lambda a, b, c, e: not d(a, e, c) if d(a, b, c) and d(a, e, b) else None
     raise MsslabError(f"unknown coherence axiom {axiom!r}")
 
 
-_COHERENCE_ARITY = {"i-coh": 2, "n-coh": 3, "i-coh-2": 2, "strict-n-coh": 3, "trans-1": 4}
+def coherence_instance(d: DeltaPredicate, axiom: str, args) -> Optional[bool]:
+    """Evaluate one quantifier instance; None means vacuously satisfied."""
+    return coherence_evaluator(d.masked(), axiom)(*encode(d.universe, args))
 
 
 def check_coherence(
@@ -232,17 +275,75 @@ def check_coherence(
     budget: int = DEFAULT_SAMPLE_BUDGET,
 ) -> Verdict:
     """Quantify one coherence axiom over the powerset; witness on failure."""
-    if axiom not in _COHERENCE_ARITY:
-        raise MsslabError(f"unknown coherence axiom {axiom!r}")
-    arity = _COHERENCE_ARITY[axiom]
+    instance = coherence_evaluator(d.masked(), axiom)
     return sweep(
-        axiom,
-        d.universe,
-        arity,
-        lambda *args: coherence_instance(d, axiom, args),
-        seed=seed,
-        budget=budget,
+        axiom, d.universe, COHERENCE_ARITY[axiom], instance, seed=seed, budget=budget
     )
+
+
+def sum_evaluator(
+    d: Optional[Callable[[int, int, int], bool]],
+    s: Callable[[int, int], int],
+    axiom: str,
+):
+    """One sum law on masks, for the sum ``s`` and predicate ``d`` on masks.
+
+    Partial values are compared by conditional equality (both defined
+    implies equal) except in omega-star-com, which asks for strong
+    equality. The delta-sum laws pass vacuously when the antecedent fails
+    or the squared sum is undefined.
+    """
+    if axiom == "omega-star-com":
+        # Undefined is one value, so strong equality is plain equality.
+        return lambda a, b: s(a, b) == s(b, a)
+    if axiom == "omega-id":
+
+        def omega_id(a):
+            aa = s(a, a)
+            return aa == UNDEFINED or aa == a
+
+        return omega_id
+    if axiom == "omega-asso":
+
+        def omega_asso(a, b, c):
+            bc = s(b, c)
+            if bc == UNDEFINED:
+                return True
+            ab = s(a, b)
+            if ab == UNDEFINED:
+                return True
+            left, right = s(a, bc), s(ab, c)
+            return left == UNDEFINED or right == UNDEFINED or left == right
+
+        return omega_asso
+    if axiom == "delta-sum1":
+
+        def delta_sum1(a, b, c):
+            if not d(a, b, c):
+                return None
+            aa = s(a, a)
+            return None if aa == UNDEFINED else d(aa, b, c)
+
+        return delta_sum1
+    if axiom == "delta-sum2":
+
+        def delta_sum2(a, b, c):
+            if not d(a, b, c):
+                return None
+            bb = s(b, b)
+            return None if bb == UNDEFINED else d(a, bb, c)
+
+        return delta_sum2
+    if axiom == "delta-sum3":
+
+        def delta_sum3(a, b, c):
+            if not d(a, b, c):
+                return None
+            cc = s(c, c)
+            return None if cc == UNDEFINED else d(a, b, cc)
+
+        return delta_sum3
+    raise MsslabError(f"unknown sum axiom {axiom!r}")
 
 
 def sum_instance(
@@ -250,31 +351,8 @@ def sum_instance(
 ) -> Optional[bool]:
     """One instance of a sum law; delta-sum laws pass vacuously when the
     antecedent fails or the squared sum is undefined."""
-    if axiom == "omega-star-com":
-        a, b = args
-        return omega_star_equal(s(a, b), s(b, a))
-    if axiom == "omega-id":
-        (a,) = args
-        return omega_equal(s(a, a), PartialResult.of(a))
-    if axiom == "omega-asso":
-        a, b, c = args
-        bc = s(b, c)
-        left = s(a, bc.value) if bc.defined else PartialResult.undefined()
-        ab = s(a, b)
-        right = s(ab.value, c) if ab.defined else PartialResult.undefined()
-        return omega_equal(left, right)
-    if axiom in ("delta-sum1", "delta-sum2", "delta-sum3"):
-        a, b, c = args
-        if not d(a, b, c):
-            return None
-        position = int(axiom[-1]) - 1
-        doubled = s(args[position], args[position])
-        if not doubled.defined:
-            return None
-        replaced = list(args)
-        replaced[position] = doubled.value
-        return d(*replaced)
-    raise MsslabError(f"unknown sum axiom {axiom!r}")
+    masked_d = d.masked() if d is not None else None
+    return sum_evaluator(masked_d, s.masked(), axiom)(*encode(s.universe, args))
 
 
 def check_sum_axioms(
@@ -285,14 +363,7 @@ def check_sum_axioms(
     budget: int = DEFAULT_SAMPLE_BUDGET,
 ) -> list[Verdict]:
     """All six sum laws; the delta-sum trio needs a predicate bound."""
-    arities = {
-        "omega-star-com": 2,
-        "omega-id": 1,
-        "omega-asso": 3,
-        "delta-sum1": 3,
-        "delta-sum2": 3,
-        "delta-sum3": 3,
-    }
+    masked_d = d.masked() if d is not None else None
     out = []
     for axiom in SUM_AXIOMS:
         if axiom.startswith("delta-sum") and d is None:
@@ -302,8 +373,8 @@ def check_sum_axioms(
             sweep(
                 axiom,
                 s.universe,
-                arities[axiom],
-                lambda *args, ax=axiom: sum_instance(d, s, ax, args),
+                SUM_ARITY[axiom],
+                sum_evaluator(masked_d, s.masked(), axiom),
                 seed=seed,
                 budget=budget,
             )
@@ -311,21 +382,16 @@ def check_sum_axioms(
     return out
 
 
-def def_compat_instance(
-    d: DeltaPredicate, f: NearnessMap, mode: str, args
-) -> Optional[bool]:
-    a, b, c = args
-    linked = f(a, b) <= f(a, c)
+def _def_compat_evaluator(d, f, mode: str):
+    def linked(a, b, c):
+        return not f(a, b) & ~f(a, c)
+
     if mode == "def1":
-        if not d(a, b, c):
-            return None
-        return linked
+        return lambda a, b, c: linked(a, b, c) if d(a, b, c) else None
     if mode == "def2":
-        if not linked:
-            return None
-        return d(a, b, c)
+        return lambda a, b, c: d(a, b, c) if linked(a, b, c) else None
     if mode == "def0":
-        return d(a, b, c) == linked
+        return lambda a, b, c: d(a, b, c) == linked(a, b, c)
     raise MsslabError(f"unknown def-compatibility mode {mode!r}")
 
 
@@ -345,7 +411,7 @@ def check_def_compat(
         f"def-compat:{mode}",
         d.universe,
         3,
-        lambda *args: def_compat_instance(d, f, mode, args),
+        _def_compat_evaluator(d.masked(), f.masked(), mode),
         seed=seed,
         budget=budget,
     )

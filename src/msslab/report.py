@@ -17,8 +17,8 @@ from .errors import ParseError
 from .structure import (
     ADMISSIBILITY_AXIOMS,
     MssStructure,
-    axiom_instance,
     classify,
+    replay,
     verify,
 )
 from .validation import (
@@ -26,7 +26,7 @@ from .validation import (
     check_compatibility,
     validate_clustering,
 )
-from .verdicts import Verdict
+from .verdicts import DEFAULT_SEED, FAILS, Verdict
 
 STRUCTURAL_AXIOMS = (
     "PT1",
@@ -101,7 +101,12 @@ def structure_summary(cfg: LabConfig) -> dict:
 
 
 def provenance(seed: Optional[int]) -> dict:
-    return {"tool": "msslab", "version": _version, "seed": seed}
+    """Tool, version, and the seed sampled sweeps use (``DEFAULT_SEED`` for None)."""
+    return {
+        "tool": "msslab",
+        "version": _version,
+        "seed": DEFAULT_SEED if seed is None else seed,
+    }
 
 
 def axioms_section(cfg: LabConfig, *, seed: Optional[int], jobs: int) -> dict:
@@ -335,12 +340,19 @@ def render_text(report: dict) -> str:
 
 
 def replay_failures(cfg: LabConfig, report: dict) -> list[str]:
-    """Re-evaluate every failing witness in a report; return unsound ones."""
+    """Re-evaluate every failing witness in a report; return unsound ones.
+
+    Walks the report's own axiom verdicts and compatibility rows and, in a
+    pipeline report, those under ``steps.step5_investigate``.
+    """
     problems = []
     specs = {spec.name: spec for spec in cfg.deltas}
 
     def structure_for(name: Optional[str]) -> MssStructure:
         return cfg.structure(specs[name]) if name else cfg.structure(None)
+
+    def subsets(witness):
+        return tuple(cfg.universe.subset(part) for part in witness)
 
     def check(verdict: dict, delta_name: Optional[str], label: str):
         if verdict.get("status") != "fails":
@@ -349,29 +361,24 @@ def replay_failures(cfg: LabConfig, report: dict) -> list[str]:
             problems.append(f"{label}: failing verdict without witness")
             return
         axiom = verdict["axiom"]
-        if axiom.startswith("compatibility:") or axiom == "deficit-traceability":
-            return  # replayed through their own sections below
-        s = structure_for(delta_name)
-        for w in verdict["witnesses"]:
-            args = tuple(cfg.universe.subset(part) for part in w)
-            if axiom_instance(s, axiom, args) is not False:
-                problems.append(f"{label}: witness {w} does not violate {axiom}")
+        witnesses = tuple(subsets(w) for w in verdict["witnesses"])
+        if not replay(structure_for(delta_name), Verdict(axiom, FAILS, witnesses=witnesses)):
+            problems.append(f"{label}: a witness of {axiom} does not replay")
 
-    axioms = report.get("axioms", {})
-    for v in axioms.get("structural", []):
-        check(v, None, "structural")
-    for name, verdicts in axioms.get("per_delta", {}).items():
-        for v in verdicts:
-            check(v, name, f"per_delta[{name}]")
+    steps = report.get("steps", {})
+    for section in (report, steps.get("step5_investigate", {})):
+        axioms = section.get("axioms", {})
+        for v in axioms.get("structural", []):
+            check(v, None, "structural")
+        for name, verdicts in axioms.get("per_delta", {}).items():
+            for v in verdicts:
+                check(v, name, f"per_delta[{name}]")
 
-    validation = report.get("validation", {})
-    for row in validation.get("compatibility", []):
-        if row.get("status") != "fails":
-            continue
-        spec = specs[row["delta"]]
-        d = spec.build(cfg.universe, cfg.operator_suite())
-        for w in row["witnesses"]:
-            args = tuple(cfg.universe.subset(part) for part in w)
-            if d(*args):
-                problems.append(f"compatibility[{row['delta']}]: witness does not violate")
+        for row in section.get("validation", {}).get("compatibility", []):
+            if row.get("status") != "fails":
+                continue
+            d = specs[row["delta"]].build(cfg.universe, cfg.operator_suite())
+            for w in row["witnesses"]:
+                if d(*subsets(w)):
+                    problems.append(f"compatibility[{row['delta']}]: witness does not violate")
     return problems

@@ -16,6 +16,9 @@ EXHAUSTIVE_CAP = 24
 
 DIFFERENCE_POLICIES = ("subset", "proper", "total")
 
+# On masks, a partial operation returns this where it is undefined.
+UNDEFINED = -1
+
 
 class Universe:
     """Ordered finite collection of distinct element names."""
@@ -145,6 +148,41 @@ class Subset:
 
     def __repr__(self):
         return "{" + ",".join(self.members()) + "}"
+
+
+def encode(universe: Universe, subsets) -> tuple[int, ...]:
+    """Masks of ``subsets``, each of which must live in ``universe``."""
+    masks = []
+    for s in subsets:
+        if not isinstance(s, Subset):
+            raise TypeError(f"expected Subset, got {type(s).__name__}")
+        if s.universe != universe:
+            raise UniverseMismatchError(
+                f"operand lives in a different universe: {s.universe.elements} "
+                f"vs {universe.elements}"
+            )
+        masks.append(s.mask)
+    return tuple(masks)
+
+
+class MaskTable(dict):
+    """A unary subset operator read on masks, memoized as it is read.
+
+    ``table[m]`` is ``op(universe.from_mask(m)).mask``. Each entry is
+    computed at its first lookup, so a few lookups on a large universe cost
+    a few operator calls, and the table never outgrows the powerset.
+    """
+
+    __slots__ = ("_op", "_from_mask")
+
+    def __init__(self, universe: Universe, op):
+        super().__init__()
+        self._op = op
+        self._from_mask = universe.from_mask
+
+    def __missing__(self, mask: int) -> int:
+        value = self[mask] = self._op(self._from_mask(mask)).mask
+        return value
 
 
 def _co_mask(a: Subset, b: Subset) -> int:

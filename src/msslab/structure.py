@@ -4,11 +4,16 @@ A structure bundles a parthood predicate, order, join/meet, approximation
 operators, constants, a nearness predicate, a partial sum, and cluster
 membership over one universe. Any slot may be left unbound; checks that
 need an unbound slot report a deferred verdict instead of failing.
+
+Checks run on the structure's compiled form (``MssStructure.compiled``),
+built once at the first sweep: every bound slot as an int-level
+evaluator over subset masks, and one mask evaluator per axiom.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import functools
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -17,12 +22,14 @@ from .delta import DeltaPredicate, SumOperation
 from .errors import StructureError, UniverseMismatchError
 from .granules import Granulation, OperatorSuite, check_admissibility
 from .sets import (
+    UNDEFINED,
+    MaskTable,
     PartialResult,
     Subset,
     Universe,
+    encode,
     join as set_join,
     meet as set_meet,
-    omega_equal,
     part_of,
 )
 from .verdicts import (
@@ -156,14 +163,17 @@ class MssStructure:
             bound.add("gamma")
         return frozenset(bound)
 
-    def in_kappa(self, a: Subset) -> bool:
-        return any(a == c for c in self.kappa or ())
+    @functools.cached_property
+    def compiled(self) -> "CompiledStructure":
+        """The interpretations on masks, built at the first use."""
+        return CompiledStructure(self)
 
     def __repr__(self):
         return f"MssStructure(|H|={self.universe.size}, slots={sorted(self.bound_slots())})"
 
 
 def _as_partial(fn):
+    @functools.wraps(fn)
     def wrapped(a, b):
         out = fn(a, b)
         if isinstance(out, PartialResult):
@@ -279,95 +289,185 @@ def reduct(s: MssStructure, keep: Iterable[str]) -> MssStructure:
     )
 
 
+def _included(a: int, b: int) -> bool:
+    return not a & ~b
+
+
+def _mask_relation(fn, universe: Universe) -> Callable[[int, int], bool]:
+    if fn is part_of:
+        return _included
+    from_mask = universe.from_mask
+    return lambda a, b: bool(fn(from_mask(a), from_mask(b)))
+
+
+def _mask_operation(fn, universe: Universe) -> Callable[[int, int], int]:
+    """A partial binary operation on masks, ``UNDEFINED`` where undefined."""
+    plain = getattr(fn, "__wrapped__", fn)
+    if plain is set_join:
+        return operator.or_
+    if plain is set_meet:
+        return operator.and_
+    from_mask = universe.from_mask
+
+    def adapter(a, b):
+        out = fn(from_mask(a), from_mask(b))
+        return out.value.mask if out.defined else UNDEFINED
+
+    return adapter
+
+
+class CompiledStructure:
+    """A structure's bound slots as int-level evaluators over masks.
+
+    Inclusion, union and intersection become bit operations; any other
+    parthood, order, join or meet is reached through a decode adapter.
+    ``lower``/``upper`` are tables read from the structure's own
+    operators, ``delta`` and ``sum`` are the slots' own mask forms (the sum
+    returns ``UNDEFINED`` where undefined), and ``kappa`` is a set of
+    masks. Unbound slots are None.
+    """
+
+    def __init__(self, s: MssStructure):
+        u = s.universe
+        self.part = _mask_relation(s.parthood, u) if s.parthood is not None else None
+        self.leq = _mask_relation(s.leq, u) if s.leq is not None else None
+        self.join = _mask_operation(s.join, u) if s.join is not None else None
+        self.meet = _mask_operation(s.meet, u) if s.meet is not None else None
+        self.lower = MaskTable(u, s.ops.lower) if s.ops is not None else None
+        self.upper = MaskTable(u, s.ops.upper) if s.ops is not None else None
+        self.top = s.top.mask if s.top is not None else None
+        self.bottom = s.bottom.mask if s.bottom is not None else None
+        self.delta = s.delta.masked() if s.delta is not None else None
+        self.sum = s.sum.masked() if s.sum is not None else None
+        self.kappa = frozenset(c.mask for c in s.kappa) if s.kappa is not None else None
+
+    def evaluator(self, axiom: str) -> Callable[..., Optional[bool]]:
+        """The instance evaluator of one axiom, taking masks."""
+        if axiom in _STRUCTURAL:
+            return _STRUCTURAL[axiom](self)
+        if axiom in delta_mod.COHERENCE_ARITY:
+            return delta_mod.coherence_evaluator(self.delta, axiom)
+        if axiom in delta_mod.SUM_ARITY:
+            return delta_mod.sum_evaluator(self.delta, self.sum, axiom)
+        raise StructureError(f"axiom {axiom!r} has no instance evaluator")
+
+
+def _weak_eq(x: int, y: int) -> bool:
+    """Conditional equality of partial values on masks (``omega_equal``)."""
+    return x == UNDEFINED or y == UNDEFINED or x == y
+
+
+def _pt1(k):
+    P = k.part
+    return lambda a: P(a, a)
+
+
+def _pt2(k):
+    P = k.part
+    return lambda a, b: a == b if P(a, b) and P(b, a) else None
+
+
+def _g1(k):
+    jn, mt = k.join, k.meet
+    return lambda a, b: _weak_eq(jn(a, b), jn(b, a)) and _weak_eq(mt(a, b), mt(b, a))
+
+
+def _g2(k):
+    jn, mt = k.join, k.meet
+
+    def g2(a, b):
+        j, m = jn(a, b), mt(a, b)
+        if j != UNDEFINED and not _weak_eq(mt(j, a), a):
+            return False
+        return m == UNDEFINED or _weak_eq(jn(m, a), a)
+
+    return g2
+
+
+def _distributive(outer, inner):
+    """(a inner b) outer c  =  (a outer c) inner (b outer c), conditionally."""
+
+    def law(a, b, c):
+        ab = inner(a, b)
+        left = outer(ab, c) if ab != UNDEFINED else UNDEFINED
+        ac, bc = outer(a, c), outer(b, c)
+        right = inner(ac, bc) if ac != UNDEFINED and bc != UNDEFINED else UNDEFINED
+        return _weak_eq(left, right)
+
+    return law
+
+
+def _g3(k):
+    return _distributive(k.join, k.meet)
+
+
+def _g4(k):
+    return _distributive(k.meet, k.join)
+
+
+def _g5(k):
+    leq, jn, mt = k.leq, k.join, k.meet
+    return lambda a, b: leq(a, b) == (jn(a, b) == b) == (mt(a, b) == a)
+
+
+def _ul1(k):
+    P, L, U = k.part, k.lower, k.upper
+
+    def ul1(a):
+        la, ua = L[a], U[a]
+        return P(la, a) and L[la] == la and P(ua, U[ua])
+
+    return ul1
+
+
+def _ul2(k):
+    P, L, U = k.part, k.lower, k.upper
+    return lambda a, b: (P(L[a], L[b]) and P(U[a], U[b])) if P(a, b) else None
+
+
+def _ul3(k):
+    P, L, U, top, bottom = k.part, k.lower, k.upper, k.top, k.bottom
+    return lambda: (
+        L[bottom] == bottom
+        and U[bottom] == bottom
+        and P(L[top], top)
+        and P(U[top], top)
+    )
+
+
+def _tb(k):
+    P, top, bottom = k.part, k.top, k.bottom
+    return lambda a: P(bottom, a) and P(a, top)
+
+
+def _lclu(k):
+    L, kappa = k.lower, k.kappa
+    return lambda a: L[a] in kappa if a in kappa else None
+
+
+_STRUCTURAL = {
+    "PT1": _pt1,
+    "PT2": _pt2,
+    "G1": _g1,
+    "G2": _g2,
+    "G3": _g3,
+    "G4": _g4,
+    "G5": _g5,
+    "UL1": _ul1,
+    "UL2": _ul2,
+    "UL3": _ul3,
+    "TB": _tb,
+    "lclu": _lclu,
+}
+
+
 def axiom_instance(s: MssStructure, axiom: str, args) -> Optional[bool]:
     """Evaluate one quantifier instance of a structural axiom.
 
     Returns True/False for substantive instances, None for vacuous ones.
     Witness replay re-runs this and expects False.
     """
-    P = s.parthood
-    if axiom == "PT1":
-        (a,) = args
-        return P(a, a)
-    if axiom == "PT2":
-        a, b = args
-        if not (P(a, b) and P(b, a)):
-            return None
-        return a == b
-    if axiom == "G1":
-        a, b = args
-        return omega_equal(s.join(a, b), s.join(b, a)) and omega_equal(
-            s.meet(a, b), s.meet(b, a)
-        )
-    if axiom == "G2":
-        a, b = args
-        left = _chain(s.meet, s.join(a, b), a)
-        right = _chain(s.join, s.meet(a, b), a)
-        here = PartialResult.of(a)
-        return omega_equal(left, here) and omega_equal(right, here)
-    if axiom == "G3":
-        a, b, c = args
-        left = _chain(s.join, s.meet(a, b), c)
-        right = _pair(s.meet, _chain(s.join, PartialResult.of(a), c), _chain(s.join, PartialResult.of(b), c))
-        return omega_equal(left, right)
-    if axiom == "G4":
-        a, b, c = args
-        left = _chain(s.meet, s.join(a, b), c)
-        right = _pair(s.join, _chain(s.meet, PartialResult.of(a), c), _chain(s.meet, PartialResult.of(b), c))
-        return omega_equal(left, right)
-    if axiom == "G5":
-        a, b = args
-        below = s.leq(a, b)
-        jv = s.join(a, b)
-        mv = s.meet(a, b)
-        join_fixes = jv.defined and jv.value == b
-        meet_fixes = mv.defined and mv.value == a
-        return below == join_fixes == meet_fixes
-    if axiom == "UL1":
-        (a,) = args
-        lo, up = s.ops.lower, s.ops.upper
-        la = lo(a)
-        ua = up(a)
-        return P(la, a) and lo(la) == la and P(ua, up(ua))
-    if axiom == "UL2":
-        a, b = args
-        if not P(a, b):
-            return None
-        lo, up = s.ops.lower, s.ops.upper
-        return P(lo(a), lo(b)) and P(up(a), up(b))
-    if axiom == "UL3":
-        lo, up = s.ops.lower, s.ops.upper
-        return (
-            lo(s.bottom) == s.bottom
-            and up(s.bottom) == s.bottom
-            and P(lo(s.top), s.top)
-            and P(up(s.top), s.top)
-        )
-    if axiom == "TB":
-        (a,) = args
-        return P(s.bottom, a) and P(a, s.top)
-    if axiom == "lclu":
-        (a,) = args
-        if not s.in_kappa(a):
-            return None
-        return s.in_kappa(s.ops.lower(a))
-    if axiom in delta_mod.COHERENCE_AXIOMS:
-        return delta_mod.coherence_instance(s.delta, axiom, args)
-    if axiom in delta_mod.SUM_AXIOMS:
-        return delta_mod.sum_instance(s.delta, s.sum, axiom, args)
-    raise StructureError(f"axiom {axiom!r} has no instance evaluator")
-
-
-def _chain(op, partial: PartialResult, operand: Subset) -> PartialResult:
-    if not partial.defined:
-        return PartialResult.undefined()
-    return op(partial.value, operand)
-
-
-def _pair(op, left: PartialResult, right: PartialResult) -> PartialResult:
-    if not (left.defined and right.defined):
-        return PartialResult.undefined()
-    return op(left.value, right.value)
+    return s.compiled.evaluator(axiom)(*encode(s.universe, args))
 
 
 _ARITY = {
@@ -383,17 +483,8 @@ _ARITY = {
     "UL3": 0,
     "TB": 1,
     "lclu": 1,
-    "i-coh": 2,
-    "n-coh": 3,
-    "i-coh-2": 2,
-    "strict-n-coh": 3,
-    "trans-1": 4,
-    "omega-star-com": 2,
-    "omega-id": 1,
-    "omega-asso": 3,
-    "delta-sum1": 3,
-    "delta-sum2": 3,
-    "delta-sum3": 3,
+    **delta_mod.COHERENCE_ARITY,
+    **delta_mod.SUM_ARITY,
 }
 
 
@@ -422,7 +513,7 @@ def check_axiom(
         axiom,
         s.universe,
         _ARITY[axiom],
-        lambda *args: axiom_instance(s, axiom, args),
+        s.compiled.evaluator(axiom),
         seed=seed,
         budget=budget,
     )
@@ -436,22 +527,15 @@ def verify(
     budget: int = DEFAULT_SAMPLE_BUDGET,
     jobs: int = 1,
 ) -> list[Verdict]:
-    """Check the requested axioms (default: every registered one).
+    """Check the requested axioms (default: every registered one), in order.
 
-    Workers split the list of axioms; verdicts always come back in the
-    requested order, so parallel runs report identically to serial ones.
+    ``jobs`` is accepted and ignored: the sweeps are pure-Python work
+    that holds the interpreter lock, so worker threads only slowed them.
     """
     requested = list(axioms) if axioms is not None else list(AXIOM_ORDER)
     if "gamma" not in s.bound_slots() and axioms is None:
         requested = [a for a in requested if a not in ADMISSIBILITY_AXIOMS]
-
-    def run(axiom):
-        return check_axiom(s, axiom, seed=seed, budget=budget)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(run, requested))
-    return [run(axiom) for axiom in requested]
+    return [check_axiom(s, axiom, seed=seed, budget=budget) for axiom in requested]
 
 
 def replay(s: MssStructure, verdict: Verdict) -> bool:

@@ -9,7 +9,6 @@ has in excess, and the grades record fixpoint/preimage/image conditions.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
@@ -201,22 +200,21 @@ def validate_clustering(
     policy: str = "subset",
     jobs: int = 1,
 ) -> ValidityReport:
-    """Per-cluster deficits, grades, and proposition checks, then aggregates."""
+    """Per-cluster deficits, grades, and proposition checks, then aggregates.
 
-    def one(c: Subset) -> ClusterReport:
-        return ClusterReport(
+    ``jobs`` is accepted and ignored: the work holds the interpreter lock,
+    so worker threads only slowed it.
+    """
+    reports = tuple(
+        ClusterReport(
             cluster=c,
             lower_deficit=lower_deficit(c, ops, policy),
             upper_deficit=upper_deficit(c, ops, policy),
             grades=validity_grades(c, ops, cl.universe),
             proposition=check_proposition(c, ops, policy),
         )
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = tuple(pool.map(one, cl.clusters))
-    else:
-        reports = tuple(one(c) for c in cl.clusters)
+        for c in cl.clusters
+    )
 
     return ValidityReport(
         per_cluster=reports,

@@ -1,10 +1,11 @@
 """Verdicts for axiom checks, plus the shared quantifier sweep.
 
-A check walks a quantification space of subset tuples and classifies each
-instance as substantively satisfied, vacuously satisfied, or violated.
+A check walks a quantification space of subset-mask tuples and classifies
+each instance as substantively satisfied, vacuously satisfied, or
+violated; only a violating tuple is decoded to subsets, as the witness.
 Exhaustive walks run in canonical order, so the first violation found is
-the lexicographic minimum; large spaces fall back to seeded sampling with
-the seed recorded on the verdict.
+the lexicographic minimum; spaces larger than the budget fall back to
+seeded sampling with the seed recorded on the verdict.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ VACUOUS = "vacuous"
 DEFERRED = "deferred"
 UNSPECIFIED = "unspecified"
 
-# Universes above this size are checked by seeded uniform sampling.
-EXHAUSTIVE_UNIVERSE_LIMIT = 4
 DEFAULT_SAMPLE_BUDGET = 1_000_000
+# Sampled sweeps given no seed draw from this one, so every run repeats.
+DEFAULT_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -72,61 +73,43 @@ def sweep(
     seed: Optional[int] = None,
     budget: int = DEFAULT_SAMPLE_BUDGET,
 ) -> Verdict:
-    """Quantify ``instance`` over all ``arity``-tuples of subsets.
+    """Quantify ``instance`` over all ``arity``-tuples of subset masks.
 
-    ``instance`` returns True (satisfied), None (vacuously satisfied), or
-    False (violated). The verdict is ``fails`` with the first violating
-    tuple as witness, ``vacuous`` when every instance passed vacuously,
-    and ``holds`` otherwise. Spaces that outgrow the budget are sampled
-    instead of enumerated; a full enumeration that happens to fit the
-    budget stays exhaustive even on a large universe.
+    ``instance`` takes masks and returns True (satisfied), None (vacuously
+    satisfied), or False (violated). The verdict is ``fails`` with the
+    first violating tuple, decoded to subsets, as witness; ``vacuous`` when
+    every instance passed vacuously; and ``holds`` otherwise. The sweep is
+    exhaustive exactly when the space has at most ``budget`` tuples; a
+    larger space is sampled with ``budget`` tuples, each element drawn by
+    ``Random(seed).randrange(2**n)`` in turn (seed ``DEFAULT_SEED`` when
+    none is given).
     """
     top = 1 << universe.size
-    total = top**arity if arity else 1
-    exhaustive = universe.size <= EXHAUSTIVE_UNIVERSE_LIMIT or total <= budget
-
-    if exhaustive:
-        if universe.size <= EXHAUSTIVE_UNIVERSE_LIMIT:
-            domain = tuple(universe.all_subsets())
-            tuples = itertools.product(domain, repeat=arity)
-        else:
-            tuples = (
-                tuple(universe.from_mask(m) for m in masks)
-                for masks in itertools.product(range(top), repeat=arity)
-            )
-        mode = "exhaustive"
-        count = total
+    total = top**arity
+    if total <= budget:
+        mode, count, seed = "exhaustive", total, None
+        tuples = itertools.product(range(top), repeat=arity)
     else:
-        rng = random.Random(seed)
-        tuples = (
-            tuple(universe.from_mask(rng.randrange(top)) for _ in range(arity))
-            for _ in range(budget)
-        )
-        mode = "sampled"
-        count = budget
+        mode, count = "sampled", budget
+        seed = DEFAULT_SEED if seed is None else seed
+        draws = map(random.Random(seed).randrange, itertools.repeat(top))
+        tuples = itertools.islice(zip(*[draws] * arity), budget)
 
-    checked = 0
-    substantive = 0
-    for args in tuples:
-        checked += 1
+    substantive = False
+    for checked, args in enumerate(tuples, 1):
         result = instance(*args)
         if result is False:
+            witness = tuple(map(universe.from_mask, args))
             return Verdict(
                 axiom,
                 FAILS,
-                witnesses=(args,),
+                witnesses=(witness,),
                 instances_checked=checked,
                 mode=mode,
-                seed=seed if mode == "sampled" else None,
+                seed=seed,
             )
         if result is True:
-            substantive += 1
+            substantive = True
 
     status = HOLDS if substantive else VACUOUS
-    return Verdict(
-        axiom,
-        status,
-        instances_checked=count,
-        mode=mode,
-        seed=seed if mode == "sampled" else None,
-    )
+    return Verdict(axiom, status, instances_checked=count, mode=mode, seed=seed)

@@ -1,12 +1,19 @@
+import copy
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
+import pytest
+
+import msslab.report
 from msslab.config import parse_config
 from msslab.report import replay_failures, render_text, to_json
 
 FIXTURE = "examples/paper-example.json"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+N5_CONFIG = "tests/golden/n5-config.json"
 
 
 def run_cli(repo_root, *args, env_extra=None):
@@ -223,6 +230,85 @@ def test_output_file_matches_stdout(repo_root, tmp_path):
     )
     assert to_file.returncode == 0 and to_file.stdout == ""
     assert out.read_text(encoding="utf-8") == to_stdout.stdout
+
+
+@pytest.mark.parametrize(
+    "command, config, golden",
+    [
+        ("check-axioms", FIXTURE, "paper-check-axioms.json"),
+        ("validate", FIXTURE, "paper-validate.json"),
+        ("pipeline", FIXTURE, "paper-pipeline.json"),
+        # trans-1 is sampled at n=5: it fails after a few draws under E1
+        # and is vacuous under the table, so every draw is pinned.
+        ("check-axioms", N5_CONFIG, "n5-check-axioms.json"),
+    ],
+)
+def test_reports_match_golden_bytes(repo_root, command, config, golden):
+    result = run_cli(repo_root, command, config, "--seed", "7")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
+def test_unseeded_sampled_runs_repeat(repo_root, tmp_path):
+    config = write_config(
+        tmp_path, {"universe": [f"x{i + 1}" for i in range(5)], "delta": ["E1"]}
+    )
+    first = run_cli(repo_root, "check-axioms", str(config))
+    second = run_cli(repo_root, "check-axioms", str(config))
+    assert first.returncode == 0, first.stderr
+    assert first.stdout == second.stdout
+    report = json.loads(first.stdout)
+    assert report["provenance"]["seed"] == 0
+    trans = {v["axiom"]: v for v in report["axioms"]["per_delta"]["E1"]}["trans-1"]
+    assert trans["mode"] == "sampled" and trans["seed"] == 0
+
+
+def test_pipeline_witnesses_replay(repo_root, monkeypatch):
+    with open(repo_root / FIXTURE, encoding="utf-8") as handle:
+        cfg = parse_config(json.load(handle))
+    report = json.loads((GOLDEN / "paper-pipeline.json").read_text(encoding="utf-8"))
+    replayed = []
+    original = msslab.report.replay
+    monkeypatch.setattr(
+        msslab.report, "replay", lambda s, v: replayed.append(v) or original(s, v)
+    )
+    assert replay_failures(cfg, report) == []
+    assert replayed
+
+    forged = copy.deepcopy(report)
+    e1 = forged["steps"]["step5_investigate"]["axioms"]["per_delta"]["E1"]
+    trans = next(v for v in e1 if v["axiom"] == "trans-1")
+    trans["witnesses"] = [[[], [], [], []]]
+    assert replay_failures(cfg, forged) == ["per_delta[E1]: a witness of trans-1 does not replay"]
+
+
+def test_reports_and_configs_match_the_schemas(repo_root, tmp_path):
+    jsonschema = pytest.importorskip("jsonschema")
+
+    def validator(name):
+        with open(repo_root / "schemas" / name, encoding="utf-8") as handle:
+            schema = json.load(handle)
+        return jsonschema.validators.validator_for(schema)(schema)
+
+    config_schema = validator("config.schema.json")
+    for path in (FIXTURE, N5_CONFIG):
+        with open(repo_root / path, encoding="utf-8") as handle:
+            config_schema.validate(json.load(handle))
+
+    spec = write_config(
+        tmp_path, {"n": 2, "delta": "E0", "required": ["i-coh"], "budget": 50}, name="spec.json"
+    )
+    search = run_cli(repo_root, "search", str(spec))
+    assert search.returncode == 0, search.stderr
+    reports = [json.loads(search.stdout)] + [
+        json.loads(path.read_text(encoding="utf-8"))
+        for path in sorted(GOLDEN.glob("*.json"))
+        if path.name != Path(N5_CONFIG).name
+    ]
+    assert {r["command"] for r in reports} == {"check-axioms", "validate", "pipeline", "search"}
+    report_schema = validator("report.schema.json")
+    for report in reports:
+        report_schema.validate(report)
 
 
 def test_schemas_are_valid_json(repo_root):

@@ -1,9 +1,21 @@
-import pytest
+import itertools
 
-from msslab import BudgetError, MsslabError, assemble
-from msslab.oracles import StructureDescription, o_claim, powerset
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from msslab import (
+    BudgetError,
+    DeltaPredicate,
+    Granulation,
+    MsslabError,
+    OperatorSuite,
+    Universe,
+    assemble,
+)
+from msslab.delta import BUILTIN_DELTAS
+from msslab.oracles import ORACLE_AXIOMS, StructureDescription, o_claim, powerset
 from msslab.search import SearchSpec, enumerate_structures, find_witness, oracle_check
-from msslab.structure import verify
+from msslab.structure import axiom_instance, verify
 
 ORACLE_COMPARABLE = (
     "PT1",
@@ -114,14 +126,74 @@ def test_verify_matches_oracle_on_all_two_element_structures():
                 assert fast == o_claim(desc, f"axiom:{axiom}"), (delta_name, axiom)
 
 
-def test_verify_matches_oracle_on_sampled_three_element_structures():
-    structures = list(enumerate_structures(SearchSpec(n=3, delta="E1", budget=512)))
-    for s in structures[:: 16]:
-        verdicts = {v.axiom: v for v in verify(s, ["UL1", "UL2", "i-coh-2", "strict-n-coh"])}
-        desc = StructureDescription.from_structure(s)
-        for axiom, verdict in verdicts.items():
-            fast = verdict.status in ("holds", "vacuous")
-            assert fast == o_claim(desc, f"axiom:{axiom}"), axiom
+def assert_matches_oracle(s, axioms):
+    """Fast verdicts equal the oracle's, and every failing witness replays."""
+    desc = StructureDescription.from_structure(s)
+    for v in verify(s, list(axioms)):
+        fast = v.status in ("holds", "vacuous")
+        assert fast == o_claim(desc, f"axiom:{v.axiom}"), (s, v)
+        if v.failed:
+            assert all(axiom_instance(s, v.axiom, w) is False for w in v.witnesses), v
+
+
+def test_verify_matches_oracle_on_all_three_element_granulations():
+    # The 512 relations on 3 elements give 260 distinct granulations.
+    granulations = {}
+    for s in enumerate_structures(SearchSpec(n=3, budget=512)):
+        granulations.setdefault(s.granulation.masks(), s.granulation)
+    assert len(granulations) == 260
+    for g in granulations.values():
+        ops = OperatorSuite.from_granulation(g)
+        for name in BUILTIN_DELTAS:
+            d = DeltaPredicate.builtin(name, g.universe, ops=ops)
+            assert_matches_oracle(assemble(g.universe, granulation=g, delta=d), ORACLE_COMPARABLE)
+
+
+def _universe(n):
+    return Universe([f"x{i + 1}" for i in range(n)])
+
+
+@st.composite
+def extensional_structures(draw):
+    n = draw(st.integers(1, 3))
+    u = _universe(n)
+    top = 1 << n
+    bits = draw(st.integers(0, (1 << top**3) - 1))
+    triples = [t for k, t in enumerate(itertools.product(range(top), repeat=3)) if bits >> k & 1]
+    granules = draw(st.lists(st.integers(1, top - 1), min_size=1, max_size=4))
+    return assemble(
+        u,
+        granulation=Granulation(u, [u.from_mask(m) for m in granules]),
+        delta=DeltaPredicate.extensional_from_masks(u, triples),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(extensional_structures())
+def test_verify_matches_oracle_on_random_extensional_tables(s):
+    assert_matches_oracle(s, ORACLE_COMPARABLE)
+
+
+@st.composite
+def granular_structures(draw):
+    n = draw(st.integers(1, 4))
+    u = _universe(n)
+    top = 1 << n
+    granules = draw(st.lists(st.integers(1, top - 1), min_size=1, max_size=6))
+    clusters = draw(st.lists(st.integers(1, top - 1), min_size=1, max_size=4, unique=True))
+    g = Granulation(u, [u.from_mask(m) for m in granules])
+    name = draw(st.sampled_from(BUILTIN_DELTAS))
+    d = DeltaPredicate.builtin(name, u, ops=OperatorSuite.from_granulation(g))
+    return assemble(u, granulation=g, delta=d, kappa=[u.from_mask(m) for m in clusters])
+
+
+@settings(max_examples=150, deadline=None)
+@given(granular_structures())
+def test_verify_matches_oracle_on_random_granulations(s):
+    # The trans-1 oracle walks 16^4 tuples at n=4, about a second each;
+    # trans-1 is compared exhaustively at n <= 3 above.
+    axioms = [a for a in ORACLE_AXIOMS if a != "trans-1" or s.universe.size < 4]
+    assert_matches_oracle(s, axioms)
 
 
 def test_oracle_powerset_covers_everything():
