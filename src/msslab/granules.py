@@ -7,7 +7,6 @@ operator can be plugged in; it must stay between the two.
 
 from __future__ import annotations
 
-import warnings
 from typing import Callable, Iterable, Optional
 
 from .errors import MsslabError, RegistrationError, UniverseMismatchError
@@ -175,10 +174,8 @@ def predecessor_granulation(r: BinaryRelation) -> Granulation:
     """Granules n(x) = {y : (y, x) in r}, listed in generator order.
 
     Empty neighborhoods are skipped with a note; a non-reflexive input
-    gets a warning since generators then need not belong to their granule.
+    gets a note too, since generators then need not belong to their granule.
     """
-    if not r.is_reflexive:
-        warnings.warn("relation is not reflexive; predecessor granules may miss their generators")
     universe = r.universe
     notes = []
     granules = []
@@ -191,6 +188,8 @@ def predecessor_granulation(r: BinaryRelation) -> Granulation:
             notes.append(f"empty neighborhood of {universe.elements[x]} skipped")
             continue
         granules.append(Subset(universe, mask))
+    if not r.is_reflexive:
+        notes.append("relation is not reflexive; predecessor granules may miss their generators")
     return Granulation(universe, granules, notes)
 
 

@@ -8,7 +8,7 @@ is meant to validate; the duplication is the point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from typing import Optional
 
 from .errors import MsslabError
@@ -33,6 +33,17 @@ ORACLE_AXIOMS = (
     "lclu",
 )
 
+# Sum laws with an oracle; kept apart from ORACLE_AXIOMS because they need
+# a bound sum (and the delta-sum trio a predicate too).
+ORACLE_SUM_AXIOMS = (
+    "omega-star-com",
+    "omega-id",
+    "omega-asso",
+    "delta-sum1",
+    "delta-sum2",
+    "delta-sum3",
+)
+
 
 @dataclass(frozen=True)
 class StructureDescription:
@@ -43,32 +54,49 @@ class StructureDescription:
     delta_kind: Optional[str] = None
     delta_table: Optional[frozenset[tuple[frozenset, frozenset, frozenset]]] = None
     clusters: Optional[tuple[frozenset[str], ...]] = None
+    sum_mode: Optional[str] = None
+    # (a, b, a + b) for every defined pair of an extensional-partial sum
+    sum_table: Optional[frozenset[tuple[frozenset, frozenset, frozenset]]] = None
 
     @classmethod
     def from_structure(cls, s) -> "StructureDescription":
         if s.granulation is None:
             raise MsslabError("oracle needs a granulation-backed structure")
+        names = s.universe.elements
+
+        def named(mask):
+            return frozenset(n for i, n in enumerate(names) if mask >> i & 1)
+
         granules = tuple(frozenset(g.members()) for g in s.granulation)
         kind = None
         table = None
         if s.delta is not None:
             kind = s.delta.kind
             if kind == "extensional":
-                names = s.universe.elements
                 table = frozenset(
-                    (
-                        frozenset(n for i, n in enumerate(names) if am >> i & 1),
-                        frozenset(n for i, n in enumerate(names) if bm >> i & 1),
-                        frozenset(n for i, n in enumerate(names) if cm >> i & 1),
-                    )
-                    for am, bm, cm in s.delta.table
+                    (named(am), named(bm), named(cm)) for am, bm, cm in s.delta.table
                 )
             elif kind not in ("E0", "E1", "E2", "uE1"):
                 raise MsslabError(f"oracle cannot rebuild delta kind {kind!r}")
         clusters = None
         if s.kappa is not None:
             clusters = tuple(frozenset(c.members()) for c in s.kappa)
-        return cls(tuple(s.universe.elements), granules, kind, table, clusters)
+        sum_mode = None
+        sum_table = None
+        if s.sum is not None:
+            sum_mode = s.sum.mode
+            if sum_mode == "extensional-partial":
+                sum_table = frozenset(
+                    (named(am), named(bm), named(vm)) for (am, bm), vm in s.sum.table.items()
+                )
+            elif sum_mode == "granular-sum":
+                if s.sum.granulation != s.granulation:
+                    raise MsslabError("oracle needs the granular sum over the structure's granules")
+            elif sum_mode != "total-union":
+                raise MsslabError(f"oracle cannot rebuild sum mode {sum_mode!r}")
+        return cls(
+            tuple(names), granules, kind, table, clusters, sum_mode, sum_table
+        )
 
 
 def powerset(elements) -> list[frozenset]:
@@ -116,6 +144,25 @@ def o_delta(desc: StructureDescription):
         table = desc.delta_table
         return lambda a, b, c: (a, b, c) in table
     raise MsslabError(f"oracle has no delta of kind {kind!r}")
+
+
+def o_sum(desc: StructureDescription):
+    """The partial sum as a function returning None where it is undefined."""
+    mode = desc.sum_mode
+    granules = desc.granules
+    if mode == "total-union":
+        return lambda a, b: a | b
+    if mode == "granular-sum":
+
+        def granular(a, b):
+            joined = a | b
+            return joined if o_lower(joined, granules) == joined else None
+
+        return granular
+    if mode == "extensional-partial":
+        table = {(a, b): value for a, b, value in desc.sum_table}
+        return lambda a, b: table.get((a, b))
+    raise MsslabError(f"oracle has no sum of mode {mode!r}")
 
 
 def o_axiom_holds(desc: StructureDescription, axiom: str) -> bool:
@@ -195,6 +242,8 @@ def o_axiom_holds(desc: StructureDescription, axiom: str) -> bool:
         return all(o_lower(c, granules) in desc.clusters for c in desc.clusters)
     if axiom in ("i-coh", "n-coh", "i-coh-2", "strict-n-coh", "trans-1"):
         return o_coherence_holds(desc, axiom)
+    if axiom in ORACLE_SUM_AXIOMS:
+        return o_sum_law_holds(desc, axiom)
     raise MsslabError(f"oracle has no axiom {axiom!r}")
 
 
@@ -230,6 +279,50 @@ def o_coherence_holds(desc: StructureDescription, axiom: str) -> bool:
                             return False
         return True
     raise MsslabError(f"oracle has no coherence axiom {axiom!r}")
+
+
+def o_sum_law_holds(desc: StructureDescription, axiom: str) -> bool:
+    """One sum law; None stands for an undefined sum.
+
+    omega-star-com asks for strong equality (undefined on both sides
+    counts as equal); omega-id and omega-asso for conditional equality
+    (equal whenever both sides are defined). A delta-sum law asks nothing
+    of a triple outside delta or whose squared sum is undefined.
+    """
+    space = powerset(desc.elements)
+    s = o_sum(desc)
+    if axiom == "omega-star-com":
+        return all(s(a, b) == s(b, a) for a in space for b in space)
+    if axiom == "omega-id":
+        return all(s(a, a) in (None, a) for a in space)
+    if axiom == "omega-asso":
+        for a in space:
+            for b in space:
+                for c in space:
+                    ab, bc = s(a, b), s(b, c)
+                    if ab is None or bc is None:
+                        continue
+                    left, right = s(a, bc), s(ab, c)
+                    if left is not None and right is not None and left != right:
+                        return False
+        return True
+    if axiom in ("delta-sum1", "delta-sum2", "delta-sum3"):
+        if desc.delta_kind is None:
+            raise MsslabError(f"oracle {axiom} needs a nearness predicate")
+        d = o_delta(desc)
+        position = int(axiom[-1]) - 1  # delta-sumK squares the K-th argument
+        for triple in product(space, repeat=3):
+            if not d(*triple):
+                continue
+            squared = s(triple[position], triple[position])
+            if squared is None:
+                continue
+            moved = list(triple)
+            moved[position] = squared
+            if not d(*moved):
+                return False
+        return True
+    raise MsslabError(f"oracle has no sum axiom {axiom!r}")
 
 
 def o_compatible(desc: StructureDescription, mode: str) -> bool:
@@ -268,11 +361,11 @@ def o_deficits(c, granules):
     return lower_def, upper_def
 
 
-def o_l_pre_valid_search(c, granules, space) -> bool:
-    for v in space:
-        if o_lower(v, granules) == c:
-            return True
-    return False
+def o_pre_valid_search(c, granules, space) -> tuple[bool, bool]:
+    """(some V has l(V) = C, some V has u(V) = C), by scanning ``space``."""
+    l_found = any(o_lower(v, granules) == c for v in space)
+    u_found = any(o_upper(v, granules) == c for v in space)
+    return l_found, u_found
 
 
 def o_claim(desc: StructureDescription, claim: str) -> bool:
@@ -281,8 +374,17 @@ def o_claim(desc: StructureDescription, claim: str) -> bool:
     granules = desc.granules
     if claim == "l-pre-valid-closed-form":
         for c in space:
-            searched = o_l_pre_valid_search(c, granules, space)
+            searched, _ = o_pre_valid_search(c, granules, space)
             if searched != (o_lower(c, granules) == c):
+                return False
+        return True
+    if claim == "u-pre-valid-closed-form":
+        for c in space:
+            _, searched = o_pre_valid_search(c, granules, space)
+            inside = frozenset(
+                x for x in desc.elements if o_upper(frozenset([x]), granules).issubset(c)
+            )
+            if searched != (o_upper(inside, granules) == c):
                 return False
         return True
     if claim == "upper-additivity":

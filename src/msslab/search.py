@@ -8,7 +8,6 @@ with the seed fixing the stream.
 from __future__ import annotations
 
 import random
-import warnings
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -90,18 +89,16 @@ def enumerate_structures(spec: SearchSpec) -> Iterator[MssStructure]:
             bit_streams = range(total)
         else:
             bit_streams = (rng.randrange(total) for _ in range(spec.budget))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            for bits in bit_streams:
-                pairs = [
-                    (i, j)
-                    for i in range(spec.n)
-                    for j in range(spec.n)
-                    if bits >> (i * spec.n + j) & 1
-                ]
-                relation = BinaryRelation.from_indices(universe, pairs)
-                granulation = predecessor_granulation(relation)
-                yield _structure_from_granulation(universe, granulation, spec, rng)
+        for bits in bit_streams:
+            pairs = [
+                (i, j)
+                for i in range(spec.n)
+                for j in range(spec.n)
+                if bits >> (i * spec.n + j) & 1
+            ]
+            relation = BinaryRelation.from_indices(universe, pairs)
+            granulation = predecessor_granulation(relation)
+            yield _structure_from_granulation(universe, granulation, spec, rng)
         return
 
     if spec.family == "granulations":

@@ -8,7 +8,6 @@ has in excess, and the grades record fixpoint/preimage/image conditions.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
@@ -17,8 +16,6 @@ from .errors import MsslabError, UniverseMismatchError
 from .granules import OperatorSuite
 from .sets import PartialResult, Subset, Universe, partial_difference
 from .verdicts import FAILS, HOLDS, VACUOUS, Verdict
-
-BRUTE_FORCE_LIMIT = 20
 
 COMPATIBILITY_MODES = ("overlap-closer", "clue-singleton", "gclue")
 
@@ -77,64 +74,34 @@ class ClusterGrades:
     u_pre_valid: bool
     l_traceable: bool
     u_traceable: bool
-    mode: str = "exhaustive"
 
 
-def validity_grades(
-    c: Subset,
-    ops: OperatorSuite,
-    universe: Universe,
-    *,
-    sample: Optional[int] = None,
-    seed: Optional[int] = None,
-) -> ClusterGrades:
+def validity_grades(c: Subset, ops: OperatorSuite, universe: Universe) -> ClusterGrades:
     """Fixpoint, preimage, and image grades of one cluster.
 
-    The lower preimage grade is computed twice, by searching for a witness
-    and by the fixpoint shortcut l(C) = C; a disagreement would mean the
-    lower operator lost idempotence, so it is treated as an internal error.
-    Universes beyond the brute-force limit must pass a sample budget.
+    Both preimage grades are closed forms, exact when l is idempotent and
+    u preserves unions, as for every ``OperatorSuite.from_granulation``:
+
+    - some V has l(V) = C iff l(C) = C, since l(C) = l(l(V)) = l(V);
+    - some V has u(V) = C iff u(V*) = C, where V* = {x : u({x}) <= C} is
+      the largest set whose image stays inside C (any V with u(V) <= C
+      lies in V*, and u(V*) is the union of the u({x}) for x in V*).
+
+    Each cluster costs n + 1 calls of u.
     """
     lc = ops.lower(c)
     uc = ops.upper(c)
-    lu_valid = lc == c and uc == c
-
-    closed_form = lc == c
-    if universe.size <= BRUTE_FORCE_LIMIT:
-        candidates = universe.all_subsets()
-        mode = "exhaustive"
-    else:
-        if sample is None:
-            raise MsslabError(
-                f"brute-force grade search refused for |H| > {BRUTE_FORCE_LIMIT}; pass a sample budget"
-            )
-        rng = random.Random(seed)
-        top = 1 << universe.size
-        candidates = (universe.from_mask(rng.randrange(top)) for _ in range(sample))
-        mode = "sampled"
-
-    l_pre_valid = False
-    u_pre_valid = False
-    for v in candidates:
-        if not l_pre_valid and ops.lower(v) == c:
-            l_pre_valid = True
-        if not u_pre_valid and ops.upper(v) == c:
-            u_pre_valid = True
-        if l_pre_valid and u_pre_valid:
-            break
-
-    if mode == "exhaustive" and l_pre_valid != closed_form:
-        raise AssertionError(
-            "preimage search and fixpoint shortcut disagree; lower operator is not idempotent"
-        )
-
+    inside = universe.empty
+    for x in universe.elements:
+        point = universe.singleton(x)
+        if ops.upper(point) <= c:
+            inside = inside | point
     return ClusterGrades(
-        lu_valid,
-        l_pre_valid,
-        u_pre_valid,
-        _traceable(lc, universe),
-        _traceable(uc, universe),
-        mode,
+        lu_valid=lc == c and uc == c,
+        l_pre_valid=lc == c,
+        u_pre_valid=ops.upper(inside) == c,
+        l_traceable=_traceable(lc, universe),
+        u_traceable=_traceable(uc, universe),
     )
 
 

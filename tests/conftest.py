@@ -11,6 +11,7 @@ from msslab import (
     close_relation,
     predecessor_granulation,
 )
+from msslab.search import SearchSpec, enumerate_structures
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -55,3 +56,13 @@ def delta_builtins(H, ops):
 @pytest.fixture(scope="session")
 def repo_root():
     return ROOT
+
+
+@pytest.fixture(scope="session")
+def three_element_granulations():
+    """The 260 distinct granulations of the 512 relations on three elements."""
+    granulations = {}
+    for s in enumerate_structures(SearchSpec(n=3, budget=512)):
+        granulations.setdefault(s.granulation.masks(), s.granulation)
+    assert len(granulations) == 260
+    return list(granulations.values())

@@ -282,15 +282,15 @@ def test_pipeline_witnesses_replay(repo_root, monkeypatch):
     assert replay_failures(cfg, forged) == ["per_delta[E1]: a witness of trans-1 does not replay"]
 
 
-def test_reports_and_configs_match_the_schemas(repo_root, tmp_path):
+def schema_validator(repo_root, name):
     jsonschema = pytest.importorskip("jsonschema")
+    with open(repo_root / "schemas" / name, encoding="utf-8") as handle:
+        schema = json.load(handle)
+    return jsonschema.validators.validator_for(schema)(schema)
 
-    def validator(name):
-        with open(repo_root / "schemas" / name, encoding="utf-8") as handle:
-            schema = json.load(handle)
-        return jsonschema.validators.validator_for(schema)(schema)
 
-    config_schema = validator("config.schema.json")
+def test_reports_and_configs_match_the_schemas(repo_root, tmp_path):
+    config_schema = schema_validator(repo_root, "config.schema.json")
     for path in (FIXTURE, N5_CONFIG):
         with open(repo_root / path, encoding="utf-8") as handle:
             config_schema.validate(json.load(handle))
@@ -306,9 +306,41 @@ def test_reports_and_configs_match_the_schemas(repo_root, tmp_path):
         if path.name != Path(N5_CONFIG).name
     ]
     assert {r["command"] for r in reports} == {"check-axioms", "validate", "pipeline", "search"}
-    report_schema = validator("report.schema.json")
+    report_schema = schema_validator(repo_root, "report.schema.json")
     for report in reports:
         report_schema.validate(report)
+
+
+def test_validate_runs_past_twenty_elements(repo_root, tmp_path):
+    # Six 4-point tolerance chains; each window cluster cuts two chains.
+    names = [f"x{i + 1}" for i in range(24)]
+    generators = [[names[4 * k + i], names[4 * k + i + 1]] for k in range(6) for i in range(3)]
+    windows = [names[6 * k + 1 : 6 * k + 6] for k in range(4)]
+    config = write_config(
+        tmp_path,
+        {
+            "universe": names,
+            "relation": {"generators": generators, "closure": ["reflexive", "symmetric"]},
+            "granulation": "predecessor",
+            "delta": ["E0", "E1"],
+            "compatibility_modes": ["overlap-closer", "clue-singleton"],
+            "clustering": windows,
+        },
+    )
+    result = run_cli(repo_root, "validate", str(config), "--seed", "7")
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout)
+    schema_validator(repo_root, "report.schema.json").validate(report)
+    assert [row["cluster"] for row in report["validation"]["clusters"]] == windows
+    assert len(report["validation"]["compatibility"]) == 4
+
+
+def test_non_reflexive_relation_is_noted_in_the_report():
+    cfg = parse_config(
+        {"universe": ["x1", "x2"], "relation": {"pairs": [["x1", "x2"]]}, "granulation": "predecessor"}
+    )
+    notes = msslab.report.structure_summary(cfg)["granulation_notes"]
+    assert any(note.startswith("relation is not reflexive;") for note in notes)
 
 
 def test_schemas_are_valid_json(repo_root):

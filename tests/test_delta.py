@@ -128,6 +128,16 @@ def test_sum_axioms_can_fail_on_extensional_tables(H):
     assert verdicts["omega-id"].status == "fails"
 
 
+def test_omega_asso_compares_by_conditional_equality():
+    # 0 + (0 + 0) = 0 + 1 = 1 is defined while (0 + 0) + 0 = 1 + 0 is not:
+    # conditional equality holds there, strong equality would not.
+    u = Universe(["x1"])
+    s = SumOperation.extensional(u, {(0, 0): 1, (0, 1): 1})
+    verdicts = {v.axiom: v.status for v in check_sum_axioms(None, s)}
+    assert verdicts["omega-asso"] == "holds"
+    assert verdicts["omega-star-com"] == "fails"
+
+
 def test_def_compat_examples(H, delta_builtins):
     union = NearnessMap.union(H)
     assert check_def_compat(delta_builtins["E0"], union, "def0").status == "holds"

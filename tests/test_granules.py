@@ -66,10 +66,10 @@ def test_full_relation_collapses_to_one_granule(H):
 def test_non_reflexive_relation_warns():
     u = Universe(["x1", "x2"])
     r = BinaryRelation(u, [("x1", "x2")])
-    with pytest.warns(UserWarning):
-        g = predecessor_granulation(r)
+    g = predecessor_granulation(r)
     assert [g_.members() for g_ in g] == [("x1",)]
     assert any("skipped" in note for note in g.notes)
+    assert any(note.startswith("relation is not reflexive;") for note in g.notes)
 
 
 def test_granules_must_be_nonempty(H):

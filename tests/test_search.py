@@ -9,11 +9,18 @@ from msslab import (
     Granulation,
     MsslabError,
     OperatorSuite,
+    SumOperation,
     Universe,
     assemble,
 )
 from msslab.delta import BUILTIN_DELTAS
-from msslab.oracles import ORACLE_AXIOMS, StructureDescription, o_claim, powerset
+from msslab.oracles import (
+    ORACLE_AXIOMS,
+    ORACLE_SUM_AXIOMS,
+    StructureDescription,
+    o_claim,
+    powerset,
+)
 from msslab.search import SearchSpec, enumerate_structures, find_witness, oracle_check
 from msslab.structure import axiom_instance, verify
 
@@ -98,6 +105,7 @@ def test_find_witness_trans1_with_proper_inclusion_has_no_model():
 def test_oracle_claims_on_the_example(H, granulation, delta_builtins):
     s = assemble(H, granulation=granulation, delta=delta_builtins["E1"])
     assert oracle_check(s, "l-pre-valid-closed-form")
+    assert oracle_check(s, "u-pre-valid-closed-form")
     assert oracle_check(s, "upper-additivity")
     assert oracle_check(s, "proposition-def2")
     with pytest.raises(MsslabError):
@@ -136,13 +144,8 @@ def assert_matches_oracle(s, axioms):
             assert all(axiom_instance(s, v.axiom, w) is False for w in v.witnesses), v
 
 
-def test_verify_matches_oracle_on_all_three_element_granulations():
-    # The 512 relations on 3 elements give 260 distinct granulations.
-    granulations = {}
-    for s in enumerate_structures(SearchSpec(n=3, budget=512)):
-        granulations.setdefault(s.granulation.masks(), s.granulation)
-    assert len(granulations) == 260
-    for g in granulations.values():
+def test_verify_matches_oracle_on_all_three_element_granulations(three_element_granulations):
+    for g in three_element_granulations:
         ops = OperatorSuite.from_granulation(g)
         for name in BUILTIN_DELTAS:
             d = DeltaPredicate.builtin(name, g.universe, ops=ops)
@@ -194,6 +197,44 @@ def test_verify_matches_oracle_on_random_granulations(s):
     # trans-1 is compared exhaustively at n <= 3 above.
     axioms = [a for a in ORACLE_AXIOMS if a != "trans-1" or s.universe.size < 4]
     assert_matches_oracle(s, axioms)
+
+
+def test_sum_laws_match_oracle_on_all_small_granulations():
+    # Every family of nonempty granules on up to three elements, covering
+    # or not, under both granulation-independent and granular sums.
+    for n in (1, 2, 3):
+        u = _universe(n)
+        candidates = range(1, 1 << n)
+        for bits in range(1 << len(candidates)):
+            g = Granulation(u, [u.from_mask(m) for k, m in enumerate(candidates) if bits >> k & 1])
+            name = BUILTIN_DELTAS[bits % len(BUILTIN_DELTAS)]
+            d = DeltaPredicate.builtin(name, u, ops=OperatorSuite.from_granulation(g))
+            for sum_op in (SumOperation.total_union(u), SumOperation.granular(g)):
+                s = assemble(u, granulation=g, delta=d, sum=sum_op)
+                assert_matches_oracle(s, ORACLE_SUM_AXIOMS)
+
+
+@st.composite
+def extensional_sums(draw):
+    n = draw(st.integers(1, 3))
+    u = _universe(n)
+    top = 1 << n
+    pairs = [(a, b) for a in range(top) for b in range(top) if draw(st.booleans())]
+    as_union = draw(st.booleans())
+    table = {(a, b): a | b if as_union else draw(st.integers(0, top - 1)) for a, b in pairs}
+    if draw(st.booleans()):  # commutative: mirror the entries above the diagonal
+        table = {(x, y): v for (a, b), v in table.items() if a <= b for x, y in ((a, b), (b, a))}
+    g = Granulation(u, [u.from_mask(m) for m in draw(st.lists(st.integers(1, top - 1), max_size=4))])
+    d = DeltaPredicate.builtin(
+        draw(st.sampled_from(BUILTIN_DELTAS)), u, ops=OperatorSuite.from_granulation(g)
+    )
+    return assemble(u, granulation=g, delta=d, sum=SumOperation.extensional(u, table))
+
+
+@settings(max_examples=150, deadline=None)
+@given(extensional_sums())
+def test_sum_laws_match_oracle_on_extensional_partial_sums(s):
+    assert_matches_oracle(s, ORACLE_SUM_AXIOMS)
 
 
 def test_oracle_powerset_covers_everything():

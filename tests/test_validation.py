@@ -1,13 +1,16 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from msslab import (
     CLUE_SINGLETON,
     OVERLAP_CLOSER,
     Clustering,
     CompatibilityMode,
+    Granulation,
     MsslabError,
+    OperatorSuite,
     Universe,
     check_compatibility,
     check_proposition,
@@ -16,6 +19,7 @@ from msslab import (
     validate_clustering,
     validity_grades,
 )
+from msslab.oracles import o_pre_valid_search, powerset
 from msslab.pipeline import run_pipeline
 from msslab.search import SearchSpec, enumerate_structures
 
@@ -60,10 +64,38 @@ def test_grades_examples(H, ops):
     assert g.l_pre_valid and g.u_pre_valid
 
 
-def test_closed_form_matches_search_for_all_subsets(H, ops):
-    for c in H.all_subsets():
-        g = validity_grades(c, ops, H)
-        assert g.l_pre_valid == (ops.lower(c) == c)
+def assert_grades_match_search(g: Granulation):
+    """Both preimage grades equal the oracle's powerset search, per cluster."""
+    ops = OperatorSuite.from_granulation(g)
+    granules = [frozenset(x.members()) for x in g]
+    space = powerset(g.universe.elements)
+    for c in g.universe.all_subsets():
+        grades = validity_grades(c, ops, g.universe)
+        searched = o_pre_valid_search(frozenset(c.members()), granules, space)
+        assert (grades.l_pre_valid, grades.u_pre_valid) == searched, (g, c)
+
+
+def test_closed_form_matches_search_for_all_subsets(granulation):
+    assert_grades_match_search(granulation)
+
+
+def test_grades_match_search_on_all_three_element_granulations(three_element_granulations):
+    for g in three_element_granulations:
+        assert_grades_match_search(g)
+
+
+@st.composite
+def granulations(draw):
+    # Any list of nonempty granules, so some leave elements uncovered.
+    u = Universe([f"x{i + 1}" for i in range(draw(st.integers(1, 4)))])
+    masks = draw(st.lists(st.integers(1, (1 << u.size) - 1), max_size=6))
+    return Granulation(u, [u.from_mask(m) for m in masks])
+
+
+@settings(max_examples=200, deadline=None)
+@given(granulations())
+def test_grades_match_search_on_random_granulations(g):
+    assert_grades_match_search(g)
 
 
 def test_lu_valid_forces_empty_deficits(H, ops):
