@@ -13,8 +13,6 @@ from .delta import (
     check_coherence,
     check_def_compat,
     check_sum_axioms,
-    eval_delta,
-    eval_sum,
 )
 from .errors import (
     BudgetError,
@@ -29,14 +27,11 @@ from .granules import (
     BinaryRelation,
     Granulation,
     OperatorSuite,
-    bited_upper,
     check_admissibility,
     close_relation,
     is_definite,
-    lower,
     predecessor_granulation,
     rough_equal,
-    upper,
 )
 from .sets import (
     PartialResult,

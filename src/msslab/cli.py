@@ -15,7 +15,6 @@ from pathlib import Path
 
 from .config import parse_config
 from .errors import BudgetError, MsslabError, ParseError
-from .oracles import StructureDescription
 from .pipeline import run_pipeline
 from .report import (
     build_check_axioms,
@@ -25,8 +24,7 @@ from .report import (
     render_text,
     to_json,
 )
-from .search import SearchSpec, enumerate_structures
-from .structure import verify
+from .search import SearchSpec, find_witness
 from .verdicts import DEFAULT_SEED
 
 EXIT_OK = 0
@@ -153,20 +151,11 @@ def _search_report(spec_data: dict, cli_seed) -> dict:
     except MsslabError as exc:
         raise ParseError(str(exc))
 
-    examined = 0
-    found = None
-    axioms = list(spec.required) + list(spec.forbidden)
-    for s in enumerate_structures(spec):
-        examined += 1
-        verdicts = {v.axiom: v for v in verify(s, axioms)}
-        if all(verdicts[a].passed for a in spec.required) and all(
-            verdicts[a].failed for a in spec.forbidden
-        ):
-            found = s
-            break
-
+    found, examined = find_witness(spec)
     structure = None
     if found is not None:
+        from .oracles import StructureDescription
+
         desc = StructureDescription.from_structure(found)
         structure = {
             "universe": list(desc.elements),

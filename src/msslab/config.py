@@ -48,11 +48,11 @@ class DeltaSpec:
                 self.kind, universe, ops=ops if needs_ops else None
             )
         if self.kind == "extensional":
-            triples = [
-                tuple(universe.subset(part) for part in triple)
+            triples = (
+                tuple(universe.subset(part).mask for part in triple)
                 for triple in self.triples
-            ]
-            return DeltaPredicate.extensional(universe, triples)
+            )
+            return DeltaPredicate.extensional_from_masks(universe, triples)
         if self.kind == "def0":
             if self.nearness == "union":
                 return DeltaPredicate.from_nearness(NearnessMap.union(universe))

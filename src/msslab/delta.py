@@ -10,9 +10,9 @@ from __future__ import annotations
 import operator
 from typing import Callable, Iterable, Mapping, Optional
 
-from .errors import ConfigurationError, MsslabError
-from .granules import Granulation, OperatorSuite, lower as granular_lower
-from .sets import UNDEFINED, MaskTable, PartialResult, Subset, Universe, encode
+from .errors import ConfigurationError, MsslabError, UniverseMismatchError
+from .granules import Granulation, OperatorSuite
+from .sets import UNDEFINED, PartialResult, Subset, Universe, encode
 from .verdicts import DEFAULT_SAMPLE_BUDGET, Verdict, deferred, sweep
 
 BUILTIN_DELTAS = ("E0", "E1", "E2", "uE1")
@@ -94,21 +94,15 @@ class DeltaPredicate:
             raise ConfigurationError(f"unknown builtin delta {name!r}; expected one of {BUILTIN_DELTAS}")
         if name in ("E2", "uE1") and ops is None:
             raise ConfigurationError(f"delta {name} needs an operator suite")
+        if ops is not None and ops.universe != universe:
+            raise UniverseMismatchError("operator suite universe differs from the predicate's")
         return cls(universe, name, ops=ops)
 
     @classmethod
-    def extensional(
-        cls, universe: Universe, triples: Iterable[tuple[Subset, Subset, Subset]]
+    def extensional_from_masks(
+        cls, universe: Universe, mask_triples: Iterable[tuple[int, int, int]]
     ) -> "DeltaPredicate":
-        if universe.size > EXTENSIONAL_TABLE_LIMIT:
-            raise ConfigurationError(
-                f"extensional tables admitted only for universes of size <= {EXTENSIONAL_TABLE_LIMIT}"
-            )
-        table = frozenset((a.mask, b.mask, c.mask) for a, b, c in triples)
-        return cls(universe, "extensional", table=table)
-
-    @classmethod
-    def extensional_from_masks(cls, universe: Universe, mask_triples) -> "DeltaPredicate":
+        """The predicate true exactly on the listed (a, b, c) mask triples."""
         if universe.size > EXTENSIONAL_TABLE_LIMIT:
             raise ConfigurationError(
                 f"extensional tables admitted only for universes of size <= {EXTENSIONAL_TABLE_LIMIT}"
@@ -129,8 +123,8 @@ class DeltaPredicate:
     def masked(self) -> Callable[[int, int, int], bool]:
         """The predicate on masks, compiled at the first call.
 
-        E2 and uE1 read l and u through tables of this predicate's own
-        operator suite, filled as they are read.
+        E2 and uE1 read l and u from the operator suite's tables, which
+        are its granulation's.
         """
         if self._masked is None:
             self._masked = self._compile()
@@ -143,7 +137,7 @@ class DeltaPredicate:
         if kind == "E1":
             return lambda a, b, c: (a | b) != (a | c) and not (a | b) & ~(a | c)
         if kind == "E2":
-            lower = MaskTable(self.universe, self.ops.lower)
+            lower = self.ops.lower_table
 
             def e2(a, b, c):
                 left, right = lower[a & c], lower[a & b]
@@ -151,7 +145,7 @@ class DeltaPredicate:
 
             return e2
         if kind == "uE1":
-            upper = MaskTable(self.universe, self.ops.upper)
+            upper = self.ops.upper_table
             return lambda a, b, c: not upper[a | b] & ~upper[a | c]
         if kind == "def0":
             f = self.nearness.masked()
@@ -166,10 +160,6 @@ class DeltaPredicate:
 
     def __repr__(self):
         return f"DeltaPredicate({self.kind})"
-
-
-def eval_delta(d: DeltaPredicate, a: Subset, b: Subset, c: Subset) -> bool:
-    return d(a, b, c)
 
 
 class SumOperation:
@@ -214,8 +204,7 @@ class SumOperation:
         if self.mode == "total-union":
             return operator.or_
         if self.mode == "granular-sum":
-            g = self.granulation
-            lower = MaskTable(self.universe, lambda a: granular_lower(a, g))
+            lower = self.granulation.lower_table
 
             def granular_sum(a, b):
                 u = a | b
@@ -237,10 +226,6 @@ class SumOperation:
 
     def __repr__(self):
         return f"SumOperation({self.mode})"
-
-
-def eval_sum(s: SumOperation, a: Subset, b: Subset) -> PartialResult:
-    return s(a, b)
 
 
 def coherence_evaluator(d: Callable[[int, int, int], bool], axiom: str):

@@ -1,8 +1,12 @@
 """Binary relations, neighborhood granulations, and rough approximation operators.
 
 The lower approximation of A is the union of granules included in A; the
-upper approximation is the union of granules meeting A. A refined upper
-operator can be plugged in; it must stay between the two.
+upper approximation is the union of granules meeting A. Both are defined
+once per granulation, on subset masks, as the memo tables
+``Granulation.lower_table`` and ``upper_table``; every layer that reads
+l or u (the operator suite, compiled structures, E2/uE1, the granular
+sum, admissibility) reads those two tables. A refined upper operator can
+be plugged in; it must stay between the two.
 """
 
 from __future__ import annotations
@@ -121,10 +125,54 @@ def close_relation(
     return BinaryRelation.from_indices(r.universe, pairs)
 
 
-class Granulation:
-    """Ordered collection of nonempty granules; duplicates collapse to one."""
+class _GranuleTable(dict):
+    """An approximation operator on masks, filled as it is read: an entry
+    is computed at its first lookup, so a table never outgrows the masks
+    actually read."""
 
-    __slots__ = ("universe", "granules", "notes")
+    __slots__ = ("granules",)
+
+    def __init__(self, granules: tuple[int, ...]):
+        super().__init__()
+        self.granules = granules
+
+
+class _LowerTable(_GranuleTable):
+    """l: ``table[a]`` is the union of the granules included in ``a``."""
+
+    __slots__ = ()
+
+    def __missing__(self, a: int) -> int:
+        out = 0
+        for g in self.granules:
+            if not g & ~a:
+                out |= g
+        self[a] = out
+        return out
+
+
+class _UpperTable(_GranuleTable):
+    """u: ``table[a]`` is the union of the granules meeting ``a``."""
+
+    __slots__ = ()
+
+    def __missing__(self, a: int) -> int:
+        out = 0
+        for g in self.granules:
+            if g & a:
+                out |= g
+        self[a] = out
+        return out
+
+
+class Granulation:
+    """Ordered collection of nonempty granules; duplicates collapse to one.
+
+    ``lower_table`` and ``upper_table`` are l and u on masks, shared by
+    every reader of this granulation.
+    """
+
+    __slots__ = ("universe", "granules", "notes", "lower_table", "upper_table")
 
     def __init__(self, universe: Universe, granules: Iterable[Subset], notes=()):
         kept: list[Subset] = []
@@ -146,6 +194,8 @@ class Granulation:
         self.universe = universe
         self.granules = tuple(kept)
         self.notes = tuple(notes)
+        self.lower_table = _LowerTable(self.masks())
+        self.upper_table = _UpperTable(self.masks())
 
     def masks(self) -> tuple[int, ...]:
         return tuple(g.mask for g in self.granules)
@@ -193,48 +243,22 @@ def predecessor_granulation(r: BinaryRelation) -> Granulation:
     return Granulation(universe, granules, notes)
 
 
-def lower(a: Subset, g: Granulation) -> Subset:
-    """Union of the granules included in ``a``."""
-    if a.universe != g.universe:
-        raise UniverseMismatchError("subset and granulation universes differ")
-    out = 0
-    am = a.mask
-    for gm in g.masks():
-        if gm & ~am == 0:
-            out |= gm
-    return Subset(a.universe, out)
-
-
-def upper(a: Subset, g: Granulation) -> Subset:
-    """Union of the granules meeting ``a``."""
-    if a.universe != g.universe:
-        raise UniverseMismatchError("subset and granulation universes differ")
-    out = 0
-    am = a.mask
-    for gm in g.masks():
-        if gm & am:
-            out |= gm
-    return Subset(a.universe, out)
-
-
 class OperatorSuite:
-    """The three approximation operators l, u, u_b as total maps on the powerset."""
+    """The three approximation operators l, u, u_b as total maps on the powerset.
 
-    __slots__ = ("universe", "lower", "upper", "bited_upper", "granulation")
+    l and u read the granulation's tables; u_b is a registered plugin, or u.
+    """
+
+    __slots__ = ("universe", "granulation", "lower_table", "upper_table", "_plugin")
 
     def __init__(
-        self,
-        universe: Universe,
-        lower_op: Callable[[Subset], Subset],
-        upper_op: Callable[[Subset], Subset],
-        bited_op: Optional[Callable[[Subset], Subset]] = None,
-        granulation: Optional[Granulation] = None,
+        self, g: Granulation, bited_plugin: Optional[Callable[[Subset], Subset]] = None
     ):
-        self.universe = universe
-        self.lower = lower_op
-        self.upper = upper_op
-        self.bited_upper = bited_op if bited_op is not None else upper_op
-        self.granulation = granulation
+        self.universe = g.universe
+        self.granulation = g
+        self.lower_table = g.lower_table
+        self.upper_table = g.upper_table
+        self._plugin = bited_plugin
 
     @classmethod
     def from_granulation(
@@ -250,37 +274,37 @@ class OperatorSuite:
         checked over the whole powerset for small universes, on a seeded
         sample otherwise.
         """
-        masks = g.masks()
-        universe = g.universe
-
-        def lower_op(a: Subset, _masks=masks) -> Subset:
-            out = 0
-            am = a.mask
-            for gm in _masks:
-                if gm & ~am == 0:
-                    out |= gm
-            return Subset(a.universe, out)
-
-        def upper_op(a: Subset, _masks=masks) -> Subset:
-            out = 0
-            am = a.mask
-            for gm in _masks:
-                if gm & am:
-                    out |= gm
-            return Subset(a.universe, out)
-
+        suite = cls(g, bited_plugin)
         if bited_plugin is not None:
-            _validate_plugin(universe, lower_op, upper_op, bited_plugin, plugin_seed)
-        return cls(universe, lower_op, upper_op, bited_plugin, granulation=g)
+            _validate_plugin(suite, bited_plugin, plugin_seed)
+        return suite
+
+    def _read(self, table: dict, a: Subset) -> Subset:
+        if a.universe != self.universe:
+            raise UniverseMismatchError("subset and operator universes differ")
+        return Subset(self.universe, table[a.mask])
+
+    def lower(self, a: Subset) -> Subset:
+        """Union of the granules included in ``a``."""
+        return self._read(self.lower_table, a)
+
+    def upper(self, a: Subset) -> Subset:
+        """Union of the granules meeting ``a``."""
+        return self._read(self.upper_table, a)
+
+    def bited_upper(self, a: Subset) -> Subset:
+        """The refined upper operator u_b; u when no plugin is registered."""
+        return self.upper(a) if self._plugin is None else self._plugin(a)
 
     def is_union_of_granules(self, a: Subset) -> bool:
         """True when ``a`` equals some union of granules (the empty union for ∅)."""
         return self.lower(a) == a
 
 
-def _validate_plugin(universe, lower_op, upper_op, plugin, seed):
+def _validate_plugin(suite: OperatorSuite, plugin, seed):
     import random
 
+    universe = suite.universe
     if universe.size <= PLUGIN_EXHAUSTIVE_LIMIT:
         candidates = universe.all_subsets()
     else:
@@ -291,20 +315,10 @@ def _validate_plugin(universe, lower_op, upper_op, plugin, seed):
         )
     for a in candidates:
         value = plugin(a)
-        if not (lower_op(a) <= value and value <= upper_op(a)):
+        if not (suite.lower(a) <= value and value <= suite.upper(a)):
             raise RegistrationError(
                 f"bited-upper plugin leaves the sandwich l(A) <= u_b(A) <= u(A) at A={a!r}"
             )
-
-
-def bited_upper(
-    a: Subset, g: Granulation, plugin: Optional[Callable[[Subset], Subset]] = None
-) -> Subset:
-    """Value of the pluggable refined upper operator; defaults to u."""
-    if plugin is None:
-        return upper(a, g)
-    suite = OperatorSuite.from_granulation(g, plugin)
-    return suite.bited_upper(a)
 
 
 def is_definite(a: Subset, ops: OperatorSuite) -> bool:
@@ -329,15 +343,19 @@ def check_admissibility(g: Granulation, ops: OperatorSuite) -> list[Verdict]:
     records the least definite superset found, as evidence.
     """
     universe = g.universe
+    if ops.universe != universe:
+        raise UniverseMismatchError("granulation and operator universes differ")
+    L, U = ops.lower_table, ops.upper_table
+    from_mask = universe.from_mask
     verdicts = []
 
     checked = 0
     witness = None
     for a in universe.all_subsets():
         checked += 1
-        for value in (ops.lower(a), ops.upper(a)):
-            if lower(value, g) != value:
-                witness = (a, value)
+        for value in (L[a.mask], U[a.mask]):
+            if g.lower_table[value] != value:
+                witness = (a, from_mask(value))
                 break
         if witness:
             break
@@ -350,7 +368,7 @@ def check_admissibility(g: Granulation, ops: OperatorSuite) -> list[Verdict]:
         )
     )
 
-    bad = tuple((gr,) for gr in g.granules if ops.lower(gr) != gr)
+    bad = tuple((gr,) for gr in g.granules if L[gr.mask] != gr.mask)
     verdicts.append(
         Verdict(
             "admissible-granules-lower-definite",
@@ -360,19 +378,19 @@ def check_admissibility(g: Granulation, ops: OperatorSuite) -> list[Verdict]:
         )
     )
 
-    definite = [d for d in universe.all_subsets() if is_definite(d, ops)]
+    definite = [d for d in range(1 << universe.size) if L[d] == d and U[d] == d]
     pair_witnesses = []
     failure = None
     pairs = 0
     for i, g1 in enumerate(g.granules):
         for g2 in g.granules[i + 1 :]:
             pairs += 1
-            both = g1 | g2
-            cover = next((d for d in definite if both <= d), None)
+            both = g1.mask | g2.mask
+            cover = next((d for d in definite if not both & ~d), None)
             if cover is None:
                 failure = (g1, g2)
                 break
-            pair_witnesses.append((g1, g2, cover))
+            pair_witnesses.append((g1, g2, from_mask(cover)))
         if failure:
             break
     verdicts.append(

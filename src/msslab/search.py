@@ -11,11 +11,9 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from . import oracles
 from .delta import DeltaPredicate
 from .errors import BudgetError, MsslabError
 from .granules import BinaryRelation, Granulation, OperatorSuite, predecessor_granulation
-from .oracles import StructureDescription
 from .sets import Universe
 from .structure import MssStructure, assemble, verify
 
@@ -60,15 +58,9 @@ def _structure_from_granulation(universe, granulation, spec, rng) -> MssStructur
         ]
         delta = DeltaPredicate.extensional_from_masks(universe, triples)
     else:
-        ops = (
-            OperatorSuite.from_granulation(granulation)
-            if granulation is not None
-            else None
-        )
         needs_ops = spec.delta in ("E2", "uE1")
-        delta = DeltaPredicate.builtin(
-            spec.delta, universe, ops=ops if needs_ops else None
-        )
+        ops = OperatorSuite.from_granulation(granulation) if needs_ops else None
+        delta = DeltaPredicate.builtin(spec.delta, universe, ops=ops)
     return assemble(universe, granulation=granulation, delta=delta)
 
 
@@ -135,21 +127,24 @@ def enumerate_structures(spec: SearchSpec) -> Iterator[MssStructure]:
         yield _structure_from_granulation(universe, granulation, table_spec, rng)
 
 
-def find_witness(spec: SearchSpec) -> Optional[MssStructure]:
+def find_witness(spec: SearchSpec) -> tuple[Optional[MssStructure], int]:
     """First enumerated structure meeting every required axiom and breaking
-    every forbidden one, or None when the stream runs out."""
+    every forbidden one (None when the stream runs out), with the number of
+    structures examined."""
     axioms = list(spec.required) + list(spec.forbidden)
+    examined = 0
     for s in enumerate_structures(spec):
+        examined += 1
         verdicts = {v.axiom: v for v in verify(s, axioms)}
-        if not all(verdicts[a].passed for a in spec.required):
-            continue
-        if not all(verdicts[a].failed for a in spec.forbidden):
-            continue
-        return s
-    return None
+        if all(verdicts[a].passed for a in spec.required) and all(
+            verdicts[a].failed for a in spec.forbidden
+        ):
+            return s, examined
+    return None, examined
 
 
 def oracle_check(s: MssStructure, claim: str) -> bool:
     """Evaluate a registered claim by direct exhaustive recomputation."""
-    desc = StructureDescription.from_structure(s)
-    return oracles.o_claim(desc, claim)
+    from .oracles import StructureDescription, o_claim
+
+    return o_claim(StructureDescription.from_structure(s), claim)

@@ -165,26 +165,6 @@ def encode(universe: Universe, subsets) -> tuple[int, ...]:
     return tuple(masks)
 
 
-class MaskTable(dict):
-    """A unary subset operator read on masks, memoized as it is read.
-
-    ``table[m]`` is ``op(universe.from_mask(m)).mask``. Each entry is
-    computed at its first lookup, so a few lookups on a large universe cost
-    a few operator calls, and the table never outgrows the powerset.
-    """
-
-    __slots__ = ("_op", "_from_mask")
-
-    def __init__(self, universe: Universe, op):
-        super().__init__()
-        self._op = op
-        self._from_mask = universe.from_mask
-
-    def __missing__(self, mask: int) -> int:
-        value = self[mask] = self._op(self._from_mask(mask)).mask
-        return value
-
-
 def _co_mask(a: Subset, b: Subset) -> int:
     if not isinstance(b, Subset):
         raise TypeError(f"expected Subset, got {type(b).__name__}")

@@ -7,7 +7,9 @@ need an unbound slot report a deferred verdict instead of failing.
 
 Checks run on the structure's compiled form (``MssStructure.compiled``),
 built once at the first sweep: every bound slot as an int-level
-evaluator over subset masks, and one mask evaluator per axiom.
+evaluator over subset masks, and one mask evaluator per axiom. l and u
+are not rebuilt here: they are the granulation's own mask tables, the
+ones its E2/uE1 predicates and granular sum read too.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .errors import StructureError, UniverseMismatchError
 from .granules import Granulation, OperatorSuite, check_admissibility
 from .sets import (
     UNDEFINED,
-    MaskTable,
     PartialResult,
     Subset,
     Universe,
@@ -321,9 +322,9 @@ class CompiledStructure:
 
     Inclusion, union and intersection become bit operations; any other
     parthood, order, join or meet is reached through a decode adapter.
-    ``lower``/``upper`` are tables read from the structure's own
-    operators, ``delta`` and ``sum`` are the slots' own mask forms (the sum
-    returns ``UNDEFINED`` where undefined), and ``kappa`` is a set of
+    ``lower``/``upper`` are the operator suite's tables (those of its
+    granulation), ``delta`` and ``sum`` are the slots' own mask forms (the
+    sum returns ``UNDEFINED`` where undefined), and ``kappa`` is a set of
     masks. Unbound slots are None.
     """
 
@@ -333,8 +334,8 @@ class CompiledStructure:
         self.leq = _mask_relation(s.leq, u) if s.leq is not None else None
         self.join = _mask_operation(s.join, u) if s.join is not None else None
         self.meet = _mask_operation(s.meet, u) if s.meet is not None else None
-        self.lower = MaskTable(u, s.ops.lower) if s.ops is not None else None
-        self.upper = MaskTable(u, s.ops.upper) if s.ops is not None else None
+        self.lower = s.ops.lower_table if s.ops is not None else None
+        self.upper = s.ops.upper_table if s.ops is not None else None
         self.top = s.top.mask if s.top is not None else None
         self.bottom = s.bottom.mask if s.bottom is not None else None
         self.delta = s.delta.masked() if s.delta is not None else None

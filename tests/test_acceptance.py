@@ -178,7 +178,7 @@ def test_criterion_6_meta_theorem():
         budget=1000,
         seed=6,
     )
-    assert find_witness(spec) is None
+    assert find_witness(spec) == (None, 1000)
 
 
 @criterion(7, "closed-form lower preimage equivalence")

@@ -217,6 +217,15 @@ def test_search_finds_and_serializes_a_witness(repo_root, tmp_path):
     assert report["search"]["structure"]["delta_kind"] == "E0"
 
 
+def test_cli_import_leaves_the_oracles_unloaded(repo_root):
+    code = "import sys, msslab.cli; print('msslab.oracles' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], cwd=repo_root, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
+
+
 def test_env_seed_is_honoured(repo_root):
     result = run_cli(repo_root, "validate", FIXTURE, env_extra={"MSSLAB_SEED": "99"})
     assert json.loads(result.stdout)["provenance"]["seed"] == 99

@@ -12,20 +12,19 @@ from msslab import (
     OperatorSuite,
     SumOperation,
     Universe,
+    UniverseMismatchError,
     check_coherence,
     check_def_compat,
     check_sum_axioms,
-    eval_delta,
-    eval_sum,
 )
 from msslab.delta import coherence_instance
 
 
 def test_eval_delta_builtin_examples(H, ops, delta_builtins):
     a, b, c = H.subset(["x1"]), H.subset(["x1", "x2"]), H.subset(["x1", "x2", "x3"])
-    assert eval_delta(delta_builtins["E1"], a, b, c)
+    assert delta_builtins["E1"](a, b, c)
     e2 = delta_builtins["E2"]
-    assert eval_delta(e2, H.subset(["x1", "x2", "x3"]), H.subset(["x1", "x2"]), H.subset(["x4"]))
+    assert e2(H.subset(["x1", "x2", "x3"]), H.subset(["x1", "x2"]), H.subset(["x4"]))
 
 
 subsets4 = st.integers(0, 15)
@@ -36,8 +35,8 @@ def test_reflexive_inclusion_is_never_proper(H, a_mask, b_mask):
     a, b = H.from_mask(a_mask), H.from_mask(b_mask)
     e0 = DeltaPredicate.builtin("E0", H)
     e1 = DeltaPredicate.builtin("E1", H)
-    assert eval_delta(e0, a, b, b)
-    assert not eval_delta(e1, a, b, b)
+    assert e0(a, b, b)
+    assert not e1(a, b, b)
 
 
 def test_builtin_requiring_operators_without_them(H):
@@ -49,26 +48,30 @@ def test_builtin_requiring_operators_without_them(H):
         DeltaPredicate.builtin("E9", H)
 
 
+def test_builtin_rejects_operators_of_another_universe(ops):
+    other = Universe(["x", "y", "z", "w"])
+    with pytest.raises(UniverseMismatchError):
+        DeltaPredicate.builtin("E2", other, ops=ops)
+
+
 def test_extensional_table_limit():
     big = Universe([f"e{i}" for i in range(7)])
     with pytest.raises(ConfigurationError):
-        DeltaPredicate.extensional(big, [])
+        DeltaPredicate.extensional_from_masks(big, [])
 
 
 def test_extensional_table_canonical_order(H):
-    d = DeltaPredicate.extensional(
-        H, [(H.subset(["x2"]), H.empty, H.empty), (H.subset(["x1"]), H.empty, H.empty)]
-    )
+    d = DeltaPredicate.extensional_from_masks(H, [(2, 0, 0), (1, 0, 0)])
     assert d.sorted_table() == ((1, 0, 0), (2, 0, 0))
 
 
 def test_eval_sum_examples(H, granulation):
     total = SumOperation.total_union(H)
     grain = SumOperation.granular(granulation)
-    r = eval_sum(total, H.subset(["x1"]), H.subset(["x3"]))
+    r = total(H.subset(["x1"]), H.subset(["x3"]))
     assert r.defined and r.value == H.subset(["x1", "x3"])
-    assert not eval_sum(grain, H.subset(["x1"]), H.subset(["x3"])).defined
-    r = eval_sum(grain, H.subset(["x1", "x2"]), H.subset(["x2", "x3"]))
+    assert not grain(H.subset(["x1"]), H.subset(["x3"])).defined
+    r = grain(H.subset(["x1", "x2"]), H.subset(["x2", "x3"]))
     assert r.defined and r.value == H.subset(["x1", "x2", "x3"])
 
 
@@ -145,7 +148,7 @@ def test_def_compat_examples(H, delta_builtins):
     v = check_def_compat(delta_builtins["E1"], union, "def2")
     assert v.status == "fails"
     a, b, c = v.witnesses[0]
-    assert (a | b) <= (a | c) and not eval_delta(delta_builtins["E1"], a, b, c)
+    assert (a | b) <= (a | c) and not delta_builtins["E1"](a, b, c)
     never = DeltaPredicate.extensional_from_masks(H, [])
     assert check_def_compat(never, union, "def1").status == "vacuous"
 

@@ -10,14 +10,12 @@ from msslab import (
     OperatorSuite,
     RegistrationError,
     Universe,
-    bited_upper,
+    UniverseMismatchError,
     check_admissibility,
     close_relation,
     is_definite,
-    lower,
     predecessor_granulation,
     rough_equal,
-    upper,
 )
 
 
@@ -81,16 +79,23 @@ def test_lower_upper_examples(H, granulation, ops):
     a = H.subset(["x2", "x4"])
     assert ops.lower(a) == H.subset(["x4"])
     assert ops.upper(a) == H.full
-    assert lower(H.empty, granulation) == H.empty
-    assert upper(H.empty, granulation) == H.empty
+    assert ops.lower(H.empty) == H.empty
+    assert ops.upper(H.empty) == H.empty
     firm = H.subset(["x1", "x2", "x3"])
     assert ops.lower(firm) == firm and ops.upper(firm) == firm
 
 
+def test_operators_reject_a_subset_of_another_universe(ops):
+    other = Universe(["x", "y", "z"])
+    for op in (ops.lower, ops.upper, ops.bited_upper):
+        with pytest.raises(UniverseMismatchError):
+            op(other.subset(["x", "y"]))
+
+
 def test_bited_upper_default_and_plugin(H, granulation, ops):
     a = H.subset(["x2", "x4"])
-    assert bited_upper(a, granulation) == H.full
-    assert bited_upper(H.empty, granulation) == H.empty
+    assert ops.bited_upper(a) == H.full
+    assert ops.bited_upper(H.empty) == H.empty
     degenerate = OperatorSuite.from_granulation(granulation, ops.lower)
     assert degenerate.bited_upper(a) == H.subset(["x4"])
 

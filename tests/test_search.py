@@ -87,19 +87,20 @@ def test_find_witness_meta_theorem_returns_none():
         budget=300,
         seed=9,
     )
-    assert find_witness(spec) is None
+    assert find_witness(spec) == (None, 300)
 
 
 def test_find_witness_finds_inclusion_inner_coherence():
     spec = SearchSpec(n=2, delta="E0", required=("i-coh",), budget=100)
-    witness = find_witness(spec)
+    witness, examined = find_witness(spec)
     assert witness is not None
     assert witness.delta.kind == "E0"
+    assert examined >= 1
 
 
 def test_find_witness_trans1_with_proper_inclusion_has_no_model():
     spec = SearchSpec(n=2, delta="E1", required=("trans-1",), budget=100)
-    assert find_witness(spec) is None
+    assert find_witness(spec) == (None, 16)
 
 
 def test_oracle_claims_on_the_example(H, granulation, delta_builtins):

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from msslab import (
@@ -9,6 +11,7 @@ from msslab import (
     Universe,
     UniverseMismatchError,
     assemble,
+    check_admissibility,
     classify,
     close_relation,
     predecessor_granulation,
@@ -16,6 +19,7 @@ from msslab import (
     replay,
     verify,
 )
+from msslab.config import parse_config
 from msslab.search import enumerate_structures, SearchSpec
 from msslab.structure import check_axiom
 
@@ -92,6 +96,32 @@ def test_assemble_rejects_mixed_universes(H, granulation):
 def test_assemble_rejects_foreign_operator_suite(H, granulation, ops):
     with pytest.raises(StructureError):
         assemble(H, granulation=granulation, ops=ops)
+
+
+def test_every_layer_reads_the_granulation_tables(repo_root):
+    document = json.loads((repo_root / "examples/paper-example.json").read_text())
+    cfg = parse_config(document)
+    specs = {spec.name: spec for spec in cfg.deltas}
+    e2, ue1 = cfg.structure(specs["E2"]), cfg.structure(specs["uE1"])
+    L, U = cfg.granulation.lower_table, cfg.granulation.upper_table
+    for s in (e2, ue1):
+        assert s.compiled.lower is L and s.compiled.upper is U
+        assert s.delta.ops.lower_table is L and s.delta.ops.upper_table is U
+        assert s.sum.granulation.lower_table is L
+    assert OperatorSuite.from_granulation(cfg.granulation).lower_table is L
+
+    # Nothing has read l or u yet; each layer's reads land in the same tables.
+    assert not L and not U
+    H = cfg.universe
+    a, b, c = H.from_mask(0b0011), H.from_mask(0b0110), H.from_mask(0b1100)
+    e2.delta(a, b, c)
+    assert set(L) == {0b0000, 0b0010} and not U
+    ue1.delta(a, b, c)
+    assert set(U) == {0b0111, 0b1111}
+    e2.sum(H.from_mask(0b0001), H.from_mask(0b1000))
+    assert 0b1001 in L
+    check_admissibility(cfg.granulation, e2.ops)
+    assert len(L) == len(U) == 16
 
 
 def test_degenerate_single_element_universe():

@@ -12,6 +12,7 @@ from msslab import (
     MsslabError,
     OperatorSuite,
     Universe,
+    UniverseMismatchError,
     check_compatibility,
     check_proposition,
     lower_deficit,
@@ -133,6 +134,13 @@ def test_validate_clustering_aggregates(H, ops, clustering):
     by_cluster = {r.cluster.members(): r for r in report.per_cluster}
     assert by_cluster[("x2", "x4")].lower_deficit.value == H.subset(["x1", "x2", "x3"])
     assert all(r.proposition.status == "holds" for r in report.per_cluster)
+
+
+def test_validate_clustering_rejects_operators_of_another_universe(ops):
+    other = Universe(["x", "y", "z"])
+    foreign = Clustering(other, [other.subset(["x", "y"])])
+    with pytest.raises(UniverseMismatchError, match="clustering and operator"):
+        validate_clustering(foreign, ops)
 
 
 def test_validate_clustering_parallel_matches_serial(H, ops, clustering):
