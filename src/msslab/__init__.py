@@ -19,7 +19,6 @@ from .errors import (
     ConfigurationError,
     MsslabError,
     ParseError,
-    RegistrationError,
     StructureError,
     UniverseMismatchError,
 )
@@ -27,11 +26,9 @@ from .granules import (
     BinaryRelation,
     Granulation,
     OperatorSuite,
-    check_admissibility,
     close_relation,
     is_definite,
     predecessor_granulation,
-    rough_equal,
 )
 from .sets import (
     PartialResult,

@@ -247,11 +247,6 @@ def coherence_evaluator(d: Callable[[int, int, int], bool], axiom: str):
     raise MsslabError(f"unknown coherence axiom {axiom!r}")
 
 
-def coherence_instance(d: DeltaPredicate, axiom: str, args) -> Optional[bool]:
-    """Evaluate one quantifier instance; None means vacuously satisfied."""
-    return coherence_evaluator(d.masked(), axiom)(*encode(d.universe, args))
-
-
 def check_coherence(
     d: DeltaPredicate,
     axiom: str,
@@ -329,15 +324,6 @@ def sum_evaluator(
 
         return delta_sum3
     raise MsslabError(f"unknown sum axiom {axiom!r}")
-
-
-def sum_instance(
-    d: Optional[DeltaPredicate], s: SumOperation, axiom: str, args
-) -> Optional[bool]:
-    """One instance of a sum law; delta-sum laws pass vacuously when the
-    antecedent fails or the squared sum is undefined."""
-    masked_d = d.masked() if d is not None else None
-    return sum_evaluator(masked_d, s.masked(), axiom)(*encode(s.universe, args))
 
 
 def check_sum_axioms(

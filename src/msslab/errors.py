@@ -17,10 +17,6 @@ class ConfigurationError(MsslabError):
     """A component is built with missing or incompatible pieces."""
 
 
-class RegistrationError(MsslabError):
-    """A pluggable operator fails its admission guard."""
-
-
 class BudgetError(MsslabError):
     """An exhaustive request exceeds the feasible instance budget."""
 

@@ -5,22 +5,15 @@ upper approximation is the union of granules meeting A. Both are defined
 once per granulation, on subset masks, as the memo tables
 ``Granulation.lower_table`` and ``upper_table``; every layer that reads
 l or u (the operator suite, compiled structures, E2/uE1, the granular
-sum, admissibility) reads those two tables. A refined upper operator can
-be plugged in; it must stay between the two.
+sum) reads those two tables.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from typing import Iterable
 
-from .errors import MsslabError, RegistrationError, UniverseMismatchError
+from .errors import MsslabError, UniverseMismatchError
 from .sets import Subset, Universe
-from .verdicts import HOLDS, FAILS, Verdict
-
-# Plugged upper operators are validated exhaustively up to this size,
-# by seeded sampling above it.
-PLUGIN_EXHAUSTIVE_LIMIT = 12
-PLUGIN_SAMPLE_SIZE = 10_000
 
 
 class BinaryRelation:
@@ -244,40 +237,21 @@ def predecessor_granulation(r: BinaryRelation) -> Granulation:
 
 
 class OperatorSuite:
-    """The three approximation operators l, u, u_b as total maps on the powerset.
+    """The approximation operators l and u as total maps on the powerset,
+    read from the granulation's tables."""
 
-    l and u read the granulation's tables; u_b is a registered plugin, or u.
-    """
+    __slots__ = ("universe", "granulation", "lower_table", "upper_table")
 
-    __slots__ = ("universe", "granulation", "lower_table", "upper_table", "_plugin")
-
-    def __init__(
-        self, g: Granulation, bited_plugin: Optional[Callable[[Subset], Subset]] = None
-    ):
+    def __init__(self, g: Granulation):
         self.universe = g.universe
         self.granulation = g
         self.lower_table = g.lower_table
         self.upper_table = g.upper_table
-        self._plugin = bited_plugin
 
     @classmethod
-    def from_granulation(
-        cls,
-        g: Granulation,
-        bited_plugin: Optional[Callable[[Subset], Subset]] = None,
-        *,
-        plugin_seed: int = 0,
-    ) -> "OperatorSuite":
-        """Derive l and u from the granulation; optionally register u_b.
-
-        A plugin is admitted only if l(A) <= plugin(A) <= u(A); the bound is
-        checked over the whole powerset for small universes, on a seeded
-        sample otherwise.
-        """
-        suite = cls(g, bited_plugin)
-        if bited_plugin is not None:
-            _validate_plugin(suite, bited_plugin, plugin_seed)
-        return suite
+    def from_granulation(cls, g: Granulation) -> "OperatorSuite":
+        """l and u of the granulation."""
+        return cls(g)
 
     def _read(self, table: dict, a: Subset) -> Subset:
         if a.universe != self.universe:
@@ -292,113 +266,11 @@ class OperatorSuite:
         """Union of the granules meeting ``a``."""
         return self._read(self.upper_table, a)
 
-    def bited_upper(self, a: Subset) -> Subset:
-        """The refined upper operator u_b; u when no plugin is registered."""
-        return self.upper(a) if self._plugin is None else self._plugin(a)
-
     def is_union_of_granules(self, a: Subset) -> bool:
         """True when ``a`` equals some union of granules (the empty union for ∅)."""
         return self.lower(a) == a
 
 
-def _validate_plugin(suite: OperatorSuite, plugin, seed):
-    import random
-
-    universe = suite.universe
-    if universe.size <= PLUGIN_EXHAUSTIVE_LIMIT:
-        candidates = universe.all_subsets()
-    else:
-        rng = random.Random(seed)
-        top = 1 << universe.size
-        candidates = (
-            universe.from_mask(rng.randrange(top)) for _ in range(PLUGIN_SAMPLE_SIZE)
-        )
-    for a in candidates:
-        value = plugin(a)
-        if not (suite.lower(a) <= value and value <= suite.upper(a)):
-            raise RegistrationError(
-                f"bited-upper plugin leaves the sandwich l(A) <= u_b(A) <= u(A) at A={a!r}"
-            )
-
-
 def is_definite(a: Subset, ops: OperatorSuite) -> bool:
     """A set equal to both of its approximations."""
     return ops.lower(a) == a and ops.upper(a) == a
-
-
-def rough_equal(a: Subset, b: Subset, ops: OperatorSuite) -> bool:
-    """Same lower approximation and same refined upper approximation."""
-    if a.universe != b.universe:
-        raise UniverseMismatchError("rough equality needs one universe")
-    return ops.lower(a) == ops.lower(b) and ops.bited_upper(a) == ops.bited_upper(b)
-
-
-def check_admissibility(g: Granulation, ops: OperatorSuite) -> list[Verdict]:
-    """The three granulation admissibility conditions, each with witnesses.
-
-    (i) every lower and upper approximation is a union of granules;
-    (ii) every granule is its own lower approximation;
-    (iii) every pair of distinct granules sits inside some definite set.
-    Failures carry the offending subset or pair; for (iii) each pair also
-    records the least definite superset found, as evidence.
-    """
-    universe = g.universe
-    if ops.universe != universe:
-        raise UniverseMismatchError("granulation and operator universes differ")
-    L, U = ops.lower_table, ops.upper_table
-    from_mask = universe.from_mask
-    verdicts = []
-
-    checked = 0
-    witness = None
-    for a in universe.all_subsets():
-        checked += 1
-        for value in (L[a.mask], U[a.mask]):
-            if g.lower_table[value] != value:
-                witness = (a, from_mask(value))
-                break
-        if witness:
-            break
-    verdicts.append(
-        Verdict(
-            "admissible-representable",
-            FAILS if witness else HOLDS,
-            witnesses=(witness,) if witness else (),
-            instances_checked=checked,
-        )
-    )
-
-    bad = tuple((gr,) for gr in g.granules if L[gr.mask] != gr.mask)
-    verdicts.append(
-        Verdict(
-            "admissible-granules-lower-definite",
-            FAILS if bad else HOLDS,
-            witnesses=bad[:1],
-            instances_checked=len(g.granules),
-        )
-    )
-
-    definite = [d for d in range(1 << universe.size) if L[d] == d and U[d] == d]
-    pair_witnesses = []
-    failure = None
-    pairs = 0
-    for i, g1 in enumerate(g.granules):
-        for g2 in g.granules[i + 1 :]:
-            pairs += 1
-            both = g1.mask | g2.mask
-            cover = next((d for d in definite if not both & ~d), None)
-            if cover is None:
-                failure = (g1, g2)
-                break
-            pair_witnesses.append((g1, g2, from_mask(cover)))
-        if failure:
-            break
-    verdicts.append(
-        Verdict(
-            "admissible-pairs-in-definite",
-            FAILS if failure else HOLDS,
-            witnesses=(failure,) if failure else tuple(pair_witnesses),
-            instances_checked=pairs,
-        )
-    )
-    return verdicts

@@ -64,6 +64,11 @@ def unspecified(axiom: str, note: str) -> Verdict:
     return Verdict(axiom, UNSPECIFIED, mode="none", note=note)
 
 
+def theorem(axiom: str, reason: str) -> Verdict:
+    """A law that holds by proof; no instance is checked."""
+    return Verdict(axiom, HOLDS, mode="theorem", note=f"theorem: {reason}")
+
+
 def sweep(
     axiom: str,
     universe: Universe,

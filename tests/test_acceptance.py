@@ -29,10 +29,9 @@ from msslab import (
     upper_deficit,
     validity_grades,
 )
-from msslab.delta import coherence_instance
 from msslab.oracles import StructureDescription, o_claim
 from msslab.search import SearchSpec, enumerate_structures, find_witness, oracle_check
-from msslab.structure import verify
+from msslab.structure import axiom_instance, verify
 
 FIXTURE = "examples/paper-example.json"
 
@@ -135,16 +134,15 @@ def test_criterion_5_coherence_table(H, granulation, delta_builtins):
     }
     for name, table in expectations.items():
         d = delta_builtins[name]
-        desc = StructureDescription.from_structure(
-            assemble(H, granulation=granulation, delta=d)
-        )
+        s = assemble(H, granulation=granulation, delta=d)
+        desc = StructureDescription.from_structure(s)
         start = time.perf_counter()
         for axiom, status in table.items():
             verdict = check_coherence(d, axiom)
             assert verdict.status == status, (name, axiom)
             assert verdict.mode == "exhaustive"
             if verdict.failed:
-                assert coherence_instance(d, axiom, verdict.witnesses[0]) is False
+                assert axiom_instance(s, axiom, verdict.witnesses[0]) is False
             assert (verdict.status == "holds") == o_claim(desc, f"axiom:{axiom}")
         elapsed = time.perf_counter() - start
         assert elapsed < 10.0 * len(table)

@@ -13,11 +13,12 @@ from msslab import (
     SumOperation,
     Universe,
     UniverseMismatchError,
+    assemble,
     check_coherence,
     check_def_compat,
     check_sum_axioms,
 )
-from msslab.delta import coherence_instance
+from msslab.structure import axiom_instance
 
 
 def test_eval_delta_builtin_examples(H, ops, delta_builtins):
@@ -80,12 +81,12 @@ def test_coherence_verdict_table(H, delta_builtins):
     assert check_coherence(e0, "i-coh").status == "holds"
     v = check_coherence(e0, "i-coh-2")
     assert v.status == "fails"
-    assert coherence_instance(e0, "i-coh-2", v.witnesses[0]) is False
+    assert axiom_instance(assemble(H, delta=e0), "i-coh-2", v.witnesses[0]) is False
     assert check_coherence(e1, "i-coh-2").status == "holds"
     assert check_coherence(e1, "strict-n-coh").status == "holds"
     v = check_coherence(e1, "trans-1")
     assert v.status == "fails"
-    assert coherence_instance(e1, "trans-1", v.witnesses[0]) is False
+    assert axiom_instance(assemble(H, delta=e1), "trans-1", v.witnesses[0]) is False
 
 
 def test_witnesses_are_lexicographic_minima(H, delta_builtins):

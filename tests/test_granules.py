@@ -8,15 +8,19 @@ from msslab import (
     Granulation,
     MsslabError,
     OperatorSuite,
-    RegistrationError,
     Universe,
     UniverseMismatchError,
-    check_admissibility,
+    assemble,
     close_relation,
     is_definite,
     predecessor_granulation,
-    rough_equal,
+    verify,
 )
+from msslab.structure import ADMISSIBILITY_AXIOMS
+
+
+def admissibility(g):
+    return {v.axiom: v for v in verify(assemble(g.universe, granulation=g), ADMISSIBILITY_AXIOMS)}
 
 
 def named(relation):
@@ -87,22 +91,9 @@ def test_lower_upper_examples(H, granulation, ops):
 
 def test_operators_reject_a_subset_of_another_universe(ops):
     other = Universe(["x", "y", "z"])
-    for op in (ops.lower, ops.upper, ops.bited_upper):
+    for op in (ops.lower, ops.upper):
         with pytest.raises(UniverseMismatchError):
             op(other.subset(["x", "y"]))
-
-
-def test_bited_upper_default_and_plugin(H, granulation, ops):
-    a = H.subset(["x2", "x4"])
-    assert ops.bited_upper(a) == H.full
-    assert ops.bited_upper(H.empty) == H.empty
-    degenerate = OperatorSuite.from_granulation(granulation, ops.lower)
-    assert degenerate.bited_upper(a) == H.subset(["x4"])
-
-
-def test_plugin_violating_sandwich_is_rejected(H, granulation):
-    with pytest.raises(RegistrationError):
-        OperatorSuite.from_granulation(granulation, lambda a: a.universe.full)
 
 
 def test_is_definite_examples(H, ops):
@@ -111,46 +102,24 @@ def test_is_definite_examples(H, ops):
     assert not is_definite(H.subset(["x2", "x4"]), ops)
 
 
-def test_rough_equal_examples(H, ops):
-    assert rough_equal(H.subset(["x2"]), H.subset(["x3"]), ops)
-    a = H.subset(["x1", "x4"])
-    assert rough_equal(a, a, ops)
-    assert not rough_equal(H.subset(["x4"]), H.subset(["x2"]), ops)
-
-
 def test_admissibility_of_the_example(granulation, ops, H):
-    verdicts = {v.axiom: v for v in check_admissibility(granulation, ops)}
-    assert all(v.status == "holds" for v in verdicts.values())
-    pair_evidence = {
-        (w[0].members(), w[1].members()): w[2]
-        for w in verdicts["admissible-pairs-in-definite"].witnesses
-    }
-    assert pair_evidence[(("x1", "x2"), ("x4",))] == H.full
+    verdicts = admissibility(granulation)
+    assert all(v.status == "holds" and v.mode == "theorem" for v in verdicts.values())
+    # The reason given for (iii): the union of all granules is definite.
+    assert is_definite(H.full, ops)
 
 
 def test_admissibility_with_derived_operators_holds():
     u = Universe(["x1", "x2", "x3"])
     g = Granulation(u, [u.subset(["x1"]), u.subset(["x1", "x2"])])
-    verdicts = check_admissibility(g, OperatorSuite.from_granulation(g))
-    assert all(v.status == "holds" for v in verdicts)
-
-
-def test_admissibility_fails_against_foreign_operators():
-    u = Universe(["x1", "x2", "x3"])
-    g = Granulation(u, [u.subset(["x1"]), u.subset(["x3"])])
-    foreign = OperatorSuite.from_granulation(Granulation(u, [u.subset(["x1", "x2"])]))
-    verdicts = {v.axiom: v for v in check_admissibility(g, foreign)}
-    assert verdicts["admissible-granules-lower-definite"].status == "fails"
-    assert verdicts["admissible-pairs-in-definite"].status == "fails"
-    pair = verdicts["admissible-pairs-in-definite"].witnesses[0]
-    assert (pair[0].members(), pair[1].members()) == (("x1",), ("x3",))
+    assert all(v.status == "holds" for v in admissibility(g).values())
 
 
 def test_partition_granulation_all_definite(H):
     diagonal = close_relation(BinaryRelation(H), reflexive=True)
     g = predecessor_granulation(diagonal)
     ops = OperatorSuite.from_granulation(g)
-    assert all(v.status == "holds" for v in check_admissibility(g, ops))
+    assert all(v.status == "holds" for v in admissibility(g).values())
     assert all(is_definite(a, ops) for a in H.all_subsets())
 
 

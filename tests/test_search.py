@@ -22,7 +22,7 @@ from msslab.oracles import (
     powerset,
 )
 from msslab.search import SearchSpec, enumerate_structures, find_witness, oracle_check
-from msslab.structure import axiom_instance, verify
+from msslab.structure import ADMISSIBILITY_AXIOMS, axiom_instance, verify
 
 ORACLE_COMPARABLE = (
     "PT1",
@@ -153,6 +153,14 @@ def test_verify_matches_oracle_on_all_three_element_granulations(three_element_g
             assert_matches_oracle(assemble(g.universe, granulation=g, delta=d), ORACLE_COMPARABLE)
 
 
+def test_admissibility_theorems_match_oracle_on_all_three_element_granulations(
+    three_element_granulations,
+):
+    assert any(len(g) == 0 for g in three_element_granulations)
+    for g in three_element_granulations:
+        assert_matches_oracle(assemble(g.universe, granulation=g), ADMISSIBILITY_AXIOMS)
+
+
 def _universe(n):
     return Universe([f"x{i + 1}" for i in range(n)])
 
@@ -198,6 +206,22 @@ def test_verify_matches_oracle_on_random_granulations(s):
     # trans-1 is compared exhaustively at n <= 3 above.
     axioms = [a for a in ORACLE_AXIOMS if a != "trans-1" or s.universe.size < 4]
     assert_matches_oracle(s, axioms)
+
+
+@st.composite
+def granule_lists(draw):
+    """Any list of nonempty granules on up to four elements: empty,
+    non-covering and with duplicates included."""
+    n = draw(st.integers(1, 4))
+    u = _universe(n)
+    masks = draw(st.lists(st.integers(1, (1 << n) - 1), max_size=6))
+    return assemble(u, granulation=Granulation(u, [u.from_mask(m) for m in masks]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(granule_lists())
+def test_admissibility_theorems_match_oracle_on_random_granule_lists(s):
+    assert_matches_oracle(s, ADMISSIBILITY_AXIOMS)
 
 
 def test_sum_laws_match_oracle_on_all_small_granulations():

@@ -11,7 +11,6 @@ from msslab import (
     Universe,
     UniverseMismatchError,
     assemble,
-    check_admissibility,
     classify,
     close_relation,
     predecessor_granulation,
@@ -21,7 +20,7 @@ from msslab import (
 )
 from msslab.config import parse_config
 from msslab.search import enumerate_structures, SearchSpec
-from msslab.structure import check_axiom
+from msslab.structure import THEOREMS, check_axiom
 
 PASSING = ("holds", "vacuous")
 
@@ -52,6 +51,27 @@ def test_verify_example_with_proper_inclusion(H, granulation, clustering, delta_
         "admissible-pairs-in-definite",
     ):
         assert verdicts[axiom].status == "holds"
+
+
+def test_set_theoretic_laws_are_reported_as_theorems(H, granulation, clustering, delta_builtins):
+    s = build(H, granulation, clustering, "E1", delta_builtins)
+    verdicts = {v.axiom: v for v in verify(s)}
+    for axiom, reason in THEOREMS.items():
+        v = verdicts[axiom]
+        assert (v.status, v.mode, v.instances_checked, v.seed) == ("holds", "theorem", 0, None)
+        assert v.witnesses == () and v.note == f"theorem: {reason}"
+    swept = [v for v in verdicts.values() if v.mode in ("exhaustive", "sampled")]
+    assert {v.axiom for v in swept}.isdisjoint(THEOREMS) and swept
+
+
+def test_reduct_without_parthood_defers_its_theorems(H, granulation, clustering, delta_builtins):
+    s = build(H, granulation, clustering, "E1", delta_builtins)
+    verdicts = {v.axiom: v for v in verify(reduct(s, s.bound_slots() - {"P"}))}
+    for axiom in ("PT1", "PT2", "UL1", "UL2", "UL3", "TB"):
+        assert verdicts[axiom].status == "deferred", axiom
+        assert verdicts[axiom].note == "unbound slots: ['P']"
+    for axiom in ("G1", "G5", "admissible-representable"):
+        assert verdicts[axiom].mode == "theorem", axiom
 
 
 def test_verify_example_with_plain_inclusion(H, granulation, clustering, delta_builtins):
@@ -120,8 +140,8 @@ def test_every_layer_reads_the_granulation_tables(repo_root):
     assert set(U) == {0b0111, 0b1111}
     e2.sum(H.from_mask(0b0001), H.from_mask(0b1000))
     assert 0b1001 in L
-    check_admissibility(cfg.granulation, e2.ops)
-    assert len(L) == len(U) == 16
+    (cluster,) = check_axiom(e2, "lclu").witnesses[0]
+    assert cluster.mask in L
 
 
 def test_degenerate_single_element_universe():
@@ -221,9 +241,9 @@ def test_approximation_laws_hold_for_all_generated_structures():
 
 def test_sampled_mode_records_seed():
     u = Universe([f"x{i+1}" for i in range(5)])
-    s = assemble(u)
-    sampled = check_axiom(s, "G1", seed=11, budget=500)
+    s = assemble(u, delta=DeltaPredicate.builtin("E0", u))
+    sampled = check_axiom(s, "i-coh", seed=11, budget=500)
     assert sampled.mode == "sampled" and sampled.seed == 11
     assert sampled.status == "holds" and sampled.instances_checked == 500
-    small = check_axiom(s, "PT1", seed=11, budget=500)
-    assert small.mode == "exhaustive"
+    small = check_axiom(s, "i-coh", seed=11, budget=32 * 32)
+    assert small.mode == "exhaustive" and small.seed is None
