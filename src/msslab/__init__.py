@@ -10,9 +10,7 @@ from .delta import (
     DeltaPredicate,
     NearnessMap,
     SumOperation,
-    check_coherence,
     check_def_compat,
-    check_sum_axioms,
 )
 from .errors import (
     BudgetError,
@@ -25,7 +23,6 @@ from .errors import (
 from .granules import (
     BinaryRelation,
     Granulation,
-    OperatorSuite,
     close_relation,
     is_definite,
     predecessor_granulation,

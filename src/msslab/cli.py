@@ -108,68 +108,89 @@ def _emit(report: dict, args) -> None:
         return
     # write once, atomically
     directory = args.output.parent if str(args.output.parent) else Path(".")
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".msslab-", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(tmp, args.output)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".msslab-", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            os.replace(tmp, args.output)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise MsslabError(f"cannot write {args.output}: {exc.strerror or exc}") from exc
 
 
-def _search_report(spec_data: dict, cli_seed) -> dict:
-    known = {
-        "n",
-        "family",
-        "delta",
-        "required",
-        "forbidden",
-        "budget",
-        "seed",
-        "density",
-        "exhaustive",
-    }
-    unknown = set(spec_data) - known
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_names(value) -> bool:
+    return isinstance(value, list) and all(isinstance(x, str) for x in value)
+
+
+# Each search-spec field: its default and what its value must be.
+_SPEC_FIELDS = {
+    "n": (None, _is_int, "an integer"),
+    "family": ("relations", lambda v: isinstance(v, str), "a string"),
+    "delta": ("E0", lambda v: isinstance(v, str), "a string"),
+    "required": ([], _is_names, "a list of axiom names"),
+    "forbidden": ([], _is_names, "a list of axiom names"),
+    "budget": (10_000, _is_int, "an integer"),
+    "seed": (None, lambda v: v is None or _is_int(v), "an integer"),
+    "density": (
+        0.5,
+        lambda v: (_is_int(v) or isinstance(v, float)) and 0 <= v <= 1,
+        "a number in [0, 1]",
+    ),
+    "exhaustive": (True, lambda v: isinstance(v, bool), "true or false"),
+}
+
+
+def _parse_search_spec(spec_data: dict, cli_seed) -> SearchSpec:
+    if not isinstance(spec_data, dict):
+        raise ParseError("search spec must be a JSON object")
+    unknown = set(spec_data) - set(_SPEC_FIELDS)
     if unknown:
         raise ParseError(f"unknown fields {sorted(unknown)}")
     if "n" not in spec_data:
         raise ParseError("missing required field", "n")
-    seed = _pick_seed(cli_seed, spec_data.get("seed"))
+    fields = {}
+    for name, (default, valid, expected) in _SPEC_FIELDS.items():
+        fields[name] = spec_data.get(name, default)
+        if not valid(fields[name]):
+            raise ParseError(f"expected {expected}", name)
+    fields["seed"] = _pick_seed(cli_seed, fields["seed"])
+    fields["required"] = tuple(fields["required"])
+    fields["forbidden"] = tuple(fields["forbidden"])
     try:
-        spec = SearchSpec(
-            n=spec_data["n"],
-            family=spec_data.get("family", "relations"),
-            delta=spec_data.get("delta", "E0"),
-            required=tuple(spec_data.get("required", ())),
-            forbidden=tuple(spec_data.get("forbidden", ())),
-            budget=spec_data.get("budget", 10_000),
-            seed=seed,
-            density=spec_data.get("density", 0.5),
-            exhaustive=spec_data.get("exhaustive", True),
-        )
+        return SearchSpec(**fields)
     except MsslabError as exc:
         raise ParseError(str(exc))
 
-    found, examined = find_witness(spec)
-    structure = None
-    if found is not None:
-        from .oracles import StructureDescription
 
-        desc = StructureDescription.from_structure(found)
-        structure = {
-            "universe": list(desc.elements),
-            "granules": [sorted(g) for g in desc.granules],
-            "delta_kind": desc.delta_kind,
-            "delta_table": (
-                sorted([sorted(a), sorted(b), sorted(c)] for a, b, c in desc.delta_table)
-                if desc.delta_table is not None
-                else None
-            ),
-        }
+def _structure_dict(s) -> dict:
+    """The found structure as the search report lists it: names, not masks."""
+    from_mask = s.universe.from_mask
+    table = s.delta.table
+    return {
+        "universe": list(s.universe.elements),
+        "granules": [sorted(g.members()) for g in s.granulation],
+        "delta_kind": s.delta.kind,
+        "delta_table": (
+            sorted([sorted(from_mask(m).members()) for m in triple] for triple in table)
+            if table is not None
+            else None
+        ),
+    }
+
+
+def _search_report(spec_data: dict, cli_seed) -> dict:
+    spec = _parse_search_spec(spec_data, cli_seed)
+    found, examined = find_witness(spec)
     return {
         "command": "search",
-        "provenance": provenance(seed),
+        "provenance": provenance(spec.seed),
         "spec": {
             "n": spec.n,
             "family": spec.family,
@@ -183,7 +204,7 @@ def _search_report(spec_data: dict, cli_seed) -> dict:
         "search": {
             "found": found is not None,
             "examined": examined,
-            "structure": structure,
+            "structure": _structure_dict(found) if found is not None else None,
             "note": None if found is not None else "none within budget",
         },
     }

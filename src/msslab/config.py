@@ -10,7 +10,6 @@ from .errors import ParseError
 from .granules import (
     BinaryRelation,
     Granulation,
-    OperatorSuite,
     close_relation,
     predecessor_granulation,
 )
@@ -41,12 +40,9 @@ class DeltaSpec:
     nearness: Optional[str] = None
     nearness_table: Optional[tuple] = None
 
-    def build(self, universe: Universe, ops: Optional[OperatorSuite]) -> DeltaPredicate:
+    def build(self, universe: Universe, granulation: Optional[Granulation]) -> DeltaPredicate:
         if self.kind in BUILTIN_DELTAS:
-            needs_ops = self.kind in ("E2", "uE1")
-            return DeltaPredicate.builtin(
-                self.kind, universe, ops=ops if needs_ops else None
-            )
+            return DeltaPredicate.builtin(self.kind, universe, granulation)
         if self.kind == "extensional":
             triples = (
                 tuple(universe.subset(part).mask for part in triple)
@@ -79,11 +75,6 @@ class LabConfig:
     reduct_keep: Optional[tuple[str, ...]]
     seed: Optional[int]
 
-    def operator_suite(self) -> Optional[OperatorSuite]:
-        if self.granulation is None:
-            return None
-        return OperatorSuite.from_granulation(self.granulation)
-
     def sum_operation(self) -> Optional[SumOperation]:
         if self.sum_mode is None:
             return None
@@ -111,8 +102,11 @@ class LabConfig:
         bind_kappa: bool = True,
         apply_reduct: bool = True,
     ) -> MssStructure:
-        ops = self.operator_suite()
-        delta = delta_spec.build(self.universe, ops) if delta_spec is not None else None
+        delta = (
+            delta_spec.build(self.universe, self.granulation)
+            if delta_spec is not None
+            else None
+        )
         clustering = self.clustering() if bind_kappa else None
         built = assemble(
             self.universe,
@@ -129,9 +123,9 @@ class LabConfig:
         return built
 
 
-def _names(value, field):
+def _names(value, field, what="element names"):
     if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
-        raise ParseError("expected a list of element names", field)
+        raise ParseError(f"expected a list of {what}", field)
     return value
 
 
@@ -197,14 +191,17 @@ def parse_config(data: dict, *, default_seed: Optional[int] = None) -> LabConfig
             resolved.append(tuple(subset.members()))
         clustering_lists = tuple(resolved)
 
-    modes = tuple(data.get("compatibility_modes") or ("overlap-closer",))
+    modes = ("overlap-closer",)
+    if data.get("compatibility_modes") is not None:
+        raw_modes = _names(data["compatibility_modes"], "compatibility_modes", "mode names")
+        modes = tuple(raw_modes) or modes
     for mode in modes:
         if mode not in COMPATIBILITY_MODES or mode == "gclue":
             raise ParseError(f"unsupported compatibility mode {mode!r}", "compatibility_modes")
 
     reduct_keep = None
     if data.get("reduct") is not None:
-        reduct_keep = tuple(data["reduct"])
+        reduct_keep = tuple(_names(data["reduct"], "reduct", "slot names"))
         for slot in reduct_keep:
             if slot not in SIGNATURE_SLOTS:
                 raise ParseError(f"unknown signature slot {slot!r}", "reduct")
@@ -247,7 +244,7 @@ def _parse_relation(universe, raw) -> BinaryRelation:
         pairs.append(tuple(pair))
     relation = BinaryRelation(universe, pairs)
     if has_generators:
-        flags = raw.get("closure", [])
+        flags = _names(raw.get("closure", []), "relation.closure", "closure flags")
         for flag in flags:
             if flag not in CLOSURE_FLAGS:
                 raise ParseError(f"unknown closure flag {flag!r}", "relation.closure")

@@ -1,8 +1,10 @@
-"""The ternary nearness predicate, the partial sum, and their axiom checks.
+"""The ternary nearness predicate, the partial sum, and their law evaluators.
 
 A nearness predicate reads "a is closer to b than to c". Built-in
 definitions compare unions or approximations of unions under inclusion;
-extensional predicates are given by an explicit triple table.
+extensional predicates are given by an explicit triple table. The
+coherence and sum laws are evaluated here on masks and swept by
+``structure.check_axiom``; def-compatibility is checked here.
 """
 
 from __future__ import annotations
@@ -11,9 +13,9 @@ import operator
 from typing import Callable, Iterable, Mapping, Optional
 
 from .errors import ConfigurationError, MsslabError, UniverseMismatchError
-from .granules import Granulation, OperatorSuite
+from .granules import Granulation
 from .sets import UNDEFINED, PartialResult, Subset, Universe, encode
-from .verdicts import DEFAULT_SAMPLE_BUDGET, Verdict, deferred, sweep
+from .verdicts import DEFAULT_SAMPLE_BUDGET, Verdict, sweep
 
 BUILTIN_DELTAS = ("E0", "E1", "E2", "uE1")
 COHERENCE_ARITY = {"i-coh": 2, "n-coh": 3, "i-coh-2": 2, "strict-n-coh": 3, "trans-1": 4}
@@ -76,27 +78,29 @@ class DeltaPredicate:
     predicate on subsets encodes them and evaluates that definition.
     """
 
-    __slots__ = ("universe", "kind", "ops", "nearness", "table", "_masked")
+    __slots__ = ("universe", "kind", "granulation", "nearness", "table", "_masked")
 
-    def __init__(self, universe, kind, ops=None, nearness=None, table=None):
+    def __init__(self, universe, kind, granulation=None, nearness=None, table=None):
         self.universe = universe
         self.kind = kind
-        self.ops = ops
+        self.granulation = granulation
         self.nearness = nearness
         self.table = table
         self._masked = None
 
     @classmethod
     def builtin(
-        cls, name: str, universe: Universe, ops: Optional[OperatorSuite] = None
+        cls, name: str, universe: Universe, granulation: Optional[Granulation] = None
     ) -> "DeltaPredicate":
+        """A builtin predicate; E2 and uE1 read l and u of ``granulation``,
+        the others ignore it."""
         if name not in BUILTIN_DELTAS:
             raise ConfigurationError(f"unknown builtin delta {name!r}; expected one of {BUILTIN_DELTAS}")
-        if name in ("E2", "uE1") and ops is None:
-            raise ConfigurationError(f"delta {name} needs an operator suite")
-        if ops is not None and ops.universe != universe:
-            raise UniverseMismatchError("operator suite universe differs from the predicate's")
-        return cls(universe, name, ops=ops)
+        if name in ("E2", "uE1") and granulation is None:
+            raise ConfigurationError(f"delta {name} needs a granulation")
+        if granulation is not None and granulation.universe != universe:
+            raise UniverseMismatchError("granulation universe differs from the predicate's")
+        return cls(universe, name, granulation=granulation)
 
     @classmethod
     def extensional_from_masks(
@@ -123,8 +127,7 @@ class DeltaPredicate:
     def masked(self) -> Callable[[int, int, int], bool]:
         """The predicate on masks, compiled at the first call.
 
-        E2 and uE1 read l and u from the operator suite's tables, which
-        are its granulation's.
+        E2 and uE1 read l and u from their granulation's tables.
         """
         if self._masked is None:
             self._masked = self._compile()
@@ -137,7 +140,7 @@ class DeltaPredicate:
         if kind == "E1":
             return lambda a, b, c: (a | b) != (a | c) and not (a | b) & ~(a | c)
         if kind == "E2":
-            lower = self.ops.lower_table
+            lower = self.granulation.lower_table
 
             def e2(a, b, c):
                 left, right = lower[a & c], lower[a & b]
@@ -145,7 +148,7 @@ class DeltaPredicate:
 
             return e2
         if kind == "uE1":
-            upper = self.ops.upper_table
+            upper = self.granulation.upper_table
             return lambda a, b, c: not upper[a | b] & ~upper[a | c]
         if kind == "def0":
             f = self.nearness.masked()
@@ -247,20 +250,6 @@ def coherence_evaluator(d: Callable[[int, int, int], bool], axiom: str):
     raise MsslabError(f"unknown coherence axiom {axiom!r}")
 
 
-def check_coherence(
-    d: DeltaPredicate,
-    axiom: str,
-    *,
-    seed: Optional[int] = None,
-    budget: int = DEFAULT_SAMPLE_BUDGET,
-) -> Verdict:
-    """Quantify one coherence axiom over the powerset; witness on failure."""
-    instance = coherence_evaluator(d.masked(), axiom)
-    return sweep(
-        axiom, d.universe, COHERENCE_ARITY[axiom], instance, seed=seed, budget=budget
-    )
-
-
 def sum_evaluator(
     d: Optional[Callable[[int, int, int], bool]],
     s: Callable[[int, int], int],
@@ -324,33 +313,6 @@ def sum_evaluator(
 
         return delta_sum3
     raise MsslabError(f"unknown sum axiom {axiom!r}")
-
-
-def check_sum_axioms(
-    d: Optional[DeltaPredicate],
-    s: SumOperation,
-    *,
-    seed: Optional[int] = None,
-    budget: int = DEFAULT_SAMPLE_BUDGET,
-) -> list[Verdict]:
-    """All six sum laws; the delta-sum trio needs a predicate bound."""
-    masked_d = d.masked() if d is not None else None
-    out = []
-    for axiom in SUM_AXIOMS:
-        if axiom.startswith("delta-sum") and d is None:
-            out.append(deferred(axiom, "no nearness predicate bound"))
-            continue
-        out.append(
-            sweep(
-                axiom,
-                s.universe,
-                SUM_ARITY[axiom],
-                sum_evaluator(masked_d, s.masked(), axiom),
-                seed=seed,
-                budget=budget,
-            )
-        )
-    return out
 
 
 def _def_compat_evaluator(d, f, mode: str):

@@ -4,8 +4,8 @@ The lower approximation of A is the union of granules included in A; the
 upper approximation is the union of granules meeting A. Both are defined
 once per granulation, on subset masks, as the memo tables
 ``Granulation.lower_table`` and ``upper_table``; every layer that reads
-l or u (the operator suite, compiled structures, E2/uE1, the granular
-sum) reads those two tables.
+l or u (``Granulation.lower``/``upper`` on subsets, compiled
+structures, E2/uE1, the granular sum) reads those two tables.
 """
 
 from __future__ import annotations
@@ -162,7 +162,8 @@ class Granulation:
     """Ordered collection of nonempty granules; duplicates collapse to one.
 
     ``lower_table`` and ``upper_table`` are l and u on masks, shared by
-    every reader of this granulation.
+    every reader of this granulation; ``lower`` and ``upper`` read them
+    on subsets.
     """
 
     __slots__ = ("universe", "granules", "notes", "lower_table", "upper_table")
@@ -192,6 +193,23 @@ class Granulation:
 
     def masks(self) -> tuple[int, ...]:
         return tuple(g.mask for g in self.granules)
+
+    def _read(self, table: dict, a: Subset) -> Subset:
+        if a.universe != self.universe:
+            raise UniverseMismatchError("subset and granulation universes differ")
+        return Subset(self.universe, table[a.mask])
+
+    def lower(self, a: Subset) -> Subset:
+        """Union of the granules included in ``a``."""
+        return self._read(self.lower_table, a)
+
+    def upper(self, a: Subset) -> Subset:
+        """Union of the granules meeting ``a``."""
+        return self._read(self.upper_table, a)
+
+    def is_union_of_granules(self, a: Subset) -> bool:
+        """True when ``a`` equals some union of granules (the empty union for ∅)."""
+        return self.lower(a) == a
 
     def __len__(self):
         return len(self.granules)
@@ -236,41 +254,6 @@ def predecessor_granulation(r: BinaryRelation) -> Granulation:
     return Granulation(universe, granules, notes)
 
 
-class OperatorSuite:
-    """The approximation operators l and u as total maps on the powerset,
-    read from the granulation's tables."""
-
-    __slots__ = ("universe", "granulation", "lower_table", "upper_table")
-
-    def __init__(self, g: Granulation):
-        self.universe = g.universe
-        self.granulation = g
-        self.lower_table = g.lower_table
-        self.upper_table = g.upper_table
-
-    @classmethod
-    def from_granulation(cls, g: Granulation) -> "OperatorSuite":
-        """l and u of the granulation."""
-        return cls(g)
-
-    def _read(self, table: dict, a: Subset) -> Subset:
-        if a.universe != self.universe:
-            raise UniverseMismatchError("subset and operator universes differ")
-        return Subset(self.universe, table[a.mask])
-
-    def lower(self, a: Subset) -> Subset:
-        """Union of the granules included in ``a``."""
-        return self._read(self.lower_table, a)
-
-    def upper(self, a: Subset) -> Subset:
-        """Union of the granules meeting ``a``."""
-        return self._read(self.upper_table, a)
-
-    def is_union_of_granules(self, a: Subset) -> bool:
-        """True when ``a`` equals some union of granules (the empty union for ∅)."""
-        return self.lower(a) == a
-
-
-def is_definite(a: Subset, ops: OperatorSuite) -> bool:
+def is_definite(a: Subset, g: Granulation) -> bool:
     """A set equal to both of its approximations."""
-    return ops.lower(a) == a and ops.upper(a) == a
+    return g.lower(a) == a and g.upper(a) == a

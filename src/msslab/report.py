@@ -177,10 +177,9 @@ def validation_section(cfg: LabConfig, *, seed: Optional[int], jobs: int) -> dic
         }
         section["note"] = report.note
 
-    ops = s.ops if s.ops is not None else cfg.operator_suite()
     compat = []
     for spec in cfg.deltas:
-        d = spec.build(cfg.universe, ops)
+        d = spec.build(cfg.universe, cfg.granulation)
         for mode_name in cfg.compatibility_modes:
             verdict = check_compatibility(clustering, d, CompatibilityMode(mode_name))
             compat.append(
@@ -377,7 +376,7 @@ def replay_failures(cfg: LabConfig, report: dict) -> list[str]:
         for row in section.get("validation", {}).get("compatibility", []):
             if row.get("status") != "fails":
                 continue
-            d = specs[row["delta"]].build(cfg.universe, cfg.operator_suite())
+            d = specs[row["delta"]].build(cfg.universe, cfg.granulation)
             for w in row["witnesses"]:
                 if d(*subsets(w)):
                     problems.append(f"compatibility[{row['delta']}]: witness does not violate")

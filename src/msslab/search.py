@@ -13,7 +13,7 @@ from typing import Iterator, Optional
 
 from .delta import DeltaPredicate
 from .errors import BudgetError, MsslabError
-from .granules import BinaryRelation, Granulation, OperatorSuite, predecessor_granulation
+from .granules import BinaryRelation, Granulation, predecessor_granulation
 from .sets import Universe
 from .structure import MssStructure, assemble, verify
 
@@ -58,9 +58,7 @@ def _structure_from_granulation(universe, granulation, spec, rng) -> MssStructur
         ]
         delta = DeltaPredicate.extensional_from_masks(universe, triples)
     else:
-        needs_ops = spec.delta in ("E2", "uE1")
-        ops = OperatorSuite.from_granulation(granulation) if needs_ops else None
-        delta = DeltaPredicate.builtin(spec.delta, universe, ops=ops)
+        delta = DeltaPredicate.builtin(spec.delta, universe, granulation)
     return assemble(universe, granulation=granulation, delta=delta)
 
 

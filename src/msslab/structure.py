@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Optional, Sequence
 from . import delta as delta_mod
 from .delta import DeltaPredicate, SumOperation
 from .errors import StructureError, UniverseMismatchError
-from .granules import Granulation, OperatorSuite
+from .granules import Granulation
 from .sets import Subset, Universe, encode
 from .verdicts import (
     DEFAULT_SAMPLE_BUDGET,
@@ -150,9 +150,13 @@ THEOREMS = {
 
 @dataclass(frozen=True)
 class MssStructure:
+    """A structure over one universe. ``ops`` is the granulation whose l
+    and u are bound (None when a reduct dropped them); ``granulation`` is
+    the one bound as gamma."""
+
     universe: Universe
     set_slots: frozenset[str] = SET_SLOTS
-    ops: Optional[OperatorSuite] = None
+    ops: Optional[Granulation] = None
     delta: Optional[DeltaPredicate] = None
     sum: Optional[SumOperation] = None
     kappa: Optional[tuple[Subset, ...]] = None
@@ -186,7 +190,6 @@ def assemble(
     universe: Universe,
     *,
     granulation: Optional[Granulation] = None,
-    ops: Optional[OperatorSuite] = None,
     delta: Optional[DeltaPredicate] = None,
     sum: Optional[SumOperation] = None,
     kappa: Optional[Iterable[Subset]] = None,
@@ -194,22 +197,11 @@ def assemble(
 ) -> MssStructure:
     """Build a structure over one universe; delta, sum and kappa may wait.
 
-    Every slot of ``SET_SLOTS`` is bound to its set interpretation. When a
-    granulation is supplied the approximation operators are derived
-    from it; passing a granulation together with a foreign operator suite
-    is rejected.
+    Every slot of ``SET_SLOTS`` is bound to its set interpretation. A
+    granulation binds l and u (its approximations) together with gamma.
     """
-    if granulation is not None:
-        if ops is not None:
-            raise StructureError(
-                "operators must be derived from the granulation; pass one or the other"
-            )
-        if granulation.universe != universe:
-            raise UniverseMismatchError("granulation universe differs from the carrier")
-        ops = OperatorSuite.from_granulation(granulation)
-
-    if ops is not None and ops.universe != universe:
-        raise UniverseMismatchError("operator suite universe differs from the carrier")
+    if granulation is not None and granulation.universe != universe:
+        raise UniverseMismatchError("granulation universe differs from the carrier")
 
     if delta is not None and delta.universe != universe:
         raise UniverseMismatchError("delta predicate universe differs from the carrier")
@@ -225,7 +217,7 @@ def assemble(
 
     return MssStructure(
         universe=universe,
-        ops=ops,
+        ops=granulation,
         delta=delta,
         sum=sum,
         kappa=clusters,
@@ -267,8 +259,8 @@ def reduct(s: MssStructure, keep: Iterable[str]) -> MssStructure:
 class CompiledStructure:
     """The slots the swept laws read, as int-level evaluators over masks.
 
-    ``lower``/``upper`` are the operator suite's tables (those of its
-    granulation), ``delta`` and ``sum`` are the slots' own mask forms (the
+    ``lower``/``upper`` are the mask tables of the granulation bound as
+    l and u, ``delta`` and ``sum`` are the slots' own mask forms (the
     sum returns ``UNDEFINED`` where undefined), and ``kappa`` is a set of
     masks. Unbound slots are None.
     """

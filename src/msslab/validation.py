@@ -1,9 +1,10 @@
 """Clustering validation: deficits, validity grades, traceability, compatibility.
 
-The quality of a cluster is measured against the approximation operators
-rather than against a numeric index: the deficits collect what a cluster
-lacks towards its lower approximation and what its upper approximation
-has in excess, and the grades record fixpoint/preimage/image conditions.
+The quality of a cluster is measured against the rough approximations
+l and u of a granulation rather than against a numeric index: the
+deficits collect what a cluster lacks towards its lower approximation and
+what its upper approximation has in excess, and the grades record
+fixpoint/preimage/image conditions.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Callable, Iterable, Optional
 
 from .delta import DeltaPredicate
 from .errors import MsslabError, UniverseMismatchError
-from .granules import OperatorSuite
+from .granules import Granulation
 from .sets import PartialResult, Subset, Universe, partial_difference
 from .verdicts import FAILS, HOLDS, VACUOUS, Verdict
 
@@ -51,20 +52,20 @@ class Clustering:
         return f"Clustering({list(self.clusters)!r})"
 
 
-def lower_deficit(c: Subset, ops: OperatorSuite, policy: str = "subset") -> PartialResult:
+def lower_deficit(c: Subset, g: Granulation, policy: str = "subset") -> PartialResult:
     """u(C - l(C)) when the difference is defined; undefined propagates."""
-    diff = partial_difference(c, ops.lower(c), policy)
+    diff = partial_difference(c, g.lower(c), policy)
     if not diff.defined:
         return PartialResult.undefined()
-    return PartialResult.of(ops.upper(diff.value))
+    return PartialResult.of(g.upper(diff.value))
 
 
-def upper_deficit(c: Subset, ops: OperatorSuite, policy: str = "subset") -> PartialResult:
+def upper_deficit(c: Subset, g: Granulation, policy: str = "subset") -> PartialResult:
     """u(u(C) - C) when the difference is defined; undefined propagates."""
-    diff = partial_difference(ops.upper(c), c, policy)
+    diff = partial_difference(g.upper(c), c, policy)
     if not diff.defined:
         return PartialResult.undefined()
-    return PartialResult.of(ops.upper(diff.value))
+    return PartialResult.of(g.upper(diff.value))
 
 
 @dataclass(frozen=True)
@@ -78,11 +79,11 @@ class ClusterGrades:
     u_traceable: bool = True
 
 
-def validity_grades(c: Subset, ops: OperatorSuite, universe: Universe) -> ClusterGrades:
+def validity_grades(c: Subset, g: Granulation) -> ClusterGrades:
     """Fixpoint, preimage, and image grades of one cluster.
 
-    Both preimage grades are closed forms, exact when l is idempotent and
-    u preserves unions, as for every ``OperatorSuite.from_granulation``:
+    Both preimage grades are closed forms, exact because the l of a
+    granulation is idempotent and its u preserves unions:
 
     - some V has l(V) = C iff l(C) = C, since l(C) = l(l(V)) = l(V);
     - some V has u(V) = C iff u(V*) = C, where V* = {x : u({x}) <= C} is
@@ -91,17 +92,18 @@ def validity_grades(c: Subset, ops: OperatorSuite, universe: Universe) -> Cluste
 
     Each cluster costs n + 1 calls of u.
     """
-    lc = ops.lower(c)
-    uc = ops.upper(c)
+    universe = g.universe
+    lc = g.lower(c)
+    uc = g.upper(c)
     inside = universe.empty
     for x in universe.elements:
         point = universe.singleton(x)
-        if ops.upper(point) <= c:
+        if g.upper(point) <= c:
             inside = inside | point
     return ClusterGrades(
         lu_valid=lc == c and uc == c,
         l_pre_valid=lc == c,
-        u_pre_valid=ops.upper(inside) == c,
+        u_pre_valid=g.upper(inside) == c,
     )
 
 
@@ -128,19 +130,19 @@ class ValidityReport:
     )
 
 
-def check_proposition(c: Subset, ops: OperatorSuite, policy: str = "subset") -> Verdict:
+def check_proposition(c: Subset, g: Granulation, policy: str = "subset") -> Verdict:
     """Deficit computability forces traceability, instance-wise for one cluster.
 
     Traceability holds by construction (see ``ClusterGrades``), so the
     verdict holds when either deficit is defined and is vacuous otherwise.
     """
-    defined = lower_deficit(c, ops, policy).defined or upper_deficit(c, ops, policy).defined
+    defined = lower_deficit(c, g, policy).defined or upper_deficit(c, g, policy).defined
     return Verdict("deficit-traceability", HOLDS if defined else VACUOUS, instances_checked=2)
 
 
 def validate_clustering(
     cl: Clustering,
-    ops: OperatorSuite,
+    g: Granulation,
     *,
     policy: str = "subset",
     jobs: int = 1,
@@ -150,15 +152,15 @@ def validate_clustering(
     ``jobs`` is accepted and ignored: the work holds the interpreter lock,
     so worker threads only slowed it.
     """
-    if ops.universe != cl.universe:
+    if g.universe != cl.universe:
         raise UniverseMismatchError("clustering and operator universes differ")
     reports = tuple(
         ClusterReport(
             cluster=c,
-            lower_deficit=lower_deficit(c, ops, policy),
-            upper_deficit=upper_deficit(c, ops, policy),
-            grades=validity_grades(c, ops, cl.universe),
-            proposition=check_proposition(c, ops, policy),
+            lower_deficit=lower_deficit(c, g, policy),
+            upper_deficit=upper_deficit(c, g, policy),
+            grades=validity_grades(c, g),
+            proposition=check_proposition(c, g, policy),
         )
         for c in cl.clusters
     )

@@ -6,7 +6,6 @@ from msslab import (
     BinaryRelation,
     Clustering,
     DeltaPredicate,
-    OperatorSuite,
     Universe,
     close_relation,
     predecessor_granulation,
@@ -33,11 +32,6 @@ def granulation(tolerance):
 
 
 @pytest.fixture(scope="session")
-def ops(granulation):
-    return OperatorSuite.from_granulation(granulation)
-
-
-@pytest.fixture(scope="session")
 def clustering(H):
     return Clustering(
         H,
@@ -46,9 +40,9 @@ def clustering(H):
 
 
 @pytest.fixture(scope="session")
-def delta_builtins(H, ops):
+def delta_builtins(H, granulation):
     return {
-        name: DeltaPredicate.builtin(name, H, ops=ops if name in ("E2", "uE1") else None)
+        name: DeltaPredicate.builtin(name, H, granulation)
         for name in ("E0", "E1", "E2", "uE1")
     }
 

@@ -21,7 +21,6 @@ from msslab import (
     Universe,
     assemble,
     check_compatibility,
-    check_coherence,
     check_proposition,
     close_relation,
     lower_deficit,
@@ -31,7 +30,7 @@ from msslab import (
 )
 from msslab.oracles import StructureDescription, o_claim
 from msslab.search import SearchSpec, enumerate_structures, find_witness, oracle_check
-from msslab.structure import axiom_instance, verify
+from msslab.structure import axiom_instance, check_axiom, verify
 
 FIXTURE = "examples/paper-example.json"
 
@@ -74,11 +73,11 @@ def test_criterion_1_predecessor_granules(H):
 
 
 @criterion(2, "worked-example deficits")
-def test_criterion_2_deficits(H, ops):
+def test_criterion_2_deficits(H, granulation):
     cluster = H.subset(["x2", "x4"])
     expected = H.subset(["x1", "x2", "x3"])
-    lo = lower_deficit(cluster, ops)
-    up = upper_deficit(cluster, ops)
+    lo = lower_deficit(cluster, granulation)
+    up = upper_deficit(cluster, granulation)
     assert lo.defined and lo.value == expected
     assert up.defined and up.value == expected
 
@@ -119,7 +118,7 @@ def test_criterion_4_approximation_laws(three_element_structures):
         verdicts = verify(s, ["UL1", "UL2", "UL3", "TB"])
         assert all(v.status == "holds" for v in verdicts), s
         space = list(s.universe.all_subsets())
-        upper = s.ops.upper
+        upper = s.granulation.upper
         for a, b in itertools.product(space, repeat=2):
             assert upper(a | b) == upper(a) | upper(b)
     elapsed = time.perf_counter() - start
@@ -138,7 +137,7 @@ def test_criterion_5_coherence_table(H, granulation, delta_builtins):
         desc = StructureDescription.from_structure(s)
         start = time.perf_counter()
         for axiom, status in table.items():
-            verdict = check_coherence(d, axiom)
+            verdict = check_axiom(s, axiom)
             assert verdict.status == status, (name, axiom)
             assert verdict.mode == "exhaustive"
             if verdict.failed:
@@ -162,8 +161,9 @@ def test_criterion_6_meta_theorem():
                 if rng.random() < 0.35
             ]
             d = DeltaPredicate.extensional_from_masks(universe, triples)
-            strict = check_coherence(d, "strict-n-coh")
-            inner = check_coherence(d, "i-coh-2")
+            s = assemble(universe, delta=d)
+            strict = check_axiom(s, "strict-n-coh")
+            inner = check_axiom(s, "i-coh-2")
             assert not (strict.status in ("holds", "vacuous") and inner.failed)
             checked += 1
     assert checked >= 1000
@@ -180,24 +180,24 @@ def test_criterion_6_meta_theorem():
 
 
 @criterion(7, "closed-form lower preimage equivalence")
-def test_criterion_7_closed_form(H, ops, three_element_structures):
+def test_criterion_7_closed_form(H, granulation, three_element_structures):
     for c in H.all_subsets():
-        grades = validity_grades(c, ops, H)
-        brute = any(ops.lower(v) == c for v in H.all_subsets())
-        assert grades.l_pre_valid == brute == (ops.lower(c) == c)
+        grades = validity_grades(c, granulation)
+        brute = any(granulation.lower(v) == c for v in H.all_subsets())
+        assert grades.l_pre_valid == brute == (granulation.lower(c) == c)
     for s in three_element_structures:
         space = list(s.universe.all_subsets())
         for c in space:
-            brute = any(s.ops.lower(v) == c for v in space)
-            grades = validity_grades(c, s.ops, s.universe)
-            assert grades.l_pre_valid == brute == (s.ops.lower(c) == c)
+            brute = any(s.granulation.lower(v) == c for v in space)
+            grades = validity_grades(c, s.granulation)
+            assert grades.l_pre_valid == brute == (s.granulation.lower(c) == c)
 
 
 @criterion(8, "deficit-traceability proposition sweep")
 def test_criterion_8_proposition_sweep(three_element_structures):
     for s in three_element_structures:
         for c in s.universe.all_subsets():
-            verdict = check_proposition(c, s.ops)
+            verdict = check_proposition(c, s.granulation)
             assert verdict.status in ("holds", "vacuous"), (s, c)
 
 

@@ -217,6 +217,73 @@ def test_search_finds_and_serializes_a_witness(repo_root, tmp_path):
     assert report["search"]["structure"]["delta_kind"] == "E0"
 
 
+PAPER_CONFIG = json.loads((Path(__file__).resolve().parent.parent / FIXTURE).read_text())
+
+
+@pytest.mark.parametrize(
+    "command, document, field",
+    [
+        ("search", {"n": "3"}, "n"),
+        ("search", {"n": True}, "n"),
+        ("search", {"n": 2, "budget": "5"}, "budget"),
+        ("search", {"n": 2, "required": "i-coh"}, "required"),
+        ("search", {"n": 2, "forbidden": [1]}, "forbidden"),
+        ("search", {"n": 2, "density": 2}, "density"),
+        ("search", {"n": 2, "seed": "7"}, "seed"),
+        ("search", {"n": 2, "exhaustive": "yes"}, "exhaustive"),
+        ("check-axioms", {**PAPER_CONFIG, "reduct": "delta"}, "reduct"),
+        ("validate", {**PAPER_CONFIG, "compatibility_modes": "overlap-closer"}, "compatibility_modes"),
+        (
+            "check-axioms",
+            {**PAPER_CONFIG, "relation": {**PAPER_CONFIG["relation"], "closure": "reflexive"}},
+            "relation.closure",
+        ),
+    ],
+)
+def test_mistyped_fields_are_parse_errors(repo_root, tmp_path, command, document, field):
+    result = run_cli(repo_root, command, str(write_config(tmp_path, document)))
+    assert result.returncode == 1
+    # the field is named and the value's type is rejected as a whole, not per character
+    assert result.stderr.startswith(f"msslab: parse error: {field}: expected ")
+    assert "Traceback" not in result.stderr
+
+
+def test_search_structure_matches_the_oracle_description(tmp_path):
+    from msslab.cli import _search_report
+    from msslab.oracles import StructureDescription
+    from msslab.search import SearchSpec, find_witness
+
+    document = {
+        "n": 2,
+        "family": "relations",
+        "delta": "extensional",
+        "forbidden": ["n-coh", "i-coh"],
+        "budget": 16,
+        "density": 0.3,
+    }
+    structure = _search_report(document, 5)["search"]["structure"]
+    found, _ = find_witness(SearchSpec(**{**document, "forbidden": ("n-coh", "i-coh")}, seed=5))
+    desc = StructureDescription.from_structure(found)
+    assert structure == {
+        "universe": list(desc.elements),
+        "granules": [sorted(g) for g in desc.granules],
+        "delta_kind": "extensional",
+        "delta_table": sorted([sorted(a), sorted(b), sorted(c)] for a, b, c in desc.delta_table),
+    }
+
+
+@pytest.mark.parametrize("target", ["missing/report.json", "existing-directory"])
+def test_failed_write_is_reported_without_leftovers(repo_root, tmp_path, target):
+    (tmp_path / "existing-directory").mkdir()
+    output = tmp_path / target
+    result = run_cli(repo_root, "validate", FIXTURE, "--output", str(output))
+    assert result.returncode == 1
+    assert result.stderr.startswith(f"msslab: error: cannot write {output}")
+    assert "Traceback" not in result.stderr
+    assert not output.is_file()
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["existing-directory"]
+
+
 def test_cli_import_leaves_the_oracles_unloaded(repo_root):
     code = "import sys, msslab.cli; print('msslab.oracles' in sys.modules)"
     result = subprocess.run(

@@ -9,19 +9,28 @@ from msslab import (
     DeltaPredicate,
     Granulation,
     NearnessMap,
-    OperatorSuite,
     SumOperation,
     Universe,
     UniverseMismatchError,
     assemble,
-    check_coherence,
     check_def_compat,
-    check_sum_axioms,
 )
-from msslab.structure import axiom_instance
+from msslab.delta import SUM_AXIOMS
+from msslab.structure import axiom_instance, check_axiom
 
 
-def test_eval_delta_builtin_examples(H, ops, delta_builtins):
+def coherence(d, axiom):
+    """Verdict of one coherence law on the structure binding only ``d``."""
+    return check_axiom(assemble(d.universe, delta=d), axiom)
+
+
+def sum_laws(d, s):
+    """Verdicts of the six sum laws on the structure binding ``d`` and ``s``."""
+    structure = assemble(s.universe, delta=d, sum=s)
+    return [check_axiom(structure, axiom) for axiom in SUM_AXIOMS]
+
+
+def test_eval_delta_builtin_examples(H, granulation, delta_builtins):
     a, b, c = H.subset(["x1"]), H.subset(["x1", "x2"]), H.subset(["x1", "x2", "x3"])
     assert delta_builtins["E1"](a, b, c)
     e2 = delta_builtins["E2"]
@@ -49,10 +58,10 @@ def test_builtin_requiring_operators_without_them(H):
         DeltaPredicate.builtin("E9", H)
 
 
-def test_builtin_rejects_operators_of_another_universe(ops):
+def test_builtin_rejects_operators_of_another_universe(granulation):
     other = Universe(["x", "y", "z", "w"])
     with pytest.raises(UniverseMismatchError):
-        DeltaPredicate.builtin("E2", other, ops=ops)
+        DeltaPredicate.builtin("E2", other, granulation)
 
 
 def test_extensional_table_limit():
@@ -78,26 +87,26 @@ def test_eval_sum_examples(H, granulation):
 
 def test_coherence_verdict_table(H, delta_builtins):
     e0, e1 = delta_builtins["E0"], delta_builtins["E1"]
-    assert check_coherence(e0, "i-coh").status == "holds"
-    v = check_coherence(e0, "i-coh-2")
+    assert coherence(e0, "i-coh").status == "holds"
+    v = coherence(e0, "i-coh-2")
     assert v.status == "fails"
     assert axiom_instance(assemble(H, delta=e0), "i-coh-2", v.witnesses[0]) is False
-    assert check_coherence(e1, "i-coh-2").status == "holds"
-    assert check_coherence(e1, "strict-n-coh").status == "holds"
-    v = check_coherence(e1, "trans-1")
+    assert coherence(e1, "i-coh-2").status == "holds"
+    assert coherence(e1, "strict-n-coh").status == "holds"
+    v = coherence(e1, "trans-1")
     assert v.status == "fails"
     assert axiom_instance(assemble(H, delta=e1), "trans-1", v.witnesses[0]) is False
 
 
 def test_witnesses_are_lexicographic_minima(H, delta_builtins):
-    v = check_coherence(delta_builtins["E0"], "i-coh-2")
+    v = coherence(delta_builtins["E0"], "i-coh-2")
     assert [w.mask for w in v.witnesses[0]] == [0, 0]
-    v = check_coherence(delta_builtins["E1"], "trans-1")
+    v = coherence(delta_builtins["E1"], "trans-1")
     assert [w.mask for w in v.witnesses[0]] == [0, 1, 3, 0]
 
 
 def test_sum_axioms_total_union(H, delta_builtins):
-    verdicts = check_sum_axioms(delta_builtins["E1"], SumOperation.total_union(H))
+    verdicts = sum_laws(delta_builtins["E1"], SumOperation.total_union(H))
     assert {v.axiom: v.status for v in verdicts} == {
         "omega-star-com": "holds",
         "omega-id": "holds",
@@ -109,7 +118,7 @@ def test_sum_axioms_total_union(H, delta_builtins):
 
 
 def test_sum_axioms_granular(H, granulation, delta_builtins):
-    verdicts = check_sum_axioms(delta_builtins["E0"], SumOperation.granular(granulation))
+    verdicts = sum_laws(delta_builtins["E0"], SumOperation.granular(granulation))
     assert all(v.status == "holds" for v in verdicts)
 
 
@@ -118,7 +127,7 @@ def test_sum_axioms_full_table(H):
     full = DeltaPredicate.extensional_from_masks(
         H, itertools.product(range(top), repeat=3)
     )
-    verdicts = check_sum_axioms(full, SumOperation.total_union(H))
+    verdicts = sum_laws(full, SumOperation.total_union(H))
     assert all(v.status == "holds" for v in verdicts)
 
 
@@ -127,7 +136,7 @@ def test_sum_axioms_can_fail_on_extensional_tables(H):
     table = {(0, 0): 1}
     s = SumOperation.extensional(H, table)
     never = DeltaPredicate.extensional_from_masks(H, [(0, 2, 4)])
-    verdicts = {v.axiom: v for v in check_sum_axioms(never, s)}
+    verdicts = {v.axiom: v for v in sum_laws(never, s)}
     assert verdicts["delta-sum1"].status == "fails"
     assert verdicts["omega-id"].status == "fails"
 
@@ -137,7 +146,7 @@ def test_omega_asso_compares_by_conditional_equality():
     # conditional equality holds there, strong equality would not.
     u = Universe(["x1"])
     s = SumOperation.extensional(u, {(0, 0): 1, (0, 1): 1})
-    verdicts = {v.axiom: v.status for v in check_sum_axioms(None, s)}
+    verdicts = {v.axiom: v.status for v in sum_laws(None, s)}
     assert verdicts["omega-asso"] == "holds"
     assert verdicts["omega-star-com"] == "fails"
 
@@ -163,9 +172,8 @@ def test_def0_with_union_map_matches_plain_inclusion(H, delta_builtins):
 
 def test_eval_is_independent_of_granule_order(H, granulation, delta_builtins):
     reversed_g = Granulation(H, list(reversed(list(granulation))))
-    r_ops = OperatorSuite.from_granulation(reversed_g)
-    e2_r = DeltaPredicate.builtin("E2", H, ops=r_ops)
-    ue1_r = DeltaPredicate.builtin("uE1", H, ops=r_ops)
+    e2_r = DeltaPredicate.builtin("E2", H, reversed_g)
+    ue1_r = DeltaPredicate.builtin("uE1", H, reversed_g)
     space = list(H.all_subsets())
     rng = random.Random(3)
     for _ in range(300):
@@ -178,8 +186,8 @@ def test_strict_coherence_of_proper_inclusion_all_sizes():
     for n in range(1, 5):
         u = Universe([f"x{i+1}" for i in range(n)])
         e1 = DeltaPredicate.builtin("E1", u)
-        assert check_coherence(e1, "strict-n-coh").status in ("holds", "vacuous")
-        assert check_coherence(e1, "i-coh-2").status == "holds"
+        assert coherence(e1, "strict-n-coh").status in ("holds", "vacuous")
+        assert coherence(e1, "i-coh-2").status == "holds"
 
 
 def random_table(universe, rng, density=0.3):
@@ -196,14 +204,14 @@ def test_meta_theorem_on_random_tables():
         rng = random.Random(100 + n)
         for _ in range(120):
             d = random_table(u, rng)
-            strict = check_coherence(d, "strict-n-coh")
+            strict = coherence(d, "strict-n-coh")
             if strict.status in ("holds", "vacuous"):
-                assert check_coherence(d, "i-coh-2").status in ("holds", "vacuous")
+                assert coherence(d, "i-coh-2").status in ("holds", "vacuous")
 
 
 def test_unknown_axiom_and_mode_rejected(H, delta_builtins):
     with pytest.raises(Exception):
-        check_coherence(delta_builtins["E0"], "coh-9")
+        coherence(delta_builtins["E0"], "coh-9")
     with pytest.raises(Exception):
         check_def_compat(delta_builtins["E0"], NearnessMap.union(H), "def9")
 

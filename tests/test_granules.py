@@ -7,7 +7,6 @@ from msslab import (
     BinaryRelation,
     Granulation,
     MsslabError,
-    OperatorSuite,
     Universe,
     UniverseMismatchError,
     assemble,
@@ -79,34 +78,34 @@ def test_granules_must_be_nonempty(H):
         Granulation(H, [H.empty])
 
 
-def test_lower_upper_examples(H, granulation, ops):
+def test_lower_upper_examples(H, granulation):
     a = H.subset(["x2", "x4"])
-    assert ops.lower(a) == H.subset(["x4"])
-    assert ops.upper(a) == H.full
-    assert ops.lower(H.empty) == H.empty
-    assert ops.upper(H.empty) == H.empty
+    assert granulation.lower(a) == H.subset(["x4"])
+    assert granulation.upper(a) == H.full
+    assert granulation.lower(H.empty) == H.empty
+    assert granulation.upper(H.empty) == H.empty
     firm = H.subset(["x1", "x2", "x3"])
-    assert ops.lower(firm) == firm and ops.upper(firm) == firm
+    assert granulation.lower(firm) == firm and granulation.upper(firm) == firm
 
 
-def test_operators_reject_a_subset_of_another_universe(ops):
+def test_operators_reject_a_subset_of_another_universe(granulation):
     other = Universe(["x", "y", "z"])
-    for op in (ops.lower, ops.upper):
+    for op in (granulation.lower, granulation.upper):
         with pytest.raises(UniverseMismatchError):
             op(other.subset(["x", "y"]))
 
 
-def test_is_definite_examples(H, ops):
-    assert is_definite(H.subset(["x4"]), ops)
-    assert is_definite(H.subset(["x1", "x2", "x3"]), ops)
-    assert not is_definite(H.subset(["x2", "x4"]), ops)
+def test_is_definite_examples(H, granulation):
+    assert is_definite(H.subset(["x4"]), granulation)
+    assert is_definite(H.subset(["x1", "x2", "x3"]), granulation)
+    assert not is_definite(H.subset(["x2", "x4"]), granulation)
 
 
-def test_admissibility_of_the_example(granulation, ops, H):
+def test_admissibility_of_the_example(granulation, H):
     verdicts = admissibility(granulation)
     assert all(v.status == "holds" and v.mode == "theorem" for v in verdicts.values())
     # The reason given for (iii): the union of all granules is definite.
-    assert is_definite(H.full, ops)
+    assert is_definite(H.full, granulation)
 
 
 def test_admissibility_with_derived_operators_holds():
@@ -118,9 +117,8 @@ def test_admissibility_with_derived_operators_holds():
 def test_partition_granulation_all_definite(H):
     diagonal = close_relation(BinaryRelation(H), reflexive=True)
     g = predecessor_granulation(diagonal)
-    ops = OperatorSuite.from_granulation(g)
     assert all(v.status == "holds" for v in admissibility(g).values())
-    assert all(is_definite(a, ops) for a in H.all_subsets())
+    assert all(is_definite(a, g) for a in H.all_subsets())
 
 
 # random granulations over a fixed 4-element universe
@@ -133,22 +131,21 @@ granulations = st.lists(
 @settings(max_examples=60)
 @given(granulations)
 def test_approximation_laws_over_random_granulations(g):
-    ops = OperatorSuite.from_granulation(g)
     space = list(G4.all_subsets())
     for a in space:
-        la, ua = ops.lower(a), ops.upper(a)
+        la, ua = g.lower(a), g.upper(a)
         assert la <= a
-        assert ops.lower(la) == la
-        assert ua <= ops.upper(ua)
-        assert ops.is_union_of_granules(la)
-        assert ops.is_union_of_granules(ua)
+        assert g.lower(la) == la
+        assert ua <= g.upper(ua)
+        assert g.is_union_of_granules(la)
+        assert g.is_union_of_granules(ua)
     for a, b in itertools.product(space, repeat=2):
         if a <= b:
-            assert ops.lower(a) <= ops.lower(b)
-            assert ops.upper(a) <= ops.upper(b)
-        assert ops.upper(a | b) == ops.upper(a) | ops.upper(b)
-    assert ops.lower(G4.empty) == G4.empty
-    assert ops.upper(G4.empty) == G4.empty
+            assert g.lower(a) <= g.lower(b)
+            assert g.upper(a) <= g.upper(b)
+        assert g.upper(a | b) == g.upper(a) | g.upper(b)
+    assert g.lower(G4.empty) == G4.empty
+    assert g.upper(G4.empty) == G4.empty
 
 
 relation_pairs = st.sets(

@@ -8,7 +8,6 @@ from msslab import (
     DeltaPredicate,
     Granulation,
     MsslabError,
-    OperatorSuite,
     SumOperation,
     Universe,
     assemble,
@@ -147,9 +146,8 @@ def assert_matches_oracle(s, axioms):
 
 def test_verify_matches_oracle_on_all_three_element_granulations(three_element_granulations):
     for g in three_element_granulations:
-        ops = OperatorSuite.from_granulation(g)
         for name in BUILTIN_DELTAS:
-            d = DeltaPredicate.builtin(name, g.universe, ops=ops)
+            d = DeltaPredicate.builtin(name, g.universe, g)
             assert_matches_oracle(assemble(g.universe, granulation=g, delta=d), ORACLE_COMPARABLE)
 
 
@@ -195,7 +193,7 @@ def granular_structures(draw):
     clusters = draw(st.lists(st.integers(1, top - 1), min_size=1, max_size=4, unique=True))
     g = Granulation(u, [u.from_mask(m) for m in granules])
     name = draw(st.sampled_from(BUILTIN_DELTAS))
-    d = DeltaPredicate.builtin(name, u, ops=OperatorSuite.from_granulation(g))
+    d = DeltaPredicate.builtin(name, u, g)
     return assemble(u, granulation=g, delta=d, kappa=[u.from_mask(m) for m in clusters])
 
 
@@ -233,7 +231,7 @@ def test_sum_laws_match_oracle_on_all_small_granulations():
         for bits in range(1 << len(candidates)):
             g = Granulation(u, [u.from_mask(m) for k, m in enumerate(candidates) if bits >> k & 1])
             name = BUILTIN_DELTAS[bits % len(BUILTIN_DELTAS)]
-            d = DeltaPredicate.builtin(name, u, ops=OperatorSuite.from_granulation(g))
+            d = DeltaPredicate.builtin(name, u, g)
             for sum_op in (SumOperation.total_union(u), SumOperation.granular(g)):
                 s = assemble(u, granulation=g, delta=d, sum=sum_op)
                 assert_matches_oracle(s, ORACLE_SUM_AXIOMS)
@@ -251,7 +249,7 @@ def extensional_sums(draw):
         table = {(x, y): v for (a, b), v in table.items() if a <= b for x, y in ((a, b), (b, a))}
     g = Granulation(u, [u.from_mask(m) for m in draw(st.lists(st.integers(1, top - 1), max_size=4))])
     d = DeltaPredicate.builtin(
-        draw(st.sampled_from(BUILTIN_DELTAS)), u, ops=OperatorSuite.from_granulation(g)
+        draw(st.sampled_from(BUILTIN_DELTAS)), u, g
     )
     return assemble(u, granulation=g, delta=d, sum=SumOperation.extensional(u, table))
 

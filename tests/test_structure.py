@@ -5,7 +5,6 @@ import pytest
 from msslab import (
     BinaryRelation,
     DeltaPredicate,
-    OperatorSuite,
     StructureError,
     SumOperation,
     Universe,
@@ -113,11 +112,6 @@ def test_assemble_rejects_mixed_universes(H, granulation):
         assemble(H, granulation=granulation, kappa=[other.full])
 
 
-def test_assemble_rejects_foreign_operator_suite(H, granulation, ops):
-    with pytest.raises(StructureError):
-        assemble(H, granulation=granulation, ops=ops)
-
-
 def test_every_layer_reads_the_granulation_tables(repo_root):
     document = json.loads((repo_root / "examples/paper-example.json").read_text())
     cfg = parse_config(document)
@@ -126,9 +120,8 @@ def test_every_layer_reads_the_granulation_tables(repo_root):
     L, U = cfg.granulation.lower_table, cfg.granulation.upper_table
     for s in (e2, ue1):
         assert s.compiled.lower is L and s.compiled.upper is U
-        assert s.delta.ops.lower_table is L and s.delta.ops.upper_table is U
+        assert s.ops is cfg.granulation and s.delta.granulation is cfg.granulation
         assert s.sum.granulation.lower_table is L
-    assert OperatorSuite.from_granulation(cfg.granulation).lower_table is L
 
     # Nothing has read l or u yet; each layer's reads land in the same tables.
     assert not L and not U
@@ -213,14 +206,16 @@ def test_classify_example(H, granulation, clustering, delta_builtins):
     assert lclu.witnesses[0][0] == H.subset(["x1", "x3"])
 
 
-def test_definite_clusters_close_under_lower(H, granulation, ops, delta_builtins):
-    definite = [a for a in H.all_subsets() if ops.lower(a) == a == ops.upper(a)]
+def test_definite_clusters_close_under_lower(H, granulation, delta_builtins):
+    definite = [a for a in H.all_subsets() if granulation.lower(a) == a == granulation.upper(a)]
     s = assemble(H, granulation=granulation, delta=delta_builtins["E1"], kappa=definite)
     assert check_axiom(s, "lclu").status == "holds"
 
 
-def test_classify_without_granulation(H, ops, delta_builtins):
-    s = assemble(H, ops=ops, delta=delta_builtins["E1"])
+def test_classify_without_granulation(H, granulation, delta_builtins):
+    # l and u stay bound; only gamma is dropped
+    full = assemble(H, granulation=granulation, delta=delta_builtins["E1"])
+    s = reduct(full, full.bound_slots() - {"gamma"})
     assert classify(s).is_gmss is False
 
 

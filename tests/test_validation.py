@@ -10,7 +10,6 @@ from msslab import (
     CompatibilityMode,
     Granulation,
     MsslabError,
-    OperatorSuite,
     Universe,
     UniverseMismatchError,
     check_compatibility,
@@ -25,53 +24,52 @@ from msslab.pipeline import run_pipeline
 from msslab.search import SearchSpec, enumerate_structures
 
 
-def test_deficits_of_the_worked_example(H, ops):
+def test_deficits_of_the_worked_example(H, granulation):
     c = H.subset(["x2", "x4"])
     expected = H.subset(["x1", "x2", "x3"])
-    lo = lower_deficit(c, ops)
-    up = upper_deficit(c, ops)
+    lo = lower_deficit(c, granulation)
+    up = upper_deficit(c, granulation)
     assert lo.defined and lo.value == expected
     assert up.defined and up.value == expected
 
 
-def test_deficits_of_definite_clusters_vanish(H, ops):
+def test_deficits_of_definite_clusters_vanish(H, granulation):
     for c in (H.subset(["x4"]), H.subset(["x1", "x2", "x3"])):
-        assert lower_deficit(c, ops).value == H.empty
-        assert upper_deficit(c, ops).value == H.empty
+        assert lower_deficit(c, granulation).value == H.empty
+        assert upper_deficit(c, granulation).value == H.empty
 
 
-def test_deficits_of_the_overlapping_cluster(H, ops):
+def test_deficits_of_the_overlapping_cluster(H, granulation):
     c = H.subset(["x1", "x3"])
     expected = H.subset(["x1", "x2", "x3"])
-    assert lower_deficit(c, ops).value == expected
-    assert upper_deficit(c, ops).value == expected
+    assert lower_deficit(c, granulation).value == expected
+    assert upper_deficit(c, granulation).value == expected
 
 
-def test_restrictive_policy_makes_deficits_undefined(H, ops):
+def test_restrictive_policy_makes_deficits_undefined(H, granulation):
     c = H.subset(["x4"])
-    assert not lower_deficit(c, ops, policy="proper").defined
-    assert not upper_deficit(c, ops, policy="proper").defined
+    assert not lower_deficit(c, granulation, policy="proper").defined
+    assert not upper_deficit(c, granulation, policy="proper").defined
 
 
-def test_grades_examples(H, ops):
-    g = validity_grades(H.subset(["x4"]), ops, H)
+def test_grades_examples(H, granulation):
+    g = validity_grades(H.subset(["x4"]), granulation)
     assert g.lu_valid and g.l_pre_valid and g.u_pre_valid
     assert g.l_traceable and g.u_traceable
 
-    g = validity_grades(H.subset(["x2", "x4"]), ops, H)
+    g = validity_grades(H.subset(["x2", "x4"]), granulation)
     assert not g.lu_valid and not g.l_pre_valid and g.l_traceable
 
-    g = validity_grades(H.subset(["x1", "x2", "x3"]), ops, H)
+    g = validity_grades(H.subset(["x1", "x2", "x3"]), granulation)
     assert g.l_pre_valid and g.u_pre_valid
 
 
 def assert_grades_match_search(g: Granulation):
     """Both preimage grades equal the oracle's powerset search, per cluster."""
-    ops = OperatorSuite.from_granulation(g)
     granules = [frozenset(x.members()) for x in g]
     space = powerset(g.universe.elements)
     for c in g.universe.all_subsets():
-        grades = validity_grades(c, ops, g.universe)
+        grades = validity_grades(c, g)
         searched = o_pre_valid_search(frozenset(c.members()), granules, space)
         assert (grades.l_pre_valid, grades.u_pre_valid) == searched, (g, c)
 
@@ -99,35 +97,35 @@ def test_grades_match_search_on_random_granulations(g):
     assert_grades_match_search(g)
 
 
-def test_lu_valid_forces_empty_deficits(H, ops):
+def test_lu_valid_forces_empty_deficits(H, granulation):
     for c in H.all_subsets():
-        g = validity_grades(c, ops, H)
+        g = validity_grades(c, granulation)
         if g.lu_valid:
-            assert lower_deficit(c, ops).value == H.empty
-            assert upper_deficit(c, ops).value == H.empty
+            assert lower_deficit(c, granulation).value == H.empty
+            assert upper_deficit(c, granulation).value == H.empty
 
 
 def test_deficits_always_defined_under_subset_policy():
     for s in enumerate_structures(SearchSpec(n=3, budget=512)):
         covered = all(any(x in g for g in s.granulation) for x in s.universe.elements)
         for c in s.universe.all_subsets():
-            assert lower_deficit(c, s.ops).defined
+            assert lower_deficit(c, s.granulation).defined
             if covered:
-                assert upper_deficit(c, s.ops).defined
+                assert upper_deficit(c, s.granulation).defined
 
 
-def test_proposition_holds_for_every_subset(H, ops):
+def test_proposition_holds_for_every_subset(H, granulation):
     for c in H.all_subsets():
-        assert check_proposition(c, ops).status in ("holds", "vacuous")
+        assert check_proposition(c, granulation).status in ("holds", "vacuous")
 
 
-def test_proposition_vacuous_under_restrictive_policy(H, ops):
-    v = check_proposition(H.subset(["x4"]), ops, policy="proper")
+def test_proposition_vacuous_under_restrictive_policy(H, granulation):
+    v = check_proposition(H.subset(["x4"]), granulation, policy="proper")
     assert v.status == "vacuous"
 
 
-def test_validate_clustering_aggregates(H, ops, clustering):
-    report = validate_clustering(clustering, ops)
+def test_validate_clustering_aggregates(H, granulation, clustering):
+    report = validate_clustering(clustering, granulation)
     assert len(report.per_cluster) == 3
     assert not report.lu_valid and not report.l_pre_valid
     assert report.l_traceable and report.u_traceable
@@ -136,16 +134,16 @@ def test_validate_clustering_aggregates(H, ops, clustering):
     assert all(r.proposition.status == "holds" for r in report.per_cluster)
 
 
-def test_validate_clustering_rejects_operators_of_another_universe(ops):
+def test_validate_clustering_rejects_operators_of_another_universe(granulation):
     other = Universe(["x", "y", "z"])
     foreign = Clustering(other, [other.subset(["x", "y"])])
     with pytest.raises(UniverseMismatchError, match="clustering and operator"):
-        validate_clustering(foreign, ops)
+        validate_clustering(foreign, granulation)
 
 
-def test_validate_clustering_parallel_matches_serial(H, ops, clustering):
-    serial = validate_clustering(clustering, ops)
-    threaded = validate_clustering(clustering, ops, jobs=4)
+def test_validate_clustering_parallel_matches_serial(H, granulation, clustering):
+    serial = validate_clustering(clustering, granulation)
+    threaded = validate_clustering(clustering, granulation, jobs=4)
     assert serial == threaded
 
 
@@ -198,8 +196,8 @@ def test_compatibility_vacuous_for_single_cluster(H, delta_builtins):
     assert check_compatibility(lonely, delta_builtins["E2"]).status == "vacuous"
 
 
-def test_whole_universe_cluster_is_lu_valid(H, ops):
-    g = validity_grades(H.full, ops, H)
+def test_whole_universe_cluster_is_lu_valid(H, granulation):
+    g = validity_grades(H.full, granulation)
     assert g.lu_valid
 
 
