@@ -14,6 +14,7 @@ import tempfile
 from pathlib import Path
 
 from .config import parse_config
+from .delta import BUILTIN_DELTAS
 from .errors import BudgetError, MsslabError, ParseError
 from .pipeline import run_pipeline
 from .report import (
@@ -25,6 +26,7 @@ from .report import (
     to_json,
 )
 from .search import SearchSpec, find_witness
+from .structure import AXIOM_ORDER
 from .verdicts import DEFAULT_SEED
 
 EXIT_OK = 0
@@ -88,6 +90,10 @@ def _load_json(path: Path) -> dict:
             return json.load(handle)
     except FileNotFoundError:
         raise ParseError(f"no such file: {path}")
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read {path}: not UTF-8 text ({exc.reason})") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in {path}: line {exc.lineno}: {exc.msg}")
 
@@ -98,7 +104,12 @@ def _pick_seed(cli_seed, config_seed) -> int:
     if config_seed is not None:
         return config_seed
     env = os.environ.get("MSSLAB_SEED")
-    return int(env) if env else DEFAULT_SEED
+    if not env:
+        return DEFAULT_SEED
+    try:
+        return int(env)
+    except ValueError:
+        raise ParseError(f"expected an integer, got {env!r}", "MSSLAB_SEED") from None
 
 
 def _emit(report: dict, args) -> None:
@@ -129,11 +140,14 @@ def _is_names(value) -> bool:
     return isinstance(value, list) and all(isinstance(x, str) for x in value)
 
 
+# A search draws its predicate from a builtin or from a random table.
+SEARCH_DELTAS = BUILTIN_DELTAS + ("extensional",)
+
 # Each search-spec field: its default and what its value must be.
 _SPEC_FIELDS = {
     "n": (None, _is_int, "an integer"),
     "family": ("relations", lambda v: isinstance(v, str), "a string"),
-    "delta": ("E0", lambda v: isinstance(v, str), "a string"),
+    "delta": ("E0", lambda v: v in SEARCH_DELTAS, f"one of {', '.join(SEARCH_DELTAS)}"),
     "required": ([], _is_names, "a list of axiom names"),
     "forbidden": ([], _is_names, "a list of axiom names"),
     "budget": (10_000, _is_int, "an integer"),
@@ -160,6 +174,10 @@ def _parse_search_spec(spec_data: dict, cli_seed) -> SearchSpec:
         fields[name] = spec_data.get(name, default)
         if not valid(fields[name]):
             raise ParseError(f"expected {expected}", name)
+    for name in ("required", "forbidden"):
+        unknown = sorted(set(fields[name]) - set(AXIOM_ORDER))
+        if unknown:
+            raise ParseError(f"expected axiom names, got unknown {unknown}", name)
     fields["seed"] = _pick_seed(cli_seed, fields["seed"])
     fields["required"] = tuple(fields["required"])
     fields["forbidden"] = tuple(fields["forbidden"])

@@ -310,7 +310,10 @@ def check_axiom(
     """Verdict for a single named axiom over the structure.
 
     A law of ``THEOREMS`` whose slots are bound holds as a theorem, with
-    no instance checked; every other law is swept.
+    no instance checked. trans-1 is decided on per-``a`` rows of delta
+    (``delta.trans1_verdict``) when its 2³ⁿ delta calls fit ``budget``,
+    which makes it exhaustive up to n = 6 at the default budget. Every
+    other law, and trans-1 past that, is swept.
     """
     if axiom == "clos1":
         return unspecified(
@@ -324,6 +327,8 @@ def check_axiom(
         return deferred(axiom, f"unbound slots: {sorted(unbound)}")
     if axiom in THEOREMS:
         return theorem(axiom, THEOREMS[axiom])
+    if axiom == "trans-1" and (1 << s.universe.size) ** 3 <= budget:
+        return delta_mod.trans1_verdict(s.compiled.delta, s.universe)
     return sweep(
         axiom,
         s.universe,

@@ -238,6 +238,9 @@ PAPER_CONFIG = json.loads((Path(__file__).resolve().parent.parent / FIXTURE).rea
             {**PAPER_CONFIG, "relation": {**PAPER_CONFIG["relation"], "closure": "reflexive"}},
             "relation.closure",
         ),
+        ("search", {"n": 4, "required": ["no-such-law"]}, "required"),
+        ("search", {"n": 2, "forbidden": ["i-coh", "trans1"]}, "forbidden"),
+        ("search", {"n": 2, "delta": "E9"}, "delta"),
     ],
 )
 def test_mistyped_fields_are_parse_errors(repo_root, tmp_path, command, document, field):
@@ -246,6 +249,20 @@ def test_mistyped_fields_are_parse_errors(repo_root, tmp_path, command, document
     # the field is named and the value's type is rejected as a whole, not per character
     assert result.stderr.startswith(f"msslab: parse error: {field}: expected ")
     assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("command", ["validate", "search"])
+def test_unreadable_input_is_a_parse_error(repo_root, tmp_path, command):
+    result = run_cli(repo_root, command, str(tmp_path))
+    assert result.returncode == 1
+    assert result.stderr.startswith(f"msslab: parse error: cannot read {tmp_path}: ")
+    assert "Traceback" not in result.stderr
+
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"universe": ["\u00e9"]}'.encode("latin-1"))
+    result = run_cli(repo_root, command, str(latin1))
+    assert result.returncode == 1
+    assert result.stderr.startswith(f"msslab: parse error: cannot read {latin1}: ")
 
 
 def test_search_structure_matches_the_oracle_description(tmp_path):
@@ -298,6 +315,12 @@ def test_env_seed_is_honoured(repo_root):
     assert json.loads(result.stdout)["provenance"]["seed"] == 99
 
 
+def test_malformed_env_seed_is_a_parse_error(repo_root):
+    result = run_cli(repo_root, "validate", FIXTURE, env_extra={"MSSLAB_SEED": "abc"})
+    assert result.returncode == 1
+    assert result.stderr == "msslab: parse error: MSSLAB_SEED: expected an integer, got 'abc'\n"
+
+
 def test_output_file_matches_stdout(repo_root, tmp_path):
     out = tmp_path / "report.json"
     to_stdout = run_cli(repo_root, "validate", FIXTURE, "--seed", "7")
@@ -314,8 +337,8 @@ def test_output_file_matches_stdout(repo_root, tmp_path):
         ("check-axioms", FIXTURE, "paper-check-axioms.json"),
         ("validate", FIXTURE, "paper-validate.json"),
         ("pipeline", FIXTURE, "paper-pipeline.json"),
-        # trans-1 is sampled at n=5: it fails after a few draws under E1
-        # and is vacuous under the table, so every draw is pinned.
+        # Every law is exhaustive at n=5; trans-1 through its row kernel,
+        # failing under E1 and vacuous under the sparse table.
         ("check-axioms", N5_CONFIG, "n5-check-axioms.json"),
     ],
 )
@@ -326,8 +349,10 @@ def test_reports_match_golden_bytes(repo_root, command, config, golden):
 
 
 def test_unseeded_sampled_runs_repeat(repo_root, tmp_path):
+    # At n=7 trans-1 is past the row kernel's budget and is sampled; under
+    # E0 every sampled law fails within a few draws.
     config = write_config(
-        tmp_path, {"universe": [f"x{i + 1}" for i in range(5)], "delta": ["E1"]}
+        tmp_path, {"universe": [f"x{i + 1}" for i in range(7)], "delta": ["E0"]}
     )
     first = run_cli(repo_root, "check-axioms", str(config))
     second = run_cli(repo_root, "check-axioms", str(config))
@@ -335,7 +360,7 @@ def test_unseeded_sampled_runs_repeat(repo_root, tmp_path):
     assert first.stdout == second.stdout
     report = json.loads(first.stdout)
     assert report["provenance"]["seed"] == 0
-    trans = {v["axiom"]: v for v in report["axioms"]["per_delta"]["E1"]}["trans-1"]
+    trans = {v["axiom"]: v for v in report["axioms"]["per_delta"]["E0"]}["trans-1"]
     assert trans["mode"] == "sampled" and trans["seed"] == 0
 
 

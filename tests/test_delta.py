@@ -1,8 +1,9 @@
 import itertools
+import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from msslab import (
     ConfigurationError,
@@ -15,8 +16,9 @@ from msslab import (
     assemble,
     check_def_compat,
 )
-from msslab.delta import SUM_AXIOMS
+from msslab.delta import BUILTIN_DELTAS, SUM_AXIOMS, coherence_evaluator, trans1_verdict
 from msslab.structure import axiom_instance, check_axiom
+from msslab.verdicts import sweep
 
 
 def coherence(d, axiom):
@@ -219,3 +221,82 @@ def test_unknown_axiom_and_mode_rejected(H, delta_builtins):
 def test_nearness_table_must_be_total(H):
     with pytest.raises(ConfigurationError):
         NearnessMap.from_table(H, {(0, 0): 0})
+
+
+def swept_trans1(d):
+    """trans-1 swept tuple by tuple over the whole space, whatever its size."""
+    evaluator = coherence_evaluator(d.masked(), "trans-1")
+    return sweep("trans-1", d.universe, 4, evaluator, budget=math.inf)
+
+
+def test_trans1_kernel_matches_the_sweep_on_all_three_element_granulations(
+    three_element_granulations,
+):
+    for g in three_element_granulations:
+        for name in BUILTIN_DELTAS:
+            d = DeltaPredicate.builtin(name, g.universe, g)
+            assert trans1_verdict(d.masked(), d.universe) == swept_trans1(d), (name, g)
+
+
+def table(n, triples):
+    return DeltaPredicate.extensional_from_masks(Universe([f"x{i+1}" for i in range(n)]), triples)
+
+
+@st.composite
+def extensional_tables(draw):
+    """Sparse tables, where trans-1 tends to hold or be vacuous, and their
+    dense complements, where it tends to fail."""
+    n = draw(st.integers(1, 3))
+    top = 1 << n
+    element = st.integers(0, top - 1)
+    triples = draw(st.sets(st.tuples(element, element, element)))
+    if draw(st.booleans()):
+        triples = set(itertools.product(range(top), repeat=3)) - triples
+    return table(n, triples)
+
+
+@settings(max_examples=150, deadline=None)
+@example(table(3, []))
+@example(table(3, itertools.product(range(8), repeat=3)))
+# b=1, c=2: row e=0 holds b but not c, so the witness's e is 3, not 0
+@example(table(2, [(0, 0, 1), (0, 1, 2), (0, 3, 1), (0, 3, 2)]))
+@given(extensional_tables())
+def test_trans1_kernel_matches_the_sweep_on_extensional_tables(d):
+    assert trans1_verdict(d.masked(), d.universe) == swept_trans1(d)
+
+
+def test_trans1_kernel_matches_the_sweep_on_the_paper_deltas(delta_builtins):
+    for d in delta_builtins.values():
+        assert trans1_verdict(d.masked(), d.universe) == swept_trans1(d), d
+
+
+def five_element_structure(delta_name):
+    u = Universe([f"x{i+1}" for i in range(5)])
+    if delta_name == "self-nearness":
+        singletons = [1 << i for i in range(5)]
+        triples = [(x, x, y) for x in singletons for y in singletons if x != y]
+        return assemble(u, delta=DeltaPredicate.extensional_from_masks(u, triples))
+    return assemble(u, delta=DeltaPredicate.builtin(delta_name, u))
+
+
+def test_trans1_is_exhaustive_at_five_elements():
+    v = check_axiom(five_element_structure("E1"), "trans-1")
+    assert (v.status, v.mode, v.seed, v.instances_checked) == ("fails", "exhaustive", None, 1121)
+    assert [w.mask for w in v.witnesses[0]] == [0, 1, 3, 0]
+    v = check_axiom(five_element_structure("self-nearness"), "trans-1")
+    assert (v.status, v.mode, v.seed, v.instances_checked) == ("vacuous", "exhaustive", None, 32**4)
+
+
+def test_trans1_kernel_runs_when_its_work_fits_the_budget():
+    s = five_element_structure("E1")
+    assert check_axiom(s, "trans-1", budget=32**3).mode == "exhaustive"
+    sampled = check_axiom(s, "trans-1", budget=32**3 - 1, seed=3)
+    assert (sampled.mode, sampled.seed) == ("sampled", 3)
+
+
+def test_trans1_is_still_sampled_at_seven_elements():
+    u = Universe([f"x{i+1}" for i in range(7)])
+    d = DeltaPredicate.builtin("E0", u)
+    v = check_axiom(assemble(u, delta=d), "trans-1")
+    assert v.mode == "sampled" and v.seed == 0
+    assert v == sweep("trans-1", u, 4, coherence_evaluator(d.masked(), "trans-1"))
