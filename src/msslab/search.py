@@ -1,8 +1,11 @@
 """Finite model search: enumerate small structures, hunt for axiom combinations.
 
-Relations on up to three elements are enumerated exhaustively; extensional
-predicate tables are always sampled (their count is doubly exponential),
-with the seed fixing the stream.
+Relations on up to four elements are enumerated exhaustively, and ``budget``
+counts labelled relations. Under a builtin δ every verdict a search asks for
+depends on the relation only through its set of granule masks, so each
+granule set is verified once. Extensional predicate tables are always
+sampled (their count is doubly exponential), with the seed fixing the
+stream.
 """
 
 from __future__ import annotations
@@ -11,14 +14,14 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .delta import DeltaPredicate
-from .errors import BudgetError, MsslabError
+from .delta import BUILTIN_DELTAS, EXTENSIONAL_TABLE_LIMIT, DeltaPredicate
+from .errors import BudgetError, MsslabError, ParseError
 from .granules import BinaryRelation, Granulation, predecessor_granulation
 from .sets import Universe
 from .structure import MssStructure, assemble, verify
 
 FAMILIES = ("relations", "extensional-deltas", "granulations")
-RELATION_EXHAUSTIVE_LIMIT = 3
+RELATION_EXHAUSTIVE_LIMIT = 4
 
 
 @dataclass(frozen=True)
@@ -40,6 +43,13 @@ class SearchSpec:
             raise MsslabError("budget must be positive")
         if self.n < 1:
             raise MsslabError("universe size must be at least 1")
+        # Refused before any table is drawn: a table draws 2**(3n) values.
+        extensional = self.delta == "extensional" or self.family == "extensional-deltas"
+        if extensional and self.n > EXTENSIONAL_TABLE_LIMIT:
+            raise ParseError(
+                f"extensional tables admitted only for universes of size <= {EXTENSIONAL_TABLE_LIMIT}",
+                "n",
+            )
 
 
 def _universe(n: int) -> Universe:
@@ -72,7 +82,7 @@ def enumerate_structures(spec: SearchSpec) -> Iterator[MssStructure]:
         if spec.exhaustive:
             if spec.n > RELATION_EXHAUSTIVE_LIMIT or total > spec.budget:
                 raise BudgetError(
-                    f"exhaustive relation search needs {total} structures "
+                    f"exhaustive relation search needs 2**{spec.n * spec.n} structures "
                     f"(limit n <= {RELATION_EXHAUSTIVE_LIMIT}, budget {spec.budget})",
                     required=total,
                 )
@@ -92,13 +102,15 @@ def enumerate_structures(spec: SearchSpec) -> Iterator[MssStructure]:
         return
 
     if spec.family == "granulations":
-        candidates = [universe.from_mask(m) for m in range(1, 1 << spec.n)]
-        total = 1 << len(candidates)
+        width = (1 << spec.n) - 1  # one bit per nonempty candidate granule
+        total = 1 << width
         if spec.exhaustive and total > spec.budget:
             raise BudgetError(
-                f"exhaustive granulation search needs {total} structures",
+                f"exhaustive granulation search needs 2**{width} structures "
+                f"(budget {spec.budget})",
                 required=total,
             )
+        candidates = [universe.from_mask(m) for m in range(1, 1 << spec.n)]
         picks = (
             range(total)
             if spec.exhaustive
@@ -128,16 +140,27 @@ def enumerate_structures(spec: SearchSpec) -> Iterator[MssStructure]:
 def find_witness(spec: SearchSpec) -> tuple[Optional[MssStructure], int]:
     """First enumerated structure meeting every required axiom and breaking
     every forbidden one (None when the stream runs out), with the number of
-    structures examined."""
+    structures examined.
+
+    Under a builtin δ the verdicts depend only on the set of granule masks
+    (l, u and δ are unions of granules read in any order), so a granule set
+    that failed once is counted again but not verified again. Extensional
+    tables are drawn per structure and always verified."""
     axioms = list(spec.required) + list(spec.forbidden)
     examined = 0
+    rejected = set()
     for s in enumerate_structures(spec):
         examined += 1
+        key = frozenset(s.granulation.masks()) if s.delta.kind in BUILTIN_DELTAS else None
+        if key in rejected:
+            continue
         verdicts = {v.axiom: v for v in verify(s, axioms)}
         if all(verdicts[a].passed for a in spec.required) and all(
             verdicts[a].failed for a in spec.forbidden
         ):
             return s, examined
+        if key is not None:
+            rejected.add(key)
     return None, examined
 
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -203,6 +204,38 @@ def test_search_budget_exceeded_exit_code(repo_root, tmp_path):
     result = run_cli(repo_root, "search", str(spec))
     assert result.returncode == 3
     assert "budget" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "document, count",
+    [({"n": 120}, "2**14400"), ({"n": 14, "family": "granulations"}, "2**16383")],
+)
+def test_astronomical_search_counts_are_written_as_powers(repo_root, tmp_path, document, count):
+    # In decimal these counts pass Python's 4300-digit conversion limit.
+    result = run_cli(repo_root, "search", str(write_config(tmp_path, document)))
+    assert result.returncode == 3
+    assert result.stderr.startswith("msslab: budget exceeded: ")
+    assert f"needs {count} structures" in result.stderr
+    assert len(result.stderr) < 300
+
+
+@pytest.mark.parametrize(
+    "document",
+    [{"n": 10, "family": "extensional-deltas"}, {"n": 10, "delta": "extensional"}],
+)
+def test_oversized_extensional_search_is_refused_before_drawing(repo_root, tmp_path, document):
+    from msslab.cli import _search_report
+    from msslab.errors import ParseError
+
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as err:
+        _search_report(document, 0)
+    # Drawing a table at n = 10 takes 2**30 draws, which would run for minutes.
+    assert time.perf_counter() - start < 1.0
+    assert str(err.value) == "n: extensional tables admitted only for universes of size <= 6"
+    result = run_cli(repo_root, "search", str(write_config(tmp_path, document)))
+    assert result.returncode == 1
+    assert result.stderr == f"msslab: parse error: {err.value}\n"
 
 
 def test_search_finds_and_serializes_a_witness(repo_root, tmp_path):

@@ -11,6 +11,7 @@ from msslab import (
     SumOperation,
     Universe,
     assemble,
+    search,
 )
 from msslab.delta import BUILTIN_DELTAS
 from msslab.oracles import (
@@ -100,6 +101,102 @@ def test_find_witness_finds_inclusion_inner_coherence():
 def test_find_witness_trans1_with_proper_inclusion_has_no_model():
     spec = SearchSpec(n=2, delta="E1", required=("trans-1",), budget=100)
     assert find_witness(spec) == (None, 16)
+
+
+# (required, forbidden) profiles for the memo against the plain loop. Under
+# E2, ("n-coh",)/("trans-1",) is met first by the 12th relation and
+# ("strict-n-coh",)/("n-coh",) by the 11th, both after repeated granule sets;
+# the theorem UL1 never fails, so forbidding it finds nothing.
+MEMO_PROFILES = [
+    ((), ("UL1",)),
+    (("i-coh",), ()),
+    (("i-coh",), ("n-coh",)),
+    (("n-coh",), ("trans-1",)),
+    (("strict-n-coh",), ("n-coh",)),
+    (("strict-n-coh",), ("i-coh-2",)),
+    (("n-coh", "i-coh-2"), ("i-coh", "trans-1")),
+    (("trans-1",), ("i-coh",)),
+]
+
+
+@pytest.fixture(scope="module")
+def plain_three_element_verdicts():
+    """Every n=3 relation under each builtin δ, verified one by one with no memo."""
+    laws = sorted({a for required, forbidden in MEMO_PROFILES for a in required + forbidden})
+    return {
+        name: [
+            (s.granulation.masks(), {v.axiom: v for v in verify(s, laws)})
+            for s in enumerate_structures(SearchSpec(n=3, delta=name, budget=512))
+        ]
+        for name in BUILTIN_DELTAS
+    }
+
+
+@pytest.mark.parametrize("name", BUILTIN_DELTAS)
+@pytest.mark.parametrize("required, forbidden", MEMO_PROFILES)
+def test_memoised_search_matches_the_plain_loop(
+    plain_three_element_verdicts, name, required, forbidden
+):
+    rows = plain_three_element_verdicts[name]
+    expected = next(
+        (
+            (masks, examined)
+            for examined, (masks, v) in enumerate(rows, 1)
+            if all(v[a].passed for a in required) and all(v[a].failed for a in forbidden)
+        ),
+        (None, len(rows)),
+    )
+    spec = SearchSpec(n=3, delta=name, required=required, forbidden=forbidden, budget=512)
+    found, examined = find_witness(spec)
+    assert (None if found is None else found.granulation.masks(), examined) == expected
+
+
+def count_verify_calls(monkeypatch):
+    calls = []
+
+    def counting(s, axioms):
+        calls.append(s)
+        return verify(s, axioms)
+
+    monkeypatch.setattr(search, "verify", counting)
+    return calls
+
+
+def test_each_granule_set_is_verified_once(monkeypatch):
+    # the search-n3 benchmark spec: 512 relations, 64 granule sets
+    calls = count_verify_calls(monkeypatch)
+    spec = SearchSpec(
+        n=3,
+        delta="E2",
+        required=("i-coh-2", "strict-n-coh", "n-coh"),
+        forbidden=("UL1", "UL2"),
+    )
+    assert find_witness(spec) == (None, 512)
+    assert len(calls) == 64
+
+
+def test_extensional_tables_are_verified_every_time(monkeypatch):
+    calls = count_verify_calls(monkeypatch)
+    spec = SearchSpec(
+        n=2,
+        family="extensional-deltas",
+        required=("strict-n-coh",),
+        forbidden=("i-coh-2",),
+        budget=40,
+        seed=3,
+    )
+    assert find_witness(spec) == (None, 40)
+    assert len(calls) == 40
+
+
+def test_exhaustive_relation_search_covers_four_elements():
+    spec = SearchSpec(
+        n=4, delta="uE1", required=("i-coh-2",), forbidden=("trans-1",), budget=1 << 16
+    )
+    assert find_witness(spec) == (None, 1 << 16)
+    with pytest.raises(BudgetError) as err:
+        next(enumerate_structures(SearchSpec(n=5, budget=1 << 25)))
+    assert err.value.required == 1 << 25
 
 
 def test_oracle_claims_on_the_example(H, granulation, delta_builtins):
