@@ -96,6 +96,9 @@ def _load_json(path: Path) -> dict:
         raise ParseError(f"cannot read {path}: not UTF-8 text ({exc.reason})") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in {path}: line {exc.lineno}: {exc.msg}")
+    except ValueError as exc:
+        # json raises a bare ValueError for an integer past the interpreter's digit limit
+        raise ParseError(f"invalid JSON in {path}: {exc}") from exc
 
 
 def _pick_seed(cli_seed, config_seed) -> int:

@@ -4,7 +4,9 @@ A nearness predicate reads "a is closer to b than to c". Built-in
 definitions compare unions or approximations of unions under inclusion;
 extensional predicates are given by an explicit triple table. The
 coherence and sum laws are evaluated here on masks and swept by
-``structure.check_axiom``; def-compatibility is checked here.
+``structure.check_axiom``, which decides the laws of ``CUBE_AXIOMS`` on
+the predicate's cube of rows (``DeltaPredicate.plane``) instead whenever
+it fits its budget; def-compatibility is checked here.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ SUM_ARITY = {
 }
 COHERENCE_AXIOMS = tuple(COHERENCE_ARITY)
 SUM_AXIOMS = tuple(SUM_ARITY)
+# The laws decided on the rows of delta, in 2³ⁿ calls of delta shared by all.
+CUBE_AXIOMS = ("n-coh", "strict-n-coh", "trans-1", "delta-sum1", "delta-sum2", "delta-sum3")
 
 EXTENSIONAL_TABLE_LIMIT = 6
 
@@ -78,7 +82,7 @@ class DeltaPredicate:
     predicate on subsets encodes them and evaluates that definition.
     """
 
-    __slots__ = ("universe", "kind", "granulation", "nearness", "table", "_masked")
+    __slots__ = ("universe", "kind", "granulation", "nearness", "table", "_masked", "_cube")
 
     def __init__(self, universe, kind, granulation=None, nearness=None, table=None):
         self.universe = universe
@@ -87,6 +91,7 @@ class DeltaPredicate:
         self.nearness = nearness
         self.table = table
         self._masked = None
+        self._cube = None
 
     @classmethod
     def builtin(
@@ -157,6 +162,29 @@ class DeltaPredicate:
             table = self.table
             return lambda a, b, c: (a, b, c) in table
         raise ConfigurationError(f"unknown delta kind {self.kind!r}")
+
+    def plane(self, a: int) -> tuple[list[int], list[int]]:
+        """Plane ``a`` of the predicate's cube, ``(rows, cols)``, built at its
+        first call and kept.
+
+        ``rows[b]`` is the mask of every c with d(a, b, c) and ``cols[b]``
+        the mask of every c with d(a, c, b). One pass of 2²ⁿ calls of
+        ``masked()`` fills both, so the whole cube costs 2³ⁿ calls, shared
+        by every law that reads it.
+        """
+        if self._cube is None:
+            self._cube = [None] * (1 << self.universe.size)
+        if self._cube[a] is None:
+            d, top = self.masked(), len(self._cube)
+            bits = [1 << c for c in range(top)]
+            rows = [sum(bit for c, bit in enumerate(bits) if d(a, b, c)) for b in range(top)]
+            # cols is rows transposed as a bit matrix: written as binary
+            # strings, most significant bit first, in reverse order, the rows
+            # give zip the columns cols[top - 1], ..., cols[0].
+            width = f"0{top}b"
+            columns = zip(*(format(row, width) for row in reversed(rows)))
+            self._cube[a] = rows, [int("".join(col), 2) for col in columns][::-1]
+        return self._cube[a]
 
     def __call__(self, a: Subset, b: Subset, c: Subset) -> bool:
         return self.masked()(*encode(self.universe, (a, b, c)))
@@ -250,8 +278,8 @@ def coherence_evaluator(d: Callable[[int, int, int], bool], axiom: str):
     raise MsslabError(f"unknown coherence axiom {axiom!r}")
 
 
-def trans1_verdict(d: Callable[[int, int, int], bool], universe: Universe) -> Verdict:
-    """trans-1 decided exactly on per-``a`` rows of ``d``, in 2³ⁿ calls of ``d``.
+def trans1_verdict(d: DeltaPredicate) -> Verdict:
+    """trans-1 decided exactly on the rows of ``d`` (``d.plane``).
 
     For each ``a`` in turn, ``rows[b]`` is the mask of every ``c`` with
     d(a, b, c). The instance (a, b, c, e) is violated when c lies in
@@ -261,11 +289,12 @@ def trans1_verdict(d: Callable[[int, int, int], bool], universe: Universe) -> Ve
     least violating tuple as witness, its rank + 1 as the count, and
     holds/vacuous by whether any instance has a true antecedent.
     """
+    universe = d.universe
     top = 1 << universe.size
     bits = [1 << c for c in range(top)]
     substantive = False
     for a in range(top):
-        rows = [sum(bit for c, bit in enumerate(bits) if d(a, b, c)) for b in range(top)]
+        rows = d.plane(a)[0]
         reach = [0] * top
         for row in rows:
             rest = row
@@ -352,6 +381,80 @@ def sum_evaluator(
 
         return delta_sum3
     raise MsslabError(f"unknown sum axiom {axiom!r}")
+
+
+def cube_verdict(
+    axiom: str, d: DeltaPredicate, s: Optional[Callable[[int, int], int]] = None
+) -> Verdict:
+    """A law of ``CUBE_AXIOMS`` decided exactly on the rows of ``d``.
+
+    ``s`` is the sum on masks, for the delta-sum laws. For each (a, b),
+    with ``rows[a], cols[a] = d.plane(a)`` and ``row = rows[a][b]``, the
+    mask of violating c is:
+
+    - n-coh: ``row & ~rows[b][a]``;
+    - strict-n-coh: ``row & cols[a][b]``;
+    - delta-sum1: ``row & ~rows[s(a, a)][b]``, where s(a, a) is defined;
+    - delta-sum2: ``row & ~rows[a][s(b, b)]``, where s(b, b) is defined;
+    - delta-sum3: the c in ``row`` whose s(c, c) is defined and not in ``row``.
+
+    The verdict is the exhaustive sweep's: the least violating (a, b, c)
+    as witness, its rank + 1 as the count, and holds/vacuous by whether
+    any instance has a true antecedent (and a defined squared sum).
+    """
+    if axiom == "trans-1":
+        return trans1_verdict(d)
+    top = 1 << d.universe.size
+    rows, cols = zip(*map(d.plane, range(top)))
+    diag = [s(x, x) for x in range(top)] if axiom in SUM_ARITY else None
+    if axiom == "n-coh":
+
+        def cell(a, b, row):
+            return row, row & ~rows[b][a]
+
+    elif axiom == "strict-n-coh":
+
+        def cell(a, b, row):
+            return row, row & cols[a][b]
+
+    elif axiom == "delta-sum1":
+
+        def cell(a, b, row):
+            aa = diag[a]
+            return (0, 0) if aa == UNDEFINED else (row, row & ~rows[aa][b])
+
+    elif axiom == "delta-sum2":
+
+        def cell(a, b, row):
+            bb = diag[b]
+            return (0, 0) if bb == UNDEFINED else (row, row & ~rows[a][bb])
+
+    elif axiom == "delta-sum3":
+        defined = sum(1 << c for c, cc in enumerate(diag) if cc != UNDEFINED)
+        # A c that s(c, c) keeps never violates, so only the moved c are read.
+        moves = [(c, cc) for c, cc in enumerate(diag) if cc not in (UNDEFINED, c)]
+
+        def cell(a, b, row):
+            moved_out = (1 << c for c, cc in moves if row >> c & 1 and not row >> cc & 1)
+            return row & defined, sum(moved_out) if moves else 0
+
+    else:
+        raise MsslabError(f"axiom {axiom!r} is not decided on the delta cube")
+
+    substantive = False
+    for a, rows_a in enumerate(rows):
+        for b, row in enumerate(rows_a):
+            live, bad = cell(a, b, row)
+            if bad:
+                c = (bad & -bad).bit_length() - 1
+                return Verdict(
+                    axiom,
+                    FAILS,
+                    witnesses=(tuple(map(d.universe.from_mask, (a, b, c))),),
+                    instances_checked=(a * top + b) * top + c + 1,
+                )
+            substantive = substantive or bool(live)
+    return Verdict(axiom, HOLDS if substantive else VACUOUS, instances_checked=top**3)
 
 
 def _def_compat_evaluator(d, f, mode: str):

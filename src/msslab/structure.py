@@ -310,10 +310,12 @@ def check_axiom(
     """Verdict for a single named axiom over the structure.
 
     A law of ``THEOREMS`` whose slots are bound holds as a theorem, with
-    no instance checked. trans-1 is decided on per-``a`` rows of delta
-    (``delta.trans1_verdict``) when its 2³ⁿ delta calls fit ``budget``,
-    which makes it exhaustive up to n = 6 at the default budget. Every
-    other law, and trans-1 past that, is swept.
+    no instance checked. The laws of ``delta.CUBE_AXIOMS`` (n-coh,
+    strict-n-coh, trans-1 and delta-sum1..3) are decided on the rows of
+    delta (``delta.cube_verdict``) when their 2³ⁿ delta calls, shared
+    through ``DeltaPredicate.plane``, fit ``budget``: up to n = 6 at the
+    default budget, the same verdicts an exhaustive sweep gives. Every
+    other law, and those laws past that budget, is swept.
     """
     if axiom == "clos1":
         return unspecified(
@@ -327,8 +329,8 @@ def check_axiom(
         return deferred(axiom, f"unbound slots: {sorted(unbound)}")
     if axiom in THEOREMS:
         return theorem(axiom, THEOREMS[axiom])
-    if axiom == "trans-1" and (1 << s.universe.size) ** 3 <= budget:
-        return delta_mod.trans1_verdict(s.compiled.delta, s.universe)
+    if axiom in delta_mod.CUBE_AXIOMS and (1 << s.universe.size) ** 3 <= budget:
+        return delta_mod.cube_verdict(axiom, s.delta, s.compiled.sum)
     return sweep(
         axiom,
         s.universe,

@@ -88,8 +88,11 @@ def sweep(
     larger space is sampled with ``budget`` tuples, each element drawn by
     ``Random(seed).randrange(2**n)`` in turn (seed ``DEFAULT_SEED`` when
     none is given). With the default budget every law of arity ≤ 3 is
-    exhaustive up to n = 6; trans-1, of arity 4, reaches n = 6 through
-    ``delta.trans1_verdict`` instead of this sweep.
+    exhaustive up to n = 6. ``structure.check_axiom`` decides n-coh,
+    strict-n-coh, trans-1 and delta-sum1..3 on the delta cube
+    (``delta.cube_verdict``) instead of this sweep whenever (2ⁿ)³ ≤
+    ``budget``, with the verdict this sweep would give exhaustively;
+    trans-1, of arity 4, reaches n = 6 that way.
     """
     top = 1 << universe.size
     total = top**arity

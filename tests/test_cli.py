@@ -15,6 +15,7 @@ from msslab.report import replay_failures, render_text, to_json
 FIXTURE = "examples/paper-example.json"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 N5_CONFIG = "tests/golden/n5-config.json"
+N6_CONFIG = "tests/golden/n6-config.json"
 
 
 def run_cli(repo_root, *args, env_extra=None):
@@ -298,6 +299,19 @@ def test_unreadable_input_is_a_parse_error(repo_root, tmp_path, command):
     assert result.stderr.startswith(f"msslab: parse error: cannot read {latin1}: ")
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no integer digit limit in this Python"
+)
+@pytest.mark.parametrize("command", ["validate", "search"])
+def test_integer_past_the_digit_limit_is_a_parse_error(repo_root, tmp_path, command):
+    path = tmp_path / "huge.json"
+    path.write_text('{"n": 2, "budget": ' + "9" * 5000 + "}", encoding="utf-8")
+    result = run_cli(repo_root, command, str(path))
+    assert result.returncode == 1
+    assert result.stderr.startswith(f"msslab: parse error: invalid JSON in {path}: ")
+    assert "Traceback" not in result.stderr
+
+
 def test_search_structure_matches_the_oracle_description(tmp_path):
     from msslab.cli import _search_report
     from msslab.oracles import StructureDescription
@@ -373,6 +387,8 @@ def test_output_file_matches_stdout(repo_root, tmp_path):
         # Every law is exhaustive at n=5; trans-1 through its row kernel,
         # failing under E1 and vacuous under the sparse table.
         ("check-axioms", N5_CONFIG, "n5-check-axioms.json"),
+        # Every delta law does its full 2^18 work at n=6, four builtin deltas.
+        ("check-axioms", N6_CONFIG, "n6-check-axioms.json"),
     ],
 )
 def test_reports_match_golden_bytes(repo_root, command, config, golden):
@@ -425,7 +441,7 @@ def schema_validator(repo_root, name):
 
 def test_reports_and_configs_match_the_schemas(repo_root, tmp_path):
     config_schema = schema_validator(repo_root, "config.schema.json")
-    for path in (FIXTURE, N5_CONFIG):
+    for path in (FIXTURE, N5_CONFIG, N6_CONFIG):
         with open(repo_root / path, encoding="utf-8") as handle:
             config_schema.validate(json.load(handle))
 
@@ -437,7 +453,7 @@ def test_reports_and_configs_match_the_schemas(repo_root, tmp_path):
     reports = [json.loads(search.stdout)] + [
         json.loads(path.read_text(encoding="utf-8"))
         for path in sorted(GOLDEN.glob("*.json"))
-        if path.name != Path(N5_CONFIG).name
+        if not path.name.endswith("-config.json")
     ]
     assert {r["command"] for r in reports} == {"check-axioms", "validate", "pipeline", "search"}
     report_schema = schema_validator(repo_root, "report.schema.json")

@@ -16,7 +16,18 @@ from msslab import (
     assemble,
     check_def_compat,
 )
-from msslab.delta import BUILTIN_DELTAS, SUM_AXIOMS, coherence_evaluator, trans1_verdict
+from msslab.config import parse_config
+from msslab.delta import (
+    BUILTIN_DELTAS,
+    COHERENCE_ARITY,
+    CUBE_AXIOMS,
+    SUM_ARITY,
+    SUM_AXIOMS,
+    coherence_evaluator,
+    cube_verdict,
+    sum_evaluator,
+    trans1_verdict,
+)
 from msslab.structure import axiom_instance, check_axiom
 from msslab.verdicts import sweep
 
@@ -223,10 +234,14 @@ def test_nearness_table_must_be_total(H):
         NearnessMap.from_table(H, {(0, 0): 0})
 
 
-def swept_trans1(d):
-    """trans-1 swept tuple by tuple over the whole space, whatever its size."""
-    evaluator = coherence_evaluator(d.masked(), "trans-1")
-    return sweep("trans-1", d.universe, 4, evaluator, budget=math.inf)
+def swept(d, axiom, s=None, **kwargs):
+    """One delta law swept tuple by tuple, over the whole space unless
+    ``kwargs`` give a budget."""
+    if axiom in COHERENCE_ARITY:
+        evaluator, arity = coherence_evaluator(d.masked(), axiom), COHERENCE_ARITY[axiom]
+    else:
+        evaluator, arity = sum_evaluator(d.masked(), s.masked(), axiom), SUM_ARITY[axiom]
+    return sweep(axiom, d.universe, arity, evaluator, **{"budget": math.inf, **kwargs})
 
 
 def test_trans1_kernel_matches_the_sweep_on_all_three_element_granulations(
@@ -235,7 +250,7 @@ def test_trans1_kernel_matches_the_sweep_on_all_three_element_granulations(
     for g in three_element_granulations:
         for name in BUILTIN_DELTAS:
             d = DeltaPredicate.builtin(name, g.universe, g)
-            assert trans1_verdict(d.masked(), d.universe) == swept_trans1(d), (name, g)
+            assert trans1_verdict(d) == swept(d, "trans-1"), (name, g)
 
 
 def table(n, triples):
@@ -262,12 +277,12 @@ def extensional_tables(draw):
 @example(table(2, [(0, 0, 1), (0, 1, 2), (0, 3, 1), (0, 3, 2)]))
 @given(extensional_tables())
 def test_trans1_kernel_matches_the_sweep_on_extensional_tables(d):
-    assert trans1_verdict(d.masked(), d.universe) == swept_trans1(d)
+    assert trans1_verdict(d) == swept(d, "trans-1")
 
 
 def test_trans1_kernel_matches_the_sweep_on_the_paper_deltas(delta_builtins):
     for d in delta_builtins.values():
-        assert trans1_verdict(d.masked(), d.universe) == swept_trans1(d), d
+        assert trans1_verdict(d) == swept(d, "trans-1"), d
 
 
 def five_element_structure(delta_name):
@@ -300,3 +315,114 @@ def test_trans1_is_still_sampled_at_seven_elements():
     v = check_axiom(assemble(u, delta=d), "trans-1")
     assert v.mode == "sampled" and v.seed == 0
     assert v == sweep("trans-1", u, 4, coherence_evaluator(d.masked(), "trans-1"))
+
+
+# The laws the cube decides besides trans-1, which the tests above cover.
+ARITY3_CUBE_AXIOMS = tuple(a for a in CUBE_AXIOMS if a != "trans-1")
+
+
+def assert_cube_matches_the_sweep(d, s, label=None):
+    for axiom in ARITY3_CUBE_AXIOMS:
+        law_sum = s if axiom in SUM_ARITY else None
+        mask_sum = law_sum.masked() if law_sum is not None else None
+        assert cube_verdict(axiom, d, mask_sum) == swept(d, axiom, law_sum), (axiom, label)
+
+
+def test_cube_matches_the_sweep_on_all_three_element_granulations(
+    three_element_granulations,
+):
+    for g in three_element_granulations:
+        sums = (SumOperation.total_union(g.universe), SumOperation.granular(g))
+        for name in BUILTIN_DELTAS:
+            d = DeltaPredicate.builtin(name, g.universe, g)
+            for s in sums:
+                assert_cube_matches_the_sweep(d, s, (name, s.mode, g))
+
+
+@st.composite
+def tables_with_partial_sums(draw):
+    """An extensional table and a partial sum; only the sum's diagonal
+    matters to the delta-sum laws, and it is drawn to be undefined, to
+    keep c, or to move c elsewhere."""
+    d = draw(extensional_tables())
+    top = 1 << d.universe.size
+    diagonal = draw(st.lists(st.none() | st.integers(0, top - 1), min_size=top, max_size=top))
+    table = {(c, c): cc for c, cc in enumerate(diagonal) if cc is not None}
+    return d, SumOperation.extensional(d.universe, table)
+
+
+@settings(max_examples=150, deadline=None)
+# s(0, 0) = 1 moves 0 off the row {0} of (0, 0): delta-sum3 fails at (0, 0, 0)
+@example((table(1, [(0, 0, 0)]), SumOperation.extensional(Universe(["x1"]), {(0, 0): 1})))
+# s(1, 1) = 0 moves 1 into the row {0, 1} of (0, 0): delta-sum3 holds
+@example(
+    (table(1, [(0, 0, 0), (0, 0, 1)]), SumOperation.extensional(Universe(["x1"]), {(1, 1): 0}))
+)
+@given(tables_with_partial_sums())
+def test_cube_matches_the_sweep_on_extensional_tables_and_sums(case):
+    assert_cube_matches_the_sweep(*case)
+
+
+def test_cube_matches_the_sweep_on_the_paper_deltas(H, granulation, delta_builtins):
+    for d in delta_builtins.values():
+        for s in (SumOperation.total_union(H), SumOperation.granular(granulation)):
+            assert_cube_matches_the_sweep(d, s, (d, s))
+
+
+def test_cube_runs_exactly_when_its_work_fits_the_budget():
+    u = Universe([f"x{i+1}" for i in range(5)])
+    g = Granulation(u, [u.from_mask(0b00011), u.from_mask(0b00110), u.from_mask(0b11000)])
+    s = SumOperation.granular(g)
+    for name in BUILTIN_DELTAS:
+        structure = assemble(u, granulation=g, delta=DeltaPredicate.builtin(name, u, g), sum=s)
+        for axiom in ARITY3_CUBE_AXIOMS:
+            law_sum = s if axiom in SUM_ARITY else None
+            exhaustive = check_axiom(structure, axiom, budget=32**3)
+            assert exhaustive == swept(structure.delta, axiom, law_sum), (name, axiom)
+            sampled = check_axiom(structure, axiom, budget=32**3 - 1, seed=3)
+            assert sampled.mode == "sampled"
+            assert sampled == swept(structure.delta, axiom, law_sum, budget=32**3 - 1, seed=3)
+
+
+def n5_sampled_config():
+    """The shape of the n5-sampled benchmark input: E1 and self-nearness
+    on a two-component tolerance of five elements, with the granular sum."""
+    names = [f"x{i+1}" for i in range(5)]
+    self_nearness = [[[x], [x], [y]] for x in names for y in names if x != y]
+    return parse_config(
+        {
+            "universe": names,
+            "relation": {
+                "generators": [["x1", "x2"], ["x2", "x3"], ["x4", "x5"]],
+                "closure": ["reflexive", "symmetric"],
+            },
+            "granulation": "predecessor",
+            "delta": [
+                "E1",
+                {"kind": "extensional", "name": "self-nearness", "triples": self_nearness},
+            ],
+            "sum": "granular-sum",
+        }
+    )
+
+
+def test_each_predicate_fills_one_cube(monkeypatch):
+    calls = {}
+    masked = DeltaPredicate.masked
+
+    def counting(self):
+        d = masked(self)
+
+        def counted(a, b, c):
+            calls[self.kind] = calls.get(self.kind, 0) + 1
+            return d(a, b, c)
+
+        return counted
+
+    monkeypatch.setattr(DeltaPredicate, "masked", counting)
+    cfg = n5_sampled_config()
+    for spec in cfg.deltas:
+        s = cfg.structure(spec)
+        verdicts = [check_axiom(s, axiom) for axiom in CUBE_AXIOMS]
+        assert all(v.mode == "exhaustive" for v in verdicts)
+    assert calls == {"E1": 2**15, "extensional": 2**15}
