@@ -6,12 +6,7 @@ approximations, and validate clusterings through deficits, validity
 grades, and nearness compatibility.
 """
 
-from .delta import (
-    DeltaPredicate,
-    NearnessMap,
-    SumOperation,
-    check_def_compat,
-)
+from .delta import DeltaPredicate, NearnessMap, SumOperation
 from .errors import (
     BudgetError,
     ConfigurationError,
@@ -31,11 +26,6 @@ from .sets import (
     PartialResult,
     Subset,
     Universe,
-    join,
-    meet,
-    omega_equal,
-    omega_star_equal,
-    part_of,
     partial_difference,
 )
 from .structure import (

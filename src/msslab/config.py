@@ -196,7 +196,7 @@ def parse_config(data: dict, *, default_seed: Optional[int] = None) -> LabConfig
         raw_modes = _names(data["compatibility_modes"], "compatibility_modes", "mode names")
         modes = tuple(raw_modes) or modes
     for mode in modes:
-        if mode not in COMPATIBILITY_MODES or mode == "gclue":
+        if mode not in COMPATIBILITY_MODES:
             raise ParseError(f"unsupported compatibility mode {mode!r}", "compatibility_modes")
 
     reduct_keep = None

@@ -6,7 +6,7 @@ extensional predicates are given by an explicit triple table. The
 coherence and sum laws are evaluated here on masks and swept by
 ``structure.check_axiom``, which decides the laws of ``CUBE_AXIOMS`` on
 the predicate's cube of rows (``DeltaPredicate.plane``) instead whenever
-it fits its budget; def-compatibility is checked here.
+it fits its budget.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Mapping, Optional
 from .errors import ConfigurationError, MsslabError, UniverseMismatchError
 from .granules import Granulation
 from .sets import UNDEFINED, PartialResult, Subset, Universe, encode
-from .verdicts import DEFAULT_SAMPLE_BUDGET, FAILS, HOLDS, VACUOUS, Verdict, sweep
+from .verdicts import FAILS, HOLDS, VACUOUS, Verdict
 
 BUILTIN_DELTAS = ("E0", "E1", "E2", "uE1")
 COHERENCE_ARITY = {"i-coh": 2, "n-coh": 3, "i-coh-2": 2, "strict-n-coh": 3, "trans-1": 4}
@@ -455,38 +455,3 @@ def cube_verdict(
                 )
             substantive = substantive or bool(live)
     return Verdict(axiom, HOLDS if substantive else VACUOUS, instances_checked=top**3)
-
-
-def _def_compat_evaluator(d, f, mode: str):
-    def linked(a, b, c):
-        return not f(a, b) & ~f(a, c)
-
-    if mode == "def1":
-        return lambda a, b, c: linked(a, b, c) if d(a, b, c) else None
-    if mode == "def2":
-        return lambda a, b, c: d(a, b, c) if linked(a, b, c) else None
-    if mode == "def0":
-        return lambda a, b, c: d(a, b, c) == linked(a, b, c)
-    raise MsslabError(f"unknown def-compatibility mode {mode!r}")
-
-
-def check_def_compat(
-    d: DeltaPredicate,
-    f: NearnessMap,
-    mode: str,
-    *,
-    seed: Optional[int] = None,
-    budget: int = DEFAULT_SAMPLE_BUDGET,
-) -> Verdict:
-    """Check how the predicate relates to the map-induced comparison.
-
-    def1: delta implies the comparison; def2: the converse; def0: both.
-    """
-    return sweep(
-        f"def-compat:{mode}",
-        d.universe,
-        3,
-        _def_compat_evaluator(d.masked(), f.masked(), mode),
-        seed=seed,
-        budget=budget,
-    )

@@ -20,10 +20,6 @@ class ConfigurationError(MsslabError):
 class BudgetError(MsslabError):
     """An exhaustive request exceeds the feasible instance budget."""
 
-    def __init__(self, message, required=None):
-        super().__init__(message)
-        self.required = required
-
 
 class ParseError(MsslabError):
     """A config or spec document is malformed.

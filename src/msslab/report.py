@@ -151,9 +151,7 @@ def validation_section(cfg: LabConfig, *, seed: Optional[int], jobs: int) -> dic
         section["clustering_grades"] = {"status": "deferred"}
         section["note"] = "approximation operators unbound; deficits and grades deferred"
     else:
-        report = validate_clustering(
-            clustering, s.ops, policy=s.difference_policy, jobs=jobs
-        )
+        report = validate_clustering(clustering, s.ops, jobs=jobs)
         section["clusters"] = [
             {
                 "cluster": subset_names(r.cluster),
@@ -162,8 +160,6 @@ def validation_section(cfg: LabConfig, *, seed: Optional[int], jobs: int) -> dic
                 "lu_valid": r.grades.lu_valid,
                 "l_pre_valid": r.grades.l_pre_valid,
                 "u_pre_valid": r.grades.u_pre_valid,
-                "l_traceable": r.grades.l_traceable,
-                "u_traceable": r.grades.u_traceable,
                 "proposition": verdict_dict(r.proposition),
             }
             for r in report.per_cluster
@@ -172,8 +168,6 @@ def validation_section(cfg: LabConfig, *, seed: Optional[int], jobs: int) -> dic
             "lu_valid": report.lu_valid,
             "l_pre_valid": report.l_pre_valid,
             "u_pre_valid": report.u_pre_valid,
-            "l_traceable": report.l_traceable,
-            "u_traceable": report.u_traceable,
         }
         section["note"] = report.note
 
@@ -277,8 +271,7 @@ def _render_validation(out, validation):
         up = "undefined" if row["upper_deficit"] is None else _set_text(row["upper_deficit"])
         out(f"  {cluster:<20} lower-deficit {lo:<14} upper-deficit {up}")
         grades = ", ".join(
-            f"{key}={row[key]}"
-            for key in ("lu_valid", "l_pre_valid", "u_pre_valid", "l_traceable", "u_traceable")
+            f"{key}={row[key]}" for key in ("lu_valid", "l_pre_valid", "u_pre_valid")
         )
         out(f"    grades: {grades}")
         out(f"    proposition: {row['proposition']['status']}")

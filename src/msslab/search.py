@@ -78,14 +78,16 @@ def enumerate_structures(spec: SearchSpec) -> Iterator[MssStructure]:
     rng = random.Random(spec.seed)
 
     if spec.family == "relations":
-        total = 1 << (spec.n * spec.n)
+        width = spec.n * spec.n  # one bit per ordered pair
+        if spec.exhaustive and (
+            spec.n > RELATION_EXHAUSTIVE_LIMIT or width >= spec.budget.bit_length()
+        ):
+            raise BudgetError(
+                f"exhaustive relation search needs 2**{width} structures "
+                f"(limit n <= {RELATION_EXHAUSTIVE_LIMIT}, budget {spec.budget})"
+            )
+        total = 1 << width
         if spec.exhaustive:
-            if spec.n > RELATION_EXHAUSTIVE_LIMIT or total > spec.budget:
-                raise BudgetError(
-                    f"exhaustive relation search needs 2**{spec.n * spec.n} structures "
-                    f"(limit n <= {RELATION_EXHAUSTIVE_LIMIT}, budget {spec.budget})",
-                    required=total,
-                )
             bit_streams = range(total)
         else:
             bit_streams = (rng.randrange(total) for _ in range(spec.budget))
@@ -103,13 +105,14 @@ def enumerate_structures(spec: SearchSpec) -> Iterator[MssStructure]:
 
     if spec.family == "granulations":
         width = (1 << spec.n) - 1  # one bit per nonempty candidate granule
-        total = 1 << width
-        if spec.exhaustive and total > spec.budget:
+        # 2**width > budget, decided on exponents: 2**width alone can take
+        # megabytes to build for a search that is then refused.
+        if spec.exhaustive and width >= spec.budget.bit_length():
             raise BudgetError(
                 f"exhaustive granulation search needs 2**{width} structures "
-                f"(budget {spec.budget})",
-                required=total,
+                f"(budget {spec.budget})"
             )
+        total = 1 << width
         candidates = [universe.from_mask(m) for m in range(1, 1 << spec.n)]
         picks = (
             range(total)

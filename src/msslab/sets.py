@@ -9,12 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .errors import BudgetError, MsslabError, UniverseMismatchError
-
-# Powerset enumeration is refused above this size; callers must sample.
-EXHAUSTIVE_CAP = 24
-
-DIFFERENCE_POLICIES = ("subset", "proper", "total")
+from .errors import MsslabError, UniverseMismatchError
 
 # On masks, a partial operation returns this where it is undefined.
 UNDEFINED = -1
@@ -71,12 +66,6 @@ class Universe:
 
     def all_subsets(self) -> Iterator["Subset"]:
         """Yield the full powerset in canonical (mask-ascending) order."""
-        if self.size > EXHAUSTIVE_CAP:
-            raise BudgetError(
-                f"powerset enumeration refused for universe size {self.size} "
-                f"(> {EXHAUSTIVE_CAP}); use sampling",
-                required=1 << self.size,
-            )
         for mask in range(1 << self.size):
             yield Subset(self, mask)
 
@@ -212,50 +201,6 @@ class PartialResult:
 _UNDEFINED = PartialResult(None)
 
 
-def part_of(a: Subset, b: Subset) -> bool:
-    """Inclusion-instantiated parthood: every member of ``a`` is in ``b``."""
-    return a <= b
-
-
-def join(a: Subset, b: Subset) -> Subset:
-    return a | b
-
-
-def meet(a: Subset, b: Subset) -> Subset:
-    return a & b
-
-
-def partial_difference(a: Subset, b: Subset, policy: str = "subset") -> PartialResult:
-    """Set difference ``a - b`` as a partial operation.
-
-    Policies control when the result is defined:
-      subset  -- defined iff b is included in a (default)
-      proper  -- defined iff b is properly included in a
-      total   -- always defined
-    """
-    _co_mask(a, b)
-    if policy == "subset":
-        ok = b <= a
-    elif policy == "proper":
-        ok = b < a
-    elif policy == "total":
-        ok = True
-    else:
-        raise MsslabError(
-            f"unknown difference policy {policy!r}; expected one of {DIFFERENCE_POLICIES}"
-        )
-    return PartialResult.of(a - b) if ok else PartialResult.undefined()
-
-
-def omega_equal(t1: PartialResult, t2: PartialResult) -> bool:
-    """Conditional equality: holds unless both sides are defined and differ."""
-    if t1.defined and t2.defined:
-        return t1.value == t2.value
-    return True
-
-
-def omega_star_equal(t1: PartialResult, t2: PartialResult) -> bool:
-    """Strong equality: both undefined, or both defined with equal values."""
-    if t1.defined != t2.defined:
-        return False
-    return t1.value == t2.value
+def partial_difference(a: Subset, b: Subset) -> PartialResult:
+    """Set difference ``a - b`` as a partial operation, defined iff b is included in a."""
+    return PartialResult.of(a - b) if b <= a else PartialResult.undefined()

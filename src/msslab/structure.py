@@ -161,7 +161,6 @@ class MssStructure:
     sum: Optional[SumOperation] = None
     kappa: Optional[tuple[Subset, ...]] = None
     granulation: Optional[Granulation] = None
-    difference_policy: str = "subset"
 
     def bound_slots(self) -> frozenset[str]:
         bound = set(self.set_slots)
@@ -193,7 +192,6 @@ def assemble(
     delta: Optional[DeltaPredicate] = None,
     sum: Optional[SumOperation] = None,
     kappa: Optional[Iterable[Subset]] = None,
-    difference_policy: str = "subset",
 ) -> MssStructure:
     """Build a structure over one universe; delta, sum and kappa may wait.
 
@@ -222,7 +220,6 @@ def assemble(
         sum=sum,
         kappa=clusters,
         granulation=granulation,
-        difference_policy=difference_policy,
     )
 
 
@@ -252,7 +249,6 @@ def reduct(s: MssStructure, keep: Iterable[str]) -> MssStructure:
         sum=s.sum if "sum" in keep else None,
         kappa=s.kappa if "kappa" in keep else None,
         granulation=s.granulation if "gamma" in keep else None,
-        difference_policy=s.difference_policy,
     )
 
 

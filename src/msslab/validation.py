@@ -1,24 +1,25 @@
-"""Clustering validation: deficits, validity grades, traceability, compatibility.
+"""Clustering validation: deficits, validity grades, compatibility.
 
 The quality of a cluster is measured against the rough approximations
 l and u of a granulation rather than against a numeric index: the
 deficits collect what a cluster lacks towards its lower approximation and
 what its upper approximation has in excess, and the grades record
-fixpoint/preimage/image conditions.
+fixpoint/preimage/image conditions. That a computable deficit forces
+traceability is a theorem here, reported with its reason.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Iterable
 
 from .delta import DeltaPredicate
 from .errors import MsslabError, UniverseMismatchError
 from .granules import Granulation
 from .sets import PartialResult, Subset, Universe, partial_difference
-from .verdicts import FAILS, HOLDS, VACUOUS, Verdict
+from .verdicts import FAILS, HOLDS, VACUOUS, Verdict, theorem
 
-COMPATIBILITY_MODES = ("overlap-closer", "clue-singleton", "gclue")
+COMPATIBILITY_MODES = ("overlap-closer", "clue-singleton")
 
 
 class Clustering:
@@ -52,17 +53,18 @@ class Clustering:
         return f"Clustering({list(self.clusters)!r})"
 
 
-def lower_deficit(c: Subset, g: Granulation, policy: str = "subset") -> PartialResult:
-    """u(C - l(C)) when the difference is defined; undefined propagates."""
-    diff = partial_difference(c, g.lower(c), policy)
-    if not diff.defined:
-        return PartialResult.undefined()
-    return PartialResult.of(g.upper(diff.value))
+def lower_deficit(c: Subset, g: Granulation) -> PartialResult:
+    """u(C - l(C)), always defined: l(C) is a union of granules inside C."""
+    return PartialResult.of(g.upper(c - g.lower(c)))
 
 
-def upper_deficit(c: Subset, g: Granulation, policy: str = "subset") -> PartialResult:
-    """u(u(C) - C) when the difference is defined; undefined propagates."""
-    diff = partial_difference(g.upper(c), c, policy)
+def upper_deficit(c: Subset, g: Granulation) -> PartialResult:
+    """u(u(C) - C) when the difference is defined; undefined propagates.
+
+    u(C) misses the members of C that no granule covers, so the difference
+    is undefined for such a C.
+    """
+    diff = partial_difference(g.upper(c), c)
     if not diff.defined:
         return PartialResult.undefined()
     return PartialResult.of(g.upper(diff.value))
@@ -73,10 +75,6 @@ class ClusterGrades:
     lu_valid: bool
     l_pre_valid: bool
     u_pre_valid: bool
-    # Traceability asks for some subset equal to l(C) (to u(C)); l and u are
-    # total on the powerset of C's universe, so each value is its own witness.
-    l_traceable: bool = True
-    u_traceable: bool = True
 
 
 def validity_grades(c: Subset, g: Granulation) -> ClusterGrades:
@@ -122,29 +120,30 @@ class ValidityReport:
     lu_valid: bool
     l_pre_valid: bool
     u_pre_valid: bool
-    l_traceable: bool = True
-    u_traceable: bool = True
-    note: str = (
-        "lu-validity is the two-sided fixpoint lower(C) = upper(C) = C; "
-        "traceability grades hold trivially while the operators are total"
-    )
+    note: str = "lu-validity is the two-sided fixpoint lower(C) = upper(C) = C"
 
 
-def check_proposition(c: Subset, g: Granulation, policy: str = "subset") -> Verdict:
-    """Deficit computability forces traceability, instance-wise for one cluster.
+DEFICIT_TRACEABILITY = (
+    "l(C) lies inside C, so u(C - l(C)) is always defined;"
+    " l(C) and u(C) are their own traceability witnesses"
+)
 
-    Traceability holds by construction (see ``ClusterGrades``), so the
-    verdict holds when either deficit is defined and is vacuous otherwise.
+
+def check_proposition(c: Subset, g: Granulation) -> Verdict:
+    """Deficit computability forces traceability, for every cluster C.
+
+    The premise always holds, since the lower deficit is always defined,
+    and so does the conclusion: traceability asks for some subset equal
+    to l(C) (to u(C)), and l(C) (u(C)) is one. So the verdict is a
+    theorem, and no instance is checked.
     """
-    defined = lower_deficit(c, g, policy).defined or upper_deficit(c, g, policy).defined
-    return Verdict("deficit-traceability", HOLDS if defined else VACUOUS, instances_checked=2)
+    return theorem("deficit-traceability", DEFICIT_TRACEABILITY)
 
 
 def validate_clustering(
     cl: Clustering,
     g: Granulation,
     *,
-    policy: str = "subset",
     jobs: int = 1,
 ) -> ValidityReport:
     """Per-cluster deficits, grades, and proposition checks, then aggregates.
@@ -157,10 +156,10 @@ def validate_clustering(
     reports = tuple(
         ClusterReport(
             cluster=c,
-            lower_deficit=lower_deficit(c, g, policy),
-            upper_deficit=upper_deficit(c, g, policy),
+            lower_deficit=lower_deficit(c, g),
+            upper_deficit=upper_deficit(c, g),
             grades=validity_grades(c, g),
-            proposition=check_proposition(c, g, policy),
+            proposition=check_proposition(c, g),
         )
         for c in cl.clusters
     )
@@ -181,18 +180,13 @@ class CompatibilityMode:
     be closer to each overlapping cluster than to each disjoint one.
     ``clue-singleton`` quantifies inside each cluster: members, as
     singletons, must be closer to each other than to any outsider.
-    ``gclue`` takes two rules deriving the comparison sets from a cluster.
     """
 
     mode: str
-    b_rule: Optional[Callable[[Subset], Subset]] = None
-    e_rule: Optional[Callable[[Subset], Subset]] = None
 
     def __post_init__(self):
         if self.mode not in COMPATIBILITY_MODES:
             raise MsslabError(f"unknown compatibility mode {self.mode!r}")
-        if self.mode == "gclue" and (self.b_rule is None or self.e_rule is None):
-            raise MsslabError("gclue needs both derivation rules")
 
 
 OVERLAP_CLOSER = CompatibilityMode("overlap-closer")
@@ -214,25 +208,13 @@ def _compat_instances(cl: Clustering, mode: CompatibilityMode):
                     if a & c:
                         continue
                     yield (a, b, c)
-    elif mode.mode == "clue-singleton":
+    else:
         for cluster in cl.clusters:
             inside = cluster.members()
             outside = [x for x in universe.elements if x not in cluster]
             for a in inside:
                 for b in inside:
                     for c in outside:
-                        yield (
-                            universe.singleton(a),
-                            universe.singleton(b),
-                            universe.singleton(c),
-                        )
-    else:
-        for cluster in cl.clusters:
-            b_set = mode.b_rule(cluster)
-            e_set = mode.e_rule(cluster)
-            for a in cluster.members():
-                for b in b_set.members():
-                    for c in e_set.members():
                         yield (
                             universe.singleton(a),
                             universe.singleton(b),

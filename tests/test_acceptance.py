@@ -21,14 +21,13 @@ from msslab import (
     Universe,
     assemble,
     check_compatibility,
-    check_proposition,
     close_relation,
     lower_deficit,
     predecessor_granulation,
     upper_deficit,
     validity_grades,
 )
-from msslab.oracles import StructureDescription, o_claim
+from msslab.oracles import StructureDescription, o_claim, o_deficits
 from msslab.search import SearchSpec, enumerate_structures, find_witness, oracle_check
 from msslab.structure import axiom_instance, check_axiom, verify
 
@@ -193,12 +192,19 @@ def test_criterion_7_closed_form(H, granulation, three_element_structures):
             assert grades.l_pre_valid == brute == (s.granulation.lower(c) == c)
 
 
-@criterion(8, "deficit-traceability proposition sweep")
-def test_criterion_8_proposition_sweep(three_element_structures):
-    for s in three_element_structures:
-        for c in s.universe.all_subsets():
-            verdict = check_proposition(c, s.granulation)
-            assert verdict.status in ("holds", "vacuous"), (s, c)
+@criterion(8, "deficit-traceability premise checked against the oracle")
+def test_criterion_8_proposition_sweep(three_element_granulations):
+    # deficit-traceability is reported as a theorem; its premise is that the
+    # lower deficit is always defined, and the deficits are the oracle's.
+    for g in three_element_granulations:
+        granules = tuple(frozenset(x.members()) for x in g)
+        for c in g.universe.all_subsets():
+            deficits = (lower_deficit(c, g), upper_deficit(c, g))
+            named = tuple(frozenset(d.value.members()) if d.defined else None for d in deficits)
+            assert named == o_deficits(frozenset(c.members()), granules), (g, c)
+            assert named[0] is not None, (g, c)
+        desc = StructureDescription(elements=g.universe.elements, granules=granules)
+        assert o_claim(desc, "proposition-def2"), g
 
 
 @criterion(9, "deterministic reports")

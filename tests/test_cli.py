@@ -102,6 +102,7 @@ def test_text_format_is_a_projection(repo_root):
     rendered = render_text(json.loads(as_json.stdout))
     assert as_text.stdout == rendered
     assert "lower-deficit" in as_text.stdout
+    assert "traceable" not in as_text.stdout
 
 
 def test_parse_error_exit_codes(repo_root, tmp_path):
@@ -126,6 +127,13 @@ def test_parse_error_exit_codes(repo_root, tmp_path):
     )
     result = run_cli(repo_root, "check-axioms", str(unknown_field))
     assert result.returncode == 1
+
+    gclue = write_config(
+        tmp_path, {"universe": ["x1"], "compatibility_modes": ["gclue"]}, name="gclue.json"
+    )
+    result = run_cli(repo_root, "validate", str(gclue))
+    assert result.returncode == 1
+    assert "unsupported compatibility mode 'gclue'" in result.stderr
 
 
 def test_usage_error_exit_code(repo_root):
@@ -459,6 +467,36 @@ def test_reports_and_configs_match_the_schemas(repo_root, tmp_path):
     report_schema = schema_validator(repo_root, "report.schema.json")
     for report in reports:
         report_schema.validate(report)
+
+
+def test_schema_refuses_traceability_flags(repo_root):
+    jsonschema = pytest.importorskip("jsonschema")
+    report_schema = schema_validator(repo_root, "report.schema.json")
+    golden = json.loads((GOLDEN / "paper-validate.json").read_text(encoding="utf-8"))
+    report_schema.validate(golden)
+    for extra in ("clusters", "clustering_grades"):
+        flagged = copy.deepcopy(golden)
+        section = flagged["validation"][extra]
+        (section[0] if extra == "clusters" else section)["l_traceable"] = True
+        with pytest.raises(jsonschema.ValidationError):
+            report_schema.validate(flagged)
+
+
+def test_deferred_rows_and_undefined_deficits_match_the_schema(repo_root, tmp_path):
+    report_schema = schema_validator(repo_root, "report.schema.json")
+    # x3 lies in no granule, so the upper deficit of {x2,x3} is undefined.
+    uncovered = {"universe": ["x1", "x2", "x3"], "granulation": [["x1", "x2"]],
+                 "clustering": [["x2", "x3"]]}
+    deferred = dict(uncovered, reduct=["P", "leq", "join", "meet", "top", "bottom"])
+    rows = []
+    for name, document in (("uncovered.json", uncovered), ("deferred.json", deferred)):
+        result = run_cli(repo_root, "validate", str(write_config(tmp_path, document, name)))
+        assert result.returncode == 0, result.stderr
+        report = json.loads(result.stdout)
+        report_schema.validate(report)
+        rows.append(report["validation"]["clusters"][0])
+    assert rows[0]["lower_deficit"] == ["x1", "x2"] and rows[0]["upper_deficit"] is None
+    assert rows[1] == {"cluster": ["x2", "x3"], "status": "deferred"}
 
 
 def test_validate_runs_past_twenty_elements(repo_root, tmp_path):

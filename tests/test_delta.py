@@ -9,12 +9,12 @@ from msslab import (
     ConfigurationError,
     DeltaPredicate,
     Granulation,
+    MsslabError,
     NearnessMap,
     SumOperation,
     Universe,
     UniverseMismatchError,
     assemble,
-    check_def_compat,
 )
 from msslab.config import parse_config
 from msslab.delta import (
@@ -165,15 +165,15 @@ def test_omega_asso_compares_by_conditional_equality():
 
 
 def test_def_compat_examples(H, delta_builtins):
-    union = NearnessMap.union(H)
-    assert check_def_compat(delta_builtins["E0"], union, "def0").status == "holds"
-    assert check_def_compat(delta_builtins["E1"], union, "def1").status == "holds"
-    v = check_def_compat(delta_builtins["E1"], union, "def2")
-    assert v.status == "fails"
-    a, b, c = v.witnesses[0]
-    assert (a | b) <= (a | c) and not delta_builtins["E1"](a, b, c)
-    never = DeltaPredicate.extensional_from_masks(H, [])
-    assert check_def_compat(never, union, "def1").status == "vacuous"
+    # E1 implies the comparison the union map induces (def1), not conversely
+    # (def2): a = b = c compares but is no proper inclusion.
+    induced = DeltaPredicate.from_nearness(NearnessMap.union(H))
+    space = list(H.all_subsets())
+    for a, b, c in itertools.product(space, repeat=3):
+        if delta_builtins["E1"](a, b, c):
+            assert induced(a, b, c)
+    assert induced(H.empty, H.empty, H.empty)
+    assert not delta_builtins["E1"](H.empty, H.empty, H.empty)
 
 
 def test_def0_with_union_map_matches_plain_inclusion(H, delta_builtins):
@@ -225,8 +225,8 @@ def test_meta_theorem_on_random_tables():
 def test_unknown_axiom_and_mode_rejected(H, delta_builtins):
     with pytest.raises(Exception):
         coherence(delta_builtins["E0"], "coh-9")
-    with pytest.raises(Exception):
-        check_def_compat(delta_builtins["E0"], NearnessMap.union(H), "def9")
+    with pytest.raises(MsslabError, match="not decided on the delta cube"):
+        cube_verdict("i-coh", delta_builtins["E0"])
 
 
 def test_nearness_table_must_be_total(H):

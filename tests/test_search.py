@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -61,9 +62,37 @@ def test_extensional_family_respects_budget():
 
 
 def test_infeasible_exhaustive_request_reports_required_budget():
-    with pytest.raises(BudgetError) as err:
+    with pytest.raises(BudgetError, match=r"needs 2\*\*16 structures"):
         list(enumerate_structures(SearchSpec(n=4, budget=1000)))
-    assert err.value.required == 1 << 16
+
+
+def test_refusing_a_huge_granulation_search_builds_no_huge_count():
+    # 2**(2**27 - 1) alone takes 16 MB; the refusal compares exponents instead.
+    spec = SearchSpec(n=27, family="granulations")
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match=r"needs 2\*\*134217727 structures"):
+            next(enumerate_structures(spec))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("family, width", [("relations", 4), ("granulations", 3)])
+def test_exhaustive_budget_boundary_is_exact(family, width):
+    spec = SearchSpec(n=2, family=family, budget=1 << width)
+    assert sum(1 for _ in enumerate_structures(spec)) == 1 << width
+    with pytest.raises(BudgetError, match=rf"needs 2\*\*{width} structures"):
+        next(enumerate_structures(SearchSpec(n=2, family=family, budget=(1 << width) - 1)))
+
+
+@pytest.mark.parametrize("family", ["relations", "granulations"])
+def test_sampled_searches_draw_budget_structures(family):
+    spec = SearchSpec(n=5, family=family, budget=7, seed=11, exhaustive=False)
+    drawn = [s.granulation.masks() for s in enumerate_structures(spec)]
+    assert len(drawn) == 7
+    assert drawn == [s.granulation.masks() for s in enumerate_structures(spec)]
 
 
 def test_enumeration_is_deterministic():
@@ -194,9 +223,8 @@ def test_exhaustive_relation_search_covers_four_elements():
         n=4, delta="uE1", required=("i-coh-2",), forbidden=("trans-1",), budget=1 << 16
     )
     assert find_witness(spec) == (None, 1 << 16)
-    with pytest.raises(BudgetError) as err:
+    with pytest.raises(BudgetError, match=r"needs 2\*\*25 structures"):
         next(enumerate_structures(SearchSpec(n=5, budget=1 << 25)))
-    assert err.value.required == 1 << 25
 
 
 def test_oracle_claims_on_the_example(H, granulation, delta_builtins):

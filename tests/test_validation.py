@@ -19,7 +19,7 @@ from msslab import (
     validate_clustering,
     validity_grades,
 )
-from msslab.oracles import o_pre_valid_search, powerset
+from msslab.oracles import o_deficits, o_pre_valid_search, powerset
 from msslab.pipeline import run_pipeline
 from msslab.search import SearchSpec, enumerate_structures
 
@@ -46,19 +46,12 @@ def test_deficits_of_the_overlapping_cluster(H, granulation):
     assert upper_deficit(c, granulation).value == expected
 
 
-def test_restrictive_policy_makes_deficits_undefined(H, granulation):
-    c = H.subset(["x4"])
-    assert not lower_deficit(c, granulation, policy="proper").defined
-    assert not upper_deficit(c, granulation, policy="proper").defined
-
-
 def test_grades_examples(H, granulation):
     g = validity_grades(H.subset(["x4"]), granulation)
     assert g.lu_valid and g.l_pre_valid and g.u_pre_valid
-    assert g.l_traceable and g.u_traceable
 
     g = validity_grades(H.subset(["x2", "x4"]), granulation)
-    assert not g.lu_valid and not g.l_pre_valid and g.l_traceable
+    assert not g.lu_valid and not g.l_pre_valid
 
     g = validity_grades(H.subset(["x1", "x2", "x3"]), granulation)
     assert g.l_pre_valid and g.u_pre_valid
@@ -97,6 +90,16 @@ def test_grades_match_search_on_random_granulations(g):
     assert_grades_match_search(g)
 
 
+@settings(max_examples=200, deadline=None)
+@given(granulations())
+def test_deficits_match_oracle_on_random_granulations(g):
+    granules = [frozenset(x.members()) for x in g]
+    for c in g.universe.all_subsets():
+        deficits = (lower_deficit(c, g), upper_deficit(c, g))
+        named = tuple(frozenset(d.value.members()) if d.defined else None for d in deficits)
+        assert named == o_deficits(frozenset(c.members()), granules), (g, c)
+
+
 def test_lu_valid_forces_empty_deficits(H, granulation):
     for c in H.all_subsets():
         g = validity_grades(c, granulation)
@@ -106,29 +109,27 @@ def test_lu_valid_forces_empty_deficits(H, granulation):
 
 
 def test_deficits_always_defined_under_subset_policy():
+    # The upper deficit is undefined exactly when a member of C lies in no granule.
     for s in enumerate_structures(SearchSpec(n=3, budget=512)):
-        covered = all(any(x in g for g in s.granulation) for x in s.universe.elements)
+        cover = s.universe.empty
+        for g in s.granulation:
+            cover = cover | g
         for c in s.universe.all_subsets():
             assert lower_deficit(c, s.granulation).defined
-            if covered:
-                assert upper_deficit(c, s.granulation).defined
+            assert upper_deficit(c, s.granulation).defined == (c <= cover)
 
 
 def test_proposition_holds_for_every_subset(H, granulation):
     for c in H.all_subsets():
-        assert check_proposition(c, granulation).status in ("holds", "vacuous")
-
-
-def test_proposition_vacuous_under_restrictive_policy(H, granulation):
-    v = check_proposition(H.subset(["x4"]), granulation, policy="proper")
-    assert v.status == "vacuous"
+        v = check_proposition(c, granulation)
+        assert (v.status, v.mode, v.instances_checked) == ("holds", "theorem", 0)
+        assert v.note.startswith("theorem: l(C) lies inside C")
 
 
 def test_validate_clustering_aggregates(H, granulation, clustering):
     report = validate_clustering(clustering, granulation)
     assert len(report.per_cluster) == 3
     assert not report.lu_valid and not report.l_pre_valid
-    assert report.l_traceable and report.u_traceable
     by_cluster = {r.cluster.members(): r for r in report.per_cluster}
     assert by_cluster[("x2", "x4")].lower_deficit.value == H.subset(["x1", "x2", "x3"])
     assert all(r.proposition.status == "holds" for r in report.per_cluster)
@@ -201,23 +202,8 @@ def test_whole_universe_cluster_is_lu_valid(H, granulation):
     assert g.lu_valid
 
 
-def test_gclue_with_identity_and_complement_matches_clue_singleton(
-    H, clustering, delta_builtins
-):
-    gclue = CompatibilityMode(
-        "gclue", b_rule=lambda a: a, e_rule=lambda a: a.complement()
-    )
-    for name in ("E0", "E1"):
-        assert (
-            check_compatibility(clustering, delta_builtins[name], gclue).failed
-            == check_compatibility(clustering, delta_builtins[name], CLUE_SINGLETON).failed
-        )
-
-
-def test_gclue_requires_rules():
-    with pytest.raises(MsslabError):
-        CompatibilityMode("gclue")
-    with pytest.raises(MsslabError):
+def test_unknown_compatibility_mode_rejected():
+    with pytest.raises(MsslabError, match="unknown compatibility mode 'nearest-first'"):
         CompatibilityMode("nearest-first")
 
 
