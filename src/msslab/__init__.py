@@ -6,7 +6,7 @@ approximations, and validate clusterings through deficits, validity
 grades, and nearness compatibility.
 """
 
-from .delta import DeltaPredicate, NearnessMap, SumOperation
+from .delta import DeltaPredicate, SumOperation
 from .errors import (
     BudgetError,
     ConfigurationError,
@@ -38,10 +38,7 @@ from .structure import (
     verify,
 )
 from .validation import (
-    CLUE_SINGLETON,
-    OVERLAP_CLOSER,
     Clustering,
-    CompatibilityMode,
     ValidityReport,
     check_compatibility,
     check_proposition,

@@ -44,9 +44,6 @@ class _Parser(argparse.ArgumentParser):
 def _common_flags(p, strict=True):
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument(
-        "--jobs", type=int, default=1, help="accepted for compatibility; checks run serially"
-    )
-    p.add_argument(
         "--seed",
         type=int,
         default=None,
@@ -244,11 +241,11 @@ def main(argv=None) -> int:
         cfg = parse_config(data)
         seed = _pick_seed(args.seed, cfg.seed)
         if args.command == "check-axioms":
-            report = build_check_axioms(cfg, seed=seed, jobs=args.jobs)
+            report = build_check_axioms(cfg, seed=seed)
         elif args.command == "validate":
-            report = build_validate(cfg, seed=seed, jobs=args.jobs)
+            report = build_validate(cfg, seed=seed)
         else:
-            report = run_pipeline(cfg, seed=seed, jobs=args.jobs)
+            report = run_pipeline(cfg, seed=seed)
         _emit(report, args)
         if getattr(args, "strict_exit", False) and has_failures(report):
             return EXIT_STRICT

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .delta import BUILTIN_DELTAS, DeltaPredicate, NearnessMap, SumOperation
+from .delta import BUILTIN_DELTAS, DeltaPredicate, SumOperation
 from .errors import ParseError
 from .granules import (
     BinaryRelation,
@@ -51,14 +51,12 @@ class DeltaSpec:
             return DeltaPredicate.extensional_from_masks(universe, triples)
         if self.kind == "def0":
             if self.nearness == "union":
-                return DeltaPredicate.from_nearness(NearnessMap.union(universe))
+                return DeltaPredicate.from_nearness(universe)
             table = {
                 (universe.subset(a).mask, universe.subset(b).mask): universe.subset(v).mask
                 for a, b, v in self.nearness_table
             }
-            return DeltaPredicate.from_nearness(
-                NearnessMap.from_table(universe, table, name=self.name)
-            )
+            return DeltaPredicate.from_nearness(universe, table)
         raise ParseError(f"unknown delta kind {self.kind!r}")
 
 

@@ -20,59 +20,10 @@ from .sets import UNDEFINED, PartialResult, Subset, Universe, encode
 from .verdicts import FAILS, HOLDS, VACUOUS, Verdict
 
 BUILTIN_DELTAS = ("E0", "E1", "E2", "uE1")
-COHERENCE_ARITY = {"i-coh": 2, "n-coh": 3, "i-coh-2": 2, "strict-n-coh": 3, "trans-1": 4}
-SUM_ARITY = {
-    "omega-star-com": 2,
-    "omega-id": 1,
-    "omega-asso": 3,
-    "delta-sum1": 3,
-    "delta-sum2": 3,
-    "delta-sum3": 3,
-}
-COHERENCE_AXIOMS = tuple(COHERENCE_ARITY)
-SUM_AXIOMS = tuple(SUM_ARITY)
 # The laws decided on the rows of delta, in 2³ⁿ calls of delta shared by all.
 CUBE_AXIOMS = ("n-coh", "strict-n-coh", "trans-1", "delta-sum1", "delta-sum2", "delta-sum3")
 
 EXTENSIONAL_TABLE_LIMIT = 6
-
-
-class NearnessMap:
-    """Total map f from subset pairs to subsets, used to induce a predicate."""
-
-    __slots__ = ("universe", "_fn", "name")
-
-    def __init__(self, universe: Universe, fn: Callable[[Subset, Subset], Subset], name="f"):
-        self.universe = universe
-        self._fn = fn
-        self.name = name
-
-    @classmethod
-    def union(cls, universe: Universe) -> "NearnessMap":
-        return cls(universe, lambda a, b: a | b, name="union")
-
-    @classmethod
-    def from_table(
-        cls, universe: Universe, table: Mapping[tuple[int, int], int], name="table"
-    ) -> "NearnessMap":
-        size = 1 << universe.size
-        if len(table) != size * size:
-            raise ConfigurationError(
-                f"nearness table must be total: expected {size * size} pairs, got {len(table)}"
-            )
-
-        def fn(a: Subset, b: Subset) -> Subset:
-            return universe.from_mask(table[(a.mask, b.mask)])
-
-        return cls(universe, fn, name=name)
-
-    def __call__(self, a: Subset, b: Subset) -> Subset:
-        return self._fn(a, b)
-
-    def masked(self) -> Callable[[int, int], int]:
-        """The map on masks, through a decode adapter."""
-        fn, from_mask = self._fn, self.universe.from_mask
-        return lambda a, b: fn(from_mask(a), from_mask(b)).mask
 
 
 class DeltaPredicate:
@@ -119,9 +70,23 @@ class DeltaPredicate:
         return cls(universe, "extensional", table=frozenset(mask_triples))
 
     @classmethod
-    def from_nearness(cls, f: NearnessMap) -> "DeltaPredicate":
-        """The def0-style predicate: delta(a,b,c) iff f(a,b) is part of f(a,c)."""
-        return cls(f.universe, "def0", nearness=f)
+    def from_nearness(
+        cls, universe: Universe, table: Optional[Mapping[tuple[int, int], int]] = None
+    ) -> "DeltaPredicate":
+        """The def0-style predicate: delta(a,b,c) iff f(a,b) is part of f(a,c).
+
+        f is a map on masks: the total ``table`` of (a, b) pairs, or union
+        when no table is given.
+        """
+        if table is None:
+            return cls(universe, "def0", nearness=operator.or_)
+        size = 1 << universe.size
+        if len(table) != size * size:
+            raise ConfigurationError(
+                f"nearness table must be total: expected {size * size} pairs, got {len(table)}"
+            )
+        table = dict(table)
+        return cls(universe, "def0", nearness=lambda a, b: table[(a, b)])
 
     def sorted_table(self) -> tuple[tuple[int, int, int], ...]:
         """Canonical serialization order for extensional tables."""
@@ -156,7 +121,7 @@ class DeltaPredicate:
             upper = self.granulation.upper_table
             return lambda a, b, c: not upper[a | b] & ~upper[a | c]
         if kind == "def0":
-            f = self.nearness.masked()
+            f = self.nearness
             return lambda a, b, c: not f(a, b) & ~f(a, c)
         if kind == "extensional":
             table = self.table
@@ -406,7 +371,7 @@ def cube_verdict(
         return trans1_verdict(d)
     top = 1 << d.universe.size
     rows, cols = zip(*map(d.plane, range(top)))
-    diag = [s(x, x) for x in range(top)] if axiom in SUM_ARITY else None
+    diag = [s(x, x) for x in range(top)] if axiom.startswith("delta-sum") else None
     if axiom == "n-coh":
 
         def cell(a, b, row):

@@ -4,8 +4,8 @@ The lower approximation of A is the union of granules included in A; the
 upper approximation is the union of granules meeting A. Both are defined
 once per granulation, on subset masks, as the memo tables
 ``Granulation.lower_table`` and ``upper_table``; every layer that reads
-l or u (``Granulation.lower``/``upper`` on subsets, compiled
-structures, E2/uE1, the granular sum) reads those two tables.
+l or u (``Granulation.lower``/``upper`` on subsets, the axiom sweeps,
+E2/uE1, the granular sum) reads those two tables.
 """
 
 from __future__ import annotations

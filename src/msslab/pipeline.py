@@ -22,7 +22,11 @@ from .structure import SIGNATURE_SLOTS
 def run_pipeline(
     config: LabConfig | dict, *, seed: Optional[int] = None, jobs: int = 1
 ) -> dict:
-    """Assemble, reduce, ingest a clustering, bind membership, investigate."""
+    """Assemble, reduce, ingest a clustering, bind membership, investigate.
+
+    ``jobs`` is accepted and ignored; it stays only because
+    ``bench/traced.py`` passes ``jobs=1``.
+    """
     cfg = parse_config(config) if isinstance(config, dict) else config
     if cfg.clustering_lists is None:
         raise ParseError("missing clustering input", "clustering")
@@ -59,8 +63,8 @@ def run_pipeline(
     }
 
     step5 = {
-        "axioms": axioms_section(cfg, seed=seed, jobs=jobs),
-        "validation": validation_section(cfg, seed=seed, jobs=jobs),
+        "axioms": axioms_section(cfg, seed=seed),
+        "validation": validation_section(cfg, seed=seed),
     }
 
     return {

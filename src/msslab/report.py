@@ -12,42 +12,21 @@ from typing import Optional
 
 from . import __version__ as _version
 from .config import LabConfig
-from .delta import COHERENCE_AXIOMS
 from .errors import ParseError
 from .structure import (
     ADMISSIBILITY_AXIOMS,
+    LAWS,
     MssStructure,
     classify,
     replay,
     verify,
 )
-from .validation import (
-    CompatibilityMode,
-    check_compatibility,
-    validate_clustering,
-)
+from .validation import check_compatibility, validate_clustering
 from .verdicts import DEFAULT_SEED, FAILS, Verdict
 
-STRUCTURAL_AXIOMS = (
-    "PT1",
-    "PT2",
-    "G1",
-    "G2",
-    "G3",
-    "G4",
-    "G5",
-    "UL1",
-    "UL2",
-    "UL3",
-    "TB",
-    "clos1",
-    "lclu",
-    "omega-star-com",
-    "omega-id",
-    "omega-asso",
-)
-
-PER_DELTA_AXIOMS = COHERENCE_AXIOMS + ("delta-sum1", "delta-sum2", "delta-sum3")
+# Laws checked once per structure, and those checked once per delta candidate.
+STRUCTURAL_AXIOMS = tuple(a for a, law in LAWS.items() if not law.reads & {"delta", "gamma"})
+PER_DELTA_AXIOMS = tuple(a for a, law in LAWS.items() if "delta" in law.reads)
 
 
 def subset_names(subset) -> list[str]:
@@ -109,19 +88,19 @@ def provenance(seed: Optional[int]) -> dict:
     }
 
 
-def axioms_section(cfg: LabConfig, *, seed: Optional[int], jobs: int) -> dict:
+def axioms_section(cfg: LabConfig, *, seed: Optional[int]) -> dict:
     """Structural verdicts once, coherence and sum-interaction per candidate."""
     base = cfg.structure(None)
     structural_list = list(STRUCTURAL_AXIOMS)
     if base.granulation is not None:
         structural_list += list(ADMISSIBILITY_AXIOMS)
-    structural = verify(base, structural_list, seed=seed, jobs=jobs)
+    structural = verify(base, structural_list, seed=seed)
 
     per_delta = {}
     classification = {}
     for spec in cfg.deltas:
         s = cfg.structure(spec)
-        verdicts = verify(s, list(PER_DELTA_AXIOMS), seed=seed, jobs=jobs)
+        verdicts = verify(s, PER_DELTA_AXIOMS, seed=seed)
         per_delta[spec.name] = [verdict_dict(v) for v in verdicts]
         flags = classify(s, list(structural) + list(verdicts))
         classification[spec.name] = classification_dict(flags)
@@ -136,7 +115,7 @@ def axioms_section(cfg: LabConfig, *, seed: Optional[int], jobs: int) -> dict:
     return section
 
 
-def validation_section(cfg: LabConfig, *, seed: Optional[int], jobs: int) -> dict:
+def validation_section(cfg: LabConfig, *, seed: Optional[int]) -> dict:
     clustering = cfg.clustering()
     if clustering is None:
         raise ParseError("missing clustering input", "clustering")
@@ -151,7 +130,7 @@ def validation_section(cfg: LabConfig, *, seed: Optional[int], jobs: int) -> dic
         section["clustering_grades"] = {"status": "deferred"}
         section["note"] = "approximation operators unbound; deficits and grades deferred"
     else:
-        report = validate_clustering(clustering, s.ops, jobs=jobs)
+        report = validate_clustering(clustering, s.ops)
         section["clusters"] = [
             {
                 "cluster": subset_names(r.cluster),
@@ -175,7 +154,7 @@ def validation_section(cfg: LabConfig, *, seed: Optional[int], jobs: int) -> dic
     for spec in cfg.deltas:
         d = spec.build(cfg.universe, cfg.granulation)
         for mode_name in cfg.compatibility_modes:
-            verdict = check_compatibility(clustering, d, CompatibilityMode(mode_name))
+            verdict = check_compatibility(clustering, d, mode_name)
             compat.append(
                 {
                     "delta": spec.name,
@@ -192,21 +171,25 @@ def validation_section(cfg: LabConfig, *, seed: Optional[int], jobs: int) -> dic
     return section
 
 
-def build_check_axioms(cfg: LabConfig, *, seed: Optional[int], jobs: int) -> dict:
+def build_check_axioms(cfg: LabConfig, *, seed: Optional[int], jobs: int = 1) -> dict:
+    """The check-axioms report. ``jobs`` is accepted and ignored; it stays
+    only because ``bench/traced.py`` passes ``jobs=1``."""
     return {
         "command": "check-axioms",
         "provenance": provenance(seed),
         "structure": structure_summary(cfg),
-        "axioms": axioms_section(cfg, seed=seed, jobs=jobs),
+        "axioms": axioms_section(cfg, seed=seed),
     }
 
 
-def build_validate(cfg: LabConfig, *, seed: Optional[int], jobs: int) -> dict:
+def build_validate(cfg: LabConfig, *, seed: Optional[int], jobs: int = 1) -> dict:
+    """The validate report. ``jobs`` is accepted and ignored; it stays only
+    because ``bench/traced.py`` passes ``jobs=1``."""
     return {
         "command": "validate",
         "provenance": provenance(seed),
         "structure": structure_summary(cfg),
-        "validation": validation_section(cfg, seed=seed, jobs=jobs),
+        "validation": validation_section(cfg, seed=seed),
     }
 
 

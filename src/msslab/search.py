@@ -44,12 +44,16 @@ class SearchSpec:
         if self.n < 1:
             raise MsslabError("universe size must be at least 1")
         # Refused before any table is drawn: a table draws 2**(3n) values.
-        extensional = self.delta == "extensional" or self.family == "extensional-deltas"
-        if extensional and self.n > EXTENSIONAL_TABLE_LIMIT:
+        if self.extensional and self.n > EXTENSIONAL_TABLE_LIMIT:
             raise ParseError(
                 f"extensional tables admitted only for universes of size <= {EXTENSIONAL_TABLE_LIMIT}",
                 "n",
             )
+
+    @property
+    def extensional(self) -> bool:
+        """Whether each structure draws its own predicate table."""
+        return self.delta == "extensional" or self.family == "extensional-deltas"
 
 
 def _universe(n: int) -> Universe:
@@ -57,7 +61,7 @@ def _universe(n: int) -> Universe:
 
 
 def _structure_from_granulation(universe, granulation, spec, rng) -> MssStructure:
-    if spec.delta == "extensional":
+    if spec.extensional:
         top = 1 << universe.size
         triples = [
             (a, b, c)
@@ -113,14 +117,16 @@ def enumerate_structures(spec: SearchSpec) -> Iterator[MssStructure]:
                 f"(budget {spec.budget})"
             )
         total = 1 << width
-        candidates = [universe.from_mask(m) for m in range(1, 1 << spec.n)]
         picks = (
             range(total)
             if spec.exhaustive
             else (rng.randrange(total) for _ in range(spec.budget))
         )
         for bits in picks:
-            granules = [g for k, g in enumerate(candidates) if bits >> k & 1]
+            # Bit k stands for the granule of mask k + 1, read least significant first.
+            granules = [
+                universe.from_mask(k + 1) for k, bit in enumerate(bin(bits)[:1:-1]) if bit == "1"
+            ]
             granulation = Granulation(universe, granules)
             yield _structure_from_granulation(universe, granulation, spec, rng)
         return
@@ -128,16 +134,8 @@ def enumerate_structures(spec: SearchSpec) -> Iterator[MssStructure]:
     # extensional-deltas: sampled tables over the diagonal granulation
     diagonal = BinaryRelation.from_indices(universe, [(i, i) for i in range(spec.n)])
     granulation = predecessor_granulation(diagonal)
-    table_spec = SearchSpec(
-        n=spec.n,
-        family=spec.family,
-        delta="extensional",
-        budget=spec.budget,
-        seed=spec.seed,
-        density=spec.density,
-    )
     for _ in range(spec.budget):
-        yield _structure_from_granulation(universe, granulation, table_spec, rng)
+        yield _structure_from_granulation(universe, granulation, spec, rng)
 
 
 def find_witness(spec: SearchSpec) -> tuple[Optional[MssStructure], int]:

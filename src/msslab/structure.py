@@ -11,18 +11,18 @@ always those of a granulation of nonempty granules. So the laws in
 ``THEOREMS`` cannot fail once their slots are bound, and they are
 reported as theorems, with the reason, instead of being swept.
 
-The other laws are swept on the structure's compiled form
-(``MssStructure.compiled``), built once at the first sweep: each bound
-slot as an int-level evaluator over subset masks, and one mask evaluator
-per axiom. l and u are not rebuilt here: they are the granulation's own
-mask tables, the ones its E2/uE1 predicates and granular sum read too.
+``LAWS`` is the one registry of laws: for each, the slots it reads, the
+arity of its instances and its theorem reason. The laws that are not
+theorems are swept on masks (``evaluator``), reading each slot's own
+mask form: l and u are the granulation's mask tables, the ones its
+E2/uE1 predicates and granular sum read too, and delta and the sum are
+compiled once per predicate and per sum.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from . import delta as delta_mod
 from .delta import DeltaPredicate, SumOperation
@@ -53,99 +53,102 @@ SIGNATURE_SLOTS = (
     "gamma",
 )
 
-# The named conditions that define membership in the base structure class.
-DEFINITION_AXIOMS = (
-    "PT1",
-    "PT2",
-    "G1",
-    "G2",
-    "G3",
-    "G4",
-    "G5",
-    "UL1",
-    "UL2",
-    "UL3",
-    "TB",
-    "i-coh",
-    "n-coh",
-    "i-coh-2",
-    "trans-1",
-)
-
-ADMISSIBILITY_AXIOMS = (
-    "admissible-representable",
-    "admissible-granules-lower-definite",
-    "admissible-pairs-in-definite",
-)
-
-AXIOM_ORDER = DEFINITION_AXIOMS[:11] + (
-    "i-coh",
-    "n-coh",
-    "i-coh-2",
-    "strict-n-coh",
-    "trans-1",
-    "clos1",
-    "lclu",
-) + delta_mod.SUM_AXIOMS + ADMISSIBILITY_AXIOMS
-
-_REQUIRES = {
-    "PT1": {"P"},
-    "PT2": {"P"},
-    "G1": {"join", "meet"},
-    "G2": {"join", "meet"},
-    "G3": {"join", "meet"},
-    "G4": {"join", "meet"},
-    "G5": {"leq", "join", "meet"},
-    "UL1": {"P", "l", "u"},
-    "UL2": {"P", "l", "u"},
-    "UL3": {"P", "l", "u", "top", "bottom"},
-    "TB": {"P", "top", "bottom"},
-    "i-coh": {"delta"},
-    "n-coh": {"delta"},
-    "i-coh-2": {"delta"},
-    "strict-n-coh": {"delta"},
-    "trans-1": {"delta"},
-    "clos1": set(),
-    "lclu": {"kappa", "l"},
-    "omega-star-com": {"sum"},
-    "omega-id": {"sum"},
-    "omega-asso": {"sum"},
-    "delta-sum1": {"sum", "delta"},
-    "delta-sum2": {"sum", "delta"},
-    "delta-sum3": {"sum", "delta"},
-    "admissible-representable": {"gamma", "l", "u"},
-    "admissible-granules-lower-definite": {"gamma", "l", "u"},
-    "admissible-pairs-in-definite": {"gamma", "l", "u"},
-}
-
 # The slots whose interpretation is fixed: parthood and order are
 # inclusion, join and meet are union and intersection, top is H and
 # bottom is the empty set. A structure records which of them are bound.
 SET_SLOTS = frozenset({"P", "leq", "join", "meet", "top", "bottom"})
 
-# Laws that follow from those interpretations and from l and u being
-# unions of nonempty granules of one granulation, with the reason.
-THEOREMS = {
-    "PT1": "inclusion is reflexive",
-    "PT2": "inclusion is antisymmetric",
-    "G1": "union and intersection are commutative",
-    "G2": "union and intersection absorb each other",
-    "G3": "union distributes over intersection",
-    "G4": "intersection distributes over union",
-    "G5": "A is included in B iff their union is B iff their intersection is A",
-    "UL1": (
-        "l(A) is the union of the granules inside A, so it is inside A and its own l;"
-        " each granule of u(A) is nonempty, so it meets u(A) and lies in u(u(A))"
-    ),
-    "UL2": "a granule inside or meeting A is inside or meets every superset of A",
-    "UL3": "no nonempty granule is inside or meets the empty set, and l(H), u(H) lie in H",
-    "TB": "every subset lies between the empty set and H",
-    "admissible-representable": "l(A) and u(A) are unions of granules by definition",
-    "admissible-granules-lower-definite": "each granule is inside itself, so it is its own l",
-    "admissible-pairs-in-definite": (
-        "the union of all granules is definite and contains every pair of granules"
-    ),
+
+class Law(NamedTuple):
+    """One row of ``LAWS``: the slots a law reads, the number of subsets
+    its instances quantify over (None when it is not swept) and, for a law
+    that follows from the interpretations, the reason (None otherwise)."""
+
+    reads: frozenset[str]
+    arity: Optional[int]
+    theorem: Optional[str]
+
+
+# Every law, in report order: the laws of one structure, those of each
+# delta candidate, then admissibility. The theorems follow from the
+# interpretations above and from l and u being unions of nonempty granules
+# of one granulation; a law with neither an arity nor a reason has no
+# definition.
+LAWS = {
+    name: Law(frozenset(reads.split()), arity, reason)
+    for name, reads, arity, reason in (
+        ("PT1", "P", None, "inclusion is reflexive"),
+        ("PT2", "P", None, "inclusion is antisymmetric"),
+        ("G1", "join meet", None, "union and intersection are commutative"),
+        ("G2", "join meet", None, "union and intersection absorb each other"),
+        ("G3", "join meet", None, "union distributes over intersection"),
+        ("G4", "join meet", None, "intersection distributes over union"),
+        (
+            "G5",
+            "leq join meet",
+            None,
+            "A is included in B iff their union is B iff their intersection is A",
+        ),
+        (
+            "UL1",
+            "P l u",
+            None,
+            "l(A) is the union of the granules inside A, so it is inside A and its own l;"
+            " each granule of u(A) is nonempty, so it meets u(A) and lies in u(u(A))",
+        ),
+        (
+            "UL2",
+            "P l u",
+            None,
+            "a granule inside or meeting A is inside or meets every superset of A",
+        ),
+        (
+            "UL3",
+            "P l u top bottom",
+            None,
+            "no nonempty granule is inside or meets the empty set, and l(H), u(H) lie in H",
+        ),
+        ("TB", "P top bottom", None, "every subset lies between the empty set and H"),
+        ("clos1", "", None, None),
+        ("lclu", "kappa l", 1, None),
+        ("omega-star-com", "sum", 2, None),
+        ("omega-id", "sum", 1, None),
+        ("omega-asso", "sum", 3, None),
+        ("i-coh", "delta", 2, None),
+        ("n-coh", "delta", 3, None),
+        ("i-coh-2", "delta", 2, None),
+        ("strict-n-coh", "delta", 3, None),
+        ("trans-1", "delta", 4, None),
+        ("delta-sum1", "sum delta", 3, None),
+        ("delta-sum2", "sum delta", 3, None),
+        ("delta-sum3", "sum delta", 3, None),
+        (
+            "admissible-representable",
+            "gamma l u",
+            None,
+            "l(A) and u(A) are unions of granules by definition",
+        ),
+        (
+            "admissible-granules-lower-definite",
+            "gamma l u",
+            None,
+            "each granule is inside itself, so it is its own l",
+        ),
+        (
+            "admissible-pairs-in-definite",
+            "gamma l u",
+            None,
+            "the union of all granules is definite and contains every pair of granules",
+        ),
+    )
 }
+
+AXIOM_ORDER = tuple(LAWS)
+THEOREMS = {name: law.theorem for name, law in LAWS.items() if law.theorem is not None}
+# The named conditions that define membership in the base structure class:
+# the eleven laws of the set slots and of l and u, and four coherence laws.
+DEFINITION_AXIOMS = AXIOM_ORDER[:11] + ("i-coh", "n-coh", "i-coh-2", "trans-1")
+ADMISSIBILITY_AXIOMS = tuple(name for name, law in LAWS.items() if "gamma" in law.reads)
 
 
 @dataclass(frozen=True)
@@ -175,11 +178,6 @@ class MssStructure:
         if self.granulation is not None:
             bound.add("gamma")
         return frozenset(bound)
-
-    @functools.cached_property
-    def compiled(self) -> "CompiledStructure":
-        """The interpretations on masks, built at the first use."""
-        return CompiledStructure(self)
 
     def __repr__(self):
         return f"MssStructure(|H|={self.universe.size}, slots={sorted(self.bound_slots())})"
@@ -252,32 +250,23 @@ def reduct(s: MssStructure, keep: Iterable[str]) -> MssStructure:
     )
 
 
-class CompiledStructure:
-    """The slots the swept laws read, as int-level evaluators over masks.
+def evaluator(s: MssStructure, axiom: str) -> Callable[..., Optional[bool]]:
+    """The instance evaluator of one swept axiom over ``s``, taking masks.
 
-    ``lower``/``upper`` are the mask tables of the granulation bound as
-    l and u, ``delta`` and ``sum`` are the slots' own mask forms (the
-    sum returns ``UNDEFINED`` where undefined), and ``kappa`` is a set of
-    masks. Unbound slots are None.
+    It reads the slots' own mask forms: the granulation's l table, the
+    predicate's and the sum's ``masked()`` (the sum returns ``UNDEFINED``
+    where undefined).
     """
-
-    def __init__(self, s: MssStructure):
-        self.lower = s.ops.lower_table if s.ops is not None else None
-        self.upper = s.ops.upper_table if s.ops is not None else None
-        self.delta = s.delta.masked() if s.delta is not None else None
-        self.sum = s.sum.masked() if s.sum is not None else None
-        self.kappa = frozenset(c.mask for c in s.kappa) if s.kappa is not None else None
-
-    def evaluator(self, axiom: str) -> Callable[..., Optional[bool]]:
-        """The instance evaluator of one axiom, taking masks."""
-        if axiom == "lclu":
-            L, kappa = self.lower, self.kappa
-            return lambda a: L[a] in kappa if a in kappa else None
-        if axiom in delta_mod.COHERENCE_ARITY:
-            return delta_mod.coherence_evaluator(self.delta, axiom)
-        if axiom in delta_mod.SUM_ARITY:
-            return delta_mod.sum_evaluator(self.delta, self.sum, axiom)
+    law = LAWS.get(axiom)
+    if law is None or law.arity is None:
         raise StructureError(f"axiom {axiom!r} has no instance evaluator")
+    if axiom == "lclu":
+        L, kappa = s.ops.lower_table, frozenset(c.mask for c in s.kappa)
+        return lambda a: L[a] in kappa if a in kappa else None
+    d = s.delta.masked() if s.delta is not None else None
+    if "sum" in law.reads:
+        return delta_mod.sum_evaluator(d, s.sum.masked(), axiom)
+    return delta_mod.coherence_evaluator(d, axiom)
 
 
 def axiom_instance(s: MssStructure, axiom: str, args) -> Optional[bool]:
@@ -286,14 +275,7 @@ def axiom_instance(s: MssStructure, axiom: str, args) -> Optional[bool]:
     Returns True/False for substantive instances, None for vacuous ones.
     Witness replay re-runs this and expects False.
     """
-    return s.compiled.evaluator(axiom)(*encode(s.universe, args))
-
-
-_ARITY = {
-    "lclu": 1,
-    **delta_mod.COHERENCE_ARITY,
-    **delta_mod.SUM_ARITY,
-}
+    return evaluator(s, axiom)(*encode(s.universe, args))
 
 
 def check_axiom(
@@ -313,28 +295,22 @@ def check_axiom(
     default budget, the same verdicts an exhaustive sweep gives. Every
     other law, and those laws past that budget, is swept.
     """
-    if axiom == "clos1":
-        return unspecified(
-            "clos1", "no definition is registered for this named condition; not evaluated"
-        )
-    needed = _REQUIRES.get(axiom)
-    if needed is None:
+    law = LAWS.get(axiom)
+    if law is None:
         raise StructureError(f"unknown axiom {axiom!r}")
-    unbound = needed - s.bound_slots()
+    if law.arity is None and law.theorem is None:
+        return unspecified(
+            axiom, "no definition is registered for this named condition; not evaluated"
+        )
+    unbound = law.reads - s.bound_slots()
     if unbound:
         return deferred(axiom, f"unbound slots: {sorted(unbound)}")
-    if axiom in THEOREMS:
-        return theorem(axiom, THEOREMS[axiom])
+    if law.theorem is not None:
+        return theorem(axiom, law.theorem)
     if axiom in delta_mod.CUBE_AXIOMS and (1 << s.universe.size) ** 3 <= budget:
-        return delta_mod.cube_verdict(axiom, s.delta, s.compiled.sum)
-    return sweep(
-        axiom,
-        s.universe,
-        _ARITY[axiom],
-        s.compiled.evaluator(axiom),
-        seed=seed,
-        budget=budget,
-    )
+        mask_sum = s.sum.masked() if s.sum is not None else None
+        return delta_mod.cube_verdict(axiom, s.delta, mask_sum)
+    return sweep(axiom, s.universe, law.arity, evaluator(s, axiom), seed=seed, budget=budget)
 
 
 def verify(
@@ -343,13 +319,8 @@ def verify(
     *,
     seed: Optional[int] = None,
     budget: int = DEFAULT_SAMPLE_BUDGET,
-    jobs: int = 1,
 ) -> list[Verdict]:
-    """Check the requested axioms (default: every registered one), in order.
-
-    ``jobs`` is accepted and ignored: the sweeps are pure-Python work
-    that holds the interpreter lock, so worker threads only slowed them.
-    """
+    """Check the requested axioms (default: every registered one), in order."""
     requested = list(axioms) if axioms is not None else list(AXIOM_ORDER)
     if "gamma" not in s.bound_slots() and axioms is None:
         requested = [a for a in requested if a not in ADMISSIBILITY_AXIOMS]

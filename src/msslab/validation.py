@@ -140,17 +140,8 @@ def check_proposition(c: Subset, g: Granulation) -> Verdict:
     return theorem("deficit-traceability", DEFICIT_TRACEABILITY)
 
 
-def validate_clustering(
-    cl: Clustering,
-    g: Granulation,
-    *,
-    jobs: int = 1,
-) -> ValidityReport:
-    """Per-cluster deficits, grades, and proposition checks, then aggregates.
-
-    ``jobs`` is accepted and ignored: the work holds the interpreter lock,
-    so worker threads only slowed it.
-    """
+def validate_clustering(cl: Clustering, g: Granulation) -> ValidityReport:
+    """Per-cluster deficits, grades, and proposition checks, then aggregates."""
     if g.universe != cl.universe:
         raise UniverseMismatchError("clustering and operator universes differ")
     reports = tuple(
@@ -172,30 +163,9 @@ def validate_clustering(
     )
 
 
-@dataclass(frozen=True)
-class CompatibilityMode:
-    """How cluster membership is tested against the nearness predicate.
-
-    ``overlap-closer`` quantifies over cluster triples: every cluster must
-    be closer to each overlapping cluster than to each disjoint one.
-    ``clue-singleton`` quantifies inside each cluster: members, as
-    singletons, must be closer to each other than to any outsider.
-    """
-
-    mode: str
-
-    def __post_init__(self):
-        if self.mode not in COMPATIBILITY_MODES:
-            raise MsslabError(f"unknown compatibility mode {self.mode!r}")
-
-
-OVERLAP_CLOSER = CompatibilityMode("overlap-closer")
-CLUE_SINGLETON = CompatibilityMode("clue-singleton")
-
-
-def _compat_instances(cl: Clustering, mode: CompatibilityMode):
+def _compat_instances(cl: Clustering, mode: str):
     universe = cl.universe
-    if mode.mode == "overlap-closer":
+    if mode == "overlap-closer":
         for a in cl.clusters:
             for b in cl.clusters:
                 if b == a:
@@ -223,13 +193,20 @@ def _compat_instances(cl: Clustering, mode: CompatibilityMode):
 
 
 def check_compatibility(
-    cl: Clustering, d: DeltaPredicate, mode: CompatibilityMode = OVERLAP_CLOSER
+    cl: Clustering, d: DeltaPredicate, mode: str = "overlap-closer"
 ) -> Verdict:
     """Whether the clustering is compatible with the predicate under a mode.
+
+    ``overlap-closer`` quantifies over cluster triples: every cluster must
+    be closer to each overlapping cluster than to each disjoint one.
+    ``clue-singleton`` quantifies inside each cluster: members, as
+    singletons, must be closer to each other than to any outsider.
 
     The verdict fails on the first violating triple (in cluster-list
     order); a clustering with no applicable triple is vacuously compatible.
     """
+    if mode not in COMPATIBILITY_MODES:
+        raise MsslabError(f"unknown compatibility mode {mode!r}")
     if cl.universe != d.universe:
         raise UniverseMismatchError("clustering and predicate universes differ")
     checked = 0
@@ -237,10 +214,10 @@ def check_compatibility(
         checked += 1
         if not d(a, b, c):
             return Verdict(
-                f"compatibility:{mode.mode}",
+                f"compatibility:{mode}",
                 FAILS,
                 witnesses=((a, b, c),),
                 instances_checked=checked,
             )
     status = HOLDS if checked else VACUOUS
-    return Verdict(f"compatibility:{mode.mode}", status, instances_checked=checked)
+    return Verdict(f"compatibility:{mode}", status, instances_checked=checked)

@@ -10,7 +10,6 @@ from msslab import (
     DeltaPredicate,
     Granulation,
     MsslabError,
-    NearnessMap,
     SumOperation,
     Universe,
     UniverseMismatchError,
@@ -19,16 +18,12 @@ from msslab import (
 from msslab.config import parse_config
 from msslab.delta import (
     BUILTIN_DELTAS,
-    COHERENCE_ARITY,
     CUBE_AXIOMS,
-    SUM_ARITY,
-    SUM_AXIOMS,
     coherence_evaluator,
     cube_verdict,
-    sum_evaluator,
     trans1_verdict,
 )
-from msslab.structure import axiom_instance, check_axiom
+from msslab.structure import LAWS, axiom_instance, check_axiom, evaluator
 from msslab.verdicts import sweep
 
 
@@ -40,7 +35,7 @@ def coherence(d, axiom):
 def sum_laws(d, s):
     """Verdicts of the six sum laws on the structure binding ``d`` and ``s``."""
     structure = assemble(s.universe, delta=d, sum=s)
-    return [check_axiom(structure, axiom) for axiom in SUM_AXIOMS]
+    return [check_axiom(structure, axiom) for axiom, law in LAWS.items() if "sum" in law.reads]
 
 
 def test_eval_delta_builtin_examples(H, granulation, delta_builtins):
@@ -167,7 +162,7 @@ def test_omega_asso_compares_by_conditional_equality():
 def test_def_compat_examples(H, delta_builtins):
     # E1 implies the comparison the union map induces (def1), not conversely
     # (def2): a = b = c compares but is no proper inclusion.
-    induced = DeltaPredicate.from_nearness(NearnessMap.union(H))
+    induced = DeltaPredicate.from_nearness(H)
     space = list(H.all_subsets())
     for a, b, c in itertools.product(space, repeat=3):
         if delta_builtins["E1"](a, b, c):
@@ -177,7 +172,7 @@ def test_def_compat_examples(H, delta_builtins):
 
 
 def test_def0_with_union_map_matches_plain_inclusion(H, delta_builtins):
-    induced = DeltaPredicate.from_nearness(NearnessMap.union(H))
+    induced = DeltaPredicate.from_nearness(H)
     space = list(H.all_subsets())
     for a, b, c in itertools.product(space, repeat=3):
         assert induced(a, b, c) == delta_builtins["E0"](a, b, c)
@@ -231,17 +226,15 @@ def test_unknown_axiom_and_mode_rejected(H, delta_builtins):
 
 def test_nearness_table_must_be_total(H):
     with pytest.raises(ConfigurationError):
-        NearnessMap.from_table(H, {(0, 0): 0})
+        DeltaPredicate.from_nearness(H, {(0, 0): 0})
 
 
 def swept(d, axiom, s=None, **kwargs):
     """One delta law swept tuple by tuple, over the whole space unless
     ``kwargs`` give a budget."""
-    if axiom in COHERENCE_ARITY:
-        evaluator, arity = coherence_evaluator(d.masked(), axiom), COHERENCE_ARITY[axiom]
-    else:
-        evaluator, arity = sum_evaluator(d.masked(), s.masked(), axiom), SUM_ARITY[axiom]
-    return sweep(axiom, d.universe, arity, evaluator, **{"budget": math.inf, **kwargs})
+    structure = assemble(d.universe, delta=d, sum=s)
+    kwargs = {"budget": math.inf, **kwargs}
+    return sweep(axiom, d.universe, LAWS[axiom].arity, evaluator(structure, axiom), **kwargs)
 
 
 def test_trans1_kernel_matches_the_sweep_on_all_three_element_granulations(
@@ -323,7 +316,7 @@ ARITY3_CUBE_AXIOMS = tuple(a for a in CUBE_AXIOMS if a != "trans-1")
 
 def assert_cube_matches_the_sweep(d, s, label=None):
     for axiom in ARITY3_CUBE_AXIOMS:
-        law_sum = s if axiom in SUM_ARITY else None
+        law_sum = s if "sum" in LAWS[axiom].reads else None
         mask_sum = law_sum.masked() if law_sum is not None else None
         assert cube_verdict(axiom, d, mask_sum) == swept(d, axiom, law_sum), (axiom, label)
 
@@ -376,7 +369,7 @@ def test_cube_runs_exactly_when_its_work_fits_the_budget():
     for name in BUILTIN_DELTAS:
         structure = assemble(u, granulation=g, delta=DeltaPredicate.builtin(name, u, g), sum=s)
         for axiom in ARITY3_CUBE_AXIOMS:
-            law_sum = s if axiom in SUM_ARITY else None
+            law_sum = s if "sum" in LAWS[axiom].reads else None
             exhaustive = check_axiom(structure, axiom, budget=32**3)
             assert exhaustive == swept(structure.delta, axiom, law_sum), (name, axiom)
             sampled = check_axiom(structure, axiom, budget=32**3 - 1, seed=3)

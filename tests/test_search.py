@@ -1,4 +1,5 @@
 import itertools
+import random
 import tracemalloc
 
 import pytest
@@ -93,6 +94,16 @@ def test_sampled_searches_draw_budget_structures(family):
     drawn = [s.granulation.masks() for s in enumerate_structures(spec)]
     assert len(drawn) == 7
     assert drawn == [s.granulation.masks() for s in enumerate_structures(spec)]
+
+
+def test_sampled_granulation_stream_is_pinned():
+    # Each draw is one randrange(2**31); its set bit k is the granule of
+    # mask k + 1, listed in ascending mask order.
+    spec = SearchSpec(n=5, family="granulations", budget=20, seed=3, exhaustive=False)
+    rng = random.Random(3)
+    for s in enumerate_structures(spec):
+        bits = rng.randrange(2**31)
+        assert s.granulation.masks() == tuple(k + 1 for k in range(31) if bits >> k & 1)
 
 
 def test_enumeration_is_deterministic():

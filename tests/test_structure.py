@@ -18,8 +18,16 @@ from msslab import (
     verify,
 )
 from msslab.config import parse_config
+from msslab.report import build_check_axioms
 from msslab.search import enumerate_structures, SearchSpec
-from msslab.structure import THEOREMS, check_axiom
+from msslab.structure import (
+    ADMISSIBILITY_AXIOMS,
+    AXIOM_ORDER,
+    LAWS,
+    THEOREMS,
+    axiom_instance,
+    check_axiom,
+)
 
 PASSING = ("holds", "vacuous")
 
@@ -61,6 +69,33 @@ def test_set_theoretic_laws_are_reported_as_theorems(H, granulation, clustering,
         assert v.witnesses == () and v.note == f"theorem: {reason}"
     swept = [v for v in verdicts.values() if v.mode in ("exhaustive", "sampled")]
     assert {v.axiom for v in swept}.isdisjoint(THEOREMS) and swept
+
+
+def test_every_law_is_checked_as_its_row_says(
+    repo_root, H, granulation, clustering, delta_builtins
+):
+    sum_op = SumOperation.granular(granulation)
+    s = build(H, granulation, clustering, "E1", delta_builtins, sum_op)
+    assert s.bound_slots() >= set().union(*(law.reads for law in LAWS.values()))
+    for axiom in AXIOM_ORDER:
+        law = LAWS[axiom]
+        verdict = check_axiom(s, axiom)
+        assert (verdict.mode == "theorem") == (law.theorem is not None), axiom
+        if law.arity is None:
+            continue
+        assert law.theorem is None
+        assert axiom_instance(s, axiom, (H.full,) * law.arity) in (True, False, None)
+        for wrong in (law.arity - 1, law.arity + 1):
+            with pytest.raises(TypeError):
+                axiom_instance(s, axiom, (H.full,) * wrong)
+
+    document = json.loads((repo_root / "examples/paper-example.json").read_text())
+    axioms = build_check_axioms(parse_config(document), seed=None)["axioms"]
+    structural = [v["axiom"] for v in axioms["structural"]]
+    per_delta = [v["axiom"] for v in axioms["per_delta"]["E1"]]
+    split = len(structural) - len(ADMISSIBILITY_AXIOMS)
+    assert tuple(structural[split:]) == ADMISSIBILITY_AXIOMS
+    assert tuple(structural[:split] + per_delta + structural[split:]) == AXIOM_ORDER
 
 
 def test_reduct_without_parthood_defers_its_theorems(H, granulation, clustering, delta_builtins):
@@ -119,7 +154,7 @@ def test_every_layer_reads_the_granulation_tables(repo_root):
     e2, ue1 = cfg.structure(specs["E2"]), cfg.structure(specs["uE1"])
     L, U = cfg.granulation.lower_table, cfg.granulation.upper_table
     for s in (e2, ue1):
-        assert s.compiled.lower is L and s.compiled.upper is U
+        assert s.ops.lower_table is L and s.ops.upper_table is U
         assert s.ops is cfg.granulation and s.delta.granulation is cfg.granulation
         assert s.sum.granulation.lower_table is L
 

@@ -4,10 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from msslab import (
-    CLUE_SINGLETON,
-    OVERLAP_CLOSER,
     Clustering,
-    CompatibilityMode,
     Granulation,
     MsslabError,
     Universe,
@@ -142,12 +139,6 @@ def test_validate_clustering_rejects_operators_of_another_universe(granulation):
         validate_clustering(foreign, granulation)
 
 
-def test_validate_clustering_parallel_matches_serial(H, granulation, clustering):
-    serial = validate_clustering(clustering, granulation)
-    threaded = validate_clustering(clustering, granulation, jobs=4)
-    assert serial == threaded
-
-
 def test_clustering_validation_errors(H):
     with pytest.raises(MsslabError):
         Clustering(H, [])
@@ -178,7 +169,7 @@ def test_granulation_is_a_clustering_for_upper_inclusion(H, granulation, delta_b
 
 
 def test_clue_singleton_rejects_plain_inclusion_here(H, clustering, delta_builtins):
-    v = check_compatibility(clustering, delta_builtins["E0"], CLUE_SINGLETON)
+    v = check_compatibility(clustering, delta_builtins["E0"], "clue-singleton")
     assert v.status == "fails"
 
 
@@ -202,9 +193,9 @@ def test_whole_universe_cluster_is_lu_valid(H, granulation):
     assert g.lu_valid
 
 
-def test_unknown_compatibility_mode_rejected():
+def test_unknown_compatibility_mode_rejected(clustering, delta_builtins):
     with pytest.raises(MsslabError, match="unknown compatibility mode 'nearest-first'"):
-        CompatibilityMode("nearest-first")
+        check_compatibility(clustering, delta_builtins["E0"], "nearest-first")
 
 
 def test_pipeline_on_the_example_config():
