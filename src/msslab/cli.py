@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 usage or parse problem, 2 axiom/validation
-failure under --strict-exit, 3 infeasible search budget.
+failure under --strict-exit or a witness that does not replay, 3
+infeasible search budget.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .report import (
     has_failures,
     provenance,
     render_text,
+    replay_failures,
     to_json,
 )
 from .search import SearchSpec, find_witness
@@ -78,6 +80,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="hunt for structures meeting/breaking named axioms")
     p.add_argument("spec", type=Path)
     _common_flags(p, strict=False)
+
+    p = sub.add_parser("replay", help="re-evaluate every failing witness of a report")
+    p.add_argument("config", type=Path)
+    p.add_argument("report", type=Path)
     return parser
 
 
@@ -228,6 +234,15 @@ def _search_report(spec_data: dict, cli_seed) -> dict:
     }
 
 
+def _replay(cfg, report) -> int:
+    if not isinstance(report, dict):
+        raise ParseError("report must be a JSON object")
+    problems = replay_failures(cfg, report)
+    for problem in problems:
+        print(f"msslab: {problem}", file=sys.stderr)
+    return EXIT_STRICT if problems else EXIT_OK
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -239,6 +254,8 @@ def main(argv=None) -> int:
 
         data = _load_json(args.config)
         cfg = parse_config(data)
+        if args.command == "replay":
+            return _replay(cfg, _load_json(args.report))
         seed = _pick_seed(args.seed, cfg.seed)
         if args.command == "check-axioms":
             report = build_check_axioms(cfg, seed=seed)

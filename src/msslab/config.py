@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .delta import BUILTIN_DELTAS, DeltaPredicate, SumOperation
 from .errors import ParseError
@@ -32,8 +31,7 @@ KNOWN_FIELDS = {
 CLOSURE_FLAGS = ("reflexive", "symmetric", "transitive")
 
 
-@dataclass(frozen=True)
-class DeltaSpec:
+class DeltaSpec(NamedTuple):
     name: str
     kind: str
     triples: Optional[tuple[tuple[tuple[str, ...], ...], ...]] = None
@@ -60,8 +58,7 @@ class DeltaSpec:
         raise ParseError(f"unknown delta kind {self.kind!r}")
 
 
-@dataclass(frozen=True)
-class LabConfig:
+class LabConfig(NamedTuple):
     universe: Universe
     relation: Optional[BinaryRelation]
     granulation: Optional[Granulation]

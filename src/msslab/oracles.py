@@ -7,9 +7,8 @@ is meant to validate; the duplication is the point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import MsslabError
 
@@ -49,8 +48,7 @@ ORACLE_SUM_AXIOMS = (
 # tuple the benchmark gate checks, so the gate's work is unchanged.
 
 
-@dataclass(frozen=True)
-class StructureDescription:
+class StructureDescription(NamedTuple):
     """Plain-data view of a structure: names only, no operator objects."""
 
     elements: tuple[str, ...]

@@ -318,13 +318,19 @@ def replay_failures(cfg: LabConfig, report: dict) -> list[str]:
     """Re-evaluate every failing witness in a report; return unsound ones.
 
     Walks the report's own axiom verdicts and compatibility rows and, in a
-    pipeline report, those under ``steps.step5_investigate``.
+    pipeline report, those under ``steps.step5_investigate``. A delta the
+    config does not declare is a ``ParseError``.
     """
     problems = []
     specs = {spec.name: spec for spec in cfg.deltas}
 
+    def spec_for(name: str):
+        if name not in specs:
+            raise ParseError(f"the report names delta {name!r}, which the config does not declare")
+        return specs[name]
+
     def structure_for(name: Optional[str]) -> MssStructure:
-        return cfg.structure(specs[name]) if name else cfg.structure(None)
+        return cfg.structure(spec_for(name)) if name else cfg.structure(None)
 
     def subsets(witness):
         return tuple(cfg.universe.subset(part) for part in witness)
@@ -352,7 +358,7 @@ def replay_failures(cfg: LabConfig, report: dict) -> list[str]:
         for row in section.get("validation", {}).get("compatibility", []):
             if row.get("status") != "fails":
                 continue
-            d = specs[row["delta"]].build(cfg.universe, cfg.granulation)
+            d = spec_for(row["delta"]).build(cfg.universe, cfg.granulation)
             for w in row["witnesses"]:
                 if d(*subsets(w)):
                     problems.append(f"compatibility[{row['delta']}]: witness does not violate")

@@ -11,8 +11,7 @@ stream.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .delta import BUILTIN_DELTAS, EXTENSIONAL_TABLE_LIMIT, DeltaPredicate
 from .errors import BudgetError, MsslabError, ParseError
@@ -24,8 +23,7 @@ FAMILIES = ("relations", "extensional-deltas", "granulations")
 RELATION_EXHAUSTIVE_LIMIT = 4
 
 
-@dataclass(frozen=True)
-class SearchSpec:
+class _SearchFields(NamedTuple):
     n: int
     family: str = "relations"
     delta: str = "E0"
@@ -36,7 +34,14 @@ class SearchSpec:
     density: float = 0.5
     exhaustive: bool = True
 
-    def __post_init__(self):
+
+class SearchSpec(_SearchFields):
+    """The fields of a search, checked when the spec is constructed."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.family not in FAMILIES:
             raise MsslabError(f"unknown structure family {self.family!r}")
         if self.budget <= 0:
@@ -49,6 +54,12 @@ class SearchSpec:
                 f"extensional tables admitted only for universes of size <= {EXTENSIONAL_TABLE_LIMIT}",
                 "n",
             )
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make; route it through the checks too.
+        return cls(*iterable)
 
     @property
     def extensional(self) -> bool:
@@ -117,16 +128,17 @@ def enumerate_structures(spec: SearchSpec) -> Iterator[MssStructure]:
                 f"(budget {spec.budget})"
             )
         total = 1 << width
-        picks = (
-            range(total)
-            if spec.exhaustive
-            else (rng.randrange(total) for _ in range(spec.budget))
-        )
+        if spec.exhaustive:
+            # Every family is drawn from the same candidates: build each once.
+            granule = [universe.from_mask(mask) for mask in range(1 << spec.n)].__getitem__
+            picks = range(total)
+        else:
+            # A prebuilt list would hold 2**n subsets; build only those drawn.
+            granule = universe.from_mask
+            picks = (rng.randrange(total) for _ in range(spec.budget))
         for bits in picks:
             # Bit k stands for the granule of mask k + 1, read least significant first.
-            granules = [
-                universe.from_mask(k + 1) for k, bit in enumerate(bin(bits)[:1:-1]) if bit == "1"
-            ]
+            granules = [granule(k + 1) for k, bit in enumerate(bin(bits)[:1:-1]) if bit == "1"]
             granulation = Granulation(universe, granules)
             yield _structure_from_granulation(universe, granulation, spec, rng)
         return

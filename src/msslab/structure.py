@@ -21,7 +21,6 @@ compiled once per predicate and per sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from . import delta as delta_mod
@@ -151,8 +150,7 @@ DEFINITION_AXIOMS = AXIOM_ORDER[:11] + ("i-coh", "n-coh", "i-coh-2", "trans-1")
 ADMISSIBILITY_AXIOMS = tuple(name for name, law in LAWS.items() if "gamma" in law.reads)
 
 
-@dataclass(frozen=True)
-class MssStructure:
+class MssStructure(NamedTuple):
     """A structure over one universe. ``ops`` is the granulation whose l
     and u are bound (None when a reduct dropped them); ``granulation`` is
     the one bound as gamma."""
@@ -341,8 +339,7 @@ def replay(s: MssStructure, verdict: Verdict) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     """Tri-state flags; None means the deciding checks were deferred."""
 
     is_mss: Optional[bool]

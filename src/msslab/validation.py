@@ -10,8 +10,7 @@ traceability is a theorem here, reported with its reason.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .delta import DeltaPredicate
 from .errors import MsslabError, UniverseMismatchError
@@ -70,8 +69,7 @@ def upper_deficit(c: Subset, g: Granulation) -> PartialResult:
     return PartialResult.of(g.upper(diff.value))
 
 
-@dataclass(frozen=True)
-class ClusterGrades:
+class ClusterGrades(NamedTuple):
     lu_valid: bool
     l_pre_valid: bool
     u_pre_valid: bool
@@ -105,8 +103,7 @@ def validity_grades(c: Subset, g: Granulation) -> ClusterGrades:
     )
 
 
-@dataclass(frozen=True)
-class ClusterReport:
+class ClusterReport(NamedTuple):
     cluster: Subset
     lower_deficit: PartialResult
     upper_deficit: PartialResult
@@ -114,8 +111,7 @@ class ClusterReport:
     proposition: Verdict
 
 
-@dataclass(frozen=True)
-class ValidityReport:
+class ValidityReport(NamedTuple):
     per_cluster: tuple[ClusterReport, ...]
     lu_valid: bool
     l_pre_valid: bool

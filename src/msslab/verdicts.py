@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .sets import Subset, Universe
 
@@ -28,8 +27,7 @@ DEFAULT_SAMPLE_BUDGET = 1_000_000
 DEFAULT_SEED = 0
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     axiom: str
     status: str
     witnesses: tuple[tuple[Subset, ...], ...] = ()

@@ -541,3 +541,51 @@ def test_schemas_are_valid_json(repo_root):
 def test_report_round_trip_through_json(repo_root):
     raw = run_cli(repo_root, "check-axioms", FIXTURE, "--seed", "7").stdout
     assert to_json(json.loads(raw)) == raw
+
+
+def test_replay_subcommand_accepts_the_paper_pipeline_report(repo_root):
+    report = GOLDEN / "paper-pipeline.json"
+    result = run_cli(repo_root, "replay", FIXTURE, str(report))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "" and result.stderr == ""
+
+
+def test_replay_subcommand_exits_2_on_a_forged_step5_witness(repo_root, tmp_path):
+    report = json.loads((GOLDEN / "paper-pipeline.json").read_text(encoding="utf-8"))
+    e1 = report["steps"]["step5_investigate"]["axioms"]["per_delta"]["E1"]
+    trans = next(v for v in e1 if v["axiom"] == "trans-1")
+    trans["witnesses"] = [[[], [], [], []]]
+    forged = write_config(tmp_path, report, "forged.json")
+    result = run_cli(repo_root, "replay", FIXTURE, str(forged))
+    assert result.returncode == 2
+    assert result.stderr == "msslab: per_delta[E1]: a witness of trans-1 does not replay\n"
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ("{", "invalid JSON"),
+        ("[]", "report must be a JSON object"),
+        (
+            json.dumps(
+                {
+                    "axioms": {
+                        "per_delta": {
+                            "E9": [
+                                {"axiom": "i-coh", "status": "fails", "witnesses": [[["x1"], ["x2"]]]}
+                            ]
+                        }
+                    }
+                }
+            ),
+            "delta 'E9'",
+        ),
+    ],
+    ids=["invalid-json", "not-an-object", "undeclared-delta"],
+)
+def test_replay_subcommand_exits_1_on_a_report_it_cannot_read(repo_root, tmp_path, content, message):
+    report = tmp_path / "report.json"
+    report.write_text(content, encoding="utf-8")
+    result = run_cli(repo_root, "replay", FIXTURE, str(report))
+    assert result.returncode == 1
+    assert result.stderr.startswith("msslab: parse error:") and message in result.stderr

@@ -401,13 +401,42 @@ def test_oracle_powerset_covers_everything():
     assert len(space) == 8 and len(set(space)) == 8
 
 
+# Each refusal, by position and by keyword.
+BAD_SPECS = (
+    ((2, "islands"), {}, "unknown structure family"),
+    ((2,), {"family": "islands"}, "unknown structure family"),
+    ((0,), {}, "universe size must be at least 1"),
+    ((), {"n": -2}, "universe size must be at least 1"),
+    ((2, "relations", "E0", (), (), 0), {}, "budget must be positive"),
+    ((2,), {"budget": -1}, "budget must be positive"),
+    ((7, "relations", "extensional"), {}, "extensional tables"),
+    ((), {"n": 7, "family": "extensional-deltas"}, "extensional tables"),
+)
+
+
 def test_search_spec_validation():
-    with pytest.raises(MsslabError):
-        SearchSpec(n=2, family="islands")
-    with pytest.raises(MsslabError):
-        SearchSpec(n=0)
-    with pytest.raises(MsslabError):
-        SearchSpec(n=2, budget=0)
+    for args, kwargs, message in BAD_SPECS:
+        with pytest.raises(MsslabError, match=message):
+            SearchSpec(*args, **kwargs)
+        with pytest.raises(MsslabError, match=message):
+            SearchSpec(4)._replace(**dict(zip(SearchSpec._fields, args)), **kwargs)
+
+
+def test_search_spec_positional_and_keyword_construction_agree():
+    positional = SearchSpec(3, "granulations", "E1", ("i-coh",), ("trans-1",), 64, 5, 0.25, False)
+    keyword = SearchSpec(
+        n=3,
+        family="granulations",
+        delta="E1",
+        required=("i-coh",),
+        forbidden=("trans-1",),
+        budget=64,
+        seed=5,
+        density=0.25,
+        exhaustive=False,
+    )
+    assert positional == keyword and hash(positional) == hash(keyword)
+    assert SearchSpec(4) == SearchSpec(n=4)
 
 
 def test_oracle_needs_granulation(H, delta_builtins):
