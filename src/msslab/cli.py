@@ -24,7 +24,6 @@ from .report import (
     has_failures,
     provenance,
     render_text,
-    replay_failures,
     to_json,
 )
 from .search import SearchSpec, find_witness
@@ -235,8 +234,8 @@ def _search_report(spec_data: dict, cli_seed) -> dict:
 
 
 def _replay(cfg, report) -> int:
-    if not isinstance(report, dict):
-        raise ParseError("report must be a JSON object")
+    from .witnesses import replay_failures  # only this subcommand reads it
+
     problems = replay_failures(cfg, report)
     for problem in problems:
         print(f"msslab: {problem}", file=sys.stderr)

@@ -6,7 +6,8 @@ extensional predicates are given by an explicit triple table. The
 coherence and sum laws are evaluated here on masks and swept by
 ``structure.check_axiom``, which decides the laws of ``CUBE_AXIOMS`` on
 the predicate's cube of rows (``DeltaPredicate.plane``) instead whenever
-it fits its budget.
+it fits its budget. A sum of ``UNION_SUMS`` is the union wherever it is
+defined, so the omega laws are theorems there.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from .verdicts import FAILS, HOLDS, VACUOUS, Verdict
 BUILTIN_DELTAS = ("E0", "E1", "E2", "uE1")
 # The laws decided on the rows of delta, in 2³ⁿ calls of delta shared by all.
 CUBE_AXIOMS = ("n-coh", "strict-n-coh", "trans-1", "delta-sum1", "delta-sum2", "delta-sum3")
+# The sum modes that are the union of their arguments wherever they are defined.
+UNION_SUMS = ("total-union", "granular-sum")
 
 EXTENSIONAL_TABLE_LIMIT = 6
 
@@ -135,10 +138,19 @@ class DeltaPredicate:
         ``rows[b]`` is the mask of every c with d(a, b, c) and ``cols[b]``
         the mask of every c with d(a, c, b). One pass of 2²ⁿ calls of
         ``masked()`` fills both, so the whole cube costs 2³ⁿ calls, shared
-        by every law that reads it.
+        by every law that reads it. An extensional predicate makes no
+        call: its first plane call reads the table once into every plane.
         """
         if self._cube is None:
-            self._cube = [None] * (1 << self.universe.size)
+            top = 1 << self.universe.size
+            if self.kind == "extensional":
+                self._cube = [([0] * top, [0] * top) for _ in range(top)]
+                for x, b, c in self.table:
+                    rows, cols = self._cube[x]
+                    rows[b] |= 1 << c
+                    cols[c] |= 1 << b
+            else:
+                self._cube = [None] * top
         if self._cube[a] is None:
             d, top = self.masked(), len(self._cube)
             bits = [1 << c for c in range(top)]
@@ -365,13 +377,17 @@ def cube_verdict(
 
     The verdict is the exhaustive sweep's: the least violating (a, b, c)
     as witness, its rank + 1 as the count, and holds/vacuous by whether
-    any instance has a true antecedent (and a defined squared sum).
+    any instance has a true antecedent (and a defined squared sum). When
+    no defined square s(x, x) moves its argument, as under every sum of
+    ``UNION_SUMS``, each delta-sum consequent is its antecedent: the law
+    cannot fail, and the first substantive instance decides it.
     """
     if axiom == "trans-1":
         return trans1_verdict(d)
     top = 1 << d.universe.size
     rows, cols = zip(*map(d.plane, range(top)))
     diag = [s(x, x) for x in range(top)] if axiom.startswith("delta-sum") else None
+    fixed = diag is not None and all(xx in (x, UNDEFINED) for x, xx in enumerate(diag))
     if axiom == "n-coh":
 
         def cell(a, b, row):
@@ -418,5 +434,7 @@ def cube_verdict(
                     witnesses=(tuple(map(d.universe.from_mask, (a, b, c))),),
                     instances_checked=(a * top + b) * top + c + 1,
                 )
+            if live and fixed:
+                return Verdict(axiom, HOLDS, instances_checked=top**3)
             substantive = substantive or bool(live)
     return Verdict(axiom, HOLDS if substantive else VACUOUS, instances_checked=top**3)

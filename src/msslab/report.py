@@ -13,16 +13,9 @@ from typing import Optional
 from . import __version__ as _version
 from .config import LabConfig
 from .errors import ParseError
-from .structure import (
-    ADMISSIBILITY_AXIOMS,
-    LAWS,
-    MssStructure,
-    classify,
-    replay,
-    verify,
-)
+from .structure import ADMISSIBILITY_AXIOMS, LAWS, classify, verify
 from .validation import check_compatibility, validate_clustering
-from .verdicts import DEFAULT_SEED, FAILS, Verdict
+from .verdicts import DEFAULT_SEED, Verdict
 
 # Laws checked once per structure, and those checked once per delta candidate.
 STRUCTURAL_AXIOMS = tuple(a for a, law in LAWS.items() if not law.reads & {"delta", "gamma"})
@@ -312,54 +305,3 @@ def render_text(report: dict) -> str:
             out(f"  {search['note']}")
 
     return "\n".join(lines) + "\n"
-
-
-def replay_failures(cfg: LabConfig, report: dict) -> list[str]:
-    """Re-evaluate every failing witness in a report; return unsound ones.
-
-    Walks the report's own axiom verdicts and compatibility rows and, in a
-    pipeline report, those under ``steps.step5_investigate``. A delta the
-    config does not declare is a ``ParseError``.
-    """
-    problems = []
-    specs = {spec.name: spec for spec in cfg.deltas}
-
-    def spec_for(name: str):
-        if name not in specs:
-            raise ParseError(f"the report names delta {name!r}, which the config does not declare")
-        return specs[name]
-
-    def structure_for(name: Optional[str]) -> MssStructure:
-        return cfg.structure(spec_for(name)) if name else cfg.structure(None)
-
-    def subsets(witness):
-        return tuple(cfg.universe.subset(part) for part in witness)
-
-    def check(verdict: dict, delta_name: Optional[str], label: str):
-        if verdict.get("status") != "fails":
-            return
-        if not verdict.get("witnesses"):
-            problems.append(f"{label}: failing verdict without witness")
-            return
-        axiom = verdict["axiom"]
-        witnesses = tuple(subsets(w) for w in verdict["witnesses"])
-        if not replay(structure_for(delta_name), Verdict(axiom, FAILS, witnesses=witnesses)):
-            problems.append(f"{label}: a witness of {axiom} does not replay")
-
-    steps = report.get("steps", {})
-    for section in (report, steps.get("step5_investigate", {})):
-        axioms = section.get("axioms", {})
-        for v in axioms.get("structural", []):
-            check(v, None, "structural")
-        for name, verdicts in axioms.get("per_delta", {}).items():
-            for v in verdicts:
-                check(v, name, f"per_delta[{name}]")
-
-        for row in section.get("validation", {}).get("compatibility", []):
-            if row.get("status") != "fails":
-                continue
-            d = spec_for(row["delta"]).build(cfg.universe, cfg.granulation)
-            for w in row["witnesses"]:
-                if d(*subsets(w)):
-                    problems.append(f"compatibility[{row['delta']}]: witness does not violate")
-    return problems

@@ -9,10 +9,11 @@ Parthood and order are inclusion, join and meet are union and
 intersection, and the constants are H and the empty set; l and u are
 always those of a granulation of nonempty granules. So the laws in
 ``THEOREMS`` cannot fail once their slots are bound, and they are
-reported as theorems, with the reason, instead of being swept.
+reported as theorems, with the reason, instead of being swept. The same
+holds for the omega laws when the sum is a union sum.
 
 ``LAWS`` is the one registry of laws: for each, the slots it reads, the
-arity of its instances and its theorem reason. The laws that are not
+arity of its instances and its theorem reasons. The laws that are not
 theorems are swept on masks (``evaluator``), reading each slot's own
 mask form: l and u are the granulation's mask tables, the ones its
 E2/uE1 predicates and granular sum read too, and delta and the sum are
@@ -61,11 +62,13 @@ SET_SLOTS = frozenset({"P", "leq", "join", "meet", "top", "bottom"})
 class Law(NamedTuple):
     """One row of ``LAWS``: the slots a law reads, the number of subsets
     its instances quantify over (None when it is not swept) and, for a law
-    that follows from the interpretations, the reason (None otherwise)."""
+    that follows from the interpretations, or only under a union sum
+    (``delta.UNION_SUMS``), the reason (None otherwise)."""
 
     reads: frozenset[str]
     arity: Optional[int]
     theorem: Optional[str]
+    union_theorem: Optional[str] = None
 
 
 # Every law, in report order: the laws of one structure, those of each
@@ -74,8 +77,8 @@ class Law(NamedTuple):
 # of one granulation; a law with neither an arity nor a reason has no
 # definition.
 LAWS = {
-    name: Law(frozenset(reads.split()), arity, reason)
-    for name, reads, arity, reason in (
+    name: Law(frozenset(reads.split()), arity, *reasons)
+    for name, reads, arity, *reasons in (
         ("PT1", "P", None, "inclusion is reflexive"),
         ("PT2", "P", None, "inclusion is antisymmetric"),
         ("G1", "join meet", None, "union and intersection are commutative"),
@@ -110,9 +113,21 @@ LAWS = {
         ("TB", "P top bottom", None, "every subset lies between the empty set and H"),
         ("clos1", "", None, None),
         ("lclu", "kappa l", 1, None),
-        ("omega-star-com", "sum", 2, None),
-        ("omega-id", "sum", 1, None),
-        ("omega-asso", "sum", 3, None),
+        (
+            "omega-star-com",
+            "sum",
+            2,
+            None,
+            "a union sum is defined on (A, B) exactly when on (B, A), and is their union there",
+        ),
+        ("omega-id", "sum", 1, None, "a union sum of A with itself is A wherever it is defined"),
+        (
+            "omega-asso",
+            "sum",
+            3,
+            None,
+            "A + (B + C) and (A + B) + C are both the union of A, B and C wherever both are defined",
+        ),
         ("i-coh", "delta", 2, None),
         ("n-coh", "delta", 3, None),
         ("i-coh-2", "delta", 2, None),
@@ -286,12 +301,14 @@ def check_axiom(
     """Verdict for a single named axiom over the structure.
 
     A law of ``THEOREMS`` whose slots are bound holds as a theorem, with
-    no instance checked. The laws of ``delta.CUBE_AXIOMS`` (n-coh,
-    strict-n-coh, trans-1 and delta-sum1..3) are decided on the rows of
-    delta (``delta.cube_verdict``) when their 2³ⁿ delta calls, shared
-    through ``DeltaPredicate.plane``, fit ``budget``: up to n = 6 at the
-    default budget, the same verdicts an exhaustive sweep gives. Every
-    other law, and those laws past that budget, is swept.
+    no instance checked, and so does a law with a ``union_theorem`` when
+    the sum is a union sum (``delta.UNION_SUMS``): the omega laws. The
+    laws of ``delta.CUBE_AXIOMS`` (n-coh, strict-n-coh, trans-1 and
+    delta-sum1..3) are decided on the rows of delta
+    (``delta.cube_verdict``) when their 2³ⁿ delta calls, shared through
+    ``DeltaPredicate.plane``, fit ``budget``: up to n = 6 at the default
+    budget, the same verdicts an exhaustive sweep gives. Every other law,
+    and those laws past that budget, is swept.
     """
     law = LAWS.get(axiom)
     if law is None:
@@ -305,6 +322,8 @@ def check_axiom(
         return deferred(axiom, f"unbound slots: {sorted(unbound)}")
     if law.theorem is not None:
         return theorem(axiom, law.theorem)
+    if law.union_theorem is not None and s.sum.mode in delta_mod.UNION_SUMS:
+        return theorem(axiom, law.union_theorem)
     if axiom in delta_mod.CUBE_AXIOMS and (1 << s.universe.size) ** 3 <= budget:
         mask_sum = s.sum.masked() if s.sum is not None else None
         return delta_mod.cube_verdict(axiom, s.delta, mask_sum)

@@ -90,7 +90,10 @@ def sweep(
     strict-n-coh, trans-1 and delta-sum1..3 on the delta cube
     (``delta.cube_verdict``) instead of this sweep whenever (2ⁿ)³ ≤
     ``budget``, with the verdict this sweep would give exhaustively;
-    trans-1, of arity 4, reaches n = 6 that way.
+    trans-1, of arity 4, reaches n = 6 that way, and under a union sum
+    the first substantive cell decides a delta-sum law. The omega laws
+    are swept only under an ``extensional-partial`` sum; under a union
+    sum they are theorems.
     """
     top = 1 << universe.size
     total = top**arity

@@ -1,0 +1,99 @@
+"""Replay: re-evaluate every failing witness of a finished report.
+
+Only ``msslab replay`` needs this, so it is kept out of the modules every
+command imports.
+"""
+
+from __future__ import annotations
+
+from typing import Optional
+
+from .config import LabConfig
+from .errors import ParseError
+from .structure import LAWS, MssStructure, replay
+from .verdicts import FAILS, Verdict
+
+
+def _expect(node, kind: type, field: str):
+    if not isinstance(node, kind):
+        name = {dict: "an object", list: "an array", str: "a string"}[kind]
+        raise ParseError(f"must be {name}", field)
+    return node
+
+
+def replay_failures(cfg: LabConfig, report) -> list[str]:
+    """Re-evaluate every failing witness in a report; return unsound ones.
+
+    Walks the report's own axiom verdicts and compatibility rows and, in a
+    pipeline report, those under ``steps.step5_investigate``. A part of
+    the report it reads whose shape is not that of
+    ``schemas/report.schema.json``, or a delta the config does not
+    declare, is a ``ParseError`` naming the JSON path.
+    """
+    problems = []
+    specs = {spec.name: spec for spec in cfg.deltas}
+
+    def spec_for(name: str):
+        if name not in specs:
+            raise ParseError(f"the report names delta {name!r}, which the config does not declare")
+        return specs[name]
+
+    def failing(v, field: str, key: str) -> Optional[list]:
+        """The witnesses of the row ``v`` when it fails, each a tuple of
+        ``arity`` subsets; None when it does not fail."""
+        if _expect(v, dict, field).get("status") != "fails":
+            return None
+        name = _expect(v.get(key), str, f"{field}.{key}")
+        # A compatibility witness is a triple; a law's has one subset per variable.
+        arity = 3 if key == "delta" else getattr(LAWS.get(name), "arity", None)
+        witnesses = []
+        for i, w in enumerate(_expect(v.get("witnesses", []), list, f"{field}.witnesses")):
+            at = f"{field}.witnesses[{i}]"
+            if arity is not None and len(_expect(w, list, at)) != arity:
+                raise ParseError(f"a witness of {name} must have {arity} subsets", at)
+            for j, part in enumerate(w):
+                for k, element in enumerate(_expect(part, list, f"{at}[{j}]")):
+                    _expect(element, str, f"{at}[{j}][{k}]")
+            witnesses.append(tuple(map(cfg.universe.subset, w)))
+        return witnesses
+
+    def check(v, delta_name: Optional[str], field: str, label: str):
+        witnesses = failing(v, field, "axiom")
+        if witnesses is None:
+            return
+        if not witnesses:
+            problems.append(f"{label}: failing verdict without witness")
+            return
+        s = cfg.structure(spec_for(delta_name) if delta_name else None)
+        if not replay(s, Verdict(v["axiom"], FAILS, witnesses=tuple(witnesses))):
+            problems.append(f"{label}: a witness of {v['axiom']} does not replay")
+
+    if not isinstance(report, dict):
+        raise ParseError("report must be a JSON object")
+    steps = _expect(report.get("steps", {}), dict, "steps")
+    step5 = _expect(steps.get("step5_investigate", {}), dict, "steps.step5_investigate")
+    for prefix, section in (("", report), ("steps.step5_investigate.", step5)):
+        axioms = _expect(section.get("axioms", {}), dict, f"{prefix}axioms")
+        field = f"{prefix}axioms.structural"
+        for i, v in enumerate(_expect(axioms.get("structural", []), list, field)):
+            check(v, None, f"{field}[{i}]", "structural")
+        per_delta = _expect(axioms.get("per_delta", {}), dict, f"{prefix}axioms.per_delta")
+        for name, verdicts in per_delta.items():
+            field = f"{prefix}axioms.per_delta.{name}"
+            for i, v in enumerate(_expect(verdicts, list, field)):
+                check(v, name, f"{field}[{i}]", f"per_delta[{name}]")
+
+        validation = _expect(section.get("validation", {}), dict, f"{prefix}validation")
+        field = f"{prefix}validation.compatibility"
+        for i, row in enumerate(_expect(validation.get("compatibility", []), list, field)):
+            witnesses = failing(row, f"{field}[{i}]", "delta")
+            if witnesses is None:
+                continue
+            if not witnesses:
+                problems.append(f"compatibility[{row['delta']}]: failing row without witness")
+                continue
+            d = spec_for(row["delta"]).build(cfg.universe, cfg.granulation)
+            for w in witnesses:
+                if d(*w):
+                    problems.append(f"compatibility[{row['delta']}]: witness does not violate")
+    return problems

@@ -9,8 +9,10 @@ from pathlib import Path
 import pytest
 
 import msslab.report
+import msslab.witnesses
 from msslab.config import parse_config
-from msslab.report import replay_failures, render_text, to_json
+from msslab.report import render_text, to_json
+from msslab.witnesses import replay_failures
 
 FIXTURE = "examples/paper-example.json"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -357,12 +359,14 @@ def test_failed_write_is_reported_without_leftovers(repo_root, tmp_path, target)
 
 
 def test_cli_import_leaves_the_oracles_unloaded(repo_root):
-    code = "import sys, msslab.cli; print('msslab.oracles' in sys.modules)"
+    # Every command compiles what msslab.cli imports; the oracles and the
+    # replay code serve one subcommand each.
+    code = "import sys, msslab.cli; print({'msslab.oracles', 'msslab.witnesses'} & set(sys.modules))"
     result = subprocess.run(
         [sys.executable, "-c", code], cwd=repo_root, capture_output=True, text=True
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "set()"
 
 
 def test_env_seed_is_honoured(repo_root):
@@ -426,9 +430,9 @@ def test_pipeline_witnesses_replay(repo_root, monkeypatch):
         cfg = parse_config(json.load(handle))
     report = json.loads((GOLDEN / "paper-pipeline.json").read_text(encoding="utf-8"))
     replayed = []
-    original = msslab.report.replay
+    original = msslab.witnesses.replay
     monkeypatch.setattr(
-        msslab.report, "replay", lambda s, v: replayed.append(v) or original(s, v)
+        msslab.witnesses, "replay", lambda s, v: replayed.append(v) or original(s, v)
     )
     assert replay_failures(cfg, report) == []
     assert replayed
@@ -580,8 +584,54 @@ def test_replay_subcommand_exits_2_on_a_forged_step5_witness(repo_root, tmp_path
             ),
             "delta 'E9'",
         ),
+        (
+            json.dumps({"validation": {"compatibility": [{"status": "fails"}]}}),
+            "validation.compatibility[0].delta: must be a string",
+        ),
+        (
+            json.dumps({"axioms": {"structural": [{"status": "fails", "witnesses": [[["x1"]]]}]}}),
+            "axioms.structural[0].axiom: must be a string",
+        ),
+        (json.dumps({"axioms": []}), "axioms: must be an object"),
+        (
+            json.dumps(
+                {"axioms": {"per_delta": {"E1": [{"axiom": "i-coh", "status": "fails", "witnesses": "x1"}]}}}
+            ),
+            "axioms.per_delta.E1[0].witnesses: must be an array",
+        ),
+        (
+            json.dumps(
+                {
+                    "steps": {
+                        "step5_investigate": {
+                            "axioms": {
+                                "per_delta": {
+                                    "E1": [
+                                        {
+                                            "axiom": "trans-1",
+                                            "status": "fails",
+                                            "witnesses": [[["x1"], ["x2"], []]],
+                                        }
+                                    ]
+                                }
+                            }
+                        }
+                    }
+                }
+            ),
+            "a witness of trans-1 must have 4 subsets",
+        ),
     ],
-    ids=["invalid-json", "not-an-object", "undeclared-delta"],
+    ids=[
+        "invalid-json",
+        "not-an-object",
+        "undeclared-delta",
+        "compatibility-row-without-delta",
+        "verdict-without-axiom",
+        "axioms-not-an-object",
+        "witnesses-not-an-array",
+        "witness-of-the-wrong-arity",
+    ],
 )
 def test_replay_subcommand_exits_1_on_a_report_it_cannot_read(repo_root, tmp_path, content, message):
     report = tmp_path / "report.json"
@@ -589,3 +639,4 @@ def test_replay_subcommand_exits_1_on_a_report_it_cannot_read(repo_root, tmp_pat
     result = run_cli(repo_root, "replay", FIXTURE, str(report))
     assert result.returncode == 1
     assert result.stderr.startswith("msslab: parse error:") and message in result.stderr
+    assert result.stderr.count("\n") == 1

@@ -23,6 +23,7 @@ from msslab.delta import (
     cube_verdict,
     trans1_verdict,
 )
+from msslab.oracles import StructureDescription, o_sum_law_holds
 from msslab.structure import LAWS, axiom_instance, check_axiom, evaluator
 from msslab.verdicts import sweep
 
@@ -230,11 +231,12 @@ def test_nearness_table_must_be_total(H):
 
 
 def swept(d, axiom, s=None, **kwargs):
-    """One delta law swept tuple by tuple, over the whole space unless
-    ``kwargs`` give a budget."""
-    structure = assemble(d.universe, delta=d, sum=s)
+    """One delta or sum law swept tuple by tuple, over the whole space
+    unless ``kwargs`` give a budget."""
+    universe = (s if d is None else d).universe
+    structure = assemble(universe, delta=d, sum=s)
     kwargs = {"budget": math.inf, **kwargs}
-    return sweep(axiom, d.universe, LAWS[axiom].arity, evaluator(structure, axiom), **kwargs)
+    return sweep(axiom, universe, LAWS[axiom].arity, evaluator(structure, axiom), **kwargs)
 
 
 def test_trans1_kernel_matches_the_sweep_on_all_three_element_granulations(
@@ -418,4 +420,88 @@ def test_each_predicate_fills_one_cube(monkeypatch):
         s = cfg.structure(spec)
         verdicts = [check_axiom(s, axiom) for axiom in CUBE_AXIOMS]
         assert all(v.mode == "exhaustive" for v in verdicts)
-    assert calls == {"E1": 2**15, "extensional": 2**15}
+    # The extensional cube is read off the table, with no call of delta.
+    assert calls == {"E1": 2**15}
+
+
+def called_plane(d, a):
+    """Plane ``a`` of ``d`` from calls of ``d.masked()``, as a builtin's is built."""
+    m, top = d.masked(), 1 << d.universe.size
+    rows = [sum(1 << c for c in range(top) if m(a, b, c)) for b in range(top)]
+    cols = [sum(1 << c for c in range(top) if m(a, c, b)) for b in range(top)]
+    return rows, cols
+
+
+@settings(max_examples=100, deadline=None)
+@example(table(3, itertools.product(range(8), repeat=3)))
+@given(extensional_tables())
+def test_extensional_planes_are_read_off_the_table(d):
+    for a in range(1 << d.universe.size):
+        assert d.plane(a) == called_plane(d, a), a
+
+
+def test_self_nearness_planes_are_read_off_the_table():
+    d = five_element_structure("self-nearness").delta
+    for a in range(32):
+        assert d.plane(a) == called_plane(d, a), a
+
+
+OMEGA_LAWS = ("omega-star-com", "omega-id", "omega-asso")
+DELTA_SUM_LAWS = ("delta-sum1", "delta-sum2", "delta-sum3")
+
+
+def test_omega_laws_are_theorems_under_union_sums_on_all_three_element_granulations(
+    three_element_granulations,
+):
+    for g in three_element_granulations:
+        for s in (SumOperation.total_union(g.universe), SumOperation.granular(g)):
+            structure = assemble(g.universe, granulation=g, sum=s)
+            desc = StructureDescription.from_structure(structure)
+            for axiom in OMEGA_LAWS:
+                v = check_axiom(structure, axiom)
+                assert (v.status, v.mode, v.instances_checked) == ("holds", "theorem", 0)
+                assert v.note == f"theorem: {LAWS[axiom].union_theorem}"
+                assert o_sum_law_holds(desc, axiom), (axiom, s.mode, g)
+
+
+def test_omega_laws_are_swept_under_a_partial_sum(H):
+    # A table that is the union where defined is still swept: only the mode
+    # makes a sum a union sum.
+    union_table = SumOperation.extensional(H, {(a, b): a | b for a in range(16) for b in range(16)})
+    moving = SumOperation.extensional(H, {(0, 0): 1, (1, 0): 1})
+    for s, expected in ((union_table, "holds"), (moving, "fails")):
+        for axiom in OMEGA_LAWS:
+            v = check_axiom(assemble(H, sum=s), axiom)
+            assert v.mode == "exhaustive" and v == swept(None, axiom, s), axiom
+        assert check_axiom(assemble(H, sum=s), "omega-id").status == expected
+
+
+@st.composite
+def tables_with_union_sums(draw):
+    """An extensional table under the total union or under the granular sum
+    of a drawn granulation, where few squares may be defined."""
+    d = draw(extensional_tables())
+    u = d.universe
+    if draw(st.booleans()):
+        return d, SumOperation.total_union(u)
+    granules = draw(st.lists(st.integers(1, (1 << u.size) - 1), min_size=1, max_size=3))
+    return d, SumOperation.granular(Granulation(u, map(u.from_mask, granules)))
+
+
+def granular_sum(n, granules):
+    u = Universe([f"x{i+1}" for i in range(n)])
+    return SumOperation.granular(Granulation(u, map(u.from_mask, granules)))
+
+
+@settings(max_examples=150, deadline=None)
+# {x1} and {x2} are undefined squares under the granule {x1, x2}: all three vacuous
+@example((table(2, [(1, 2, 1)]), granular_sum(2, [0b11])))
+# only the last argument's square is defined: delta-sum3 holds, the others are vacuous
+@example((table(2, [(1, 2, 3)]), granular_sum(2, [0b11])))
+@example((table(3, []), SumOperation.total_union(Universe(["x1", "x2", "x3"]))))
+@given(tables_with_union_sums())
+def test_delta_sum_closed_form_matches_the_sweep_on_extensional_tables(case):
+    d, s = case
+    structure = assemble(d.universe, delta=d, sum=s)
+    for axiom in DELTA_SUM_LAWS:
+        assert check_axiom(structure, axiom) == swept(d, axiom, s), axiom

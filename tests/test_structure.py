@@ -76,10 +76,16 @@ def test_every_law_is_checked_as_its_row_says(
 ):
     sum_op = SumOperation.granular(granulation)
     s = build(H, granulation, clustering, "E1", delta_builtins, sum_op)
+    partial = s._replace(sum=SumOperation.extensional(H, {}))
     assert s.bound_slots() >= set().union(*(law.reads for law in LAWS.values()))
     for axiom in AXIOM_ORDER:
         law = LAWS[axiom]
+        # Under a union sum the union-sum reason makes a theorem too; under a
+        # partial sum only the row's own reason does.
         verdict = check_axiom(s, axiom)
+        reasons = (law.theorem, law.union_theorem)
+        assert (verdict.mode == "theorem") == (reasons != (None, None)), axiom
+        verdict = check_axiom(partial, axiom)
         assert (verdict.mode == "theorem") == (law.theorem is not None), axiom
         if law.arity is None:
             continue
