@@ -17,7 +17,6 @@ from pathlib import Path
 from .config import parse_config
 from .delta import BUILTIN_DELTAS
 from .errors import BudgetError, MsslabError, ParseError
-from .pipeline import run_pipeline
 from .report import (
     build_check_axioms,
     build_validate,
@@ -26,7 +25,6 @@ from .report import (
     render_text,
     to_json,
 )
-from .search import SearchSpec, find_witness
 from .structure import AXIOM_ORDER
 from .verdicts import DEFAULT_SEED
 
@@ -166,7 +164,9 @@ _SPEC_FIELDS = {
 }
 
 
-def _parse_search_spec(spec_data: dict, cli_seed) -> SearchSpec:
+def _parse_search_spec(spec_data: dict, cli_seed):
+    from .search import SearchSpec  # only the search subcommand reads it
+
     if not isinstance(spec_data, dict):
         raise ParseError("search spec must be a JSON object")
     unknown = set(spec_data) - set(_SPEC_FIELDS)
@@ -209,6 +209,8 @@ def _structure_dict(s) -> dict:
 
 
 def _search_report(spec_data: dict, cli_seed) -> dict:
+    from .search import find_witness
+
     spec = _parse_search_spec(spec_data, cli_seed)
     found, examined = find_witness(spec)
     return {
@@ -261,6 +263,8 @@ def main(argv=None) -> int:
         elif args.command == "validate":
             report = build_validate(cfg, seed=seed)
         else:
+            from .pipeline import run_pipeline  # only this subcommand reads it
+
             report = run_pipeline(cfg, seed=seed)
         _emit(report, args)
         if getattr(args, "strict_exit", False) and has_failures(report):

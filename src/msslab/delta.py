@@ -1,13 +1,15 @@
 """The ternary nearness predicate, the partial sum, and their law evaluators.
 
-A nearness predicate reads "a is closer to b than to c". Built-in
-definitions compare unions or approximations of unions under inclusion;
-extensional predicates are given by an explicit triple table. The
-coherence and sum laws are evaluated here on masks and swept by
-``structure.check_axiom``, which decides the laws of ``CUBE_AXIOMS`` on
-the predicate's cube of rows (``DeltaPredicate.plane``) instead whenever
-it fits its budget. A sum of ``UNION_SUMS`` is the union wherever it is
-defined, so the omega laws are theorems there.
+A nearness predicate reads "a is closer to b than to c". Every kind but
+the extensional one compares two keys, "key(a, b) R key(a, c)" with R one
+of ⊆, ⊊ and ⊋ (``KEYED_KINDS``); extensional predicates are given by an
+explicit triple table. The coherence and sum laws are evaluated here on
+masks and swept by ``structure.check_axiom``, which decides the laws of
+``CUBE_AXIOMS`` on the predicate's cube of rows (``DeltaPredicate.plane``)
+instead whenever its 2²ⁿ rows fit the budget. A plane is built from the
+keys, or read off the table, with no call of the predicate. A sum of
+``UNION_SUMS`` is the union wherever it is defined, so the omega laws are
+theorems there.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .sets import UNDEFINED, PartialResult, Subset, Universe, encode
 from .verdicts import FAILS, HOLDS, VACUOUS, Verdict
 
 BUILTIN_DELTAS = ("E0", "E1", "E2", "uE1")
-# The laws decided on the rows of delta, in 2³ⁿ calls of delta shared by all.
+# The laws decided on the 2²ⁿ rows of delta's cube, built once and shared by all.
 CUBE_AXIOMS = ("n-coh", "strict-n-coh", "trans-1", "delta-sum1", "delta-sum2", "delta-sum3")
 # The sum modes that are the union of their arguments wherever they are defined.
 UNION_SUMS = ("total-union", "granular-sum")
@@ -29,11 +31,41 @@ UNION_SUMS = ("total-union", "granular-sum")
 EXTENSIONAL_TABLE_LIMIT = 6
 
 
+def _union(d):
+    return operator.or_
+
+
+def _upper_of_union(d):
+    upper = d.granulation.upper_table
+    return lambda a, x: upper[a | x]
+
+
+def _lower_of_meet(d):
+    lower = d.granulation.lower_table
+    return lambda a, x: lower[a & x]
+
+
+def _nearness(d):
+    return d.nearness
+
+
+# Each kind but "extensional" holds at (a, b, c) iff key(a, b) R key(a, c):
+# the key on masks, built from the predicate, and R.
+KEYED_KINDS = {
+    "E0": (_union, "⊆"),
+    "E1": (_union, "⊊"),
+    "uE1": (_upper_of_union, "⊆"),
+    "E2": (_lower_of_meet, "⊋"),
+    "def0": (_nearness, "⊆"),
+}
+
+
 class DeltaPredicate:
     """Ternary predicate over subsets; total on the powerset cube.
 
-    Every kind is defined once, on masks (``masked``); calling the
-    predicate on subsets encodes them and evaluates that definition.
+    Every kind is defined once, by its key and relation in ``KEYED_KINDS``
+    or by its table; ``masked`` and ``plane`` both read that definition.
+    Calling the predicate on subsets encodes them and evaluates ``masked``.
     """
 
     __slots__ = ("universe", "kind", "granulation", "nearness", "table", "_masked", "_cube")
@@ -98,48 +130,39 @@ class DeltaPredicate:
         return tuple(sorted(self.table))
 
     def masked(self) -> Callable[[int, int, int], bool]:
-        """The predicate on masks, compiled at the first call.
-
-        E2 and uE1 read l and u from their granulation's tables.
-        """
+        """The predicate on masks, compiled at the first call from the
+        kind's key and relation (``KEYED_KINDS``), or from its table."""
         if self._masked is None:
             self._masked = self._compile()
         return self._masked
 
     def _compile(self) -> Callable[[int, int, int], bool]:
-        kind = self.kind
-        if kind == "E0":
-            return lambda a, b, c: not (a | b) & ~(a | c)
-        if kind == "E1":
-            return lambda a, b, c: (a | b) != (a | c) and not (a | b) & ~(a | c)
-        if kind == "E2":
-            lower = self.granulation.lower_table
-
-            def e2(a, b, c):
-                left, right = lower[a & c], lower[a & b]
-                return left != right and not left & ~right
-
-            return e2
-        if kind == "uE1":
-            upper = self.granulation.upper_table
-            return lambda a, b, c: not upper[a | b] & ~upper[a | c]
-        if kind == "def0":
-            f = self.nearness
-            return lambda a, b, c: not f(a, b) & ~f(a, c)
-        if kind == "extensional":
+        if self.kind == "extensional":
             table = self.table
             return lambda a, b, c: (a, b, c) in table
-        raise ConfigurationError(f"unknown delta kind {self.kind!r}")
+        key, relation = self._keyed()
+        if relation == "⊆":
+            return lambda a, b, c: not key(a, b) & ~key(a, c)
+        if relation == "⊊":
+            return lambda a, b, c: (kb := key(a, b)) != (kc := key(a, c)) and not kb & ~kc
+        return lambda a, b, c: (kb := key(a, b)) != (kc := key(a, c)) and not kc & ~kb
+
+    def _keyed(self) -> tuple[Callable[[int, int], int], str]:
+        if self.kind not in KEYED_KINDS:
+            raise ConfigurationError(f"unknown delta kind {self.kind!r}")
+        build, relation = KEYED_KINDS[self.kind]
+        return build(self), relation
 
     def plane(self, a: int) -> tuple[list[int], list[int]]:
         """Plane ``a`` of the predicate's cube, ``(rows, cols)``, built at its
-        first call and kept.
+        first call and kept; no call of the predicate fills it.
 
         ``rows[b]`` is the mask of every c with d(a, b, c) and ``cols[b]``
-        the mask of every c with d(a, c, b). One pass of 2²ⁿ calls of
-        ``masked()`` fills both, so the whole cube costs 2³ⁿ calls, shared
-        by every law that reads it. An extensional predicate makes no
-        call: its first plane call reads the table once into every plane.
+        the mask of every c with d(a, c, b). The c are grouped by their
+        key(a, c); ``rows[b]`` and ``cols[b]`` are the union of the groups
+        whose key R relates to key(a, b), from the right or from the left.
+        Every b of one group shares them. An extensional predicate's first
+        plane call reads its table once into every plane.
         """
         if self._cube is None:
             top = 1 << self.universe.size
@@ -152,15 +175,32 @@ class DeltaPredicate:
             else:
                 self._cube = [None] * top
         if self._cube[a] is None:
-            d, top = self.masked(), len(self._cube)
-            bits = [1 << c for c in range(top)]
-            rows = [sum(bit for c, bit in enumerate(bits) if d(a, b, c)) for b in range(top)]
-            # cols is rows transposed as a bit matrix: written as binary
-            # strings, most significant bit first, in reverse order, the rows
-            # give zip the columns cols[top - 1], ..., cols[0].
-            width = f"0{top}b"
-            columns = zip(*(format(row, width) for row in reversed(rows)))
-            self._cube[a] = rows, [int("".join(col), 2) for col in columns][::-1]
+            key, relation = self._keyed()
+            top = len(self._cube)
+            keys = [key(a, x) for x in range(top)]
+            groups = {}
+            for x, k in enumerate(keys):
+                groups[k] = groups.get(k, 0) | 1 << x
+            # holding[t] is the mask of the c whose key holds element t. A key
+            # contains k when it holds every element of k, and lies in k when
+            # it holds no other; the groups are disjoint, so sums are unions.
+            elements = range(self.universe.size)
+            holding = [sum(g for k, g in groups.items() if k >> t & 1) for t in elements]
+            full = (1 << top) - 1
+            above, below = {}, {}
+            for k, own in groups.items():
+                up, outside = full, 0
+                for t, held in enumerate(holding):
+                    if k >> t & 1:
+                        up &= held
+                    else:
+                        outside |= held
+                if relation == "⊆":
+                    own = 0  # equal keys are related
+                above[k], below[k] = up - own, full - outside - own
+            if relation == "⊋":  # d(a, b, c) when key(a, c) lies in key(a, b)
+                above, below = below, above
+            self._cube[a] = [above[k] for k in keys], [below[k] for k in keys]
         return self._cube[a]
 
     def __call__(self, a: Subset, b: Subset, c: Subset) -> bool:
@@ -273,7 +313,8 @@ def trans1_verdict(d: DeltaPredicate) -> Verdict:
     for a in range(top):
         rows = d.plane(a)[0]
         reach = [0] * top
-        for row in rows:
+        # Equal rows add nothing to reach, and the b of one key share a row.
+        for row in set(rows):
             rest = row
             while rest:
                 low = rest & -rest
@@ -388,53 +429,65 @@ def cube_verdict(
     rows, cols = zip(*map(d.plane, range(top)))
     diag = [s(x, x) for x in range(top)] if axiom.startswith("delta-sum") else None
     fixed = diag is not None and all(xx in (x, UNDEFINED) for x, xx in enumerate(diag))
+    # cells(a) gives, for each b of plane a, the live antecedent mask and
+    # the mask of violating c.
     if axiom == "n-coh":
 
-        def cell(a, b, row):
-            return row, row & ~rows[b][a]
+        def cells(a):
+            return rows[a], [row & ~rows[b][a] for b, row in enumerate(rows[a])]
 
     elif axiom == "strict-n-coh":
 
-        def cell(a, b, row):
-            return row, row & cols[a][b]
+        def cells(a):
+            return rows[a], [row & col for row, col in zip(rows[a], cols[a])]
 
     elif axiom == "delta-sum1":
 
-        def cell(a, b, row):
+        def cells(a):
             aa = diag[a]
-            return (0, 0) if aa == UNDEFINED else (row, row & ~rows[aa][b])
+            if aa == UNDEFINED:
+                return (), ()
+            return rows[a], [row & ~then for row, then in zip(rows[a], rows[aa])]
 
     elif axiom == "delta-sum2":
 
-        def cell(a, b, row):
-            bb = diag[b]
-            return (0, 0) if bb == UNDEFINED else (row, row & ~rows[a][bb])
+        def cells(a):
+            rows_a = rows[a]
+            live = [0 if bb == UNDEFINED else row for row, bb in zip(rows_a, diag)]
+            # An empty live row reads no square, defined or not.
+            return live, [row and row & ~rows_a[bb] for row, bb in zip(live, diag)]
 
     elif axiom == "delta-sum3":
         defined = sum(1 << c for c, cc in enumerate(diag) if cc != UNDEFINED)
         # A c that s(c, c) keeps never violates, so only the moved c are read.
         moves = [(c, cc) for c, cc in enumerate(diag) if cc not in (UNDEFINED, c)]
 
-        def cell(a, b, row):
-            moved_out = (1 << c for c, cc in moves if row >> c & 1 and not row >> cc & 1)
-            return row & defined, sum(moved_out) if moves else 0
+        def cells(a):
+            live = [row & defined for row in rows[a]]
+            if not moves:
+                return live, ()
+            return live, [
+                sum(1 << c for c, cc in moves if row >> c & 1 and not row >> cc & 1)
+                for row in rows[a]
+            ]
 
     else:
         raise MsslabError(f"axiom {axiom!r} is not decided on the delta cube")
 
     substantive = False
-    for a, rows_a in enumerate(rows):
-        for b, row in enumerate(rows_a):
-            live, bad = cell(a, b, row)
-            if bad:
-                c = (bad & -bad).bit_length() - 1
-                return Verdict(
-                    axiom,
-                    FAILS,
-                    witnesses=(tuple(map(d.universe.from_mask, (a, b, c))),),
-                    instances_checked=(a * top + b) * top + c + 1,
-                )
-            if live and fixed:
+    for a in range(top):
+        live, bad = cells(a)
+        if any(bad):
+            b, mask = next((b, mask) for b, mask in enumerate(bad) if mask)
+            c = (mask & -mask).bit_length() - 1
+            return Verdict(
+                axiom,
+                FAILS,
+                witnesses=(tuple(map(d.universe.from_mask, (a, b, c))),),
+                instances_checked=(a * top + b) * top + c + 1,
+            )
+        if any(live):
+            if fixed:
                 return Verdict(axiom, HOLDS, instances_checked=top**3)
-            substantive = substantive or bool(live)
+            substantive = True
     return Verdict(axiom, HOLDS if substantive else VACUOUS, instances_checked=top**3)

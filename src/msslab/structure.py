@@ -305,8 +305,8 @@ def check_axiom(
     the sum is a union sum (``delta.UNION_SUMS``): the omega laws. The
     laws of ``delta.CUBE_AXIOMS`` (n-coh, strict-n-coh, trans-1 and
     delta-sum1..3) are decided on the rows of delta
-    (``delta.cube_verdict``) when their 2³ⁿ delta calls, shared through
-    ``DeltaPredicate.plane``, fit ``budget``: up to n = 6 at the default
+    (``delta.cube_verdict``) when the cube's 2²ⁿ rows, shared through
+    ``DeltaPredicate.plane``, fit ``budget``: up to n = 9 at the default
     budget, the same verdicts an exhaustive sweep gives. Every other law,
     and those laws past that budget, is swept.
     """
@@ -324,7 +324,7 @@ def check_axiom(
         return theorem(axiom, law.theorem)
     if law.union_theorem is not None and s.sum.mode in delta_mod.UNION_SUMS:
         return theorem(axiom, law.union_theorem)
-    if axiom in delta_mod.CUBE_AXIOMS and (1 << s.universe.size) ** 3 <= budget:
+    if axiom in delta_mod.CUBE_AXIOMS and (1 << s.universe.size) ** 2 <= budget:
         mask_sum = s.sum.masked() if s.sum is not None else None
         return delta_mod.cube_verdict(axiom, s.delta, mask_sum)
     return sweep(axiom, s.universe, law.arity, evaluator(s, axiom), seed=seed, budget=budget)

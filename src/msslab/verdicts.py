@@ -88,9 +88,9 @@ def sweep(
     none is given). With the default budget every law of arity ≤ 3 is
     exhaustive up to n = 6. ``structure.check_axiom`` decides n-coh,
     strict-n-coh, trans-1 and delta-sum1..3 on the delta cube
-    (``delta.cube_verdict``) instead of this sweep whenever (2ⁿ)³ ≤
-    ``budget``, with the verdict this sweep would give exhaustively;
-    trans-1, of arity 4, reaches n = 6 that way, and under a union sum
+    (``delta.cube_verdict``) instead of this sweep whenever its (2ⁿ)²
+    rows fit ``budget``, with the verdict this sweep would give
+    exhaustively; those laws reach n = 9 that way, and under a union sum
     the first substantive cell decides a delta-sum law. The omega laws
     are swept only under an ``extensional-partial`` sum; under a union
     sum they are theorems.

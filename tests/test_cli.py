@@ -18,6 +18,7 @@ FIXTURE = "examples/paper-example.json"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 N5_CONFIG = "tests/golden/n5-config.json"
 N6_CONFIG = "tests/golden/n6-config.json"
+N7_CONFIG = "tests/golden/n7-config.json"
 
 
 def run_cli(repo_root, *args, env_extra=None):
@@ -359,9 +360,10 @@ def test_failed_write_is_reported_without_leftovers(repo_root, tmp_path, target)
 
 
 def test_cli_import_leaves_the_oracles_unloaded(repo_root):
-    # Every command compiles what msslab.cli imports; the oracles and the
-    # replay code serve one subcommand each.
-    code = "import sys, msslab.cli; print({'msslab.oracles', 'msslab.witnesses'} & set(sys.modules))"
+    # Every command compiles what msslab.cli imports; the oracles, the replay
+    # code, the search and the pipeline serve one subcommand each.
+    lazy = "{'msslab.oracles', 'msslab.witnesses', 'msslab.search', 'msslab.pipeline'}"
+    code = f"import sys, msslab.cli; print({lazy} & set(sys.modules))"
     result = subprocess.run(
         [sys.executable, "-c", code], cwd=repo_root, capture_output=True, text=True
     )
@@ -401,6 +403,8 @@ def test_output_file_matches_stdout(repo_root, tmp_path):
         ("check-axioms", N5_CONFIG, "n5-check-axioms.json"),
         # Every delta law does its full 2^18 work at n=6, four builtin deltas.
         ("check-axioms", N6_CONFIG, "n6-check-axioms.json"),
+        # Every delta law is exhaustive at n=7, in 2^14 rows of each cube.
+        ("check-axioms", N7_CONFIG, "n7-check-axioms.json"),
     ],
 )
 def test_reports_match_golden_bytes(repo_root, command, config, golden):
@@ -410,10 +414,10 @@ def test_reports_match_golden_bytes(repo_root, command, config, golden):
 
 
 def test_unseeded_sampled_runs_repeat(repo_root, tmp_path):
-    # At n=7 trans-1 is past the row kernel's budget and is sampled; under
-    # E0 every sampled law fails within a few draws.
+    # At n=10 the 2^20 rows of the cube are past the budget, so trans-1 is
+    # sampled; under E0 every sampled law but i-coh fails within a few draws.
     config = write_config(
-        tmp_path, {"universe": [f"x{i + 1}" for i in range(7)], "delta": ["E0"]}
+        tmp_path, {"universe": [f"x{i + 1}" for i in range(10)], "delta": ["E0"]}
     )
     first = run_cli(repo_root, "check-axioms", str(config))
     second = run_cli(repo_root, "check-axioms", str(config))
@@ -453,7 +457,7 @@ def schema_validator(repo_root, name):
 
 def test_reports_and_configs_match_the_schemas(repo_root, tmp_path):
     config_schema = schema_validator(repo_root, "config.schema.json")
-    for path in (FIXTURE, N5_CONFIG, N6_CONFIG):
+    for path in (FIXTURE, N5_CONFIG, N6_CONFIG, N7_CONFIG):
         with open(repo_root / path, encoding="utf-8") as handle:
             config_schema.validate(json.load(handle))
 
