@@ -15,7 +15,6 @@ import tempfile
 from pathlib import Path
 
 from .config import parse_config
-from .delta import BUILTIN_DELTAS
 from .errors import BudgetError, MsslabError, ParseError
 from .report import (
     build_check_axioms,
@@ -25,7 +24,6 @@ from .report import (
     render_text,
     to_json,
 )
-from .structure import AXIOM_ORDER
 from .verdicts import DEFAULT_SEED
 
 EXIT_OK = 0
@@ -135,61 +133,22 @@ def _emit(report: dict, args) -> None:
         raise MsslabError(f"cannot write {args.output}: {exc.strerror or exc}") from exc
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_names(value) -> bool:
-    return isinstance(value, list) and all(isinstance(x, str) for x in value)
-
-
-# A search draws its predicate from a builtin or from a random table.
-SEARCH_DELTAS = BUILTIN_DELTAS + ("extensional",)
-
-# Each search-spec field: its default and what its value must be.
-_SPEC_FIELDS = {
-    "n": (None, _is_int, "an integer"),
-    "family": ("relations", lambda v: isinstance(v, str), "a string"),
-    "delta": ("E0", lambda v: v in SEARCH_DELTAS, f"one of {', '.join(SEARCH_DELTAS)}"),
-    "required": ([], _is_names, "a list of axiom names"),
-    "forbidden": ([], _is_names, "a list of axiom names"),
-    "budget": (10_000, _is_int, "an integer"),
-    "seed": (None, lambda v: v is None or _is_int(v), "an integer"),
-    "density": (
-        0.5,
-        lambda v: (_is_int(v) or isinstance(v, float)) and 0 <= v <= 1,
-        "a number in [0, 1]",
-    ),
-    "exhaustive": (True, lambda v: isinstance(v, bool), "true or false"),
-}
-
-
 def _parse_search_spec(spec_data: dict, cli_seed):
+    """The spec document as a ``SearchSpec``, which checks every field."""
     from .search import SearchSpec  # only the search subcommand reads it
 
     if not isinstance(spec_data, dict):
         raise ParseError("search spec must be a JSON object")
-    unknown = set(spec_data) - set(_SPEC_FIELDS)
+    unknown = set(spec_data) - set(SearchSpec._fields)
     if unknown:
         raise ParseError(f"unknown fields {sorted(unknown)}")
     if "n" not in spec_data:
         raise ParseError("missing required field", "n")
-    fields = {}
-    for name, (default, valid, expected) in _SPEC_FIELDS.items():
-        fields[name] = spec_data.get(name, default)
-        if not valid(fields[name]):
-            raise ParseError(f"expected {expected}", name)
-    for name in ("required", "forbidden"):
-        unknown = sorted(set(fields[name]) - set(AXIOM_ORDER))
-        if unknown:
-            raise ParseError(f"expected axiom names, got unknown {unknown}", name)
-    fields["seed"] = _pick_seed(cli_seed, fields["seed"])
-    fields["required"] = tuple(fields["required"])
-    fields["forbidden"] = tuple(fields["forbidden"])
-    try:
-        return SearchSpec(**fields)
-    except MsslabError as exc:
-        raise ParseError(str(exc))
+    fields = {k: tuple(v) if isinstance(v, list) else v for k, v in spec_data.items()}
+    seed = fields.pop("seed", None)
+    # The document's own seed is checked even where --seed overrides it.
+    spec = SearchSpec(**fields, seed=DEFAULT_SEED if seed is None else seed)
+    return spec._replace(seed=_pick_seed(cli_seed, seed))
 
 
 def _structure_dict(s) -> dict:
@@ -217,14 +176,9 @@ def _search_report(spec_data: dict, cli_seed) -> dict:
         "command": "search",
         "provenance": provenance(spec.seed),
         "spec": {
-            "n": spec.n,
-            "family": spec.family,
-            "delta": spec.delta,
-            "required": list(spec.required),
-            "forbidden": list(spec.forbidden),
-            "budget": spec.budget,
-            "density": spec.density,
-            "exhaustive": spec.exhaustive,
+            k: list(v) if isinstance(v, tuple) else v
+            for k, v in spec._asdict().items()
+            if k != "seed"
         },
         "search": {
             "found": found is not None,

@@ -1,18 +1,28 @@
-"""Declarative JSON configs: parsing, validation, and structure building."""
+"""Declarative JSON configs, checked and resolved in one pass.
+
+``parse_config`` reads each field once. It resolves every element name to
+a subset mask where it reads it, and checks each table and list against
+its contract there: a def0 nearness table is total, a sum table gives
+each pair at most one value, clusters are nonempty and distinct. A
+malformed document is a ``ParseError`` naming the offending field, and
+nothing is built from it. ``LabConfig`` and ``DeltaSpec`` hold masks
+only, so building a structure, a predicate, the sum or the clustering
+never reads a name again.
+"""
 
 from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
 from .delta import BUILTIN_DELTAS, DeltaPredicate, SumOperation
-from .errors import ParseError
+from .errors import MsslabError, ParseError
 from .granules import (
     BinaryRelation,
     Granulation,
     close_relation,
     predecessor_granulation,
 )
-from .sets import Subset, Universe
+from .sets import Universe
 from .structure import SIGNATURE_SLOTS, MssStructure, assemble, reduct
 from .validation import COMPATIBILITY_MODES, Clustering
 
@@ -30,32 +40,27 @@ KNOWN_FIELDS = {
 
 CLOSURE_FLAGS = ("reflexive", "symmetric", "transitive")
 
+MaskRows = tuple[tuple[int, int, int], ...]
+
 
 class DeltaSpec(NamedTuple):
+    """A δ candidate. ``table`` holds the (a, b, c) masks of an extensional
+    predicate or the (a, b, f(a, b)) rows of a def0 nearness table; it is
+    None for a builtin and for def0 under union."""
+
     name: str
     kind: str
-    triples: Optional[tuple[tuple[tuple[str, ...], ...], ...]] = None
-    nearness: Optional[str] = None
-    nearness_table: Optional[tuple] = None
+    table: Optional[MaskRows] = None
 
     def build(self, universe: Universe, granulation: Optional[Granulation]) -> DeltaPredicate:
-        if self.kind in BUILTIN_DELTAS:
-            return DeltaPredicate.builtin(self.kind, universe, granulation)
+        """A fresh predicate, whose cube lives only as long as its caller
+        keeps it."""
         if self.kind == "extensional":
-            triples = (
-                tuple(universe.subset(part).mask for part in triple)
-                for triple in self.triples
-            )
-            return DeltaPredicate.extensional_from_masks(universe, triples)
+            return DeltaPredicate.extensional_from_masks(universe, self.table)
         if self.kind == "def0":
-            if self.nearness == "union":
-                return DeltaPredicate.from_nearness(universe)
-            table = {
-                (universe.subset(a).mask, universe.subset(b).mask): universe.subset(v).mask
-                for a, b, v in self.nearness_table
-            }
+            table = None if self.table is None else {(a, b): v for a, b, v in self.table}
             return DeltaPredicate.from_nearness(universe, table)
-        raise ParseError(f"unknown delta kind {self.kind!r}")
+        return DeltaPredicate.builtin(self.kind, universe, granulation)
 
 
 class LabConfig(NamedTuple):
@@ -64,51 +69,41 @@ class LabConfig(NamedTuple):
     granulation: Optional[Granulation]
     deltas: tuple[DeltaSpec, ...]
     sum_mode: Optional[str]
-    sum_table: Optional[tuple]
-    clustering_lists: Optional[tuple[tuple[str, ...], ...]]
+    sum_table: Optional[MaskRows]
+    clusters: Optional[tuple[int, ...]]
     compatibility_modes: tuple[str, ...]
     reduct_keep: Optional[tuple[str, ...]]
     seed: Optional[int]
 
+    def run_seed(self, seed: Optional[int]) -> Optional[int]:
+        """The seed a run uses: ``seed``, else the config's. None leaves
+        ``DEFAULT_SEED`` to the sweeps."""
+        return self.seed if seed is None else seed
+
     def sum_operation(self) -> Optional[SumOperation]:
-        if self.sum_mode is None:
-            return None
         if self.sum_mode == "total-union":
             return SumOperation.total_union(self.universe)
         if self.sum_mode == "granular-sum":
             return SumOperation.granular(self.granulation)
-        table = {
-            (self.universe.subset(a).mask, self.universe.subset(b).mask): self.universe.subset(v).mask
-            for a, b, v in self.sum_table
-        }
-        return SumOperation.extensional(self.universe, table)
+        if self.sum_table is not None:
+            table = {(a, b): v for a, b, v in self.sum_table}
+            return SumOperation.extensional(self.universe, table)
+        return None
 
     def clustering(self) -> Optional[Clustering]:
-        if self.clustering_lists is None:
+        if self.clusters is None:
             return None
-        return Clustering(
-            self.universe, [self.universe.subset(names) for names in self.clustering_lists]
-        )
+        return Clustering(self.universe, map(self.universe.from_mask, self.clusters))
 
     def structure(
-        self,
-        delta_spec: Optional[DeltaSpec] = None,
-        *,
-        bind_kappa: bool = True,
-        apply_reduct: bool = True,
+        self, delta_spec: Optional[DeltaSpec] = None, *, apply_reduct: bool = True
     ) -> MssStructure:
-        delta = (
-            delta_spec.build(self.universe, self.granulation)
-            if delta_spec is not None
-            else None
-        )
-        clustering = self.clustering() if bind_kappa else None
         built = assemble(
             self.universe,
             granulation=self.granulation,
-            delta=delta,
+            delta=None if delta_spec is None else delta_spec.build(self.universe, self.granulation),
             sum=self.sum_operation(),
-            kappa=list(clustering) if clustering is not None else None,
+            kappa=None if self.clusters is None else map(self.universe.from_mask, self.clusters),
         )
         if apply_reduct and self.reduct_keep is not None:
             # A config may list slots that this particular assembly leaves
@@ -124,23 +119,74 @@ def _names(value, field, what="element names"):
     return value
 
 
-def _resolve(universe: Universe, names, field) -> Subset:
-    for k, name in enumerate(names):
+def _known(raw: dict, fields, field) -> None:
+    """Refuse a key outside ``fields``, which would fall back to its default unseen."""
+    unknown = set(raw) - set(fields)
+    if unknown:
+        raise ParseError(f"unknown fields {sorted(unknown)}", field)
+
+
+def _mask(universe: Universe, value, field) -> int:
+    """The mask of a list of declared element names."""
+    mask = 0
+    for k, name in enumerate(_names(value, field)):
         if name not in universe.elements:
             raise ParseError(f"element {name!r} not declared in universe", f"{field}[{k}]")
-    return universe.subset(names)
+        mask |= 1 << universe.index(name)
+    return mask
 
 
-def parse_config(data: dict, *, default_seed: Optional[int] = None) -> LabConfig:
-    """Validate a config document and resolve it against its universe."""
+def _subsets(universe: Universe, raw, field, what) -> list[int]:
+    """A list of nonempty subsets, as masks."""
+    if not isinstance(raw, list):
+        raise ParseError(f"expected a list of {what}s", field)
+    masks = []
+    for k, names in enumerate(raw):
+        masks.append(_mask(universe, names, f"{field}[{k}]"))
+        if not masks[-1]:
+            raise ParseError(f"expected a nonempty {what}", f"{field}[{k}]")
+    return masks
+
+
+def _rows(universe: Universe, raw, field, row) -> MaskRows:
+    """A table of three-subset rows, each resolved to its three masks."""
+    if not isinstance(raw, list):
+        raise ParseError(f"expected a list of {row} rows", field)
+    rows = []
+    for j, parts in enumerate(raw):
+        at = f"{field}[{j}]"
+        if not (isinstance(parts, list) and len(parts) == 3):
+            raise ParseError(f"expected {row}", at)
+        rows.append(tuple(_mask(universe, part, f"{at}[{p}]") for p, part in enumerate(parts)))
+    return tuple(rows)
+
+
+def _function(universe: Universe, raw, field, *, total: bool) -> MaskRows:
+    """An [a, b, value] table that gives each pair at most one value and,
+    when ``total``, every pair of subsets one."""
+    rows = _rows(universe, raw, field, "[a, b, value]")
+    first = {}
+    for j, (a, b, v) in enumerate(rows):
+        i = first.setdefault((a, b), j)
+        if rows[i][2] != v:
+            raise ParseError(f"gives the pair of {field}[{i}] a second value", f"{field}[{j}]")
+    pairs = 1 << 2 * universe.size
+    if total and len(first) != pairs:
+        raise ParseError(f"expected a total table of {pairs} pairs, got {len(first)}", field)
+    return rows
+
+
+def parse_config(data: dict) -> LabConfig:
+    """Check a config document and resolve its names to masks, once."""
     if not isinstance(data, dict):
         raise ParseError("config must be a JSON object")
-    unknown = set(data) - KNOWN_FIELDS
-    if unknown:
-        raise ParseError(f"unknown fields {sorted(unknown)}")
+    _known(data, KNOWN_FIELDS, None)
     if "universe" not in data:
         raise ParseError("missing required field", "universe")
-    universe = Universe(_names(data["universe"], "universe"))
+    try:
+        universe = Universe(_names(data["universe"], "universe"))
+    except MsslabError as exc:  # empty, or a name given twice
+        raise ParseError(str(exc), "universe") from None
 
     relation = None
     if data.get("relation") is not None:
@@ -155,11 +201,8 @@ def parse_config(data: dict, *, default_seed: Optional[int] = None) -> LabConfig
             )
         granulation = predecessor_granulation(relation)
     elif isinstance(raw_granulation, list):
-        granules = [
-            _resolve(universe, _names(g, f"granulation[{k}]"), f"granulation[{k}]")
-            for k, g in enumerate(raw_granulation)
-        ]
-        granulation = Granulation(universe, granules)
+        masks = _subsets(universe, raw_granulation, "granulation", "granule")
+        granulation = Granulation(universe, map(universe.from_mask, masks))
     elif raw_granulation is not None:
         raise ParseError(
             'granulation must be "predecessor" or a list of granules', "granulation"
@@ -167,24 +210,17 @@ def parse_config(data: dict, *, default_seed: Optional[int] = None) -> LabConfig
 
     deltas = _parse_deltas(universe, data.get("delta"), granulation)
 
-    sum_mode = None
-    sum_table = None
-    raw_sum = data.get("sum")
-    if raw_sum is not None:
-        sum_mode, sum_table = _parse_sum(universe, raw_sum, granulation)
+    sum_mode, sum_table = _parse_sum(universe, data.get("sum"), granulation)
 
-    clustering_lists = None
+    clusters = None
     if data.get("clustering") is not None:
-        raw_clusters = data["clustering"]
-        if not isinstance(raw_clusters, list) or not raw_clusters:
-            raise ParseError("clustering must be a nonempty list of clusters", "clustering")
-        resolved = []
-        for k, names in enumerate(raw_clusters):
-            subset = _resolve(
-                universe, _names(names, f"clustering[{k}]"), f"clustering[{k}]"
-            )
-            resolved.append(tuple(subset.members()))
-        clustering_lists = tuple(resolved)
+        clusters = tuple(_subsets(universe, data["clustering"], "clustering", "cluster"))
+        if not clusters:
+            raise ParseError("expected a nonempty list of clusters", "clustering")
+        for k, mask in enumerate(clusters):
+            first = clusters.index(mask)
+            if first < k:
+                raise ParseError(f"duplicate of clustering[{first}]", f"clustering[{k}]")
 
     modes = ("overlap-closer",)
     if data.get("compatibility_modes") is not None:
@@ -202,8 +238,8 @@ def parse_config(data: dict, *, default_seed: Optional[int] = None) -> LabConfig
                 raise ParseError(f"unknown signature slot {slot!r}", "reduct")
 
     seed = data.get("seed")
-    if seed is not None and not isinstance(seed, int):
-        raise ParseError("seed must be an integer", "seed")
+    if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
+        raise ParseError("expected an integer", "seed")
 
     return LabConfig(
         universe=universe,
@@ -212,30 +248,29 @@ def parse_config(data: dict, *, default_seed: Optional[int] = None) -> LabConfig
         deltas=deltas,
         sum_mode=sum_mode,
         sum_table=sum_table,
-        clustering_lists=clustering_lists,
+        clusters=clusters,
         compatibility_modes=modes,
         reduct_keep=reduct_keep,
-        seed=seed if seed is not None else default_seed,
+        seed=seed,
     )
 
 
 def _parse_relation(universe, raw) -> BinaryRelation:
     if not isinstance(raw, dict):
         raise ParseError("relation must be an object", "relation")
+    _known(raw, ("pairs", "generators", "closure"), "relation")
     has_pairs = "pairs" in raw
     has_generators = "generators" in raw
     if has_pairs == has_generators:
         raise ParseError("give exactly one of pairs/generators", "relation")
     key = "pairs" if has_pairs else "generators"
+    if not isinstance(raw[key], list):
+        raise ParseError("expected a list of [from, to] pairs", f"relation.{key}")
     pairs = []
     for k, pair in enumerate(raw[key]):
         if not (isinstance(pair, list) and len(pair) == 2):
             raise ParseError("expected [from, to]", f"relation.{key}[{k}]")
-        for name in pair:
-            if name not in universe.elements:
-                raise ParseError(
-                    f"element {name!r} not declared in universe", f"relation.{key}[{k}]"
-                )
+        _mask(universe, pair, f"relation.{key}[{k}]")  # both names declared
         pairs.append(tuple(pair))
     relation = BinaryRelation(universe, pairs)
     if has_generators:
@@ -273,37 +308,22 @@ def _parse_deltas(universe, raw, granulation) -> tuple[DeltaSpec, ...]:
             spec = DeltaSpec(name=entry, kind=entry)
         elif isinstance(entry, dict):
             kind = entry.get("kind")
-            name = entry.get("name", f"{kind}-{k}")
-            if kind == "extensional":
-                triples = []
-                for j, triple in enumerate(entry.get("triples", [])):
-                    if not (isinstance(triple, list) and len(triple) == 3):
-                        raise ParseError("expected [a, b, c]", f"{field}.triples[{j}]")
-                    triples.append(
-                        tuple(
-                            tuple(
-                                _resolve(universe, _names(part, f"{field}.triples[{j}]"),
-                                         f"{field}.triples[{j}]").members()
-                            )
-                            for part in triple
-                        )
-                    )
-                spec = DeltaSpec(name=name, kind="extensional", triples=tuple(triples))
-            elif kind == "def0":
-                f_value = entry.get("f")
-                if f_value == "union":
-                    spec = DeltaSpec(name=name, kind="def0", nearness="union")
-                elif isinstance(f_value, list):
-                    table = []
-                    for j, row in enumerate(f_value):
-                        if not (isinstance(row, list) and len(row) == 3):
-                            raise ParseError("expected [a, b, value]", f"{field}.f[{j}]")
-                        table.append(tuple(tuple(_names(part, f"{field}.f[{j}]")) for part in row))
-                    spec = DeltaSpec(name=name, kind="def0", nearness_table=tuple(table))
-                else:
-                    raise ParseError('f must be "union" or a pair table', f"{field}.f")
-            else:
+            if kind not in ("extensional", "def0"):
                 raise ParseError(f"unknown delta kind {kind!r}", field)
+            _known(entry, ("kind", "name", "triples" if kind == "extensional" else "f"), field)
+            name = entry.get("name", f"{kind}-{k}")
+            if not isinstance(name, str):
+                raise ParseError("expected a string", f"{field}.name")
+            if kind == "extensional":
+                triples = _rows(universe, entry.get("triples", []), f"{field}.triples", "[a, b, c]")
+                spec = DeltaSpec(name=name, kind=kind, table=triples)
+            elif entry.get("f") == "union":
+                spec = DeltaSpec(name=name, kind=kind)
+            elif isinstance(entry.get("f"), list):
+                table = _function(universe, entry["f"], f"{field}.f", total=True)
+                spec = DeltaSpec(name=name, kind=kind, table=table)
+            else:
+                raise ParseError('f must be "union" or a pair table', f"{field}.f")
         else:
             raise ParseError("delta entries are names or objects", field)
         if spec.name in names:
@@ -314,6 +334,9 @@ def _parse_deltas(universe, raw, granulation) -> tuple[DeltaSpec, ...]:
 
 
 def _parse_sum(universe, raw, granulation):
+    """The sum's mode and, for a table, its rows."""
+    if raw is None:
+        return None, None
     if raw == "total-union":
         return "total-union", None
     if raw == "granular-sum":
@@ -321,10 +344,7 @@ def _parse_sum(universe, raw, granulation):
             raise ParseError("granular-sum needs a granulation", "sum")
         return "granular-sum", None
     if isinstance(raw, dict) and raw.get("kind") == "extensional-partial":
-        table = []
-        for j, row in enumerate(raw.get("table", [])):
-            if not (isinstance(row, list) and len(row) == 3):
-                raise ParseError("expected [a, b, value]", f"sum.table[{j}]")
-            table.append(tuple(tuple(_names(part, f"sum.table[{j}]")) for part in row))
-        return "extensional-partial", tuple(table)
+        _known(raw, ("kind", "table"), "sum")
+        table = _function(universe, raw.get("table"), "sum.table", total=False)
+        return "extensional-partial", table
     raise ParseError("sum must be total-union, granular-sum, or an extensional table", "sum")

@@ -90,31 +90,23 @@ def close_relation(
     symmetric: bool = False,
     transitive: bool = False,
 ) -> BinaryRelation:
-    """Smallest superset of ``r`` closed under the requested properties."""
+    """Smallest superset of ``r`` closed under the requested properties.
+
+    One pass suffices: the transitive closure of a reflexive or symmetric
+    relation is again reflexive or symmetric, so transitivity goes last.
+    """
     pairs = set(r.pairs)
     n = r.universe.size
-    changed = True
-    while changed:
-        changed = False
-        if reflexive:
-            for i in range(n):
-                if (i, i) not in pairs:
-                    pairs.add((i, i))
-                    changed = True
-        if symmetric:
-            for i, j in list(pairs):
-                if (j, i) not in pairs:
-                    pairs.add((j, i))
-                    changed = True
-        if transitive:
-            by_first = {}
-            for i, j in pairs:
-                by_first.setdefault(i, set()).add(j)
-            for i, j in list(pairs):
-                for k in by_first.get(j, ()):
-                    if (i, k) not in pairs:
-                        pairs.add((i, k))
-                        changed = True
+    if reflexive:
+        pairs.update((i, i) for i in range(n))
+    if symmetric:
+        pairs.update([(j, i) for i, j in pairs])
+    if transitive:
+        # Warshall: after round k, every path through 0..k has its shortcut.
+        for k in range(n):
+            into = [i for i in range(n) if (i, k) in pairs]
+            out = [j for j in range(n) if (k, j) in pairs]
+            pairs.update((i, j) for i in into for j in out)
     return BinaryRelation.from_indices(r.universe, pairs)
 
 

@@ -12,6 +12,7 @@ from .config import LabConfig, parse_config
 from .errors import ParseError
 from .report import (
     axioms_section,
+    cluster_names,
     provenance,
     structure_summary,
     validation_section,
@@ -28,11 +29,12 @@ def run_pipeline(
     ``bench/traced.py`` passes ``jobs=1``.
     """
     cfg = parse_config(config) if isinstance(config, dict) else config
-    if cfg.clustering_lists is None:
+    if cfg.clusters is None:
         raise ParseError("missing clustering input", "clustering")
-    seed = seed if seed is not None else cfg.seed
+    seed = cfg.run_seed(seed)
 
-    skeleton = cfg.structure(None, bind_kappa=False, apply_reduct=False)
+    skeleton = cfg.structure(None, apply_reduct=False)
+    bound = cfg.structure(None)
     step1 = {
         "structure": structure_summary(cfg),
         "bound_slots": sorted(skeleton.bound_slots() - {"kappa"}),
@@ -44,22 +46,20 @@ def run_pipeline(
     if cfg.reduct_keep is None:
         step2 = {"applied": False, "note": "no reduct requested"}
     else:
-        reduced = cfg.structure(None, bind_kappa=False)
         step2 = {
             "applied": True,
             "kept": sorted(cfg.reduct_keep),
-            "bound_slots": sorted(reduced.bound_slots() - {"kappa"}),
+            "bound_slots": sorted(bound.bound_slots() - {"kappa"}),
         }
 
     step3 = {
         "source": "external clustering ingested",
-        "clusters": [list(names) for names in cfg.clustering_lists],
+        "clusters": cluster_names(cfg),
     }
 
-    bound = cfg.structure(None)
     step4 = {
         "kappa_bound": "kappa" in bound.bound_slots(),
-        "cluster_count": len(cfg.clustering_lists),
+        "cluster_count": len(cfg.clusters),
     }
 
     step5 = {

@@ -63,13 +63,16 @@ def structure_summary(cfg: LabConfig) -> dict:
         "granulation_notes": list(cfg.granulation.notes) if cfg.granulation else [],
         "delta_candidates": [d.name for d in cfg.deltas],
         "sum": cfg.sum_mode,
-        "clustering": (
-            [list(names) for names in cfg.clustering_lists]
-            if cfg.clustering_lists
-            else None
-        ),
+        "clustering": cluster_names(cfg),
         "reduct": list(cfg.reduct_keep) if cfg.reduct_keep else None,
     }
+
+
+def cluster_names(cfg: LabConfig) -> Optional[list[list[str]]]:
+    """The config's clusters, each as its element names."""
+    if cfg.clusters is None:
+        return None
+    return [subset_names(cfg.universe.from_mask(mask)) for mask in cfg.clusters]
 
 
 def provenance(seed: Optional[int]) -> dict:
@@ -117,8 +120,7 @@ def validation_section(cfg: LabConfig, *, seed: Optional[int]) -> dict:
 
     if s.ops is None:
         section["clusters"] = [
-            {"cluster": list(names), "status": "deferred"}
-            for names in cfg.clustering_lists
+            {"cluster": names, "status": "deferred"} for names in cluster_names(cfg)
         ]
         section["clustering_grades"] = {"status": "deferred"}
         section["note"] = "approximation operators unbound; deficits and grades deferred"
@@ -167,6 +169,7 @@ def validation_section(cfg: LabConfig, *, seed: Optional[int]) -> dict:
 def build_check_axioms(cfg: LabConfig, *, seed: Optional[int], jobs: int = 1) -> dict:
     """The check-axioms report. ``jobs`` is accepted and ignored; it stays
     only because ``bench/traced.py`` passes ``jobs=1``."""
+    seed = cfg.run_seed(seed)
     return {
         "command": "check-axioms",
         "provenance": provenance(seed),
@@ -178,6 +181,7 @@ def build_check_axioms(cfg: LabConfig, *, seed: Optional[int], jobs: int = 1) ->
 def build_validate(cfg: LabConfig, *, seed: Optional[int], jobs: int = 1) -> dict:
     """The validate report. ``jobs`` is accepted and ignored; it stays only
     because ``bench/traced.py`` passes ``jobs=1``."""
+    seed = cfg.run_seed(seed)
     return {
         "command": "validate",
         "provenance": provenance(seed),

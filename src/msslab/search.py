@@ -14,13 +14,41 @@ import random
 from typing import Iterator, NamedTuple, Optional
 
 from .delta import BUILTIN_DELTAS, EXTENSIONAL_TABLE_LIMIT, DeltaPredicate
-from .errors import BudgetError, MsslabError, ParseError
+from .errors import BudgetError, ParseError
 from .granules import BinaryRelation, Granulation, predecessor_granulation
 from .sets import Universe
-from .structure import MssStructure, assemble, verify
+from .structure import LAWS, MssStructure, assemble, verify
 
 FAMILIES = ("relations", "extensional-deltas", "granulations")
+# A search draws its predicate from a builtin or from a random table.
+SEARCH_DELTAS = BUILTIN_DELTAS + ("extensional",)
 RELATION_EXHAUSTIVE_LIMIT = 4
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_laws(value) -> bool:
+    return isinstance(value, tuple) and all(isinstance(a, str) and a in LAWS for a in value)
+
+
+# Each field of a search spec: the test its value must pass, and the
+# expected value its error names.
+FIELD_CHECKS = {
+    "n": (lambda v: _is_int(v) and v >= 1, "an integer of at least 1"),
+    "family": (lambda v: v in FAMILIES, f"one of {', '.join(FAMILIES)}"),
+    "delta": (lambda v: v in SEARCH_DELTAS, f"one of {', '.join(SEARCH_DELTAS)}"),
+    "required": (_is_laws, "a list of axiom names"),
+    "forbidden": (_is_laws, "a list of axiom names"),
+    "budget": (lambda v: _is_int(v) and v >= 1, "a positive integer"),
+    "seed": (_is_int, "an integer"),
+    "density": (
+        lambda v: (_is_int(v) or isinstance(v, float)) and 0 <= v <= 1,
+        "a number in [0, 1]",
+    ),
+    "exhaustive": (lambda v: isinstance(v, bool), "true or false"),
+}
 
 
 class _SearchFields(NamedTuple):
@@ -36,18 +64,17 @@ class _SearchFields(NamedTuple):
 
 
 class SearchSpec(_SearchFields):
-    """The fields of a search, checked when the spec is constructed."""
+    """The fields of a search, each checked by ``FIELD_CHECKS`` when the
+    spec is constructed; a refused field is a ``ParseError`` naming it."""
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if self.family not in FAMILIES:
-            raise MsslabError(f"unknown structure family {self.family!r}")
-        if self.budget <= 0:
-            raise MsslabError("budget must be positive")
-        if self.n < 1:
-            raise MsslabError("universe size must be at least 1")
+        for field, value in zip(self._fields, self):
+            valid, expected = FIELD_CHECKS[field]
+            if not valid(value):
+                raise ParseError(f"expected {expected}, got {value!r}", field)
         # Refused before any table is drawn: a table draws 2**(3n) values.
         if self.extensional and self.n > EXTENSIONAL_TABLE_LIMIT:
             raise ParseError(

@@ -286,6 +286,7 @@ PAPER_CONFIG = json.loads((Path(__file__).resolve().parent.parent / FIXTURE).rea
         ("search", {"n": 4, "required": ["no-such-law"]}, "required"),
         ("search", {"n": 2, "forbidden": ["i-coh", "trans1"]}, "forbidden"),
         ("search", {"n": 2, "delta": "E9"}, "delta"),
+        ("check-axioms", {**PAPER_CONFIG, "seed": True}, "seed"),
     ],
 )
 def test_mistyped_fields_are_parse_errors(repo_root, tmp_path, command, document, field):
@@ -294,6 +295,75 @@ def test_mistyped_fields_are_parse_errors(repo_root, tmp_path, command, document
     # the field is named and the value's type is rejected as a whole, not per character
     assert result.stderr.startswith(f"msslab: parse error: {field}: expected ")
     assert "Traceback" not in result.stderr
+
+
+def _def0(name, f):
+    return {**PAPER_CONFIG, "delta": [{"kind": "def0", "name": name, "f": f}]}
+
+
+def _partial_sum(*rows):
+    return {**PAPER_CONFIG, "sum": {"kind": "extensional-partial", "table": list(rows)}}
+
+
+MALFORMED_CONFIGS = {
+    "undeclared-name-in-f": (_def0("f", [[["x9"], [], []]]), "delta[0].f[0][0][0]"),
+    "undeclared-name-in-sum": (_partial_sum([["x1"], ["x2", "x9"], ["x1"]]), "sum.table[0][1][1]"),
+    "f-not-total": (_def0("f", [[["x1"], ["x2"], ["x1", "x2"]]]), "delta[0].f"),
+    "conflicting-sum-rows": (
+        _partial_sum([["x1"], ["x2"], ["x1", "x2"]], [["x1"], ["x2"], ["x1"]]),
+        "sum.table[1]",
+    ),
+    "duplicate-cluster": ({**PAPER_CONFIG, "clustering": [["x1", "x3"], ["x3", "x1"]]}, "clustering[1]"),
+    "empty-cluster": ({**PAPER_CONFIG, "clustering": [["x1"], []]}, "clustering[1]"),
+    "numeric-delta-name": (_def0(7, "union"), "delta[0].name"),
+    "element-named-twice": ({**PAPER_CONFIG, "universe": ["x1", "x2", "x1"]}, "universe"),
+    "pairs-not-a-list": ({**PAPER_CONFIG, "relation": {"pairs": 5}}, "relation.pairs"),
+    "sum-without-table": ({**PAPER_CONFIG, "sum": {"kind": "extensional-partial"}}, "sum.table"),
+    "misspelt-closure": (
+        {**PAPER_CONFIG, "relation": {"generators": [], "closur": ["reflexive"]}},
+        "relation",
+    ),
+    "misspelt-triples": (
+        {**PAPER_CONFIG, "delta": [{"kind": "extensional", "tripels": []}]},
+        "delta[0]",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["check-axioms", "validate", "pipeline"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_CONFIGS))
+def test_malformed_configs_are_parse_errors_naming_the_field(tmp_path, capsys, command, case):
+    from msslab.cli import main
+
+    document, field = MALFORMED_CONFIGS[case]
+    assert main([command, str(write_config(tmp_path, document))]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"msslab: parse error: {field}: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_library_builders_fall_back_to_the_config_seed():
+    from msslab.pipeline import run_pipeline
+
+    cfg = parse_config({**PAPER_CONFIG, "seed": 7})
+    builders = (msslab.report.build_check_axioms, msslab.report.build_validate, run_pipeline)
+    for build in builders:
+        assert build(cfg, seed=None)["provenance"]["seed"] == 7
+        assert build(cfg, seed=3)["provenance"]["seed"] == 3
+        assert build(cfg._replace(seed=None), seed=None)["provenance"]["seed"] == 0
+    assert run_pipeline({**PAPER_CONFIG, "seed": 7})["provenance"]["seed"] == 7
+
+
+def test_config_names_are_resolved_to_masks_at_parse():
+    cfg = parse_config(_partial_sum([["x1"], ["x2"], ["x1", "x2"]], [["x1"], ["x2"], ["x2", "x1"]]))
+    assert cfg.clusters == (0b0101, 0b0110, 0b1010)
+    assert cfg.sum_table == ((0b01, 0b10, 0b11), (0b01, 0b10, 0b11))
+    assert cfg.sum_operation().table == {(0b01, 0b10): 0b11}
+    spec = parse_config(_def0("union", "union")).deltas[0]
+    assert spec == ("union", "def0", None) and type(spec)._fields == ("name", "kind", "table")
+    same_masks = _partial_sum([["x1"], ["x2"], ["x1", "x2"]], [["x1"], ["x2"], ["x1", "x2"]])
+    assert hash(cfg) == hash(parse_config(same_masks))
 
 
 @pytest.mark.parametrize("command", ["validate", "search"])
@@ -453,6 +523,19 @@ def schema_validator(repo_root, name):
     with open(repo_root / "schemas" / name, encoding="utf-8") as handle:
         schema = json.load(handle)
     return jsonschema.validators.validator_for(schema)(schema)
+
+
+def test_config_schema_refuses_the_malformed_shapes(repo_root):
+    config_schema = schema_validator(repo_root, "config.schema.json")
+    for case in (
+        "empty-cluster",
+        "numeric-delta-name",
+        "element-named-twice",
+        "pairs-not-a-list",
+        "sum-without-table",
+        "misspelt-triples",
+    ):
+        assert not config_schema.is_valid(MALFORMED_CONFIGS[case][0]), case
 
 
 def test_reports_and_configs_match_the_schemas(repo_root, tmp_path):

@@ -46,6 +46,33 @@ def test_symmetric_transitive_closure_fixpoint():
     assert named(closed) == {("x1", "x2"), ("x2", "x1"), ("x1", "x1"), ("x2", "x2")}
 
 
+def reference_closure(pairs, n, reflexive, symmetric, transitive):
+    """Add every missing pair a flag demands until nothing is missing."""
+    pairs = set(pairs)
+    while True:
+        missing = set()
+        if reflexive:
+            missing |= {(i, i) for i in range(n)}
+        if symmetric:
+            missing |= {(j, i) for i, j in pairs}
+        if transitive:
+            missing |= {(i, k) for i, j in pairs for j2, k in pairs if j == j2}
+        if missing <= pairs:
+            return pairs
+        pairs |= missing
+
+
+def test_closure_matches_the_fixpoint_on_every_relation_of_three_elements():
+    u = Universe(["x1", "x2", "x3"])
+    cells = [(i, j) for i in range(3) for j in range(3)]
+    for bits in range(1 << 9):
+        pairs = {cell for k, cell in enumerate(cells) if bits >> k & 1}
+        r = BinaryRelation.from_indices(u, pairs)
+        for flags in itertools.product((False, True), repeat=3):
+            closed = close_relation(r, reflexive=flags[0], symmetric=flags[1], transitive=flags[2])
+            assert closed.pairs == reference_closure(pairs, 3, *flags), (pairs, flags)
+
+
 def test_predecessor_granules_match_the_worked_example(granulation, H):
     expected = [("x1", "x2"), ("x1", "x2", "x3"), ("x2", "x3"), ("x4",)]
     assert [g.members() for g in granulation] == expected

@@ -10,6 +10,7 @@ from msslab import (
     DeltaPredicate,
     Granulation,
     MsslabError,
+    ParseError,
     SumOperation,
     Universe,
     assemble,
@@ -401,24 +402,27 @@ def test_oracle_powerset_covers_everything():
     assert len(space) == 8 and len(set(space)) == 8
 
 
-# Each refusal, by position and by keyword.
+# Each refusal, by position and by keyword, names the refused field.
 BAD_SPECS = (
-    ((2, "islands"), {}, "unknown structure family"),
-    ((2,), {"family": "islands"}, "unknown structure family"),
-    ((0,), {}, "universe size must be at least 1"),
-    ((), {"n": -2}, "universe size must be at least 1"),
-    ((2, "relations", "E0", (), (), 0), {}, "budget must be positive"),
-    ((2,), {"budget": -1}, "budget must be positive"),
-    ((7, "relations", "extensional"), {}, "extensional tables"),
-    ((), {"n": 7, "family": "extensional-deltas"}, "extensional tables"),
+    ((2, "islands"), {}, "family: expected one of"),
+    ((2,), {"family": "islands"}, "family: expected one of"),
+    ((0,), {}, "n: expected an integer of at least 1"),
+    ((), {"n": -2}, "n: expected an integer of at least 1"),
+    ((), {"n": True}, "n: expected an integer of at least 1"),
+    ((2, "relations", "E0", (), (), 0), {}, "budget: expected a positive integer"),
+    ((2,), {"budget": -1}, "budget: expected a positive integer"),
+    ((3,), {"delta": "E9"}, "delta: expected one of E0, E1, E2, uE1, extensional"),
+    ((3,), {"required": ("nope",)}, "required: expected a list of axiom names"),
+    ((7, "relations", "extensional"), {}, "n: extensional tables"),
+    ((), {"n": 7, "family": "extensional-deltas"}, "n: extensional tables"),
 )
 
 
 def test_search_spec_validation():
     for args, kwargs, message in BAD_SPECS:
-        with pytest.raises(MsslabError, match=message):
+        with pytest.raises(ParseError, match=message):
             SearchSpec(*args, **kwargs)
-        with pytest.raises(MsslabError, match=message):
+        with pytest.raises(ParseError, match=message):
             SearchSpec(4)._replace(**dict(zip(SearchSpec._fields, args)), **kwargs)
 
 
