@@ -3,7 +3,8 @@
 ``parse_config`` reads each field once. It resolves every element name to
 a subset mask where it reads it, and checks each table and list against
 its contract there: a def0 nearness table is total, a sum table gives
-each pair at most one value, clusters are nonempty and distinct. A
+each pair at most one value, clusters are nonempty and distinct, an
+extensional δ table is admitted only on a small universe. A
 malformed document is a ``ParseError`` naming the offending field, and
 nothing is built from it. ``LabConfig`` and ``DeltaSpec`` hold masks
 only, so building a structure, a predicate, the sum or the clustering
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .delta import BUILTIN_DELTAS, DeltaPredicate, SumOperation
+from .delta import BUILTIN_DELTAS, EXTENSIONAL_TABLE_LIMIT, DeltaPredicate, SumOperation
 from .errors import MsslabError, ParseError
 from .granules import (
     BinaryRelation,
@@ -315,6 +316,12 @@ def _parse_deltas(universe, raw, granulation) -> tuple[DeltaSpec, ...]:
             if not isinstance(name, str):
                 raise ParseError("expected a string", f"{field}.name")
             if kind == "extensional":
+                if universe.size > EXTENSIONAL_TABLE_LIMIT:
+                    raise ParseError(
+                        "extensional tables admitted only for universes of size"
+                        f" <= {EXTENSIONAL_TABLE_LIMIT}",
+                        field,
+                    )
                 triples = _rows(universe, entry.get("triples", []), f"{field}.triples", "[a, b, c]")
                 spec = DeltaSpec(name=name, kind=kind, table=triples)
             elif entry.get("f") == "union":

@@ -5,11 +5,12 @@ the extensional one compares two keys, "key(a, b) R key(a, c)" with R one
 of ⊆, ⊊ and ⊋ (``KEYED_KINDS``); extensional predicates are given by an
 explicit triple table. The coherence and sum laws are evaluated here on
 masks and swept by ``structure.check_axiom``, which decides the laws of
-``CUBE_AXIOMS`` on the predicate's cube of rows (``DeltaPredicate.plane``)
-instead whenever its 2²ⁿ rows fit the budget. A plane is built from the
-keys, or read off the table, with no call of the predicate. A sum of
-``UNION_SUMS`` is the union wherever it is defined, so the omega laws are
-theorems there.
+``CUBE_AXIOMS``, every coherence and delta-sum law, on the predicate's
+cube of rows (``DeltaPredicate.plane``) instead whenever its 2²ⁿ rows fit
+the budget. A plane is built from the keys, or read off the table, with
+no call of the predicate. i-coh and i-coh-2 read only the diagonal cells
+of the cube. A sum of ``UNION_SUMS`` is the union wherever it is
+defined, so the omega laws are theorems there.
 """
 
 from __future__ import annotations
@@ -23,8 +24,18 @@ from .sets import UNDEFINED, PartialResult, Subset, Universe, encode
 from .verdicts import FAILS, HOLDS, VACUOUS, Verdict
 
 BUILTIN_DELTAS = ("E0", "E1", "E2", "uE1")
-# The laws decided on the 2²ⁿ rows of delta's cube, built once and shared by all.
-CUBE_AXIOMS = ("n-coh", "strict-n-coh", "trans-1", "delta-sum1", "delta-sum2", "delta-sum3")
+# The laws decided on the 2²ⁿ rows of delta's cube, built once and shared by
+# all: every coherence and delta-sum law.
+CUBE_AXIOMS = (
+    "i-coh",
+    "n-coh",
+    "i-coh-2",
+    "strict-n-coh",
+    "trans-1",
+    "delta-sum1",
+    "delta-sum2",
+    "delta-sum3",
+)
 # The sum modes that are the union of their arguments wherever they are defined.
 UNION_SUMS = ("total-union", "granular-sum")
 
@@ -336,6 +347,49 @@ def trans1_verdict(d: DeltaPredicate) -> Verdict:
     return Verdict("trans-1", HOLDS if substantive else VACUOUS, instances_checked=top**4)
 
 
+def diagonal_verdict(axiom: str, d: DeltaPredicate) -> Verdict:
+    """i-coh or i-coh-2 decided exactly on the diagonal cells of ``d``'s cube.
+
+    The instance (a, b) of i-coh reads d(b, b, a), bit a of
+    ``own[b] = d.plane(b)[0][b]``: the law holds iff the AND of every
+    ``own`` is full, and first fails at its lowest missing bit a and the
+    first b whose ``own`` lacks it. The instance (a, b) of i-coh-2 fails
+    when d(a, b, b), bit b of ``d.plane(a)[0][b]``; the planes are read
+    in order of a, so a failure reads no plane past its own. The verdict
+    is the exhaustive sweep's: the least violating (a, b) as witness and
+    its rank + 1 as the count. Every instance of both laws is
+    substantive, so a law that never fails holds.
+    """
+    top = 1 << d.universe.size
+    found = None
+    if axiom == "i-coh":
+        own = [d.plane(b)[0][b] for b in range(top)]
+        full = common = (1 << top) - 1
+        for row in own:
+            common &= row
+        missing = full ^ common
+        if missing:
+            a = (missing & -missing).bit_length() - 1
+            found = a, next(b for b, row in enumerate(own) if not row >> a & 1)
+    elif axiom == "i-coh-2":
+        for a in range(top):
+            b = next((b for b, row in enumerate(d.plane(a)[0]) if row >> b & 1), None)
+            if b is not None:
+                found = a, b
+                break
+    else:
+        raise MsslabError(f"axiom {axiom!r} is not decided on the cube's diagonal")
+    if found is None:
+        return Verdict(axiom, HOLDS, instances_checked=top**2)
+    a, b = found
+    return Verdict(
+        axiom,
+        FAILS,
+        witnesses=(tuple(map(d.universe.from_mask, found)),),
+        instances_checked=a * top + b + 1,
+    )
+
+
 def sum_evaluator(
     d: Optional[Callable[[int, int, int], bool]],
     s: Callable[[int, int], int],
@@ -406,6 +460,8 @@ def cube_verdict(
 ) -> Verdict:
     """A law of ``CUBE_AXIOMS`` decided exactly on the rows of ``d``.
 
+    trans-1 is decided by ``trans1_verdict``, and i-coh and i-coh-2 by
+    ``diagonal_verdict``; neither builds a plane it does not read.
     ``s`` is the sum on masks, for the delta-sum laws. For each (a, b),
     with ``rows[a], cols[a] = d.plane(a)`` and ``row = rows[a][b]``, the
     mask of violating c is:
@@ -425,6 +481,8 @@ def cube_verdict(
     """
     if axiom == "trans-1":
         return trans1_verdict(d)
+    if axiom in ("i-coh", "i-coh-2"):
+        return diagonal_verdict(axiom, d)
     top = 1 << d.universe.size
     rows, cols = zip(*map(d.plane, range(top)))
     diag = [s(x, x) for x in range(top)] if axiom.startswith("delta-sum") else None

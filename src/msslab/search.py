@@ -1,23 +1,27 @@
 """Finite model search: enumerate small structures, hunt for axiom combinations.
 
 Relations on up to four elements are enumerated exhaustively, and ``budget``
-counts labelled relations. Under a builtin δ every verdict a search asks for
-depends on the relation only through its set of granule masks, so each
-granule set is verified once. Extensional predicate tables are always
-sampled (their count is doubly exponential), with the seed fixing the
-stream.
+counts labelled relations. One stream of candidates (``_candidates``)
+yields each as a key and a builder. Under a builtin δ every verdict a
+search asks for depends on the relation only through its set of granule
+masks, and the key is that set, read off the relation's bits, so each
+granule set is built and checked once. A structure's laws are checked
+only up to the first that does not match the profile, theorems first.
+Extensional predicate tables are always sampled (their count is doubly
+exponential), with the seed fixing the stream.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Iterator, NamedTuple, Optional
+from functools import partial
+from typing import Callable, Hashable, Iterator, NamedTuple, Optional
 
 from .delta import BUILTIN_DELTAS, EXTENSIONAL_TABLE_LIMIT, DeltaPredicate
 from .errors import BudgetError, ParseError
 from .granules import BinaryRelation, Granulation, predecessor_granulation
 from .sets import Universe
-from .structure import LAWS, MssStructure, assemble, verify
+from .structure import LAWS, MssStructure, assemble, check_axiom
 
 FAMILIES = ("relations", "extensional-deltas", "granulations")
 # A search draws its predicate from a builtin or from a random table.
@@ -114,10 +118,45 @@ def _structure_from_granulation(universe, granulation, spec, rng) -> MssStructur
     return assemble(universe, granulation=granulation, delta=delta)
 
 
-def enumerate_structures(spec: SearchSpec) -> Iterator[MssStructure]:
-    """Yield fully assembled structures in a deterministic, seeded order."""
+def _granule_sets(n: int) -> Callable[[int], frozenset[int]]:
+    """The set of nonzero predecessor-column masks of a relation's bits,
+    read off the bits: the granule of x is every y with bit y*n + x set.
+
+    Row y of the bits is spread once, for each of its 2**n values, into
+    the columns' bits (bit y of column x at bit x*n + y)."""
+    row = (1 << n) - 1
+    spread = [
+        [sum(1 << (x * n + y) for x in range(n) if value >> x & 1) for value in range(row + 1)]
+        for y in range(n)
+    ]
+    shifts = range(0, n * n, n)
+    empty = frozenset((0,))
+
+    def granule_set(bits: int) -> frozenset[int]:
+        columns = 0
+        for y, row_spread in enumerate(spread):
+            columns |= row_spread[bits >> y * n & row]
+        return frozenset([columns >> shift & row for shift in shifts]) - empty
+
+    return granule_set
+
+
+def _candidates(
+    spec: SearchSpec,
+) -> Iterator[tuple[Optional[Hashable], Callable[[], MssStructure]]]:
+    """Each labelled candidate in a deterministic, seeded order, as
+    ``(key, build)``.
+
+    ``build()`` assembles the candidate's structure. Under a builtin δ,
+    ``key`` stands for the candidate's granule set, read off the
+    candidate without building it; under an extensional δ it is None.
+    An extensional ``build()`` draws its table from the stream's rng, so
+    it must run before the next candidate is drawn."""
     universe = _universe(spec.n)
     rng = random.Random(spec.seed)
+
+    def build(granulation):
+        return _structure_from_granulation(universe, granulation, spec, rng)
 
     if spec.family == "relations":
         width = spec.n * spec.n  # one bit per ordered pair
@@ -133,16 +172,15 @@ def enumerate_structures(spec: SearchSpec) -> Iterator[MssStructure]:
             bit_streams = range(total)
         else:
             bit_streams = (rng.randrange(total) for _ in range(spec.budget))
+        n = spec.n
+
+        def build_relation(bits):
+            pairs = [(i, j) for i in range(n) for j in range(n) if bits >> (i * n + j) & 1]
+            return build(predecessor_granulation(BinaryRelation.from_indices(universe, pairs)))
+
+        key = (lambda bits: None) if spec.extensional else _granule_sets(n)
         for bits in bit_streams:
-            pairs = [
-                (i, j)
-                for i in range(spec.n)
-                for j in range(spec.n)
-                if bits >> (i * spec.n + j) & 1
-            ]
-            relation = BinaryRelation.from_indices(universe, pairs)
-            granulation = predecessor_granulation(relation)
-            yield _structure_from_granulation(universe, granulation, spec, rng)
+            yield key(bits), partial(build_relation, bits)
         return
 
     if spec.family == "granulations":
@@ -163,18 +201,28 @@ def enumerate_structures(spec: SearchSpec) -> Iterator[MssStructure]:
             # A prebuilt list would hold 2**n subsets; build only those drawn.
             granule = universe.from_mask
             picks = (rng.randrange(total) for _ in range(spec.budget))
-        for bits in picks:
+
+        def build_granulation(bits):
             # Bit k stands for the granule of mask k + 1, read least significant first.
             granules = [granule(k + 1) for k, bit in enumerate(bin(bits)[:1:-1]) if bit == "1"]
-            granulation = Granulation(universe, granules)
-            yield _structure_from_granulation(universe, granulation, spec, rng)
+            return build(Granulation(universe, granules))
+
+        # The bits pick the granule set one to one, so they are its key.
+        for bits in picks:
+            yield None if spec.extensional else bits, partial(build_granulation, bits)
         return
 
     # extensional-deltas: sampled tables over the diagonal granulation
     diagonal = BinaryRelation.from_indices(universe, [(i, i) for i in range(spec.n)])
     granulation = predecessor_granulation(diagonal)
     for _ in range(spec.budget):
-        yield _structure_from_granulation(universe, granulation, spec, rng)
+        yield None, partial(build, granulation)
+
+
+def enumerate_structures(spec: SearchSpec) -> Iterator[MssStructure]:
+    """Yield fully assembled structures in a deterministic, seeded order."""
+    for _, build in _candidates(spec):
+        yield build()
 
 
 def find_witness(spec: SearchSpec) -> tuple[Optional[MssStructure], int]:
@@ -183,21 +231,24 @@ def find_witness(spec: SearchSpec) -> tuple[Optional[MssStructure], int]:
     structures examined.
 
     Under a builtin δ the verdicts depend only on the set of granule masks
-    (l, u and δ are unions of granules read in any order), so a granule set
-    that failed once is counted again but not verified again. Extensional
-    tables are drawn per structure and always verified."""
-    axioms = list(spec.required) + list(spec.forbidden)
+    (l, u and δ are unions of granules read in any order), so a candidate
+    whose granule set was rejected before is counted again but not built
+    again. Extensional tables are drawn per structure and always checked.
+    A structure's laws are checked one at a time, up to the first that
+    does not pass where required or fail where forbidden: first the laws
+    answered from ``LAWS`` alone (the theorems, and clos1, which has no
+    definition), then the rest in spec order."""
+    # Each law with the Verdict property it must show.
+    checks = [(a, "passed") for a in spec.required] + [(a, "failed") for a in spec.forbidden]
+    checks.sort(key=lambda check: LAWS[check[0]].arity is not None)
     examined = 0
     rejected = set()
-    for s in enumerate_structures(spec):
+    for key, build in _candidates(spec):
         examined += 1
-        key = frozenset(s.granulation.masks()) if s.delta.kind in BUILTIN_DELTAS else None
         if key in rejected:
             continue
-        verdicts = {v.axiom: v for v in verify(s, axioms)}
-        if all(verdicts[a].passed for a in spec.required) and all(
-            verdicts[a].failed for a in spec.forbidden
-        ):
+        s = build()
+        if all(getattr(check_axiom(s, a), shown) for a, shown in checks):
             return s, examined
         if key is not None:
             rejected.add(key)

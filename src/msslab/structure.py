@@ -303,12 +303,14 @@ def check_axiom(
     A law of ``THEOREMS`` whose slots are bound holds as a theorem, with
     no instance checked, and so does a law with a ``union_theorem`` when
     the sum is a union sum (``delta.UNION_SUMS``): the omega laws. The
-    laws of ``delta.CUBE_AXIOMS`` (n-coh, strict-n-coh, trans-1 and
+    laws of ``delta.CUBE_AXIOMS`` (the five coherence laws and
     delta-sum1..3) are decided on the rows of delta
     (``delta.cube_verdict``) when the cube's 2²ⁿ rows, shared through
     ``DeltaPredicate.plane``, fit ``budget``: up to n = 9 at the default
-    budget, the same verdicts an exhaustive sweep gives. Every other law,
-    and those laws past that budget, is swept.
+    budget, the same verdicts an exhaustive sweep gives. An arity-2
+    sweep is exhaustive at the same n, so i-coh and i-coh-2 are never
+    sampled where the cube could have decided them. Every other law, and
+    those laws past that budget, is swept.
     """
     law = LAWS.get(axiom)
     if law is None:

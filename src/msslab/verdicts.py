@@ -86,14 +86,15 @@ def sweep(
     larger space is sampled with ``budget`` tuples, each element drawn by
     ``Random(seed).randrange(2**n)`` in turn (seed ``DEFAULT_SEED`` when
     none is given). With the default budget every law of arity ≤ 3 is
-    exhaustive up to n = 6. ``structure.check_axiom`` decides n-coh,
-    strict-n-coh, trans-1 and delta-sum1..3 on the delta cube
+    exhaustive up to n = 6. ``structure.check_axiom`` decides the five
+    coherence laws and delta-sum1..3 on the delta cube
     (``delta.cube_verdict``) instead of this sweep whenever its (2ⁿ)²
     rows fit ``budget``, with the verdict this sweep would give
     exhaustively; those laws reach n = 9 that way, and under a union sum
-    the first substantive cell decides a delta-sum law. The omega laws
-    are swept only under an ``extensional-partial`` sum; under a union
-    sum they are theorems.
+    the first substantive cell decides a delta-sum law. So of the δ
+    laws only a sampled one, past the cube's budget, is swept. The omega
+    laws are swept only under an ``extensional-partial`` sum; under a
+    union sum they are theorems.
     """
     top = 1 << universe.size
     total = top**arity

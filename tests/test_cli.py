@@ -327,6 +327,14 @@ MALFORMED_CONFIGS = {
         {**PAPER_CONFIG, "delta": [{"kind": "extensional", "tripels": []}]},
         "delta[0]",
     ),
+    # Refused at parse, before any sweep runs, not when the table is built.
+    "extensional-table-on-seven-elements": (
+        {
+            "universe": [f"x{i + 1}" for i in range(7)],
+            "delta": ["E0", {"kind": "extensional", "triples": []}],
+        },
+        "delta[1]",
+    ),
 }
 
 

@@ -148,8 +148,13 @@ def test_find_witness_trans1_with_proper_inclusion_has_no_model():
 # E2, ("n-coh",)/("trans-1",) is met first by the 12th relation and
 # ("strict-n-coh",)/("n-coh",) by the 11th, both after repeated granule sets;
 # the theorem UL1 never fails, so forbidding it finds nothing.
+# (("n-coh", "trans-1"), ("UL1",)) forbids a theorem beside laws that are
+# swept; under E0, ("i-coh-2", "trans-1") puts a law that fails at its first
+# instance ahead of a costly one.
 MEMO_PROFILES = [
     ((), ("UL1",)),
+    (("n-coh", "trans-1"), ("UL1",)),
+    (("i-coh-2", "trans-1"), ("strict-n-coh",)),
     (("i-coh",), ()),
     (("i-coh",), ("n-coh",)),
     (("n-coh",), ("trans-1",)),
@@ -192,32 +197,36 @@ def test_memoised_search_matches_the_plain_loop(
     assert (None if found is None else found.granulation.masks(), examined) == expected
 
 
-def count_verify_calls(monkeypatch):
-    calls = []
+def count_built_structures(monkeypatch):
+    built = []
 
-    def counting(s, axioms):
-        calls.append(s)
-        return verify(s, axioms)
+    def counting(*args, **kwargs):
+        built.append(assemble(*args, **kwargs))
+        return built[-1]
 
-    monkeypatch.setattr(search, "verify", counting)
-    return calls
+    monkeypatch.setattr(search, "assemble", counting)
+    return built
+
+
+SEARCH_N3 = SearchSpec(
+    n=3,
+    delta="E2",
+    required=("i-coh-2", "strict-n-coh", "n-coh"),
+    forbidden=("UL1", "UL2"),
+)
 
 
 def test_each_granule_set_is_verified_once(monkeypatch):
-    # the search-n3 benchmark spec: 512 relations, 64 granule sets
-    calls = count_verify_calls(monkeypatch)
-    spec = SearchSpec(
-        n=3,
-        delta="E2",
-        required=("i-coh-2", "strict-n-coh", "n-coh"),
-        forbidden=("UL1", "UL2"),
-    )
-    assert find_witness(spec) == (None, 512)
-    assert len(calls) == 64
+    # the search-n3 benchmark spec: 512 relations, 64 granule sets, each
+    # built and checked once
+    built = count_built_structures(monkeypatch)
+    assert find_witness(SEARCH_N3) == (None, 512)
+    assert len(built) == 64
+    assert len({frozenset(s.granulation.masks()) for s in built}) == 64
 
 
 def test_extensional_tables_are_verified_every_time(monkeypatch):
-    calls = count_verify_calls(monkeypatch)
+    built = count_built_structures(monkeypatch)
     spec = SearchSpec(
         n=2,
         family="extensional-deltas",
@@ -227,7 +236,75 @@ def test_extensional_tables_are_verified_every_time(monkeypatch):
         seed=3,
     )
     assert find_witness(spec) == (None, 40)
-    assert len(calls) == 40
+    assert len(built) == 40
+
+
+def test_forbidding_a_theorem_reads_no_delta_plane(monkeypatch):
+    read = []
+    plane = DeltaPredicate.plane
+
+    def counting(self, a):
+        read.append(a)
+        return plane(self, a)
+
+    monkeypatch.setattr(DeltaPredicate, "plane", counting)
+    # UL1 is checked first and holds, so no required cube law is read.
+    assert find_witness(SEARCH_N3) == (None, 512)
+    assert read == []
+    # Without the theorems the first relation is checked on its cube.
+    assert find_witness(SEARCH_N3._replace(forbidden=()))[1] == 1
+    assert read
+
+
+def plain_search(spec):
+    """The plain loop: every structure of the stream verified in full, in
+    turn, with no memo; the first that meets the spec and its position."""
+    laws = list(spec.required) + list(spec.forbidden)
+    examined = 0
+    for examined, s in enumerate(enumerate_structures(spec), 1):
+        v = {verdict.axiom: verdict for verdict in verify(s, laws)}
+        if all(v[a].passed for a in spec.required) and all(v[a].failed for a in spec.forbidden):
+            return s, examined
+    return None, examined
+
+
+def search_answer(found, examined):
+    if found is None:
+        return None, examined
+    table = found.delta.sorted_table() if found.delta.kind == "extensional" else None
+    return (found.granulation.masks(), table), examined
+
+
+# Searches whose streams draw from the seed or skip no granule set, found
+# and not found: the seed is fixed, so each stream is one fixed sequence.
+STREAM_SPECS = (
+    SearchSpec(3, "granulations", "E2", ("n-coh",), ("trans-1",), 200),
+    SearchSpec(3, "granulations", "uE1", ("i-coh",), ("i-coh-2",), 200),
+    SearchSpec(3, "granulations", "E1", ("trans-1",), (), 200),
+    SearchSpec(5, "granulations", "uE1", ("i-coh-2",), ("i-coh",), 50, 7, exhaustive=False),
+    SearchSpec(2, "extensional-deltas", "E0", ("i-coh-2",), ("trans-1",), 300, density=0.1),
+    SearchSpec(2, "extensional-deltas", "E0", ("strict-n-coh",), ("i-coh-2",), 40, 3),
+    SearchSpec(3, "relations", "extensional", ("i-coh-2",), ("n-coh",), 40, density=0.05, exhaustive=False),
+    SearchSpec(3, "relations", "extensional", ("n-coh",), ("i-coh",), 40, 7, 0.2, False),
+    SearchSpec(2, "relations", "extensional", ("i-coh-2",), ("n-coh",), 16, 7, 0.1),
+)
+
+
+@pytest.mark.parametrize("spec", STREAM_SPECS)
+def test_search_matches_the_plain_loop_on_every_stream(spec):
+    assert search_answer(*find_witness(spec)) == search_answer(*plain_search(spec))
+
+
+def test_sampled_relations_under_extensional_tables_draw_a_pinned_stream():
+    # Each candidate draws its relation's bits, then its table, one
+    # rng.random() per (a, b, c) in order.
+    spec = SearchSpec(2, "relations", "extensional", budget=6, seed=4, density=0.3, exhaustive=False)
+    rng = random.Random(4)
+    for s in enumerate_structures(spec):
+        bits = rng.randrange(16)
+        columns = {sum(1 << y for y in range(2) if bits >> (2 * y + x) & 1) for x in range(2)}
+        triples = tuple(t for t in itertools.product(range(4), repeat=3) if rng.random() < 0.3)
+        assert (set(s.granulation.masks()), s.delta.sorted_table()) == (columns - {0}, triples)
 
 
 def test_exhaustive_relation_search_covers_four_elements():
