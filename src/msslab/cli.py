@@ -14,17 +14,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-from .config import parse_config
 from .errors import BudgetError, MsslabError, ParseError
-from .report import (
-    build_check_axioms,
-    build_validate,
-    has_failures,
-    provenance,
-    render_text,
-    to_json,
-)
-from .verdicts import DEFAULT_SEED
+from .verdicts import DEFAULT_SEED, provenance, to_json
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -114,7 +105,12 @@ def _pick_seed(cli_seed, config_seed) -> int:
 
 
 def _emit(report: dict, args) -> None:
-    text = to_json(report) if args.format == "json" else render_text(report)
+    if args.format == "json":
+        text = to_json(report)
+    else:
+        from .report import render_text  # only the text format reads it
+
+        text = render_text(report)
     if args.output is None:
         sys.stdout.write(text)
         return
@@ -207,10 +203,13 @@ def main(argv=None) -> int:
             _emit(report, args)
             return EXIT_OK
 
-        data = _load_json(args.config)
-        cfg = parse_config(data)
+        from .config import parse_config  # every command but search reads a config
+
+        cfg = parse_config(_load_json(args.config))
         if args.command == "replay":
             return _replay(cfg, _load_json(args.report))
+        from .report import build_check_axioms, build_validate, has_failures
+
         seed = _pick_seed(args.seed, cfg.seed)
         if args.command == "check-axioms":
             report = build_check_axioms(cfg, seed=seed)

@@ -2,20 +2,22 @@
 
 Reports are plain dicts serialized with sorted keys so that equal runs
 diff cleanly; the text format is rendered from the finished dict and
-never computed separately.
+never computed separately. ``provenance`` and ``to_json`` are defined in
+``verdicts``, which the search command loads without this module.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from . import __version__ as _version
-from .config import LabConfig
 from .errors import ParseError
 from .structure import ADMISSIBILITY_AXIOMS, LAWS, classify, verify
 from .validation import check_compatibility, validate_clustering
-from .verdicts import DEFAULT_SEED, Verdict
+from .verdicts import Verdict, provenance, to_json
+
+if TYPE_CHECKING:  # annotations only
+    from .config import LabConfig
 
 # Laws checked once per structure, and those checked once per delta candidate.
 STRUCTURAL_AXIOMS = tuple(a for a, law in LAWS.items() if not law.reads & {"delta", "gamma"})
@@ -73,15 +75,6 @@ def cluster_names(cfg: LabConfig) -> Optional[list[list[str]]]:
     if cfg.clusters is None:
         return None
     return [subset_names(cfg.universe.from_mask(mask)) for mask in cfg.clusters]
-
-
-def provenance(seed: Optional[int]) -> dict:
-    """Tool, version, and the seed sampled sweeps use (``DEFAULT_SEED`` for None)."""
-    return {
-        "tool": "msslab",
-        "version": _version,
-        "seed": DEFAULT_SEED if seed is None else seed,
-    }
 
 
 def axioms_section(cfg: LabConfig, *, seed: Optional[int]) -> dict:
@@ -188,10 +181,6 @@ def build_validate(cfg: LabConfig, *, seed: Optional[int], jobs: int = 1) -> dic
         "structure": structure_summary(cfg),
         "validation": validation_section(cfg, seed=seed),
     }
-
-
-def to_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True, ensure_ascii=True) + "\n"
 
 
 def has_failures(report: dict) -> bool:

@@ -276,10 +276,12 @@ def evaluator(s: MssStructure, axiom: str) -> Callable[..., Optional[bool]]:
     if axiom == "lclu":
         L, kappa = s.ops.lower_table, frozenset(c.mask for c in s.kappa)
         return lambda a: L[a] in kappa if a in kappa else None
+    from . import kernels  # only a law on delta or the sum reads it
+
     d = s.delta.masked() if s.delta is not None else None
     if "sum" in law.reads:
-        return delta_mod.sum_evaluator(d, s.sum.masked(), axiom)
-    return delta_mod.coherence_evaluator(d, axiom)
+        return kernels.sum_evaluator(d, s.sum.masked(), axiom)
+    return kernels.coherence_evaluator(d, axiom)
 
 
 def axiom_instance(s: MssStructure, axiom: str, args) -> Optional[bool]:
@@ -305,12 +307,14 @@ def check_axiom(
     the sum is a union sum (``delta.UNION_SUMS``): the omega laws. The
     laws of ``delta.CUBE_AXIOMS`` (the five coherence laws and
     delta-sum1..3) are decided on the rows of delta
-    (``delta.cube_verdict``) when the cube's 2²ⁿ rows, shared through
+    (``kernels.cube_verdict``) when the cube's 2²ⁿ rows, shared through
     ``DeltaPredicate.plane``, fit ``budget``: up to n = 9 at the default
     budget, the same verdicts an exhaustive sweep gives. An arity-2
     sweep is exhaustive at the same n, so i-coh and i-coh-2 are never
     sampled where the cube could have decided them. Every other law, and
-    those laws past that budget, is swept.
+    those laws past that budget, is swept. Only a swept or cube-decided
+    law loads the law kernels (``kernels``); a theorem, deferred or
+    unspecified verdict does not.
     """
     law = LAWS.get(axiom)
     if law is None:
@@ -327,8 +331,10 @@ def check_axiom(
     if law.union_theorem is not None and s.sum.mode in delta_mod.UNION_SUMS:
         return theorem(axiom, law.union_theorem)
     if axiom in delta_mod.CUBE_AXIOMS and (1 << s.universe.size) ** 2 <= budget:
+        from .kernels import cube_verdict  # only a law decided on delta reads it
+
         mask_sum = s.sum.masked() if s.sum is not None else None
-        return delta_mod.cube_verdict(axiom, s.delta, mask_sum)
+        return cube_verdict(axiom, s.delta, mask_sum)
     return sweep(axiom, s.universe, law.arity, evaluator(s, axiom), seed=seed, budget=budget)
 
 

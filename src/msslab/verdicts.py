@@ -1,4 +1,5 @@
-"""Verdicts for axiom checks, plus the shared quantifier sweep.
+"""Verdicts for axiom checks, plus the shared quantifier sweep, and the
+provenance and canonical JSON of every report.
 
 A check walks a quantification space of subset-mask tuples and classifies
 each instance as substantively satisfied, vacuously satisfied, or
@@ -11,9 +12,11 @@ seeded sampling with the seed recorded on the verdict.
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from typing import Callable, NamedTuple, Optional
 
+from . import __version__
 from .sets import Subset, Universe
 
 HOLDS = "holds"
@@ -25,6 +28,20 @@ UNSPECIFIED = "unspecified"
 DEFAULT_SAMPLE_BUDGET = 1_000_000
 # Sampled sweeps given no seed draw from this one, so every run repeats.
 DEFAULT_SEED = 0
+
+
+def provenance(seed: Optional[int]) -> dict:
+    """Tool, version, and the seed sampled sweeps use (``DEFAULT_SEED`` for None)."""
+    return {
+        "tool": "msslab",
+        "version": __version__,
+        "seed": DEFAULT_SEED if seed is None else seed,
+    }
+
+
+def to_json(report: dict) -> str:
+    """A report as canonical JSON: sorted keys, ASCII only, one trailing newline."""
+    return json.dumps(report, indent=2, sort_keys=True, ensure_ascii=True) + "\n"
 
 
 class Verdict(NamedTuple):
@@ -88,7 +105,7 @@ def sweep(
     none is given). With the default budget every law of arity ≤ 3 is
     exhaustive up to n = 6. ``structure.check_axiom`` decides the five
     coherence laws and delta-sum1..3 on the delta cube
-    (``delta.cube_verdict``) instead of this sweep whenever its (2ⁿ)²
+    (``kernels.cube_verdict``) instead of this sweep whenever its (2ⁿ)²
     rows fit ``budget``, with the verdict this sweep would give
     exhaustively; those laws reach n = 9 that way, and under a union sum
     the first substantive cell decides a delta-sum law. So of the δ

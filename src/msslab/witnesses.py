@@ -27,11 +27,14 @@ def replay_failures(cfg: LabConfig, report) -> list[str]:
     Walks the report's own axiom verdicts and compatibility rows and, in a
     pipeline report, those under ``steps.step5_investigate``. A part of
     the report it reads whose shape is not that of
-    ``schemas/report.schema.json``, or a delta the config does not
-    declare, is a ``ParseError`` naming the JSON path.
+    ``schemas/report.schema.json``, a delta the config does not declare,
+    a witness element outside its universe, or a failing law that reads
+    a slot the config leaves unbound, is a ``ParseError`` naming the JSON
+    path.
     """
     problems = []
     specs = {spec.name: spec for spec in cfg.deltas}
+    elements = frozenset(cfg.universe.elements)
 
     def spec_for(name: str):
         if name not in specs:
@@ -53,7 +56,9 @@ def replay_failures(cfg: LabConfig, report) -> list[str]:
                 raise ParseError(f"a witness of {name} must have {arity} subsets", at)
             for j, part in enumerate(w):
                 for k, element in enumerate(_expect(part, list, f"{at}[{j}]")):
-                    _expect(element, str, f"{at}[{j}][{k}]")
+                    here = f"{at}[{j}][{k}]"
+                    if _expect(element, str, here) not in elements:
+                        raise ParseError(f"element {element!r} is not in the universe", here)
             witnesses.append(tuple(map(cfg.universe.subset, w)))
         return witnesses
 
@@ -65,6 +70,12 @@ def replay_failures(cfg: LabConfig, report) -> list[str]:
             problems.append(f"{label}: failing verdict without witness")
             return
         s = cfg.structure(spec_for(delta_name) if delta_name else None)
+        law = LAWS.get(v["axiom"])
+        unbound = law.reads - s.bound_slots() if law is not None else ()
+        if unbound:
+            raise ParseError(
+                f"{v['axiom']} reads {sorted(unbound)}, which the config leaves unbound", field
+            )
         if not replay(s, Verdict(v["axiom"], FAILS, witnesses=tuple(witnesses))):
             problems.append(f"{label}: a witness of {v['axiom']} does not replay")
 

@@ -1,4 +1,5 @@
 import copy
+import importlib
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import msslab
 import msslab.report
 import msslab.witnesses
 from msslab.config import parse_config
@@ -437,16 +439,130 @@ def test_failed_write_is_reported_without_leftovers(repo_root, tmp_path, target)
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["existing-directory"]
 
 
-def test_cli_import_leaves_the_oracles_unloaded(repo_root):
-    # Every command compiles what msslab.cli imports; the oracles, the replay
-    # code, the search and the pipeline serve one subcommand each.
-    lazy = "{'msslab.oracles', 'msslab.witnesses', 'msslab.search', 'msslab.pipeline'}"
-    code = f"import sys, msslab.cli; print({lazy} & set(sys.modules))"
+# What each command loads, beside msslab.cli and the modules every command
+# reads. A run without a bytecode cache compiles each module it imports, so
+# a module whose code a command never runs stays unloaded there.
+COMMON = {"cli", "delta", "errors", "granules", "sets", "structure", "verdicts"}
+CONFIG_COMMAND = COMMON | {"config", "report", "validation"}
+SEARCH_N3 = {
+    "n": 3,
+    "delta": "E2",
+    "required": ["i-coh-2", "strict-n-coh", "n-coh"],
+    "forbidden": ["UL1", "UL2"],
+}
+
+
+@pytest.mark.parametrize(
+    "args, loaded",
+    [
+        # Every candidate fails the theorem UL1 first: no law reads the cube.
+        (["search", "SPEC"], COMMON | {"search"}),
+        (["search", "SPEC", "--format", "text"], COMMON | {"search", "report", "validation"}),
+        # Validation reads no law kernel.
+        (["validate", FIXTURE], CONFIG_COMMAND),
+        (["check-axioms", FIXTURE], CONFIG_COMMAND | {"kernels"}),
+        (["pipeline", FIXTURE], CONFIG_COMMAND | {"kernels", "pipeline"}),
+        (
+            ["replay", FIXTURE, "tests/golden/paper-pipeline.json"],
+            COMMON | {"config", "kernels", "validation", "witnesses"},
+        ),
+    ],
+    ids=["search", "search-text", "validate", "check-axioms", "pipeline", "replay"],
+)
+def test_each_command_loads_only_the_modules_it_runs(repo_root, tmp_path, args, loaded):
+    spec = write_config(tmp_path, SEARCH_N3, "spec.json")
+    args = [str(spec) if arg == "SPEC" else arg for arg in args]
+    code = (
+        "import contextlib, io, sys\n"
+        "import msslab.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    status = msslab.cli.main(sys.argv[1:])\n"
+        "print(status, *sorted(m for m in sys.modules if m.startswith('msslab.')))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code, *args], cwd=repo_root, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    status, *modules = result.stdout.split()
+    assert status == "0"
+    assert set(modules) == {f"msslab.{name}" for name in loaded}
+
+
+def test_package_import_loads_no_submodule(repo_root):
+    code = "import sys, msslab; print(sorted(m for m in sys.modules if m.startswith('msslab.')))"
     result = subprocess.run(
         [sys.executable, "-c", code], cwd=repo_root, capture_output=True, text=True
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "set()"
+    assert result.stdout.strip() == "[]"
+
+
+# The package's names, by the submodule that defines each.
+PACKAGE_NAMES = {
+    "delta": ["DeltaPredicate", "SumOperation"],
+    "errors": [
+        "BudgetError",
+        "ConfigurationError",
+        "MsslabError",
+        "ParseError",
+        "StructureError",
+        "UniverseMismatchError",
+    ],
+    "granules": [
+        "BinaryRelation",
+        "Granulation",
+        "close_relation",
+        "is_definite",
+        "predecessor_granulation",
+    ],
+    "sets": ["PartialResult", "Subset", "Universe", "partial_difference"],
+    "structure": [
+        "Classification",
+        "MssStructure",
+        "assemble",
+        "classify",
+        "reduct",
+        "replay",
+        "verify",
+    ],
+    "validation": [
+        "Clustering",
+        "ValidityReport",
+        "check_compatibility",
+        "check_proposition",
+        "lower_deficit",
+        "upper_deficit",
+        "validate_clustering",
+        "validity_grades",
+    ],
+    "verdicts": ["Verdict"],
+}
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [(module, name) for module, names in PACKAGE_NAMES.items() for name in names],
+)
+def test_package_names_are_their_submodules_objects(module, name):
+    assert getattr(msslab, name) is getattr(importlib.import_module(f"msslab.{module}"), name)
+
+
+def test_package_resolves_submodules_and_refuses_unknown_names():
+    from msslab import config, report, search, structure, validation
+
+    assert [m.__name__ for m in (config, report, search, structure, validation)] == [
+        "msslab.config",
+        "msslab.report",
+        "msslab.search",
+        "msslab.structure",
+        "msslab.validation",
+    ]
+    assert msslab.kernels is importlib.import_module("msslab.kernels")
+    assert sorted(msslab.__all__) == sorted(n for names in PACKAGE_NAMES.values() for n in names)
+    with pytest.raises(AttributeError, match="has no attribute 'cube_verdict'"):
+        msslab.cube_verdict
+    with pytest.raises(ImportError):
+        from msslab import no_such_name  # noqa: F401
 
 
 def test_env_seed_is_honoured(repo_root):
@@ -735,3 +851,28 @@ def test_replay_subcommand_exits_1_on_a_report_it_cannot_read(repo_root, tmp_pat
     assert result.returncode == 1
     assert result.stderr.startswith("msslab: parse error:") and message in result.stderr
     assert result.stderr.count("\n") == 1
+
+
+def test_replay_refuses_a_failing_law_on_a_slot_the_config_leaves_unbound(tmp_path, capsys):
+    from msslab.cli import main
+
+    # The report's failing lclu reads the clustering, which this config drops.
+    config = {k: v for k, v in PAPER_CONFIG.items() if k != "clustering"}
+    report = GOLDEN / "paper-check-axioms.json"
+    assert main(["replay", str(write_config(tmp_path, config)), str(report)]) == 1
+    assert capsys.readouterr().err == (
+        "msslab: parse error: axioms.structural[12]: "
+        "lclu reads ['kappa'], which the config leaves unbound\n"
+    )
+
+
+def test_replay_refuses_a_witness_element_outside_the_universe(repo_root, tmp_path, capsys):
+    from msslab.cli import main
+
+    report = tmp_path / "n6-validate.json"
+    assert main(["validate", str(repo_root / N6_CONFIG), "--output", str(report)]) == 0
+    assert main(["replay", str(repo_root / FIXTURE), str(report)]) == 1
+    assert capsys.readouterr().err == (
+        "msslab: parse error: validation.compatibility[0].witnesses[0][2][1]: "
+        "element 'x6' is not in the universe\n"
+    )

@@ -16,13 +16,8 @@ from msslab import (
     assemble,
 )
 from msslab.config import parse_config
-from msslab.delta import (
-    BUILTIN_DELTAS,
-    CUBE_AXIOMS,
-    coherence_evaluator,
-    cube_verdict,
-    trans1_verdict,
-)
+from msslab.delta import BUILTIN_DELTAS, CUBE_AXIOMS
+from msslab.kernels import coherence_evaluator, cube_verdict, trans1_verdict
 from msslab.oracles import StructureDescription, o_sum_law_holds
 from msslab.structure import LAWS, axiom_instance, check_axiom, evaluator
 from msslab.verdicts import sweep
