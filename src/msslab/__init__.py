@@ -53,16 +53,9 @@ _EXPORTS = {
     "verdicts": ("Verdict",),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = frozenset(_EXPORTS) | {
-    "cli",
-    "config",
-    "kernels",
-    "oracles",
-    "pipeline",
-    "report",
-    "search",
-    "witnesses",
-}
+# The submodules the eager package once imported stay attributes of it;
+# ``from msslab import config`` imports any other submodule as usual.
+_SUBMODULES = frozenset(_EXPORTS)
 
 __all__ = sorted(_HOME)
 
