@@ -15,7 +15,7 @@ from typing import Callable, Optional
 from .delta import DeltaPredicate
 from .errors import MsslabError
 from .sets import UNDEFINED
-from .verdicts import FAILS, HOLDS, VACUOUS, Verdict
+from .verdicts import Verdict, decided
 
 
 def coherence_evaluator(d: Callable[[int, int, int], bool], axiom: str):
@@ -44,9 +44,7 @@ def trans1_verdict(d: DeltaPredicate) -> Verdict:
     d(a, b, c). The instance (a, b, c, e) is violated when c lies in
     ``rows[b]`` and in a row ``rows[e]`` that holds b, so the violating c
     for (a, b) are ``rows[b] & reach[b]``, where ``reach[b]`` is the union
-    of the rows holding b. The verdict is the exhaustive sweep's: the
-    least violating tuple as witness, its rank + 1 as the count, and
-    holds/vacuous by whether any instance has a true antecedent.
+    of the rows holding b.
     """
     universe = d.universe
     top = 1 << universe.size
@@ -68,14 +66,9 @@ def trans1_verdict(d: DeltaPredicate) -> Verdict:
                 c = (bad & -bad).bit_length() - 1
                 pair = bits[b] | bits[c]
                 e = next(e for e, held in enumerate(rows) if held & pair == pair)
-                return Verdict(
-                    "trans-1",
-                    FAILS,
-                    witnesses=(tuple(map(universe.from_mask, (a, b, c, e))),),
-                    instances_checked=((a * top + b) * top + c) * top + e + 1,
-                )
+                return decided("trans-1", universe, 4, (a, b, c, e), True)
             substantive = substantive or bool(row and reach[b])
-    return Verdict("trans-1", HOLDS if substantive else VACUOUS, instances_checked=top**4)
+    return decided("trans-1", universe, 4, None, substantive)
 
 
 def diagonal_verdict(axiom: str, d: DeltaPredicate) -> Verdict:
@@ -86,10 +79,8 @@ def diagonal_verdict(axiom: str, d: DeltaPredicate) -> Verdict:
     ``own`` is full, and first fails at its lowest missing bit a and the
     first b whose ``own`` lacks it. The instance (a, b) of i-coh-2 fails
     when d(a, b, b), bit b of ``d.plane(a)[0][b]``; the planes are read
-    in order of a, so a failure reads no plane past its own. The verdict
-    is the exhaustive sweep's: the least violating (a, b) as witness and
-    its rank + 1 as the count. Every instance of both laws is
-    substantive, so a law that never fails holds.
+    in order of a, so a failure reads no plane past its own. Every
+    instance of both laws is substantive, so a law that never fails holds.
     """
     top = 1 << d.universe.size
     found = None
@@ -110,15 +101,7 @@ def diagonal_verdict(axiom: str, d: DeltaPredicate) -> Verdict:
                 break
     else:
         raise MsslabError(f"axiom {axiom!r} is not decided on the cube's diagonal")
-    if found is None:
-        return Verdict(axiom, HOLDS, instances_checked=top**2)
-    a, b = found
-    return Verdict(
-        axiom,
-        FAILS,
-        witnesses=(tuple(map(d.universe.from_mask, found)),),
-        instances_checked=a * top + b + 1,
-    )
+    return decided(axiom, d.universe, 2, found, True)
 
 
 def sum_evaluator(
@@ -203,12 +186,11 @@ def cube_verdict(
     - delta-sum2: ``row & ~rows[a][s(b, b)]``, where s(b, b) is defined;
     - delta-sum3: the c in ``row`` whose s(c, c) is defined and not in ``row``.
 
-    The verdict is the exhaustive sweep's: the least violating (a, b, c)
-    as witness, its rank + 1 as the count, and holds/vacuous by whether
-    any instance has a true antecedent (and a defined squared sum). When
-    no defined square s(x, x) moves its argument, as under every sum of
-    ``UNION_SUMS``, each delta-sum consequent is its antecedent: the law
-    cannot fail, and the first substantive instance decides it.
+    An instance is substantive when its antecedent is true (and its
+    squared sum defined). When no defined square s(x, x) moves its
+    argument, as under every sum of ``UNION_SUMS``, each delta-sum
+    consequent is its antecedent: the law cannot fail, and the first
+    substantive instance decides it.
     """
     if axiom == "trans-1":
         return trans1_verdict(d)
@@ -263,20 +245,15 @@ def cube_verdict(
     else:
         raise MsslabError(f"axiom {axiom!r} is not decided on the delta cube")
 
-    substantive = False
+    first, substantive = None, False
     for a in range(top):
         live, bad = cells(a)
         if any(bad):
             b, mask = next((b, mask) for b, mask in enumerate(bad) if mask)
-            c = (mask & -mask).bit_length() - 1
-            return Verdict(
-                axiom,
-                FAILS,
-                witnesses=(tuple(map(d.universe.from_mask, (a, b, c))),),
-                instances_checked=(a * top + b) * top + c + 1,
-            )
+            first = a, b, (mask & -mask).bit_length() - 1
+            break
         if any(live):
-            if fixed:
-                return Verdict(axiom, HOLDS, instances_checked=top**3)
             substantive = True
-    return Verdict(axiom, HOLDS if substantive else VACUOUS, instances_checked=top**3)
+            if fixed:
+                break
+    return decided(axiom, d.universe, 3, first, substantive)

@@ -21,12 +21,14 @@ from .delta import BUILTIN_DELTAS, EXTENSIONAL_TABLE_LIMIT, DeltaPredicate
 from .errors import BudgetError, ParseError
 from .granules import BinaryRelation, Granulation, predecessor_granulation
 from .sets import Universe
-from .structure import LAWS, MssStructure, assemble, check_axiom
+from .structure import LAWS, SET_SLOTS, MssStructure, assemble, check_axiom
 
 FAMILIES = ("relations", "extensional-deltas", "granulations")
 # A search draws its predicate from a builtin or from a random table.
 SEARCH_DELTAS = BUILTIN_DELTAS + ("extensional",)
 RELATION_EXHAUSTIVE_LIMIT = 4
+# A searched structure binds one granulation and δ, never the sum or kappa.
+SEARCHED_SLOTS = SET_SLOTS | {"l", "u", "gamma", "delta"}
 
 
 def _is_int(value) -> bool:
@@ -69,7 +71,10 @@ class _SearchFields(NamedTuple):
 
 class SearchSpec(_SearchFields):
     """The fields of a search, each checked by ``FIELD_CHECKS`` when the
-    spec is constructed; a refused field is a ``ParseError`` naming it."""
+    spec is constructed; a refused field is a ``ParseError`` naming it.
+    A required or forbidden law that no searched structure can decide,
+    one that reads a slot outside ``SEARCHED_SLOTS`` or has no
+    definition, is refused too: its verdict could never match."""
 
     __slots__ = ()
 
@@ -85,6 +90,13 @@ class SearchSpec(_SearchFields):
                 f"extensional tables admitted only for universes of size <= {EXTENSIONAL_TABLE_LIMIT}",
                 "n",
             )
+        for field in ("required", "forbidden"):
+            for a in getattr(self, field):
+                unbound = sorted(LAWS[a].reads - SEARCHED_SLOTS)
+                if unbound:
+                    raise ParseError(f"{a} reads {unbound}, which a search never binds", field)
+                if not LAWS[a].defined:
+                    raise ParseError(f"{a} has no definition", field)
         return self
 
     @classmethod
@@ -235,9 +247,8 @@ def find_witness(spec: SearchSpec) -> tuple[Optional[MssStructure], int]:
     whose granule set was rejected before is counted again but not built
     again. Extensional tables are drawn per structure and always checked.
     A structure's laws are checked one at a time, up to the first that
-    does not pass where required or fail where forbidden: first the laws
-    answered from ``LAWS`` alone (the theorems, and clos1, which has no
-    definition), then the rest in spec order."""
+    does not pass where required or fail where forbidden: first the
+    theorems, answered from ``LAWS`` alone, then the rest in spec order."""
     # Each law with the Verdict property it must show.
     checks = [(a, "passed") for a in spec.required] + [(a, "failed") for a in spec.forbidden]
     checks.sort(key=lambda check: LAWS[check[0]].arity is not None)
@@ -253,10 +264,3 @@ def find_witness(spec: SearchSpec) -> tuple[Optional[MssStructure], int]:
         if key is not None:
             rejected.add(key)
     return None, examined
-
-
-def oracle_check(s: MssStructure, claim: str) -> bool:
-    """Evaluate a registered claim by direct exhaustive recomputation."""
-    from .oracles import StructureDescription, o_claim
-
-    return o_claim(StructureDescription.from_structure(s), claim)

@@ -132,9 +132,6 @@ class Subset:
     def __lt__(self, other: "Subset") -> bool:
         return self <= other and self.mask != other.mask
 
-    def complement(self) -> "Subset":
-        return self.universe.full - self
-
     def __repr__(self):
         return "{" + ",".join(self.members()) + "}"
 

@@ -70,6 +70,11 @@ class Law(NamedTuple):
     theorem: Optional[str]
     union_theorem: Optional[str] = None
 
+    @property
+    def defined(self) -> bool:
+        """Whether the law has a definition: instances to check or a proof."""
+        return self.arity is not None or self.theorem is not None
+
 
 # Every law, in report order: the laws of one structure, those of each
 # delta candidate, then admissibility. The theorems follow from the
@@ -309,17 +314,17 @@ def check_axiom(
     delta-sum1..3) are decided on the rows of delta
     (``kernels.cube_verdict``) when the cube's 2²ⁿ rows, shared through
     ``DeltaPredicate.plane``, fit ``budget``: up to n = 9 at the default
-    budget, the same verdicts an exhaustive sweep gives. An arity-2
-    sweep is exhaustive at the same n, so i-coh and i-coh-2 are never
-    sampled where the cube could have decided them. Every other law, and
-    those laws past that budget, is swept. Only a swept or cube-decided
-    law loads the law kernels (``kernels``); a theorem, deferred or
-    unspecified verdict does not.
+    budget, each verdict the one the contract of ``verdicts`` fixes. An
+    arity-2 sweep is exhaustive at the same n, so i-coh and i-coh-2 are
+    never sampled where the cube could have decided them. Every other
+    law, and those laws past that budget, is swept. Only a swept or
+    cube-decided law loads the law kernels (``kernels``); a theorem,
+    deferred or unspecified verdict does not.
     """
     law = LAWS.get(axiom)
     if law is None:
         raise StructureError(f"unknown axiom {axiom!r}")
-    if law.arity is None and law.theorem is None:
+    if not law.defined:
         return unspecified(
             axiom, "no definition is registered for this named condition; not evaluated"
         )

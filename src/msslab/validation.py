@@ -16,7 +16,7 @@ from .delta import DeltaPredicate
 from .errors import MsslabError, UniverseMismatchError
 from .granules import Granulation
 from .sets import PartialResult, Subset, Universe, partial_difference
-from .verdicts import FAILS, HOLDS, VACUOUS, Verdict, theorem
+from .verdicts import Verdict, decided, theorem
 
 COMPATIBILITY_MODES = ("overlap-closer", "clue-singleton")
 
@@ -205,15 +205,9 @@ def check_compatibility(
         raise MsslabError(f"unknown compatibility mode {mode!r}")
     if cl.universe != d.universe:
         raise UniverseMismatchError("clustering and predicate universes differ")
-    checked = 0
-    for a, b, c in _compat_instances(cl, mode):
-        checked += 1
+    first, checked = None, 0
+    for checked, (a, b, c) in enumerate(_compat_instances(cl, mode), 1):
         if not d(a, b, c):
-            return Verdict(
-                f"compatibility:{mode}",
-                FAILS,
-                witnesses=((a, b, c),),
-                instances_checked=checked,
-            )
-    status = HOLDS if checked else VACUOUS
-    return Verdict(f"compatibility:{mode}", status, instances_checked=checked)
+            first = a.mask, b.mask, c.mask
+            break
+    return decided(f"compatibility:{mode}", cl.universe, 3, first, checked > 0, count=checked)

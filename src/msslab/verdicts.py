@@ -3,10 +3,22 @@ provenance and canonical JSON of every report.
 
 A check walks a quantification space of subset-mask tuples and classifies
 each instance as substantively satisfied, vacuously satisfied, or
-violated; only a violating tuple is decoded to subsets, as the witness.
-Exhaustive walks run in canonical order, so the first violation found is
-the lexicographic minimum; spaces larger than the budget fall back to
-seeded sampling with the seed recorded on the verdict.
+violated. Every exact decider (the sweep, the law kernels on the delta
+cube and the compatibility check) builds its verdict through ``decided``,
+under one contract:
+
+- the first violating tuple of the walk, decoded to subsets, is the
+  witness. An exhaustive walk runs in canonical order,
+  ``itertools.product(range(2**n), repeat=k)``, so its witness is the
+  least, and the witness's 1-based position there is the count of
+  instances checked;
+- a law with no violation holds when some instance was substantive and
+  is vacuous otherwise, and an exhaustive count is the whole space,
+  (2**n)**k.
+
+A space larger than the budget is sampled instead, with the seed recorded
+on the verdict. A sampled sweep, and a compatibility check, which walks
+its clusters in list order, count the instances they visited.
 """
 
 from __future__ import annotations
@@ -84,6 +96,31 @@ def theorem(axiom: str, reason: str) -> Verdict:
     return Verdict(axiom, HOLDS, mode="theorem", note=f"theorem: {reason}")
 
 
+def decided(
+    axiom: str,
+    universe: Universe,
+    arity: int,
+    first: Optional[tuple[int, ...]],
+    substantive: bool,
+    *,
+    count: Optional[int] = None,
+    mode: str = "exhaustive",
+    seed: Optional[int] = None,
+) -> Verdict:
+    """The verdict of a decided law, by the contract above: ``first`` is
+    the first violating tuple of ``arity`` masks (None when none is) and
+    ``substantive`` whether any instance was. Only a walk that is not the
+    exhaustive space in canonical order gives its own ``count``."""
+    top = 1 << universe.size
+    if first is None:
+        status, witnesses, checked = (HOLDS if substantive else VACUOUS), (), top**arity
+    else:
+        status, witnesses = FAILS, (tuple(map(universe.from_mask, first)),)
+        # The witness's position: its masks are the digits of its rank in base 2**n.
+        checked = 1 + sum(x * top**i for i, x in enumerate(reversed(first)))
+    return Verdict(axiom, status, witnesses, checked if count is None else count, mode, seed)
+
+
 def sweep(
     axiom: str,
     universe: Universe,
@@ -96,49 +133,31 @@ def sweep(
     """Quantify ``instance`` over all ``arity``-tuples of subset masks.
 
     ``instance`` takes masks and returns True (satisfied), None (vacuously
-    satisfied), or False (violated). The verdict is ``fails`` with the
-    first violating tuple, decoded to subsets, as witness; ``vacuous`` when
-    every instance passed vacuously; and ``holds`` otherwise. The sweep is
-    exhaustive exactly when the space has at most ``budget`` tuples; a
-    larger space is sampled with ``budget`` tuples, each element drawn by
+    satisfied), or False (violated). The sweep is exhaustive exactly when
+    the space has at most ``budget`` tuples; a larger space is sampled
+    with ``budget`` tuples, each element drawn by
     ``Random(seed).randrange(2**n)`` in turn (seed ``DEFAULT_SEED`` when
     none is given). With the default budget every law of arity ≤ 3 is
-    exhaustive up to n = 6. ``structure.check_axiom`` decides the five
-    coherence laws and delta-sum1..3 on the delta cube
-    (``kernels.cube_verdict``) instead of this sweep whenever its (2ⁿ)²
-    rows fit ``budget``, with the verdict this sweep would give
-    exhaustively; those laws reach n = 9 that way, and under a union sum
-    the first substantive cell decides a delta-sum law. So of the δ
-    laws only a sampled one, past the cube's budget, is swept. The omega
-    laws are swept only under an ``extensional-partial`` sum; under a
-    union sum they are theorems.
+    exhaustive up to n = 6. ``structure.check_axiom`` says which laws are
+    decided on the delta cube instead.
     """
     top = 1 << universe.size
-    total = top**arity
-    if total <= budget:
-        mode, count, seed = "exhaustive", total, None
+    if top**arity <= budget:
+        mode, seed = "exhaustive", None
         tuples = itertools.product(range(top), repeat=arity)
     else:
-        mode, count = "sampled", budget
+        mode = "sampled"
         seed = DEFAULT_SEED if seed is None else seed
         draws = map(random.Random(seed).randrange, itertools.repeat(top))
         tuples = itertools.islice(zip(*[draws] * arity), budget)
 
-    substantive = False
+    first, substantive, checked = None, False, 0
     for checked, args in enumerate(tuples, 1):
         result = instance(*args)
         if result is False:
-            witness = tuple(map(universe.from_mask, args))
-            return Verdict(
-                axiom,
-                FAILS,
-                witnesses=(witness,),
-                instances_checked=checked,
-                mode=mode,
-                seed=seed,
-            )
+            first = args
+            break
         if result is True:
             substantive = True
-
-    status = HOLDS if substantive else VACUOUS
-    return Verdict(axiom, status, instances_checked=count, mode=mode, seed=seed)
+    count = checked if mode == "sampled" else None
+    return decided(axiom, universe, arity, first, substantive, count=count, mode=mode, seed=seed)

@@ -28,9 +28,9 @@ def replay_failures(cfg: LabConfig, report) -> list[str]:
     pipeline report, those under ``steps.step5_investigate``. A part of
     the report it reads whose shape is not that of
     ``schemas/report.schema.json``, a delta the config does not declare,
-    a witness element outside its universe, or a failing law that reads
-    a slot the config leaves unbound, is a ``ParseError`` naming the JSON
-    path.
+    a witness element outside its universe, a failing row whose axiom
+    names no law with a definition, or a failing law that reads a slot
+    the config leaves unbound, is a ``ParseError`` naming the JSON path.
     """
     problems = []
     specs = {spec.name: spec for spec in cfg.deltas}
@@ -66,12 +66,14 @@ def replay_failures(cfg: LabConfig, report) -> list[str]:
         witnesses = failing(v, field, "axiom")
         if witnesses is None:
             return
+        law = LAWS.get(v["axiom"])
+        if law is None or not law.defined:
+            raise ParseError(f"{v['axiom']!r} names no law with a definition", f"{field}.axiom")
         if not witnesses:
             problems.append(f"{label}: failing verdict without witness")
             return
         s = cfg.structure(spec_for(delta_name) if delta_name else None)
-        law = LAWS.get(v["axiom"])
-        unbound = law.reads - s.bound_slots() if law is not None else ()
+        unbound = law.reads - s.bound_slots()
         if unbound:
             raise ParseError(
                 f"{v['axiom']} reads {sorted(unbound)}, which the config leaves unbound", field

@@ -27,7 +27,7 @@ from msslab import (
     validity_grades,
 )
 from msslab.oracles import StructureDescription, o_claim, o_deficits
-from msslab.search import SearchSpec, enumerate_structures, find_witness, oracle_check
+from msslab.search import SearchSpec, enumerate_structures, find_witness
 from msslab.structure import axiom_instance, check_axiom, verify
 
 FIXTURE = "examples/paper-example.json"
@@ -94,7 +94,8 @@ def test_criterion_3_compatibility(H, granulation, clustering, delta_builtins):
             delta=delta_builtins[name],
             kappa=list(clustering),
         )
-        assert oracle_check(s, "compatibility:overlap-closer") == should_hold, name
+        desc = StructureDescription.from_structure(s)
+        assert o_claim(desc, "compatibility:overlap-closer") == should_hold, name
 
     as_clustering = Clustering(H, list(granulation))
     verdict = check_compatibility(as_clustering, delta_builtins["uE1"])
@@ -105,7 +106,7 @@ def test_criterion_3_compatibility(H, granulation, clustering, delta_builtins):
         delta=delta_builtins["uE1"],
         kappa=list(as_clustering),
     )
-    assert oracle_check(s, "compatibility:overlap-closer")
+    assert o_claim(StructureDescription.from_structure(s), "compatibility:overlap-closer")
 
 
 @criterion(4, "approximation law suite over 512 relations")

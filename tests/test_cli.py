@@ -873,6 +873,32 @@ def test_replay_refuses_a_failing_law_on_a_slot_the_config_leaves_unbound(tmp_pa
     )
 
 
+def failing_structural_row(tmp_path, axiom):
+    row = {"axiom": axiom, "status": "fails", "witnesses": [[["x1"]]]}
+    return write_config(tmp_path, {"axioms": {"structural": [row]}}, "report.json")
+
+
+@pytest.mark.parametrize("axiom", ["nope", "clos1"])
+def test_replay_refuses_a_failing_row_whose_axiom_has_no_definition(
+    repo_root, tmp_path, capsys, axiom
+):
+    from msslab.cli import main
+
+    report = failing_structural_row(tmp_path, axiom)
+    assert main(["replay", str(repo_root / FIXTURE), str(report)]) == 1
+    assert capsys.readouterr().err == (
+        f"msslab: parse error: axioms.structural[0].axiom: {axiom!r} names no law with a definition\n"
+    )
+
+
+def test_replay_of_a_failing_theorem_row_does_not_replay(repo_root, tmp_path, capsys):
+    from msslab.cli import main
+
+    report = failing_structural_row(tmp_path, "UL1")
+    assert main(["replay", str(repo_root / FIXTURE), str(report)]) == 2
+    assert capsys.readouterr().err == "msslab: structural: a witness of UL1 does not replay\n"
+
+
 def test_replay_refuses_a_witness_element_outside_the_universe(repo_root, tmp_path, capsys):
     from msslab.cli import main
 

@@ -24,8 +24,8 @@ from msslab.oracles import (
     o_claim,
     powerset,
 )
-from msslab.search import SearchSpec, enumerate_structures, find_witness, oracle_check
-from msslab.structure import ADMISSIBILITY_AXIOMS, axiom_instance, verify
+from msslab.search import SearchSpec, enumerate_structures, find_witness
+from msslab.structure import ADMISSIBILITY_AXIOMS, LAWS, axiom_instance, verify
 
 ORACLE_COMPARABLE = (
     "PT1",
@@ -318,12 +318,13 @@ def test_exhaustive_relation_search_covers_four_elements():
 
 def test_oracle_claims_on_the_example(H, granulation, delta_builtins):
     s = assemble(H, granulation=granulation, delta=delta_builtins["E1"])
-    assert oracle_check(s, "l-pre-valid-closed-form")
-    assert oracle_check(s, "u-pre-valid-closed-form")
-    assert oracle_check(s, "upper-additivity")
-    assert oracle_check(s, "proposition-def2")
+    desc = StructureDescription.from_structure(s)
+    assert o_claim(desc, "l-pre-valid-closed-form")
+    assert o_claim(desc, "u-pre-valid-closed-form")
+    assert o_claim(desc, "upper-additivity")
+    assert o_claim(desc, "proposition-def2")
     with pytest.raises(MsslabError):
-        oracle_check(s, "perpetual-motion")
+        o_claim(desc, "perpetual-motion")
 
 
 def test_oracle_compatibility_matches_optimized_path(H, granulation, clustering, delta_builtins):
@@ -334,7 +335,7 @@ def test_oracle_compatibility_matches_optimized_path(H, granulation, clustering,
             H, granulation=granulation, delta=delta_builtins[name], kappa=list(clustering)
         )
         fast = not check_compatibility(clustering, delta_builtins[name]).failed
-        slow = oracle_check(s, "compatibility:overlap-closer")
+        slow = o_claim(StructureDescription.from_structure(s), "compatibility:overlap-closer")
         assert fast == slow, name
 
 
@@ -490,6 +491,10 @@ BAD_SPECS = (
     ((2,), {"budget": -1}, "budget: expected a positive integer"),
     ((3,), {"delta": "E9"}, "delta: expected one of E0, E1, E2, uE1, extensional"),
     ((3,), {"required": ("nope",)}, "required: expected a list of axiom names"),
+    ((3,), {"required": ("omega-id",)}, r"required: omega-id reads \['sum'\], which a search"),
+    ((3,), {"forbidden": ("lclu",)}, r"forbidden: lclu reads \['kappa'\], which a search"),
+    ((3,), {"required": ("i-coh", "delta-sum3")}, r"required: delta-sum3 reads \['sum'\]"),
+    ((3,), {"forbidden": ("clos1",)}, "forbidden: clos1 has no definition"),
     ((7, "relations", "extensional"), {}, "n: extensional tables"),
     ((), {"n": 7, "family": "extensional-deltas"}, "n: extensional tables"),
 )
@@ -501,6 +506,19 @@ def test_search_spec_validation():
             SearchSpec(*args, **kwargs)
         with pytest.raises(ParseError, match=message):
             SearchSpec(4)._replace(**dict(zip(SearchSpec._fields, args)), **kwargs)
+
+
+def test_search_refuses_exactly_the_laws_no_searched_structure_can_decide():
+    refused = set()
+    for axiom in LAWS:
+        for field in ("required", "forbidden"):
+            try:
+                SearchSpec(3, **{field: (axiom,)})
+            except ParseError:
+                refused.add((axiom, field))
+    laws = {"clos1", "lclu", "omega-star-com", "omega-id", "omega-asso"}
+    laws |= {"delta-sum1", "delta-sum2", "delta-sum3"}
+    assert refused == {(axiom, field) for axiom in laws for field in ("required", "forbidden")}
 
 
 def test_search_spec_positional_and_keyword_construction_agree():
@@ -523,4 +541,4 @@ def test_search_spec_positional_and_keyword_construction_agree():
 def test_oracle_needs_granulation(H, delta_builtins):
     s = assemble(H, delta=delta_builtins["E0"])
     with pytest.raises(MsslabError):
-        oracle_check(s, "upper-additivity")
+        o_claim(StructureDescription.from_structure(s), "upper-additivity")

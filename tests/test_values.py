@@ -1,5 +1,6 @@
 """The value types: immutable, compared and hashed by their fields."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -13,7 +14,7 @@ from msslab.config import DeltaSpec, parse_config
 from msslab.oracles import StructureDescription
 from msslab.search import SearchSpec
 from msslab.validation import validity_grades
-from msslab.verdicts import Verdict
+from msslab.verdicts import Verdict, decided
 
 FIXTURE = "examples/paper-example.json"
 
@@ -80,6 +81,20 @@ def test_verdict_repr_names_axiom_status_and_first_witness(H):
     assert repr(Verdict("n-coh", "fails", witnesses=((a, b), (b, a)))) == (
         f"Verdict(n-coh: fails, witness={(a, b)!r})"
     )
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("arity", [1, 2, 3, 4])
+def test_decided_counts_a_failure_by_its_witness_position(n, arity):
+    u = msslab.Universe([f"x{i + 1}" for i in range(n)])
+    space = list(itertools.product(range(1 << n), repeat=arity))
+    for position, first in enumerate(space, 1):
+        v = decided("law", u, arity, first, True)
+        assert (v.status, v.instances_checked) == ("fails", position)
+        assert v.witnesses == (tuple(map(u.from_mask, first)),)
+    for substantive, status in ((True, "holds"), (False, "vacuous")):
+        v = decided("law", u, arity, None, substantive)
+        assert (v.status, v.witnesses, v.instances_checked) == (status, (), len(space))
 
 
 def test_cli_start_up_does_not_import_dataclasses():
