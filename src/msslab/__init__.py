@@ -30,7 +30,7 @@ _EXPORTS = {
         "is_definite",
         "predecessor_granulation",
     ),
-    "sets": ("PartialResult", "Subset", "Universe", "partial_difference"),
+    "sets": ("Subset", "Universe", "partial_difference"),
     "structure": (
         "Classification",
         "MssStructure",

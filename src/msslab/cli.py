@@ -149,14 +149,14 @@ def _parse_search_spec(spec_data: dict, cli_seed):
 
 def _structure_dict(s) -> dict:
     """The found structure as the search report lists it: names, not masks."""
-    from_mask = s.universe.from_mask
+    names = s.universe.names
     table = s.delta.table
     return {
         "universe": list(s.universe.elements),
-        "granules": [sorted(g.members()) for g in s.granulation],
+        "granules": [sorted(names(g)) for g in s.granulation],
         "delta_kind": s.delta.kind,
         "delta_table": (
-            sorted([sorted(from_mask(m).members()) for m in triple] for triple in table)
+            sorted([sorted(names(m)) for m in triple] for triple in table)
             if table is not None
             else None
         ),

@@ -94,7 +94,7 @@ class LabConfig(NamedTuple):
     def clustering(self) -> Optional[Clustering]:
         if self.clusters is None:
             return None
-        return Clustering(self.universe, map(self.universe.from_mask, self.clusters))
+        return Clustering(self.universe, self.clusters)
 
     def structure(
         self, delta_spec: Optional[DeltaSpec] = None, *, apply_reduct: bool = True
@@ -104,7 +104,7 @@ class LabConfig(NamedTuple):
             granulation=self.granulation,
             delta=None if delta_spec is None else delta_spec.build(self.universe, self.granulation),
             sum=self.sum_operation(),
-            kappa=None if self.clusters is None else map(self.universe.from_mask, self.clusters),
+            kappa=self.clusters,
         )
         if apply_reduct and self.reduct_keep is not None:
             # A config may list slots that this particular assembly leaves
@@ -203,7 +203,7 @@ def parse_config(data: dict) -> LabConfig:
         granulation = predecessor_granulation(relation)
     elif isinstance(raw_granulation, list):
         masks = _subsets(universe, raw_granulation, "granulation", "granule")
-        granulation = Granulation(universe, map(universe.from_mask, masks))
+        granulation = Granulation(universe, masks)
     elif raw_granulation is not None:
         raise ParseError(
             'granulation must be "predecessor" or a list of granules', "granulation"

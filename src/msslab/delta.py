@@ -18,9 +18,9 @@ from __future__ import annotations
 import operator
 from typing import Callable, Iterable, Mapping, Optional
 
-from .errors import ConfigurationError, MsslabError, UniverseMismatchError
+from .errors import ConfigurationError, UniverseMismatchError
 from .granules import Granulation
-from .sets import UNDEFINED, PartialResult, Subset, Universe, encode
+from .sets import UNDEFINED, Subset, Universe, encode
 
 BUILTIN_DELTAS = ("E0", "E1", "E2", "uE1")
 # The laws decided on the 2²ⁿ rows of delta's cube, built once and shared by
@@ -274,13 +274,10 @@ class SumOperation:
             return lambda a, b: get((a, b), UNDEFINED)
         raise ConfigurationError(f"unknown sum mode {self.mode!r}")
 
-    def __call__(self, a: Subset, b: Subset) -> PartialResult:
-        if a.universe != self.universe or b.universe != self.universe:
-            raise MsslabError("sum operands drawn from a different universe")
-        value = self.masked()(a.mask, b.mask)
-        if value == UNDEFINED:
-            return PartialResult.undefined()
-        return PartialResult.of(self.universe.from_mask(value))
+    def __call__(self, a: Subset, b: Subset) -> Subset | None:
+        """``a + b``, or None where the sum is undefined."""
+        value = self.masked()(*encode(self.universe, (a, b)))
+        return None if value == UNDEFINED else self.universe.from_mask(value)
 
     def __repr__(self):
         return f"SumOperation({self.mode})"

@@ -1,11 +1,12 @@
 """Binary relations, neighborhood granulations, and rough approximation operators.
 
-The lower approximation of A is the union of granules included in A; the
+A granulation is built from granule masks and holds them as masks. The
+lower approximation of A is the union of granules included in A; the
 upper approximation is the union of granules meeting A. Both are defined
 once per granulation, on subset masks, as the memo tables
 ``Granulation.lower_table`` and ``upper_table``; every layer that reads
-l or u (``Granulation.lower``/``upper`` on subsets, the axiom sweeps,
-E2/uE1, the granular sum) reads those two tables.
+l or u (``Granulation.lower``/``upper`` on subsets, the validity grades,
+the axiom sweeps, E2/uE1, the granular sum) reads those two tables.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .errors import MsslabError, UniverseMismatchError
-from .sets import Subset, Universe
+from .sets import Subset, Universe, nonempty_masks
 
 
 class BinaryRelation:
@@ -151,7 +152,7 @@ class _UpperTable(_GranuleTable):
 
 
 class Granulation:
-    """Ordered collection of nonempty granules; duplicates collapse to one.
+    """Ordered collection of nonempty granule masks; duplicates collapse to one.
 
     ``lower_table`` and ``upper_table`` are l and u on masks, shared by
     every reader of this granulation; ``lower`` and ``upper`` read them
@@ -160,31 +161,17 @@ class Granulation:
 
     __slots__ = ("universe", "granules", "notes", "lower_table", "upper_table")
 
-    def __init__(self, universe: Universe, granules: Iterable[Subset], notes=()):
-        kept: list[Subset] = []
-        seen: set[int] = set()
-        collapsed = 0
-        for g in granules:
-            if g.universe != universe:
-                raise UniverseMismatchError("granule drawn from a different universe")
-            if not g:
-                raise MsslabError("granules must be nonempty")
-            if g.mask in seen:
-                collapsed += 1
-                continue
-            seen.add(g.mask)
-            kept.append(g)
+    def __init__(self, universe: Universe, granules: Iterable[int], notes=()):
+        given = nonempty_masks(universe, granules, "granule")
+        kept = tuple(dict.fromkeys(given))
         notes = list(notes)
-        if collapsed:
-            notes.append(f"collapsed {collapsed} duplicate granule(s)")
+        if len(kept) < len(given):
+            notes.append(f"collapsed {len(given) - len(kept)} duplicate granule(s)")
         self.universe = universe
-        self.granules = tuple(kept)
+        self.granules = kept
         self.notes = tuple(notes)
-        self.lower_table = _LowerTable(self.masks())
-        self.upper_table = _UpperTable(self.masks())
-
-    def masks(self) -> tuple[int, ...]:
-        return tuple(g.mask for g in self.granules)
+        self.lower_table = _LowerTable(kept)
+        self.upper_table = _UpperTable(kept)
 
     def _read(self, table: dict, a: Subset) -> Subset:
         if a.universe != self.universe:
@@ -213,14 +200,14 @@ class Granulation:
         return (
             isinstance(other, Granulation)
             and self.universe == other.universe
-            and self.masks() == other.masks()
+            and self.granules == other.granules
         )
 
     def __hash__(self):
-        return hash((self.universe.elements, self.masks()))
+        return hash((self.universe.elements, self.granules))
 
     def __repr__(self):
-        return f"Granulation({list(self.granules)!r})"
+        return f"Granulation({list(map(self.universe.from_mask, self.granules))!r})"
 
 
 def predecessor_granulation(r: BinaryRelation) -> Granulation:
@@ -240,7 +227,7 @@ def predecessor_granulation(r: BinaryRelation) -> Granulation:
         if mask == 0:
             notes.append(f"empty neighborhood of {universe.elements[x]} skipped")
             continue
-        granules.append(Subset(universe, mask))
+        granules.append(mask)
     if not r.is_reflexive:
         notes.append("relation is not reflexive; predecessor granules may miss their generators")
     return Granulation(universe, granules, notes)

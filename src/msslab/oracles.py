@@ -64,12 +64,11 @@ class StructureDescription(NamedTuple):
     def from_structure(cls, s) -> "StructureDescription":
         if s.granulation is None:
             raise MsslabError("oracle needs a granulation-backed structure")
-        names = s.universe.elements
 
         def named(mask):
-            return frozenset(n for i, n in enumerate(names) if mask >> i & 1)
+            return frozenset(s.universe.names(mask))
 
-        granules = tuple(frozenset(g.members()) for g in s.granulation)
+        granules = tuple(map(named, s.granulation))
         kind = None
         table = None
         if s.delta is not None:
@@ -82,7 +81,7 @@ class StructureDescription(NamedTuple):
                 raise MsslabError(f"oracle cannot rebuild delta kind {kind!r}")
         clusters = None
         if s.kappa is not None:
-            clusters = tuple(frozenset(c.members()) for c in s.kappa)
+            clusters = tuple(map(named, s.kappa))
         sum_mode = None
         sum_table = None
         if s.sum is not None:
@@ -97,7 +96,7 @@ class StructureDescription(NamedTuple):
             elif sum_mode != "total-union":
                 raise MsslabError(f"oracle cannot rebuild sum mode {sum_mode!r}")
         return cls(
-            tuple(names), granules, kind, table, clusters, sum_mode, sum_table
+            s.universe.elements, granules, kind, table, clusters, sum_mode, sum_table
         )
 
 

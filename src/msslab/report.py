@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Optional
 from .errors import ParseError
 from .structure import ADMISSIBILITY_AXIOMS, LAWS, classify, verify
 from .validation import check_compatibility, validate_clustering
-from .verdicts import Verdict, provenance, to_json
+from .verdicts import Verdict, deferred, provenance, to_json
 
 if TYPE_CHECKING:  # annotations only
     from .config import LabConfig
@@ -40,10 +40,6 @@ def verdict_dict(v: Verdict) -> dict:
     }
 
 
-def partial_dict(p) -> Optional[list[str]]:
-    return subset_names(p.value) if p.defined else None
-
-
 def classification_dict(c) -> dict:
     return {
         "is_mss": c.is_mss,
@@ -60,7 +56,7 @@ def structure_summary(cfg: LabConfig) -> dict:
             [list(p) for p in cfg.relation.named_pairs()] if cfg.relation else None
         ),
         "granules": (
-            [subset_names(g) for g in cfg.granulation] if cfg.granulation else None
+            [list(cfg.universe.names(g)) for g in cfg.granulation] if cfg.granulation else None
         ),
         "granulation_notes": list(cfg.granulation.notes) if cfg.granulation else [],
         "delta_candidates": [d.name for d in cfg.deltas],
@@ -74,7 +70,7 @@ def cluster_names(cfg: LabConfig) -> Optional[list[list[str]]]:
     """The config's clusters, each as its element names."""
     if cfg.clusters is None:
         return None
-    return [subset_names(cfg.universe.from_mask(mask)) for mask in cfg.clusters]
+    return [list(cfg.universe.names(mask)) for mask in cfg.clusters]
 
 
 def axioms_section(cfg: LabConfig, *, seed: Optional[int]) -> dict:
@@ -122,8 +118,10 @@ def validation_section(cfg: LabConfig, *, seed: Optional[int]) -> dict:
         section["clusters"] = [
             {
                 "cluster": subset_names(r.cluster),
-                "lower_deficit": partial_dict(r.lower_deficit),
-                "upper_deficit": partial_dict(r.upper_deficit),
+                "lower_deficit": subset_names(r.lower_deficit),
+                "upper_deficit": (
+                    None if r.upper_deficit is None else subset_names(r.upper_deficit)
+                ),
                 "lu_valid": r.grades.lu_valid,
                 "l_pre_valid": r.grades.l_pre_valid,
                 "u_pre_valid": r.grades.u_pre_valid,
@@ -140,14 +138,17 @@ def validation_section(cfg: LabConfig, *, seed: Optional[int]) -> dict:
 
     compat = []
     for spec in cfg.deltas:
-        d = spec.build(cfg.universe, cfg.granulation)
+        d = cfg.structure(spec).delta
         for mode_name in cfg.compatibility_modes:
-            verdict = check_compatibility(clustering, d, mode_name)
+            if d is None:  # the reduct drops delta
+                verdict = deferred(f"compatibility:{mode_name}")
+            else:
+                verdict = check_compatibility(clustering, d, mode_name)
             compat.append(
                 {
                     "delta": spec.name,
                     "mode": mode_name,
-                    "compatible": not verdict.failed,
+                    "compatible": None if d is None else not verdict.failed,
                     "status": verdict.status,
                     "witnesses": [
                         [subset_names(part) for part in w] for w in verdict.witnesses

@@ -206,17 +206,13 @@ def _candidates(
             )
         total = 1 << width
         if spec.exhaustive:
-            # Every family is drawn from the same candidates: build each once.
-            granule = [universe.from_mask(mask) for mask in range(1 << spec.n)].__getitem__
             picks = range(total)
         else:
-            # A prebuilt list would hold 2**n subsets; build only those drawn.
-            granule = universe.from_mask
             picks = (rng.randrange(total) for _ in range(spec.budget))
 
         def build_granulation(bits):
             # Bit k stands for the granule of mask k + 1, read least significant first.
-            granules = [granule(k + 1) for k, bit in enumerate(bin(bits)[:1:-1]) if bit == "1"]
+            granules = [k + 1 for k, bit in enumerate(bin(bits)[:1:-1]) if bit == "1"]
             return build(Granulation(universe, granules))
 
         # The bits pick the granule set one to one, so they are its key.

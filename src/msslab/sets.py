@@ -1,8 +1,12 @@
 """Finite universes, characteristic-vector subsets, and partial-term semantics.
 
-Subsets are immutable value objects backed by bitmasks; the canonical
-enumeration order of the powerset is ascending mask rank, with element 0
-in the least significant bit.
+A subset of a universe is a bitmask, element 0 in the least significant
+bit; the canonical enumeration order of the powerset is ascending mask
+rank. Masks are the package's one internal subset form: granulations,
+clusterings and cluster membership are built from them. ``Subset`` is
+the immutable value object at the API edge, taken and returned by
+operations on subsets and carried by witnesses. A partial operation
+returns None where it is undefined on subsets, and ``UNDEFINED`` on masks.
 """
 
 from __future__ import annotations
@@ -64,6 +68,10 @@ class Universe:
     def full(self) -> "Subset":
         return Subset(self, (1 << self.size) - 1)
 
+    def names(self, mask: int) -> tuple[str, ...]:
+        """The elements of the subset ``mask``, in universe order."""
+        return tuple(name for i, name in enumerate(self.elements) if mask >> i & 1)
+
     def all_subsets(self) -> Iterator["Subset"]:
         """Yield the full powerset in canonical (mask-ascending) order."""
         for mask in range(1 << self.size):
@@ -85,18 +93,14 @@ class Subset:
     __slots__ = ("universe", "mask")
 
     def __init__(self, universe: Universe, mask: int):
-        if mask < 0 or mask >> universe.size:
-            raise MsslabError(f"mask {mask:#x} has members outside the universe")
         object.__setattr__(self, "universe", universe)
-        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "mask", check_mask(universe, mask))
 
     def __setattr__(self, name, value):
         raise AttributeError("Subset is immutable")
 
     def members(self) -> tuple[str, ...]:
-        return tuple(
-            name for i, name in enumerate(self.universe.elements) if self.mask >> i & 1
-        )
+        return self.universe.names(self.mask)
 
     def __contains__(self, name: str) -> bool:
         return bool(self.mask >> self.universe.index(name) & 1)
@@ -136,6 +140,25 @@ class Subset:
         return "{" + ",".join(self.members()) + "}"
 
 
+def check_mask(universe: Universe, mask: int) -> int:
+    """``mask``, refused unless it is a subset mask of ``universe``."""
+    if not isinstance(mask, int):
+        raise TypeError(f"expected a subset mask, got {type(mask).__name__}")
+    if mask < 0 or mask >> universe.size:
+        raise MsslabError(f"mask {mask:#x} has members outside the universe")
+    return mask
+
+
+def nonempty_masks(universe: Universe, masks: Iterable[int], what: str) -> tuple[int, ...]:
+    """``masks`` as a tuple, each refused unless it is a nonempty subset
+    mask of ``universe``; ``what`` names one of them in the error."""
+    masks = tuple(masks)
+    for mask in masks:
+        if not check_mask(universe, mask):
+            raise MsslabError(f"{what}s must be nonempty")
+    return masks
+
+
 def encode(universe: Universe, subsets) -> tuple[int, ...]:
     """Masks of ``subsets``, each of which must live in ``universe``."""
     masks = []
@@ -162,42 +185,6 @@ def _co_mask(a: Subset, b: Subset) -> int:
     return b.mask
 
 
-class PartialResult:
-    """Outcome of a partial operation: a Subset, or undefined."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: Subset | None = None):
-        object.__setattr__(self, "value", value)
-
-    def __setattr__(self, name, _value):
-        raise AttributeError("PartialResult is immutable")
-
-    @classmethod
-    def of(cls, value: Subset) -> "PartialResult":
-        return cls(value)
-
-    @classmethod
-    def undefined(cls) -> "PartialResult":
-        return _UNDEFINED
-
-    @property
-    def defined(self) -> bool:
-        return self.value is not None
-
-    def __eq__(self, other):
-        return isinstance(other, PartialResult) and self.value == other.value
-
-    def __hash__(self):
-        return hash(self.value)
-
-    def __repr__(self):
-        return f"defined {self.value!r}" if self.defined else "undefined"
-
-
-_UNDEFINED = PartialResult(None)
-
-
-def partial_difference(a: Subset, b: Subset) -> PartialResult:
+def partial_difference(a: Subset, b: Subset) -> Subset | None:
     """Set difference ``a - b`` as a partial operation, defined iff b is included in a."""
-    return PartialResult.of(a - b) if b <= a else PartialResult.undefined()
+    return a - b if b <= a else None

@@ -28,7 +28,7 @@ from . import delta as delta_mod
 from .delta import DeltaPredicate, SumOperation
 from .errors import StructureError, UniverseMismatchError
 from .granules import Granulation
-from .sets import Subset, Universe, encode
+from .sets import Universe, check_mask, encode
 from .verdicts import (
     DEFAULT_SAMPLE_BUDGET,
     Verdict,
@@ -180,7 +180,7 @@ class MssStructure(NamedTuple):
     ops: Optional[Granulation] = None
     delta: Optional[DeltaPredicate] = None
     sum: Optional[SumOperation] = None
-    kappa: Optional[tuple[Subset, ...]] = None
+    kappa: Optional[tuple[int, ...]] = None
     granulation: Optional[Granulation] = None
 
     def bound_slots(self) -> frozenset[str]:
@@ -207,12 +207,13 @@ def assemble(
     granulation: Optional[Granulation] = None,
     delta: Optional[DeltaPredicate] = None,
     sum: Optional[SumOperation] = None,
-    kappa: Optional[Iterable[Subset]] = None,
+    kappa: Optional[Iterable[int]] = None,
 ) -> MssStructure:
     """Build a structure over one universe; delta, sum and kappa may wait.
 
     Every slot of ``SET_SLOTS`` is bound to its set interpretation. A
     granulation binds l and u (its approximations) together with gamma.
+    ``kappa`` lists the cluster masks.
     """
     if granulation is not None and granulation.universe != universe:
         raise UniverseMismatchError("granulation universe differs from the carrier")
@@ -224,10 +225,7 @@ def assemble(
 
     clusters = None
     if kappa is not None:
-        clusters = tuple(kappa)
-        for c in clusters:
-            if c.universe != universe:
-                raise UniverseMismatchError("cluster drawn from a different universe")
+        clusters = tuple(check_mask(universe, c) for c in kappa)
 
     return MssStructure(
         universe=universe,
@@ -279,7 +277,7 @@ def evaluator(s: MssStructure, axiom: str) -> Callable[..., Optional[bool]]:
     if law is None or law.arity is None:
         raise StructureError(f"axiom {axiom!r} has no instance evaluator")
     if axiom == "lclu":
-        L, kappa = s.ops.lower_table, frozenset(c.mask for c in s.kappa)
+        L, kappa = s.ops.lower_table, frozenset(s.kappa)
         return lambda a: L[a] in kappa if a in kappa else None
     from . import kernels  # only a law on delta or the sum reads it
 

@@ -6,39 +6,38 @@ deficits collect what a cluster lacks towards its lower approximation and
 what its upper approximation has in excess, and the grades record
 fixpoint/preimage/image conditions. That a computable deficit forces
 traceability is a theorem here, reported with its reason.
+
+A clustering is built from cluster masks. The deficits and grades take
+one cluster as a ``Subset``; an upper deficit is None where it is
+undefined. The grades read the granulation's l and u tables, and
+compatibility reads the predicate's mask form.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Optional
 
 from .delta import DeltaPredicate
 from .errors import MsslabError, UniverseMismatchError
 from .granules import Granulation
-from .sets import PartialResult, Subset, Universe, partial_difference
+from .sets import Subset, Universe, nonempty_masks, partial_difference
 from .verdicts import Verdict, decided, theorem
 
 COMPATIBILITY_MODES = ("overlap-closer", "clue-singleton")
 
 
 class Clustering:
-    """Distinct nonempty clusters over one universe; overlap is allowed."""
+    """Distinct nonempty cluster masks over one universe; overlap is allowed."""
 
     __slots__ = ("universe", "clusters")
 
-    def __init__(self, universe: Universe, clusters: Iterable[Subset]):
-        clusters = tuple(clusters)
+    def __init__(self, universe: Universe, clusters: Iterable[int]):
+        clusters = nonempty_masks(universe, clusters, "cluster")
         if not clusters:
             raise MsslabError("a clustering needs at least one cluster")
-        seen = set()
-        for c in clusters:
-            if c.universe != universe:
-                raise UniverseMismatchError("cluster drawn from a different universe")
-            if not c:
-                raise MsslabError("clusters must be nonempty")
-            if c.mask in seen:
-                raise MsslabError(f"duplicate cluster {c!r}")
-            seen.add(c.mask)
+        for k, c in enumerate(clusters):
+            if c in clusters[:k]:
+                raise MsslabError(f"duplicate cluster {universe.from_mask(c)!r}")
         self.universe = universe
         self.clusters = clusters
 
@@ -49,24 +48,22 @@ class Clustering:
         return len(self.clusters)
 
     def __repr__(self):
-        return f"Clustering({list(self.clusters)!r})"
+        return f"Clustering({list(map(self.universe.from_mask, self.clusters))!r})"
 
 
-def lower_deficit(c: Subset, g: Granulation) -> PartialResult:
+def lower_deficit(c: Subset, g: Granulation) -> Subset:
     """u(C - l(C)), always defined: l(C) is a union of granules inside C."""
-    return PartialResult.of(g.upper(c - g.lower(c)))
+    return g.upper(c - g.lower(c))
 
 
-def upper_deficit(c: Subset, g: Granulation) -> PartialResult:
-    """u(u(C) - C) when the difference is defined; undefined propagates.
+def upper_deficit(c: Subset, g: Granulation) -> Subset | None:
+    """u(u(C) - C) when the difference is defined, else None.
 
     u(C) misses the members of C that no granule covers, so the difference
     is undefined for such a C.
     """
     diff = partial_difference(g.upper(c), c)
-    if not diff.defined:
-        return PartialResult.undefined()
-    return PartialResult.of(g.upper(diff.value))
+    return None if diff is None else g.upper(diff)
 
 
 class ClusterGrades(NamedTuple):
@@ -86,27 +83,26 @@ def validity_grades(c: Subset, g: Granulation) -> ClusterGrades:
       the largest set whose image stays inside C (any V with u(V) <= C
       lies in V*, and u(V*) is the union of the u({x}) for x in V*).
 
-    Each cluster costs n + 1 calls of u.
+    Each cluster costs n + 2 reads of the u table.
     """
-    universe = g.universe
-    lc = g.lower(c)
-    uc = g.upper(c)
-    inside = universe.empty
-    for x in universe.elements:
-        point = universe.singleton(x)
-        if g.upper(point) <= c:
-            inside = inside | point
+    if c.universe != g.universe:
+        raise UniverseMismatchError("subset and granulation universes differ")
+    lower, upper, m = g.lower_table, g.upper_table, c.mask
+    inside = 0
+    for x in range(g.universe.size):
+        if not upper[1 << x] & ~m:
+            inside |= 1 << x
     return ClusterGrades(
-        lu_valid=lc == c and uc == c,
-        l_pre_valid=lc == c,
-        u_pre_valid=g.upper(inside) == c,
+        lu_valid=lower[m] == m and upper[m] == m,
+        l_pre_valid=lower[m] == m,
+        u_pre_valid=upper[inside] == m,
     )
 
 
 class ClusterReport(NamedTuple):
     cluster: Subset
-    lower_deficit: PartialResult
-    upper_deficit: PartialResult
+    lower_deficit: Subset
+    upper_deficit: Optional[Subset]
     grades: ClusterGrades
     proposition: Verdict
 
@@ -148,7 +144,7 @@ def validate_clustering(cl: Clustering, g: Granulation) -> ValidityReport:
             grades=validity_grades(c, g),
             proposition=check_proposition(c, g),
         )
-        for c in cl.clusters
+        for c in map(cl.universe.from_mask, cl.clusters)
     )
 
     return ValidityReport(
@@ -160,32 +156,26 @@ def validate_clustering(cl: Clustering, g: Granulation) -> ValidityReport:
 
 
 def _compat_instances(cl: Clustering, mode: str):
-    universe = cl.universe
+    """The (a, b, c) mask triples a mode quantifies over, in cluster-list order."""
+    clusters = cl.clusters
     if mode == "overlap-closer":
-        for a in cl.clusters:
-            for b in cl.clusters:
-                if b == a:
+        for a in clusters:
+            for b in clusters:
+                if b == a or not a & b:
                     continue
-                if not (a & b):
-                    continue
-                for c in cl.clusters:
-                    if c == a or c == b:
-                        continue
-                    if a & c:
+                for c in clusters:
+                    if c == a or c == b or a & c:
                         continue
                     yield (a, b, c)
     else:
-        for cluster in cl.clusters:
-            inside = cluster.members()
-            outside = [x for x in universe.elements if x not in cluster]
+        points = [1 << x for x in range(cl.universe.size)]
+        for cluster in clusters:
+            inside = [p for p in points if p & cluster]
+            outside = [p for p in points if not p & cluster]
             for a in inside:
                 for b in inside:
                     for c in outside:
-                        yield (
-                            universe.singleton(a),
-                            universe.singleton(b),
-                            universe.singleton(c),
-                        )
+                        yield (a, b, c)
 
 
 def check_compatibility(
@@ -205,9 +195,9 @@ def check_compatibility(
         raise MsslabError(f"unknown compatibility mode {mode!r}")
     if cl.universe != d.universe:
         raise UniverseMismatchError("clustering and predicate universes differ")
-    first, checked = None, 0
-    for checked, (a, b, c) in enumerate(_compat_instances(cl, mode), 1):
-        if not d(a, b, c):
-            first = a.mask, b.mask, c.mask
+    holds, first, checked = d.masked(), None, 0
+    for checked, triple in enumerate(_compat_instances(cl, mode), 1):
+        if not holds(*triple):
+            first = triple
             break
     return decided(f"compatibility:{mode}", cl.universe, 3, first, checked > 0, count=checked)

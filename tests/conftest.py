@@ -33,10 +33,8 @@ def granulation(tolerance):
 
 @pytest.fixture(scope="session")
 def clustering(H):
-    return Clustering(
-        H,
-        [H.subset(["x1", "x3"]), H.subset(["x2", "x3"]), H.subset(["x2", "x4"])],
-    )
+    # {x1,x3}, {x2,x3}, {x2,x4}
+    return Clustering(H, [0b0101, 0b0110, 0b1010])
 
 
 @pytest.fixture(scope="session")
@@ -57,6 +55,6 @@ def three_element_granulations():
     """The 260 distinct granulations of the 512 relations on three elements."""
     granulations = {}
     for s in enumerate_structures(SearchSpec(n=3, budget=512)):
-        granulations.setdefault(s.granulation.masks(), s.granulation)
+        granulations.setdefault(s.granulation.granules, s.granulation)
     assert len(granulations) == 260
     return list(granulations.values())

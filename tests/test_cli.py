@@ -523,7 +523,7 @@ PACKAGE_NAMES = {
         "is_definite",
         "predecessor_granulation",
     ],
-    "sets": ["PartialResult", "Subset", "Universe", "partial_difference"],
+    "sets": ["Subset", "Universe", "partial_difference"],
     "structure": [
         "Classification",
         "MssStructure",
@@ -710,15 +710,45 @@ def test_deferred_rows_and_undefined_deficits_match_the_schema(repo_root, tmp_pa
     uncovered = {"universe": ["x1", "x2", "x3"], "granulation": [["x1", "x2"]],
                  "clustering": [["x2", "x3"]]}
     deferred = dict(uncovered, reduct=["P", "leq", "join", "meet", "top", "bottom"])
-    rows = []
-    for name, document in (("uncovered.json", uncovered), ("deferred.json", deferred)):
+    # A reduct that drops delta leaves every compatibility row deferred.
+    paper = json.loads((repo_root / FIXTURE).read_text(encoding="utf-8"))
+    no_delta = dict(paper, reduct=["P", "l", "u", "gamma", "kappa"])
+    reports = []
+    for name, document in (
+        ("uncovered.json", uncovered),
+        ("deferred.json", deferred),
+        ("no-delta.json", no_delta),
+    ):
         result = run_cli(repo_root, "validate", str(write_config(tmp_path, document, name)))
         assert result.returncode == 0, result.stderr
         report = json.loads(result.stdout)
         report_schema.validate(report)
-        rows.append(report["validation"]["clusters"][0])
+        reports.append(report)
+    rows = [report["validation"]["clusters"][0] for report in reports]
     assert rows[0]["lower_deficit"] == ["x1", "x2"] and rows[0]["upper_deficit"] is None
     assert rows[1] == {"cluster": ["x2", "x3"], "status": "deferred"}
+    assert rows[2]["lower_deficit"] == ["x1", "x2", "x3"]
+    compatibility = reports[2]["validation"]["compatibility"]
+    assert compatibility == [
+        {
+            "delta": name,
+            "mode": "overlap-closer",
+            "compatible": None,
+            "status": "deferred",
+            "witnesses": [],
+            "instances_checked": 0,
+        }
+        for name in paper["delta"]
+    ]
+    lines = [line.split() for line in render_text(reports[2]).splitlines()]
+    assert ["E2", "under", "overlap-closer", "deferred"] in lines
+    # compatible is null exactly on a deferred row
+    decided = copy.deepcopy(reports[2])
+    decided["validation"]["compatibility"][0]["status"] = "holds"
+    assert not report_schema.is_valid(decided)
+    compatible = copy.deepcopy(reports[2])
+    compatible["validation"]["compatibility"][0]["compatible"] = True
+    assert not report_schema.is_valid(compatible)
 
 
 def test_validate_runs_past_twenty_elements(repo_root, tmp_path):

@@ -82,11 +82,10 @@ def test_extensional_table_canonical_order(H):
 def test_eval_sum_examples(H, granulation):
     total = SumOperation.total_union(H)
     grain = SumOperation.granular(granulation)
-    r = total(H.subset(["x1"]), H.subset(["x3"]))
-    assert r.defined and r.value == H.subset(["x1", "x3"])
-    assert not grain(H.subset(["x1"]), H.subset(["x3"])).defined
+    assert total(H.subset(["x1"]), H.subset(["x3"])) == H.subset(["x1", "x3"])
+    assert grain(H.subset(["x1"]), H.subset(["x3"])) is None
     r = grain(H.subset(["x1", "x2"]), H.subset(["x2", "x3"]))
-    assert r.defined and r.value == H.subset(["x1", "x2", "x3"])
+    assert r == H.subset(["x1", "x2", "x3"])
 
 
 def test_coherence_verdict_table(H, delta_builtins):
@@ -382,7 +381,7 @@ def test_cube_matches_the_sweep_on_the_paper_deltas(H, granulation, delta_builti
 
 def test_cube_runs_exactly_when_its_work_fits_the_budget():
     u = Universe([f"x{i+1}" for i in range(5)])
-    g = Granulation(u, [u.from_mask(0b00011), u.from_mask(0b00110), u.from_mask(0b11000)])
+    g = Granulation(u, [0b00011, 0b00110, 0b11000])
     s = SumOperation.granular(g)
     for name in BUILTIN_DELTAS:
         structure = assemble(u, granulation=g, delta=DeltaPredicate.builtin(name, u, g), sum=s)
@@ -497,7 +496,7 @@ def granulated_deltas(draw):
     n = draw(st.integers(1, 5))
     u = Universe([f"x{i+1}" for i in range(n)])
     masks = draw(st.lists(st.integers(1, (1 << n) - 1), max_size=6))
-    g = Granulation(u, map(u.from_mask, masks))
+    g = Granulation(u, masks)
     return DeltaPredicate.builtin(draw(st.sampled_from(BUILTIN_DELTAS)), u, g)
 
 
@@ -511,7 +510,7 @@ def test_keyed_planes_match_the_calls_on_sampled_planes_at_eight_elements():
     rng = random.Random(8)
     u = Universe([f"x{i+1}" for i in range(8)])
     # A chain of overlapping granules that leaves x8 uncovered.
-    g = Granulation(u, map(u.from_mask, (0b11, 0b110, 0b1100, 0b110000, 0b1100000)))
+    g = Granulation(u, (0b11, 0b110, 0b1100, 0b110000, 0b1100000))
     deltas = [DeltaPredicate.builtin(name, u, g) for name in BUILTIN_DELTAS]
     for d in deltas + [DeltaPredicate.from_nearness(u)]:
         assert_planes_match_the_calls(d, [0, 255, *rng.sample(range(1, 255), 2)])
@@ -556,12 +555,12 @@ def tables_with_union_sums(draw):
     if draw(st.booleans()):
         return d, SumOperation.total_union(u)
     granules = draw(st.lists(st.integers(1, (1 << u.size) - 1), min_size=1, max_size=3))
-    return d, SumOperation.granular(Granulation(u, map(u.from_mask, granules)))
+    return d, SumOperation.granular(Granulation(u, granules))
 
 
 def granular_sum(n, granules):
     u = Universe([f"x{i+1}" for i in range(n)])
-    return SumOperation.granular(Granulation(u, map(u.from_mask, granules)))
+    return SumOperation.granular(Granulation(u, granules))
 
 
 @settings(max_examples=150, deadline=None)

@@ -92,9 +92,9 @@ def test_exhaustive_budget_boundary_is_exact(family, width):
 @pytest.mark.parametrize("family", ["relations", "granulations"])
 def test_sampled_searches_draw_budget_structures(family):
     spec = SearchSpec(n=5, family=family, budget=7, seed=11, exhaustive=False)
-    drawn = [s.granulation.masks() for s in enumerate_structures(spec)]
+    drawn = [s.granulation.granules for s in enumerate_structures(spec)]
     assert len(drawn) == 7
-    assert drawn == [s.granulation.masks() for s in enumerate_structures(spec)]
+    assert drawn == [s.granulation.granules for s in enumerate_structures(spec)]
 
 
 def test_sampled_granulation_stream_is_pinned():
@@ -104,7 +104,7 @@ def test_sampled_granulation_stream_is_pinned():
     rng = random.Random(3)
     for s in enumerate_structures(spec):
         bits = rng.randrange(2**31)
-        assert s.granulation.masks() == tuple(k + 1 for k in range(31) if bits >> k & 1)
+        assert s.granulation.granules == tuple(k + 1 for k in range(31) if bits >> k & 1)
 
 
 def test_enumeration_is_deterministic():
@@ -112,7 +112,7 @@ def test_enumeration_is_deterministic():
 
     def snapshot():
         return [
-            (s.granulation.masks(), tuple(s.delta.sorted_table()))
+            (s.granulation.granules, tuple(s.delta.sorted_table()))
             for s in enumerate_structures(spec)
         ]
 
@@ -171,7 +171,7 @@ def plain_three_element_verdicts():
     laws = sorted({a for required, forbidden in MEMO_PROFILES for a in required + forbidden})
     return {
         name: [
-            (s.granulation.masks(), {v.axiom: v for v in verify(s, laws)})
+            (s.granulation.granules, {v.axiom: v for v in verify(s, laws)})
             for s in enumerate_structures(SearchSpec(n=3, delta=name, budget=512))
         ]
         for name in BUILTIN_DELTAS
@@ -194,7 +194,7 @@ def test_memoised_search_matches_the_plain_loop(
     )
     spec = SearchSpec(n=3, delta=name, required=required, forbidden=forbidden, budget=512)
     found, examined = find_witness(spec)
-    assert (None if found is None else found.granulation.masks(), examined) == expected
+    assert (None if found is None else found.granulation.granules, examined) == expected
 
 
 def count_built_structures(monkeypatch):
@@ -222,7 +222,7 @@ def test_each_granule_set_is_verified_once(monkeypatch):
     built = count_built_structures(monkeypatch)
     assert find_witness(SEARCH_N3) == (None, 512)
     assert len(built) == 64
-    assert len({frozenset(s.granulation.masks()) for s in built}) == 64
+    assert len({frozenset(s.granulation.granules) for s in built}) == 64
 
 
 def test_extensional_tables_are_verified_every_time(monkeypatch):
@@ -272,7 +272,7 @@ def search_answer(found, examined):
     if found is None:
         return None, examined
     table = found.delta.sorted_table() if found.delta.kind == "extensional" else None
-    return (found.granulation.masks(), table), examined
+    return (found.granulation.granules, table), examined
 
 
 # Searches whose streams draw from the seed or skip no granule set, found
@@ -304,7 +304,7 @@ def test_sampled_relations_under_extensional_tables_draw_a_pinned_stream():
         bits = rng.randrange(16)
         columns = {sum(1 << y for y in range(2) if bits >> (2 * y + x) & 1) for x in range(2)}
         triples = tuple(t for t in itertools.product(range(4), repeat=3) if rng.random() < 0.3)
-        assert (set(s.granulation.masks()), s.delta.sorted_table()) == (columns - {0}, triples)
+        assert (set(s.granulation.granules), s.delta.sorted_table()) == (columns - {0}, triples)
 
 
 def test_exhaustive_relation_search_covers_four_elements():
@@ -388,7 +388,7 @@ def extensional_structures(draw):
     granules = draw(st.lists(st.integers(1, top - 1), min_size=1, max_size=4))
     return assemble(
         u,
-        granulation=Granulation(u, [u.from_mask(m) for m in granules]),
+        granulation=Granulation(u, granules),
         delta=DeltaPredicate.extensional_from_masks(u, triples),
     )
 
@@ -406,10 +406,10 @@ def granular_structures(draw):
     top = 1 << n
     granules = draw(st.lists(st.integers(1, top - 1), min_size=1, max_size=6))
     clusters = draw(st.lists(st.integers(1, top - 1), min_size=1, max_size=4, unique=True))
-    g = Granulation(u, [u.from_mask(m) for m in granules])
+    g = Granulation(u, granules)
     name = draw(st.sampled_from(BUILTIN_DELTAS))
     d = DeltaPredicate.builtin(name, u, g)
-    return assemble(u, granulation=g, delta=d, kappa=[u.from_mask(m) for m in clusters])
+    return assemble(u, granulation=g, delta=d, kappa=clusters)
 
 
 @settings(max_examples=150, deadline=None)
@@ -428,7 +428,7 @@ def granule_lists(draw):
     n = draw(st.integers(1, 4))
     u = _universe(n)
     masks = draw(st.lists(st.integers(1, (1 << n) - 1), max_size=6))
-    return assemble(u, granulation=Granulation(u, [u.from_mask(m) for m in masks]))
+    return assemble(u, granulation=Granulation(u, masks))
 
 
 @settings(max_examples=150, deadline=None)
@@ -444,7 +444,7 @@ def test_sum_laws_match_oracle_on_all_small_granulations():
         u = _universe(n)
         candidates = range(1, 1 << n)
         for bits in range(1 << len(candidates)):
-            g = Granulation(u, [u.from_mask(m) for k, m in enumerate(candidates) if bits >> k & 1])
+            g = Granulation(u, [m for k, m in enumerate(candidates) if bits >> k & 1])
             name = BUILTIN_DELTAS[bits % len(BUILTIN_DELTAS)]
             d = DeltaPredicate.builtin(name, u, g)
             for sum_op in (SumOperation.total_union(u), SumOperation.granular(g)):
@@ -462,7 +462,7 @@ def extensional_sums(draw):
     table = {(a, b): a | b if as_union else draw(st.integers(0, top - 1)) for a, b in pairs}
     if draw(st.booleans()):  # commutative: mirror the entries above the diagonal
         table = {(x, y): v for (a, b), v in table.items() if a <= b for x, y in ((a, b), (b, a))}
-    g = Granulation(u, [u.from_mask(m) for m in draw(st.lists(st.integers(1, top - 1), max_size=4))])
+    g = Granulation(u, draw(st.lists(st.integers(1, top - 1), max_size=4)))
     d = DeltaPredicate.builtin(
         draw(st.sampled_from(BUILTIN_DELTAS)), u, g
     )

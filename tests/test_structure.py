@@ -4,7 +4,10 @@ import pytest
 
 from msslab import (
     BinaryRelation,
+    Clustering,
     DeltaPredicate,
+    Granulation,
+    MsslabError,
     StructureError,
     SumOperation,
     Universe,
@@ -149,8 +152,32 @@ def test_assemble_rejects_mixed_universes(H, granulation):
         assemble(other, granulation=granulation)
     with pytest.raises(UniverseMismatchError):
         assemble(H, granulation=granulation, delta=DeltaPredicate.builtin("E0", other))
-    with pytest.raises(UniverseMismatchError):
-        assemble(H, granulation=granulation, kappa=[other.full])
+
+
+# Each constructor that takes subset masks, and whether it needs them nonempty.
+MASK_CONSTRUCTORS = {
+    "Granulation": (Granulation, True),
+    "Clustering": (Clustering, True),
+    "assemble": (lambda u, masks: assemble(u, kappa=masks), False),
+}
+
+
+@pytest.mark.parametrize("name", MASK_CONSTRUCTORS)
+def test_constructors_take_masks_inside_the_universe(H, name):
+    build, nonempty = MASK_CONSTRUCTORS[name]
+    for masks in ([0b0001, -1], [0b10000], [0b0011, 1 << 9]):
+        with pytest.raises(MsslabError, match="outside the universe"):
+            build(H, masks)
+    with pytest.raises(TypeError, match="expected a subset mask, got Subset"):
+        build(H, [H.full])
+    if nonempty:
+        with pytest.raises(MsslabError, match="must be nonempty"):
+            build(H, [0b0011, 0])
+    else:
+        assert build(H, [0b0011, 0]).kappa == (0b0011, 0)
+    built = build(H, [0b0011, 0b1100, 0b1111])
+    masks = built.kappa if name == "assemble" else tuple(built)
+    assert masks == (0b0011, 0b1100, 0b1111)
 
 
 def test_every_layer_reads_the_granulation_tables(repo_root):
@@ -248,7 +275,9 @@ def test_classify_example(H, granulation, clustering, delta_builtins):
 
 
 def test_definite_clusters_close_under_lower(H, granulation, delta_builtins):
-    definite = [a for a in H.all_subsets() if granulation.lower(a) == a == granulation.upper(a)]
+    definite = [
+        a.mask for a in H.all_subsets() if granulation.lower(a) == a == granulation.upper(a)
+    ]
     s = assemble(H, granulation=granulation, delta=delta_builtins["E1"], kappa=definite)
     assert check_axiom(s, "lclu").status == "holds"
 

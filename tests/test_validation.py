@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from msslab import (
     Clustering,
+    DeltaPredicate,
     Granulation,
     MsslabError,
     Universe,
@@ -16,31 +17,31 @@ from msslab import (
     validate_clustering,
     validity_grades,
 )
+from msslab.delta import BUILTIN_DELTAS
 from msslab.oracles import o_deficits, o_pre_valid_search, powerset
 from msslab.pipeline import run_pipeline
 from msslab.search import SearchSpec, enumerate_structures
+from msslab.validation import COMPATIBILITY_MODES
 
 
 def test_deficits_of_the_worked_example(H, granulation):
     c = H.subset(["x2", "x4"])
     expected = H.subset(["x1", "x2", "x3"])
-    lo = lower_deficit(c, granulation)
-    up = upper_deficit(c, granulation)
-    assert lo.defined and lo.value == expected
-    assert up.defined and up.value == expected
+    assert lower_deficit(c, granulation) == expected
+    assert upper_deficit(c, granulation) == expected
 
 
 def test_deficits_of_definite_clusters_vanish(H, granulation):
     for c in (H.subset(["x4"]), H.subset(["x1", "x2", "x3"])):
-        assert lower_deficit(c, granulation).value == H.empty
-        assert upper_deficit(c, granulation).value == H.empty
+        assert lower_deficit(c, granulation) == H.empty
+        assert upper_deficit(c, granulation) == H.empty
 
 
 def test_deficits_of_the_overlapping_cluster(H, granulation):
     c = H.subset(["x1", "x3"])
     expected = H.subset(["x1", "x2", "x3"])
-    assert lower_deficit(c, granulation).value == expected
-    assert upper_deficit(c, granulation).value == expected
+    assert lower_deficit(c, granulation) == expected
+    assert upper_deficit(c, granulation) == expected
 
 
 def test_grades_examples(H, granulation):
@@ -56,7 +57,7 @@ def test_grades_examples(H, granulation):
 
 def assert_grades_match_search(g: Granulation):
     """Both preimage grades equal the oracle's powerset search, per cluster."""
-    granules = [frozenset(x.members()) for x in g]
+    granules = [frozenset(g.universe.names(x)) for x in g]
     space = powerset(g.universe.elements)
     for c in g.universe.all_subsets():
         grades = validity_grades(c, g)
@@ -78,7 +79,7 @@ def granulations(draw):
     # Any list of nonempty granules, so some leave elements uncovered.
     u = Universe([f"x{i + 1}" for i in range(draw(st.integers(1, 4)))])
     masks = draw(st.lists(st.integers(1, (1 << u.size) - 1), max_size=6))
-    return Granulation(u, [u.from_mask(m) for m in masks])
+    return Granulation(u, masks)
 
 
 @settings(max_examples=200, deadline=None)
@@ -90,10 +91,10 @@ def test_grades_match_search_on_random_granulations(g):
 @settings(max_examples=200, deadline=None)
 @given(granulations())
 def test_deficits_match_oracle_on_random_granulations(g):
-    granules = [frozenset(x.members()) for x in g]
+    granules = [frozenset(g.universe.names(x)) for x in g]
     for c in g.universe.all_subsets():
         deficits = (lower_deficit(c, g), upper_deficit(c, g))
-        named = tuple(frozenset(d.value.members()) if d.defined else None for d in deficits)
+        named = tuple(None if d is None else frozenset(d.members()) for d in deficits)
         assert named == o_deficits(frozenset(c.members()), granules), (g, c)
 
 
@@ -101,19 +102,19 @@ def test_lu_valid_forces_empty_deficits(H, granulation):
     for c in H.all_subsets():
         g = validity_grades(c, granulation)
         if g.lu_valid:
-            assert lower_deficit(c, granulation).value == H.empty
-            assert upper_deficit(c, granulation).value == H.empty
+            assert lower_deficit(c, granulation) == H.empty
+            assert upper_deficit(c, granulation) == H.empty
 
 
 def test_deficits_always_defined_under_subset_policy():
     # The upper deficit is undefined exactly when a member of C lies in no granule.
     for s in enumerate_structures(SearchSpec(n=3, budget=512)):
-        cover = s.universe.empty
+        cover = 0
         for g in s.granulation:
-            cover = cover | g
+            cover |= g
         for c in s.universe.all_subsets():
-            assert lower_deficit(c, s.granulation).defined
-            assert upper_deficit(c, s.granulation).defined == (c <= cover)
+            assert lower_deficit(c, s.granulation) is not None
+            assert (upper_deficit(c, s.granulation) is not None) == (not c.mask & ~cover)
 
 
 def test_proposition_holds_for_every_subset(H, granulation):
@@ -128,27 +129,26 @@ def test_validate_clustering_aggregates(H, granulation, clustering):
     assert len(report.per_cluster) == 3
     assert not report.lu_valid and not report.l_pre_valid
     by_cluster = {r.cluster.members(): r for r in report.per_cluster}
-    assert by_cluster[("x2", "x4")].lower_deficit.value == H.subset(["x1", "x2", "x3"])
+    assert by_cluster[("x2", "x4")].lower_deficit == H.subset(["x1", "x2", "x3"])
     assert all(r.proposition.status == "holds" for r in report.per_cluster)
 
 
 def test_validate_clustering_rejects_operators_of_another_universe(granulation):
     other = Universe(["x", "y", "z"])
-    foreign = Clustering(other, [other.subset(["x", "y"])])
+    foreign = Clustering(other, [0b011])
     with pytest.raises(UniverseMismatchError, match="clustering and operator"):
         validate_clustering(foreign, granulation)
+    with pytest.raises(UniverseMismatchError):
+        validity_grades(other.full, granulation)
 
 
 def test_clustering_validation_errors(H):
     with pytest.raises(MsslabError):
         Clustering(H, [])
     with pytest.raises(MsslabError):
-        Clustering(H, [H.empty])
-    with pytest.raises(MsslabError):
-        Clustering(H, [H.subset(["x1"]), H.subset(["x1"])])
-    other = Universe(["y1"])
-    with pytest.raises(MsslabError):
-        Clustering(H, [other.full])
+        Clustering(H, [0])
+    with pytest.raises(MsslabError, match=r"duplicate cluster \{x1\}"):
+        Clustering(H, [0b0001, 0b0010, 0b0001])
 
 
 def test_compatibility_reproduces_the_example(H, clustering, delta_builtins):
@@ -183,8 +183,59 @@ def test_compatibility_invariant_under_cluster_reordering(H, clustering, delta_b
             )
 
 
+def compatibility_by_loop(cl: Clustering, d: DeltaPredicate, mode: str):
+    """(status, witnesses, instances_checked) of a plain loop over the
+    instances of ``mode`` as subsets, clusters in list order."""
+    u = cl.universe
+    clusters = [u.from_mask(m) for m in cl.clusters]
+    if mode == "overlap-closer":
+        triples = [
+            (a, b, c)
+            for a in clusters
+            for b in clusters
+            if b != a and a & b
+            for c in clusters
+            if c != a and c != b and not a & c
+        ]
+    else:
+        triples = [
+            (u.singleton(x), u.singleton(y), u.singleton(z))
+            for cluster in clusters
+            for x in cluster.members()
+            for y in cluster.members()
+            for z in u.elements
+            if z not in cluster
+        ]
+    for checked, triple in enumerate(triples, 1):
+        if not d(*triple):
+            return "fails", (triple,), checked
+    return "holds" if triples else "vacuous", (), len(triples)
+
+
+@st.composite
+def granulated_clusterings(draw):
+    n = draw(st.integers(1, 4))
+    u = Universe([f"x{i + 1}" for i in range(n)])
+    top = 1 << n
+    g = Granulation(u, draw(st.lists(st.integers(1, top - 1), min_size=1, max_size=4)))
+    clusters = draw(st.lists(st.integers(1, top - 1), min_size=1, max_size=5, unique=True))
+    return Clustering(u, clusters), g
+
+
+@settings(max_examples=150, deadline=None)
+@given(granulated_clusterings())
+def test_compatibility_matches_a_plain_loop_in_cluster_list_order(drawn):
+    cl, g = drawn
+    for name in BUILTIN_DELTAS:
+        d = DeltaPredicate.builtin(name, cl.universe, g)
+        for mode in COMPATIBILITY_MODES:
+            v = check_compatibility(cl, d, mode)
+            got = (v.status, v.witnesses, v.instances_checked)
+            assert got == compatibility_by_loop(cl, d, mode), (cl, g, name, mode)
+
+
 def test_compatibility_vacuous_for_single_cluster(H, delta_builtins):
-    lonely = Clustering(H, [H.subset(["x1"])])
+    lonely = Clustering(H, [0b0001])
     assert check_compatibility(lonely, delta_builtins["E2"]).status == "vacuous"
 
 

@@ -24,7 +24,7 @@ def factories(repo_root, H, granulation, clustering):
     """For each value type, a function that builds a fresh, equal instance."""
     with open(repo_root / FIXTURE, encoding="utf-8") as handle:
         document = json.load(handle)
-    cluster = clustering.clusters[0]
+    cluster = H.from_mask(clustering.clusters[0])
 
     def structure():
         return assemble(H, granulation=granulation, kappa=clustering)
