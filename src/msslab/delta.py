@@ -5,8 +5,8 @@ the extensional one compares two keys, "key(a, b) R key(a, c)" with R one
 of ⊆, ⊊ and ⊋ (``KEYED_KINDS``); extensional predicates are given by an
 explicit triple table. The coherence and sum laws are evaluated on masks
 by the kernels of ``kernels`` and swept by ``structure.check_axiom``,
-which decides the laws of ``CUBE_AXIOMS``, every coherence and delta-sum
-law, on the predicate's cube of rows (``DeltaPredicate.plane``) instead
+which decides the laws that read δ, every coherence and delta-sum law,
+on the predicate's cube of rows (``DeltaPredicate.plane``) instead
 whenever its 2²ⁿ rows fit the budget (``kernels.cube_verdict``). A plane
 is built from the keys, or read off the table, with no call of the
 predicate. i-coh and i-coh-2 read only the diagonal cells of the cube. A
@@ -20,21 +20,9 @@ from typing import Callable, Iterable, Mapping, Optional
 
 from .errors import ConfigurationError, UniverseMismatchError
 from .granules import Granulation
-from .sets import UNDEFINED, Subset, Universe, encode
+from .sets import Subset, Universe, encode
 
 BUILTIN_DELTAS = ("E0", "E1", "E2", "uE1")
-# The laws decided on the 2²ⁿ rows of delta's cube, built once and shared by
-# all: every coherence and delta-sum law.
-CUBE_AXIOMS = (
-    "i-coh",
-    "n-coh",
-    "i-coh-2",
-    "strict-n-coh",
-    "trans-1",
-    "delta-sum1",
-    "delta-sum2",
-    "delta-sum3",
-)
 # The sum modes that are the union of their arguments wherever they are defined.
 UNION_SUMS = ("total-union", "granular-sum")
 
@@ -251,14 +239,14 @@ class SumOperation:
     ) -> "SumOperation":
         return cls(universe, "extensional-partial", table=dict(table))
 
-    def masked(self) -> Callable[[int, int], int]:
-        """The sum on masks, ``UNDEFINED`` where it is undefined; compiled
-        at the first call."""
+    def masked(self) -> Callable[[int, int], Optional[int]]:
+        """The sum on masks, None where it is undefined; compiled at the
+        first call."""
         if self._masked is None:
             self._masked = self._compile()
         return self._masked
 
-    def _compile(self) -> Callable[[int, int], int]:
+    def _compile(self) -> Callable[[int, int], Optional[int]]:
         if self.mode == "total-union":
             return operator.or_
         if self.mode == "granular-sum":
@@ -266,18 +254,18 @@ class SumOperation:
 
             def granular_sum(a, b):
                 u = a | b
-                return u if lower[u] == u else UNDEFINED
+                return u if lower[u] == u else None
 
             return granular_sum
         if self.mode == "extensional-partial":
             get = self.table.get
-            return lambda a, b: get((a, b), UNDEFINED)
+            return lambda a, b: get((a, b))
         raise ConfigurationError(f"unknown sum mode {self.mode!r}")
 
     def __call__(self, a: Subset, b: Subset) -> Subset | None:
         """``a + b``, or None where the sum is undefined."""
         value = self.masked()(*encode(self.universe, (a, b)))
-        return None if value == UNDEFINED else self.universe.from_mask(value)
+        return None if value is None else self.universe.from_mask(value)
 
     def __repr__(self):
         return f"SumOperation({self.mode})"

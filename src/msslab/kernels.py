@@ -4,8 +4,8 @@ quantifies, and the verdicts decided on the rows of a predicate's cube.
 ``structure.check_axiom`` and ``structure.evaluator`` import this module
 only when a law has to be swept or decided on δ or on the sum, so a run
 whose verdicts are theorems, deferred or unspecified never loads it. The
-cube itself, ``DeltaPredicate.plane``, and the laws it decides,
-``delta.CUBE_AXIOMS``, are declared in ``delta``.
+cube itself, ``DeltaPredicate.plane``, is declared in ``delta``; it
+decides every law that reads δ.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from typing import Callable, Optional
 
 from .delta import DeltaPredicate
 from .errors import MsslabError
-from .sets import UNDEFINED
 from .verdicts import Verdict, decided
 
 
@@ -106,10 +105,11 @@ def diagonal_verdict(axiom: str, d: DeltaPredicate) -> Verdict:
 
 def sum_evaluator(
     d: Optional[Callable[[int, int, int], bool]],
-    s: Callable[[int, int], int],
+    s: Callable[[int, int], Optional[int]],
     axiom: str,
 ):
-    """One sum law on masks, for the sum ``s`` and predicate ``d`` on masks.
+    """One sum law on masks, for the sum ``s`` and predicate ``d`` on masks;
+    ``s`` returns None where it is undefined.
 
     Partial values are compared by conditional equality (both defined
     implies equal) except in omega-star-com, which asks for strong
@@ -123,20 +123,20 @@ def sum_evaluator(
 
         def omega_id(a):
             aa = s(a, a)
-            return aa == UNDEFINED or aa == a
+            return aa is None or aa == a
 
         return omega_id
     if axiom == "omega-asso":
 
         def omega_asso(a, b, c):
             bc = s(b, c)
-            if bc == UNDEFINED:
+            if bc is None:
                 return True
             ab = s(a, b)
-            if ab == UNDEFINED:
+            if ab is None:
                 return True
             left, right = s(a, bc), s(ab, c)
-            return left == UNDEFINED or right == UNDEFINED or left == right
+            return left is None or right is None or left == right
 
         return omega_asso
     if axiom == "delta-sum1":
@@ -145,7 +145,7 @@ def sum_evaluator(
             if not d(a, b, c):
                 return None
             aa = s(a, a)
-            return None if aa == UNDEFINED else d(aa, b, c)
+            return None if aa is None else d(aa, b, c)
 
         return delta_sum1
     if axiom == "delta-sum2":
@@ -154,7 +154,7 @@ def sum_evaluator(
             if not d(a, b, c):
                 return None
             bb = s(b, b)
-            return None if bb == UNDEFINED else d(a, bb, c)
+            return None if bb is None else d(a, bb, c)
 
         return delta_sum2
     if axiom == "delta-sum3":
@@ -163,16 +163,16 @@ def sum_evaluator(
             if not d(a, b, c):
                 return None
             cc = s(c, c)
-            return None if cc == UNDEFINED else d(a, b, cc)
+            return None if cc is None else d(a, b, cc)
 
         return delta_sum3
     raise MsslabError(f"unknown sum axiom {axiom!r}")
 
 
 def cube_verdict(
-    axiom: str, d: DeltaPredicate, s: Optional[Callable[[int, int], int]] = None
+    axiom: str, d: DeltaPredicate, s: Optional[Callable[[int, int], Optional[int]]] = None
 ) -> Verdict:
-    """A law of ``CUBE_AXIOMS`` decided exactly on the rows of ``d``.
+    """A law that reads δ, decided exactly on the rows of ``d``.
 
     trans-1 is decided by ``trans1_verdict``, and i-coh and i-coh-2 by
     ``diagonal_verdict``; neither builds a plane it does not read.
@@ -199,7 +199,7 @@ def cube_verdict(
     top = 1 << d.universe.size
     rows, cols = zip(*map(d.plane, range(top)))
     diag = [s(x, x) for x in range(top)] if axiom.startswith("delta-sum") else None
-    fixed = diag is not None and all(xx in (x, UNDEFINED) for x, xx in enumerate(diag))
+    fixed = diag is not None and all(xx in (x, None) for x, xx in enumerate(diag))
     # cells(a) gives, for each b of plane a, the live antecedent mask and
     # the mask of violating c.
     if axiom == "n-coh":
@@ -216,7 +216,7 @@ def cube_verdict(
 
         def cells(a):
             aa = diag[a]
-            if aa == UNDEFINED:
+            if aa is None:
                 return (), ()
             return rows[a], [row & ~then for row, then in zip(rows[a], rows[aa])]
 
@@ -224,14 +224,14 @@ def cube_verdict(
 
         def cells(a):
             rows_a = rows[a]
-            live = [0 if bb == UNDEFINED else row for row, bb in zip(rows_a, diag)]
+            live = [0 if bb is None else row for row, bb in zip(rows_a, diag)]
             # An empty live row reads no square, defined or not.
             return live, [row and row & ~rows_a[bb] for row, bb in zip(live, diag)]
 
     elif axiom == "delta-sum3":
-        defined = sum(1 << c for c, cc in enumerate(diag) if cc != UNDEFINED)
+        defined = sum(1 << c for c, cc in enumerate(diag) if cc is not None)
         # A c that s(c, c) keeps never violates, so only the moved c are read.
-        moves = [(c, cc) for c, cc in enumerate(diag) if cc not in (UNDEFINED, c)]
+        moves = [(c, cc) for c, cc in enumerate(diag) if cc not in (None, c)]
 
         def cells(a):
             live = [row & defined for row in rows[a]]

@@ -1,10 +1,10 @@
 """Finite model search: enumerate small structures, hunt for axiom combinations.
 
 Relations on up to four elements are enumerated exhaustively, and ``budget``
-counts labelled relations. One stream of candidates (``_candidates``)
-yields each as a key and a builder. Under a builtin δ every verdict a
-search asks for depends on the relation only through its set of granule
-masks, and the key is that set, read off the relation's bits, so each
+counts labelled relations. Every family is one stream of granule-mask
+tuples (``_candidates``), each yielded as a key and a builder. Under a
+builtin δ every verdict a search asks for depends on a candidate only
+through its set of granule masks, and the key is that set, so each
 granule set is built and checked once. A structure's laws are checked
 only up to the first that does not match the profile, theorems first.
 Extensional predicate tables are always sampled (their count is doubly
@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import random
 from functools import partial
-from typing import Callable, Hashable, Iterator, NamedTuple, Optional
+from itertools import repeat
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .delta import BUILTIN_DELTAS, EXTENSIONAL_TABLE_LIMIT, DeltaPredicate
 from .errors import BudgetError, ParseError
-from .granules import BinaryRelation, Granulation, predecessor_granulation
+from .granules import Granulation
 from .sets import Universe
 from .structure import LAWS, SET_SLOTS, MssStructure, assemble, check_axiom
 
@@ -114,117 +115,100 @@ def _universe(n: int) -> Universe:
     return Universe([f"x{i + 1}" for i in range(n)])
 
 
-def _structure_from_granulation(universe, granulation, spec, rng) -> MssStructure:
-    if spec.extensional:
-        top = 1 << universe.size
-        triples = [
-            (a, b, c)
-            for a in range(top)
-            for b in range(top)
-            for c in range(top)
-            if rng.random() < spec.density
-        ]
-        delta = DeltaPredicate.extensional_from_masks(universe, triples)
-    else:
-        delta = DeltaPredicate.builtin(spec.delta, universe, granulation)
-    return assemble(universe, granulation=granulation, delta=delta)
+def _column_masks(n: int) -> Callable[[int], tuple[int, ...]]:
+    """A relation's nonzero predecessor-column masks in generator order,
+    read off its bits: the granule of x is every y with bit y*n + x set.
 
-
-def _granule_sets(n: int) -> Callable[[int], frozenset[int]]:
-    """The set of nonzero predecessor-column masks of a relation's bits,
-    read off the bits: the granule of x is every y with bit y*n + x set.
-
-    Row y of the bits is spread once, for each of its 2**n values, into
-    the columns' bits (bit y of column x at bit x*n + y)."""
+    Each row y of the bits is cut into chunks of at most eight bits, and
+    each chunk is spread once, for each of its values, into the columns'
+    bits (bit y of column x at bit x*n + y), so a table never holds more
+    than 256 entries."""
+    chunks = []
+    for y in range(n):
+        for low in range(0, n, 8):
+            xs = range(low, min(low + 8, n))
+            table = [
+                sum(1 << (x * n + y) for x in xs if value >> (x - low) & 1)
+                for value in range(1 << len(xs))
+            ]
+            chunks.append((y * n + low, len(table) - 1, table))
     row = (1 << n) - 1
-    spread = [
-        [sum(1 << (x * n + y) for x in range(n) if value >> x & 1) for value in range(row + 1)]
-        for y in range(n)
-    ]
     shifts = range(0, n * n, n)
-    empty = frozenset((0,))
 
-    def granule_set(bits: int) -> frozenset[int]:
-        columns = 0
-        for y, row_spread in enumerate(spread):
-            columns |= row_spread[bits >> y * n & row]
-        return frozenset([columns >> shift & row for shift in shifts]) - empty
+    def columns(bits: int) -> tuple[int, ...]:
+        spread = 0
+        for shift, mask, table in chunks:
+            spread |= table[bits >> shift & mask]
+        return tuple([column for shift in shifts if (column := spread >> shift & row)])
 
-    return granule_set
+    return columns
+
+
+def _picked_granules(bits: int) -> tuple[int, ...]:
+    # Bit k stands for the granule of mask k + 1, read least significant first.
+    return tuple([k + 1 for k, bit in enumerate(bin(bits)[:1:-1]) if bit == "1"])
 
 
 def _candidates(
     spec: SearchSpec,
-) -> Iterator[tuple[Optional[Hashable], Callable[[], MssStructure]]]:
+) -> Iterator[tuple[Optional[frozenset[int]], Callable[[], MssStructure]]]:
     """Each labelled candidate in a deterministic, seeded order, as
     ``(key, build)``.
 
-    ``build()`` assembles the candidate's structure. Under a builtin δ,
-    ``key`` stands for the candidate's granule set, read off the
-    candidate without building it; under an extensional δ it is None.
-    An extensional ``build()`` draws its table from the stream's rng, so
-    it must run before the next candidate is drawn."""
-    universe = _universe(spec.n)
+    Every family is one stream of granule-mask tuples: a relation's
+    nonzero predecessor columns in generator order, the granules a
+    granulation's bits pick, or the n singletons of ``extensional-deltas``.
+    ``build()`` assembles the granulation of the candidate's masks, and
+    under a builtin δ ``key`` is their set, so each key and its structure
+    come from the same tuple; under an extensional δ it is None. A built
+    structure carries no relation. An extensional ``build()`` draws its
+    table from the stream's rng, so it must run before the next candidate
+    is drawn."""
+    n = spec.n
+    universe = _universe(n)
     rng = random.Random(spec.seed)
 
-    def build(granulation):
-        return _structure_from_granulation(universe, granulation, spec, rng)
+    def build(masks):
+        granulation = Granulation(universe, masks)
+        if spec.extensional:
+            top = 1 << n
+            triples = [
+                (a, b, c)
+                for a in range(top)
+                for b in range(top)
+                for c in range(top)
+                if rng.random() < spec.density
+            ]
+            delta = DeltaPredicate.extensional_from_masks(universe, triples)
+        else:
+            delta = DeltaPredicate.builtin(spec.delta, universe, granulation)
+        return assemble(universe, granulation=granulation, delta=delta)
 
-    if spec.family == "relations":
-        width = spec.n * spec.n  # one bit per ordered pair
+    if spec.family == "extensional-deltas":
+        # sampled tables over the singleton granules
+        stream = repeat(tuple(1 << x for x in range(n)), spec.budget)
+    else:
+        relations = spec.family == "relations"
+        # One bit per ordered pair, or per nonempty candidate granule.
+        width = n * n if relations else (1 << n) - 1
+        # 2**width > budget, decided on exponents, before any table is
+        # built: 2**width alone can take megabytes for a refused search.
         if spec.exhaustive and (
-            spec.n > RELATION_EXHAUSTIVE_LIMIT or width >= spec.budget.bit_length()
+            width >= spec.budget.bit_length() or relations and n > RELATION_EXHAUSTIVE_LIMIT
         ):
+            limit = f"limit n <= {RELATION_EXHAUSTIVE_LIMIT}, " if relations else ""
             raise BudgetError(
-                f"exhaustive relation search needs 2**{width} structures "
-                f"(limit n <= {RELATION_EXHAUSTIVE_LIMIT}, budget {spec.budget})"
+                f"exhaustive {spec.family[:-1]} search needs 2**{width} structures "
+                f"({limit}budget {spec.budget})"
             )
         total = 1 << width
         if spec.exhaustive:
-            bit_streams = range(total)
+            bit_stream = range(total)
         else:
-            bit_streams = (rng.randrange(total) for _ in range(spec.budget))
-        n = spec.n
-
-        def build_relation(bits):
-            pairs = [(i, j) for i in range(n) for j in range(n) if bits >> (i * n + j) & 1]
-            return build(predecessor_granulation(BinaryRelation.from_indices(universe, pairs)))
-
-        key = (lambda bits: None) if spec.extensional else _granule_sets(n)
-        for bits in bit_streams:
-            yield key(bits), partial(build_relation, bits)
-        return
-
-    if spec.family == "granulations":
-        width = (1 << spec.n) - 1  # one bit per nonempty candidate granule
-        # 2**width > budget, decided on exponents: 2**width alone can take
-        # megabytes to build for a search that is then refused.
-        if spec.exhaustive and width >= spec.budget.bit_length():
-            raise BudgetError(
-                f"exhaustive granulation search needs 2**{width} structures "
-                f"(budget {spec.budget})"
-            )
-        total = 1 << width
-        if spec.exhaustive:
-            picks = range(total)
-        else:
-            picks = (rng.randrange(total) for _ in range(spec.budget))
-
-        def build_granulation(bits):
-            # Bit k stands for the granule of mask k + 1, read least significant first.
-            granules = [k + 1 for k, bit in enumerate(bin(bits)[:1:-1]) if bit == "1"]
-            return build(Granulation(universe, granules))
-
-        # The bits pick the granule set one to one, so they are its key.
-        for bits in picks:
-            yield None if spec.extensional else bits, partial(build_granulation, bits)
-        return
-
-    # extensional-deltas: sampled tables over the diagonal granulation
-    diagonal = BinaryRelation.from_indices(universe, [(i, i) for i in range(spec.n)])
-    granulation = predecessor_granulation(diagonal)
-    for _ in range(spec.budget):
-        yield None, partial(build, granulation)
+            bit_stream = (rng.randrange(total) for _ in range(spec.budget))
+        stream = map(_column_masks(n) if relations else _picked_granules, bit_stream)
+    for masks in stream:
+        yield None if spec.extensional else frozenset(masks), partial(build, masks)
 
 
 def enumerate_structures(spec: SearchSpec) -> Iterator[MssStructure]:

@@ -6,7 +6,7 @@ rank. Masks are the package's one internal subset form: granulations,
 clusterings and cluster membership are built from them. ``Subset`` is
 the immutable value object at the API edge, taken and returned by
 operations on subsets and carried by witnesses. A partial operation
-returns None where it is undefined on subsets, and ``UNDEFINED`` on masks.
+returns None where it is undefined, on subsets and on masks alike.
 """
 
 from __future__ import annotations
@@ -14,9 +14,6 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from .errors import MsslabError, UniverseMismatchError
-
-# On masks, a partial operation returns this where it is undefined.
-UNDEFINED = -1
 
 
 class Universe:

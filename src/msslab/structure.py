@@ -24,8 +24,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from . import delta as delta_mod
-from .delta import DeltaPredicate, SumOperation
+from .delta import UNION_SUMS, DeltaPredicate, SumOperation
 from .errors import StructureError, UniverseMismatchError
 from .granules import Granulation
 from .sets import Universe, check_mask, encode
@@ -270,8 +269,8 @@ def evaluator(s: MssStructure, axiom: str) -> Callable[..., Optional[bool]]:
     """The instance evaluator of one swept axiom over ``s``, taking masks.
 
     It reads the slots' own mask forms: the granulation's l table, the
-    predicate's and the sum's ``masked()`` (the sum returns ``UNDEFINED``
-    where undefined).
+    predicate's and the sum's ``masked()`` (the sum returns None where
+    undefined).
     """
     law = LAWS.get(axiom)
     if law is None or law.arity is None:
@@ -308,10 +307,10 @@ def check_axiom(
     A law of ``THEOREMS`` whose slots are bound holds as a theorem, with
     no instance checked, and so does a law with a ``union_theorem`` when
     the sum is a union sum (``delta.UNION_SUMS``): the omega laws. The
-    laws of ``delta.CUBE_AXIOMS`` (the five coherence laws and
-    delta-sum1..3) are decided on the rows of delta
-    (``kernels.cube_verdict``) when the cube's 2²ⁿ rows, shared through
-    ``DeltaPredicate.plane``, fit ``budget``: up to n = 9 at the default
+    laws that read delta (the five coherence laws and delta-sum1..3) are
+    decided on the rows of delta (``kernels.cube_verdict``) when the
+    cube's 2²ⁿ rows, shared through ``DeltaPredicate.plane``, fit
+    ``budget``: up to n = 9 at the default
     budget, each verdict the one the contract of ``verdicts`` fixes. An
     arity-2 sweep is exhaustive at the same n, so i-coh and i-coh-2 are
     never sampled where the cube could have decided them. Every other
@@ -331,9 +330,9 @@ def check_axiom(
         return deferred(axiom, f"unbound slots: {sorted(unbound)}")
     if law.theorem is not None:
         return theorem(axiom, law.theorem)
-    if law.union_theorem is not None and s.sum.mode in delta_mod.UNION_SUMS:
+    if law.union_theorem is not None and s.sum.mode in UNION_SUMS:
         return theorem(axiom, law.union_theorem)
-    if axiom in delta_mod.CUBE_AXIOMS and (1 << s.universe.size) ** 2 <= budget:
+    if "delta" in law.reads and (1 << s.universe.size) ** 2 <= budget:
         from .kernels import cube_verdict  # only a law decided on delta reads it
 
         mask_sum = s.sum.masked() if s.sum is not None else None

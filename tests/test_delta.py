@@ -16,7 +16,7 @@ from msslab import (
     assemble,
 )
 from msslab.config import parse_config
-from msslab.delta import BUILTIN_DELTAS, CUBE_AXIOMS
+from msslab.delta import BUILTIN_DELTAS
 from msslab.kernels import coherence_evaluator, cube_verdict, trans1_verdict
 from msslab.oracles import StructureDescription, o_sum_law_holds
 from msslab.structure import LAWS, axiom_instance, check_axiom, evaluator
@@ -326,8 +326,9 @@ def test_trans1_is_still_sampled_at_ten_elements():
     assert v == sweep("trans-1", u, 4, coherence_evaluator(d.masked(), "trans-1"))
 
 
-# The laws the cube decides besides trans-1, the one of arity 4, which the
-# tests above cover.
+# The laws the cube decides, every law that reads delta, and those besides
+# trans-1, the one of arity 4, which the tests above cover.
+CUBE_AXIOMS = tuple(a for a, law in LAWS.items() if "delta" in law.reads)
 CUBE_AXIOMS_BELOW_ARITY4 = tuple(a for a in CUBE_AXIOMS if LAWS[a].arity < 4)
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from msslab import (
+    BinaryRelation,
     BudgetError,
     DeltaPredicate,
     Granulation,
@@ -14,6 +15,7 @@ from msslab import (
     SumOperation,
     Universe,
     assemble,
+    predecessor_granulation,
     search,
 )
 from msslab.delta import BUILTIN_DELTAS
@@ -79,6 +81,20 @@ def test_refusing_a_huge_granulation_search_builds_no_huge_count():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_a_sampled_relation_search_builds_only_small_column_tables():
+    # Each row of the relation's bits is spread through chunks of at most
+    # eight bits, so a table holds at most 256 entries, not 2**n.
+    spec = SearchSpec(n=14, delta="E0", required=("UL1",), budget=1, exhaustive=False)
+    tracemalloc.start()
+    try:
+        found, examined = find_witness(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert found is not None and examined == 1
+    assert peak < 2 << 20
 
 
 @pytest.mark.parametrize("family, width", [("relations", 4), ("granulations", 3)])
@@ -314,6 +330,37 @@ def test_exhaustive_relation_search_covers_four_elements():
     assert find_witness(spec) == (None, 1 << 16)
     with pytest.raises(BudgetError, match=r"needs 2\*\*25 structures"):
         next(enumerate_structures(SearchSpec(n=5, budget=1 << 25)))
+
+
+def predecessor_granules(n, bits):
+    """The config path's granules of the relation with pair (i, j) at bit
+    i*n + j: the predecessor granulation of ``BinaryRelation``."""
+    pairs = [(i, j) for i in range(n) for j in range(n) if bits >> (i * n + j) & 1]
+    return predecessor_granulation(BinaryRelation.from_indices(_universe(n), pairs)).granules
+
+
+def test_relation_candidates_are_the_predecessor_granulations():
+    # All 512 relations on three elements, in enumeration order: each
+    # candidate's granules and key against the config path's.
+    candidates = list(search._candidates(SearchSpec(n=3, budget=512)))
+    assert len(candidates) == 512
+    for bits, (key, build) in enumerate(candidates):
+        granules = predecessor_granules(3, bits)
+        assert build().granulation.granules == granules, bits
+        assert key == frozenset(granules), bits
+
+
+# Rows of nine and twelve bits are spread through two chunks each.
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from((4, 5, 9, 12)).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(0, (1 << n * n) - 1))
+    )
+)
+def test_column_masks_match_the_predecessor_granulation(relation):
+    n, bits = relation
+    masks = search._column_masks(n)(bits)
+    assert Granulation(_universe(n), masks).granules == predecessor_granules(n, bits)
 
 
 def test_oracle_claims_on_the_example(H, granulation, delta_builtins):
