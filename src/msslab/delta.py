@@ -9,9 +9,9 @@ which decides the laws that read δ, every coherence and delta-sum law,
 on the predicate's cube of rows (``DeltaPredicate.plane``) instead
 whenever its 2²ⁿ rows fit the budget (``kernels.cube_verdict``). A plane
 is built from the keys, or read off the table, with no call of the
-predicate. i-coh and i-coh-2 read only the diagonal cells of the cube. A
-sum of ``UNION_SUMS`` is the union wherever it is defined, so the omega
-laws are theorems there.
+predicate, when a law's walk first reaches it. A sum of ``UNION_SUMS``
+is the union wherever it is defined, so the omega laws are theorems
+there.
 """
 from __future__ import annotations
 

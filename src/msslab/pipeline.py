@@ -64,7 +64,7 @@ def run_pipeline(
 
     step5 = {
         "axioms": axioms_section(cfg, seed=seed),
-        "validation": validation_section(cfg, seed=seed),
+        "validation": validation_section(cfg),
     }
 
     return {

@@ -100,7 +100,7 @@ def axioms_section(cfg: LabConfig, *, seed: Optional[int]) -> dict:
     return section
 
 
-def validation_section(cfg: LabConfig, *, seed: Optional[int]) -> dict:
+def validation_section(cfg: LabConfig) -> dict:
     clustering = cfg.clustering()
     if clustering is None:
         raise ParseError("missing clustering input", "clustering")
@@ -180,7 +180,7 @@ def build_validate(cfg: LabConfig, *, seed: Optional[int], jobs: int = 1) -> dic
         "command": "validate",
         "provenance": provenance(seed),
         "structure": structure_summary(cfg),
-        "validation": validation_section(cfg, seed=seed),
+        "validation": validation_section(cfg),
     }
 
 

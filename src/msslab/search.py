@@ -160,10 +160,12 @@ def _candidates(
     granulation's bits pick, or the n singletons of ``extensional-deltas``.
     ``build()`` assembles the granulation of the candidate's masks, and
     under a builtin δ ``key`` is their set, so each key and its structure
-    come from the same tuple; under an extensional δ it is None. A built
-    structure carries no relation. An extensional ``build()`` draws its
-    table from the stream's rng, so it must run before the next candidate
-    is drawn."""
+    come from the same tuple. The key is None where no two candidates can
+    share a key: under an extensional δ, whose table each candidate draws,
+    and in an exhaustive granulation walk, where each candidate's bits
+    pick a distinct granule set. A built structure carries no relation.
+    An extensional ``build()`` draws its table from the stream's rng, so
+    it must run before the next candidate is drawn."""
     n = spec.n
     universe = _universe(n)
     rng = random.Random(spec.seed)
@@ -207,8 +209,9 @@ def _candidates(
         else:
             bit_stream = (rng.randrange(total) for _ in range(spec.budget))
         stream = map(_column_masks(n) if relations else _picked_granules, bit_stream)
+    keyed = not (spec.extensional or spec.family == "granulations" and spec.exhaustive)
     for masks in stream:
-        yield None if spec.extensional else frozenset(masks), partial(build, masks)
+        yield frozenset(masks) if keyed else None, partial(build, masks)
 
 
 def enumerate_structures(spec: SearchSpec) -> Iterator[MssStructure]:

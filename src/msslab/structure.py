@@ -308,8 +308,8 @@ def check_axiom(
     no instance checked, and so does a law with a ``union_theorem`` when
     the sum is a union sum (``delta.UNION_SUMS``): the omega laws. The
     laws that read delta (the five coherence laws and delta-sum1..3) are
-    decided on the rows of delta (``kernels.cube_verdict``) when the
-    cube's 2²ⁿ rows, shared through ``DeltaPredicate.plane``, fit
+    decided in one walk over the planes of delta (``kernels.cube_verdict``)
+    when the cube's 2²ⁿ rows, shared through ``DeltaPredicate.plane``, fit
     ``budget``: up to n = 9 at the default
     budget, each verdict the one the contract of ``verdicts`` fixes. An
     arity-2 sweep is exhaustive at the same n, so i-coh and i-coh-2 are

@@ -17,7 +17,7 @@ from msslab import (
 )
 from msslab.config import parse_config
 from msslab.delta import BUILTIN_DELTAS
-from msslab.kernels import coherence_evaluator, cube_verdict, trans1_verdict
+from msslab.kernels import coherence_evaluator, cube_verdict
 from msslab.oracles import StructureDescription, o_sum_law_holds
 from msslab.structure import LAWS, axiom_instance, check_axiom, evaluator
 from msslab.verdicts import sweep
@@ -219,22 +219,47 @@ def test_unknown_axiom_and_mode_rejected(H, delta_builtins):
         cube_verdict("lclu", delta_builtins["E0"])
 
 
-def test_a_failing_i_coh_2_reads_no_plane_past_its_own(H, monkeypatch):
-    read = []
+# Each law the cube walk reads lazily, under a builtin on the paper example
+# with the granular sum: its status and the planes a decision reads.
+LAZY_CASES = [
+    # E0 relates every key to itself, so i-coh-2 fails at (∅, ∅) in plane 0.
+    ("i-coh-2", "E0", "fails", [0]),
+    # E1 never does: i-coh-2 holds, read off every plane in order.
+    ("i-coh-2", "E1", "holds", list(range(16))),
+    ("strict-n-coh", "E0", "fails", [0]),
+    # The witness lies in plane {x1, x2, x3}, the eighth.
+    ("trans-1", "E2", "fails", list(range(8))),
+    # Under a union sum the first substantive plane decides a delta-sum
+    # law; under E2, s(a, a) is undefined at {x1} and {x2}, the planes
+    # delta-sum1 skips.
+    ("delta-sum1", "E0", "holds", [0]),
+    ("delta-sum2", "E0", "holds", [0]),
+    ("delta-sum3", "E0", "holds", [0]),
+    ("delta-sum1", "E2", "holds", [0, 3]),
+    ("delta-sum2", "E2", "holds", [0, 1, 2, 3]),
+]
+
+
+@pytest.mark.parametrize(
+    "axiom, name, status, planes", LAZY_CASES, ids=[f"{c[0]}-{c[1]}" for c in LAZY_CASES]
+)
+def test_a_lazy_law_reads_no_plane_past_the_deciding_one(
+    H, granulation, monkeypatch, axiom, name, status, planes
+):
+    read = set()
     plane = DeltaPredicate.plane
 
     def recording(self, a):
-        read.append(a)
+        read.add(a)
         return plane(self, a)
 
     monkeypatch.setattr(DeltaPredicate, "plane", recording)
-    # E0 relates every key to itself, so i-coh-2 fails at (∅, ∅) in plane 0.
-    v = cube_verdict("i-coh-2", DeltaPredicate.builtin("E0", H))
-    assert (v.status, v.instances_checked, read) == ("fails", 1, [0])
-    # E1 never does: i-coh-2 holds, read off every plane in order.
-    read.clear()
-    v = cube_verdict("i-coh-2", DeltaPredicate.builtin("E1", H))
-    assert (v.status, v.instances_checked, read) == ("holds", 256, list(range(16)))
+    d = DeltaPredicate.builtin(name, H, granulation)
+    s = SumOperation.granular(granulation)
+    v = cube_verdict(axiom, d, s.masked())
+    assert (v.status, sorted(read)) == (status, planes)
+    law_sum = s if "sum" in LAWS[axiom].reads else None
+    assert v == swept(d, axiom, law_sum)
 
 
 def test_nearness_table_must_be_total(H):
@@ -257,7 +282,7 @@ def test_trans1_kernel_matches_the_sweep_on_all_three_element_granulations(
     for g in three_element_granulations:
         for name in BUILTIN_DELTAS:
             d = DeltaPredicate.builtin(name, g.universe, g)
-            assert trans1_verdict(d) == swept(d, "trans-1"), (name, g)
+            assert cube_verdict("trans-1", d) == swept(d, "trans-1"), (name, g)
 
 
 def table(n, triples):
@@ -284,12 +309,12 @@ def extensional_tables(draw):
 @example(table(2, [(0, 0, 1), (0, 1, 2), (0, 3, 1), (0, 3, 2)]))
 @given(extensional_tables())
 def test_trans1_kernel_matches_the_sweep_on_extensional_tables(d):
-    assert trans1_verdict(d) == swept(d, "trans-1")
+    assert cube_verdict("trans-1", d) == swept(d, "trans-1")
 
 
 def test_trans1_kernel_matches_the_sweep_on_the_paper_deltas(delta_builtins):
     for d in delta_builtins.values():
-        assert trans1_verdict(d) == swept(d, "trans-1"), d
+        assert cube_verdict("trans-1", d) == swept(d, "trans-1"), d
 
 
 def five_element_structure(delta_name):

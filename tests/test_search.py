@@ -350,6 +350,18 @@ def test_relation_candidates_are_the_predecessor_granulations():
         assert key == frozenset(granules), bits
 
 
+def test_a_key_is_none_where_no_two_candidates_can_share_one():
+    # Each of the 128 granulation bit patterns on three elements picks a
+    # distinct granule set, so an exhaustive walk keeps no memo.
+    exhaustive = SearchSpec(n=3, family="granulations", budget=128)
+    assert {key for key, _ in search._candidates(exhaustive)} == {None}
+    sampled = exhaustive._replace(exhaustive=False, budget=20)
+    for key, build in search._candidates(sampled):
+        assert key == frozenset(build().granulation.granules)
+    relations = SearchSpec(n=2, budget=16)
+    assert all(isinstance(key, frozenset) for key, _ in search._candidates(relations))
+
+
 # Rows of nine and twelve bits are spread through two chunks each.
 @settings(max_examples=200, deadline=None)
 @given(

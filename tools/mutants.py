@@ -1,0 +1,218 @@
+"""A mutation suite for msslab's fast paths.
+
+Each mutant names a source file, an exact snippet of it, the snippet's
+replacement and the tests that must kill it. The suite copies the
+repository to a temporary directory once, checks that the named tests
+pass there unmutated, then applies each mutant in turn to the copy and
+runs only its tests. The checkout is never written.
+
+    python3 tools/mutants.py
+
+It exits 1 when a mutant survives (its tests pass), when a snippet does
+not occur exactly once in its file, or when the tests cannot run. A
+survivor is mended by a test that kills it, never by dropping the
+mutant; a refactor that moves a snippet updates the mutant. See DeMillo,
+Lipton and Sayward, "Hints on test data selection", IEEE Computer 11(4)
+(1978).
+
+Standard library only; the tests need the package's test extra.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache", ".bench_run")
+# Hypothesis draws from a fixed seed, so a kill does not depend on the run.
+PYTEST = ("-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--hypothesis-seed=0")
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    snippet: str
+    replacement: str
+    tests: tuple[str, ...]
+
+
+KERNELS = "src/msslab/kernels.py"
+PAPER_CUBE = "tests/test_delta.py::test_cube_matches_the_sweep_on_the_paper_deltas"
+PAPER_TRANS1 = "tests/test_delta.py::test_trans1_kernel_matches_the_sweep_on_the_paper_deltas"
+FIVE_ELEMENT_TRANS1 = "tests/test_delta.py::test_trans1_is_exhaustive_at_five_elements"
+TWO_ELEMENT_ORACLE = "tests/test_search.py::test_verify_matches_oracle_on_all_two_element_structures"
+
+MUTANTS = (
+    Mutant(
+        "highest-c",
+        KERNELS,
+        "            low = mask & -mask\n",
+        "            low = 1 << mask.bit_length() - 1\n",
+        (PAPER_CUBE,),
+    ),
+    Mutant(
+        "planes-in-reverse",
+        KERNELS,
+        "    for a in range(top):\n        live, bad = cells(a)\n",
+        "    for a in reversed(range(top)):\n        live, bad = cells(a)\n",
+        (PAPER_CUBE,),
+    ),
+    Mutant(
+        "trans1-last-e",
+        KERNELS,
+        "first += (next(e for e, row in enumerate(plane(a)[0]) if row & pair == pair),)",
+        "first += (max(e for e, row in enumerate(plane(a)[0]) if row & pair == pair),)",
+        (PAPER_TRANS1,),
+    ),
+    Mutant(
+        "fixed-break-before-substantive",
+        KERNELS,
+        "        if any(live):\n"
+        "            substantive = True\n"
+        "            if fixed:\n"
+        "                break\n",
+        "        if fixed:\n"
+        "            break\n"
+        "        if any(live):\n"
+        "            substantive = True\n",
+        (PAPER_CUBE,),
+    ),
+    # The AND of the diagonals cannot see a missing bit 0, so i-coh skips
+    # every violation at a = ∅.
+    Mutant(
+        "i-coh-common-blind-to-a-bit",
+        KERNELS,
+        "            common &= row\n",
+        "            common &= row | 1\n",
+        (PAPER_CUBE,),
+    ),
+    Mutant(
+        "rank-off-by-one",
+        "src/msslab/verdicts.py",
+        "checked = 1 + sum(",
+        "checked = sum(",
+        (FIVE_ELEMENT_TRANS1,),
+    ),
+    Mutant(
+        "holds-swapped-with-vacuous",
+        "src/msslab/verdicts.py",
+        "(HOLDS if substantive else VACUOUS)",
+        "(VACUOUS if substantive else HOLDS)",
+        (FIVE_ELEMENT_TRANS1,),
+    ),
+    Mutant(
+        "key-keeps-the-empty-column",
+        "src/msslab/search.py",
+        "return tuple([column for shift in shifts if (column := spread >> shift & row)])",
+        "return tuple([spread >> shift & row for shift in shifts])",
+        ("tests/test_search.py::test_relation_candidates_are_the_predecessor_granulations",),
+    ),
+    Mutant(
+        "memo-on-an-extensional-delta",
+        "src/msslab/search.py",
+        "keyed = not (spec.extensional or ",
+        "keyed = not (",
+        ("tests/test_search.py::test_extensional_tables_are_verified_every_time",),
+    ),
+    Mutant(
+        "symmetric-after-transitive",
+        "src/msslab/granules.py",
+        "    if symmetric:\n"
+        "        pairs.update([(j, i) for i, j in pairs])\n"
+        "    if transitive:\n"
+        "        # Warshall: after round k, every path through 0..k has its shortcut.\n"
+        "        for k in range(n):\n"
+        "            into = [i for i in range(n) if (i, k) in pairs]\n"
+        "            out = [j for j in range(n) if (k, j) in pairs]\n"
+        "            pairs.update((i, j) for i in into for j in out)\n",
+        "    if transitive:\n"
+        "        for k in range(n):\n"
+        "            into = [i for i in range(n) if (i, k) in pairs]\n"
+        "            out = [j for j in range(n) if (k, j) in pairs]\n"
+        "            pairs.update((i, j) for i in into for j in out)\n"
+        "    if symmetric:\n"
+        "        pairs.update([(j, i) for i, j in pairs])\n",
+        ("tests/test_granules.py::test_closure_matches_the_fixpoint_on_every_relation_of_three_elements",),
+    ),
+) + tuple(
+    # One per keyed kind: its relation R swapped for another.
+    Mutant(
+        f"{kind}-relation-swapped",
+        "src/msslab/delta.py",
+        f'"{kind}": ({key}, "{relation}"),',
+        f'"{kind}": ({key}, "{swapped}"),',
+        (test,),
+    )
+    for kind, key, relation, swapped, test in (
+        ("E0", "_union", "⊆", "⊊", TWO_ELEMENT_ORACLE),
+        ("E1", "_union", "⊊", "⊆", TWO_ELEMENT_ORACLE),
+        ("uE1", "_upper_of_union", "⊆", "⊊", TWO_ELEMENT_ORACLE),
+        ("E2", "_lower_of_meet", "⊋", "⊊", TWO_ELEMENT_ORACLE),
+        ("def0", "_nearness", "⊆", "⊊", "tests/test_delta.py::test_def0_with_union_map_matches_plain_inclusion"),
+    )
+)
+
+
+def mismatches(mutants) -> list[str]:
+    """A line for each mutant whose snippet its file does not hold exactly once."""
+    lines = []
+    for m in mutants:
+        count = (ROOT / m.path).read_text(encoding="utf-8").count(m.snippet)
+        if count != 1:
+            lines.append(f"{m.name}: snippet occurs {count} times in {m.path}")
+    return lines
+
+
+def run_tests(copy: Path, tests) -> subprocess.CompletedProcess:
+    shutil.rmtree(copy / ".hypothesis", ignore_errors=True)
+    path = os.pathsep.join(filter(None, (str(copy / "src"), os.environ.get("PYTHONPATH"))))
+    # No bytecode: a mutated file can keep its size and mtime.
+    env = dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run(
+        [sys.executable, *PYTEST, *tests], cwd=copy, env=env, capture_output=True, text=True
+    )
+
+
+def main() -> int:
+    problems = mismatches(MUTANTS)
+    if problems:
+        print("\n".join(problems))
+        return 1
+    with tempfile.TemporaryDirectory(prefix="msslab-mutants-") as tmp:
+        copy = Path(tmp) / "repo"
+        shutil.copytree(ROOT, copy, ignore=IGNORED)
+        tests = sorted({t for m in MUTANTS for t in m.tests})
+        clean = run_tests(copy, tests)
+        if clean.returncode != 0:
+            print(clean.stdout + clean.stderr)
+            print("the mutants' tests do not pass on the unmutated code")
+            return 1
+        failures = 0
+        for m in MUTANTS:
+            target = copy / m.path
+            original = target.read_text(encoding="utf-8")
+            target.write_text(original.replace(m.snippet, m.replacement), encoding="utf-8")
+            try:
+                result = run_tests(copy, m.tests)
+            finally:
+                target.write_text(original, encoding="utf-8")
+            # pytest exits 1 when a test failed; 0 is a survivor, and any
+            # other code (a bad node id, no tests collected) is an error.
+            outcome = {0: "SURVIVED", 1: "killed"}.get(result.returncode, "ERROR")
+            print(f"{m.name}: {outcome}", flush=True)
+            if outcome != "killed":
+                failures += 1
+                if outcome == "ERROR":
+                    print(result.stdout + result.stderr)
+        print(f"{len(MUTANTS) - failures} of {len(MUTANTS)} mutants killed")
+        return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
