@@ -140,7 +140,10 @@ def _parse_search_spec(spec_data: dict, cli_seed):
         raise ParseError(f"unknown fields {sorted(unknown)}")
     if "n" not in spec_data:
         raise ParseError("missing required field", "n")
-    fields = {k: tuple(v) if isinstance(v, list) else v for k, v in spec_data.items()}
+    fields = {
+        k: tuple(v) if k in ("required", "forbidden") and isinstance(v, list) else v
+        for k, v in spec_data.items()
+    }
     seed = fields.pop("seed", None)
     # The document's own seed is checked even where --seed overrides it.
     spec = SearchSpec(**fields, seed=DEFAULT_SEED if seed is None else seed)
@@ -153,10 +156,10 @@ def _structure_dict(s) -> dict:
     table = s.delta.table
     return {
         "universe": list(s.universe.elements),
-        "granules": [sorted(names(g)) for g in s.granulation],
+        "granules": [list(names(g)) for g in s.granulation],
         "delta_kind": s.delta.kind,
         "delta_table": (
-            sorted([sorted(names(m)) for m in triple] for triple in table)
+            sorted([list(names(m)) for m in triple] for triple in table)
             if table is not None
             else None
         ),

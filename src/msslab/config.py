@@ -1,14 +1,15 @@
 """Declarative JSON configs, checked and resolved in one pass.
 
-``parse_config`` reads each field once. It resolves every element name to
-a subset mask where it reads it, and checks each table and list against
-its contract there: a def0 nearness table is total, a sum table gives
-each pair at most one value, clusters are nonempty and distinct, an
-extensional δ table is admitted only on a small universe. A
-malformed document is a ``ParseError`` naming the offending field, and
-nothing is built from it. ``LabConfig`` and ``DeltaSpec`` hold masks
-only, so building a structure, a predicate, the sum or the clustering
-never reads a name again.
+``parse_config`` reads each field once. It resolves every element name,
+to a subset mask or a relation pair's index, where it reads it, and
+checks each table and list against its contract there: a def0 nearness
+table is total, a sum table gives each pair at most one value, clusters
+are nonempty and distinct, an extensional δ table is admitted only on a
+small universe. A malformed document is a ``ParseError`` naming the
+offending field, and nothing is built from it. ``LabConfig`` and
+``DeltaSpec`` hold masks only, a relation its predecessor columns, so
+building a structure, a predicate, the sum or the clustering never
+reads a name again.
 """
 
 from __future__ import annotations
@@ -127,14 +128,18 @@ def _known(raw: dict, fields, field) -> None:
         raise ParseError(f"unknown fields {sorted(unknown)}", field)
 
 
-def _mask(universe: Universe, value, field) -> int:
-    """The mask of a list of declared element names."""
-    mask = 0
-    for k, name in enumerate(_names(value, field)):
+def _indices(universe: Universe, value, field) -> list[int]:
+    """The indices of a list of declared element names, in list order."""
+    names = _names(value, field)
+    for k, name in enumerate(names):
         if name not in universe.elements:
             raise ParseError(f"element {name!r} not declared in universe", f"{field}[{k}]")
-        mask |= 1 << universe.index(name)
-    return mask
+    return [universe.index(name) for name in names]
+
+
+def _mask(universe: Universe, value, field) -> int:
+    """The mask of a list of declared element names."""
+    return sum({1 << i for i in _indices(universe, value, field)})
 
 
 def _subsets(universe: Universe, raw, field, what) -> list[int]:
@@ -271,9 +276,8 @@ def _parse_relation(universe, raw) -> BinaryRelation:
     for k, pair in enumerate(raw[key]):
         if not (isinstance(pair, list) and len(pair) == 2):
             raise ParseError("expected [from, to]", f"relation.{key}[{k}]")
-        _mask(universe, pair, f"relation.{key}[{k}]")  # both names declared
-        pairs.append(tuple(pair))
-    relation = BinaryRelation(universe, pairs)
+        pairs.append(_indices(universe, pair, f"relation.{key}[{k}]"))
+    relation = BinaryRelation.from_indices(universe, pairs)
     if has_generators:
         flags = _names(raw.get("closure", []), "relation.closure", "closure flags")
         for flag in flags:

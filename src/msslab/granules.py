@@ -1,5 +1,7 @@
 """Binary relations, neighborhood granulations, and rough approximation operators.
 
+A relation is held as its predecessor columns, the mask of each
+element's predecessor neighborhood: the form a relation search streams.
 A granulation is built from granule masks and holds them as masks. The
 lower approximation of A is the union of granules included in A; the
 upper approximation is the union of granules meeting A. Both are defined
@@ -18,70 +20,53 @@ from .sets import Subset, Universe, nonempty_masks
 
 
 class BinaryRelation:
-    """Set of ordered pairs over a universe, held as index pairs."""
+    """Set of ordered pairs over a universe, held as its predecessor
+    columns: bit y of ``columns[x]`` is set when (y, x) is in the relation."""
 
-    __slots__ = ("universe", "pairs")
+    __slots__ = ("universe", "columns")
 
     def __init__(self, universe: Universe, pairs: Iterable[tuple[str, str]] = ()):
-        idx = set()
-        for a, b in pairs:
-            idx.add((universe.index(a), universe.index(b)))
+        index = universe.index
         self.universe = universe
-        self.pairs = frozenset(idx)
+        self.columns = _columns(universe.size, [(index(a), index(b)) for a, b in pairs])
 
     @classmethod
     def from_indices(cls, universe: Universe, pairs: Iterable[tuple[int, int]]):
-        pairs = frozenset(pairs)
-        n = universe.size
-        for i, j in pairs:
-            if not (0 <= i < n and 0 <= j < n):
-                raise MsslabError(f"pair index ({i},{j}) outside universe of size {n}")
         rel = cls(universe)
-        rel.pairs = pairs
+        rel.columns = _columns(universe.size, pairs)
         return rel
 
     def named_pairs(self) -> tuple[tuple[str, str], ...]:
-        names = self.universe.elements
-        return tuple(sorted((names[i], names[j]) for i, j in self.pairs))
-
-    def has(self, a: str, b: str) -> bool:
-        return (self.universe.index(a), self.universe.index(b)) in self.pairs
+        names = self.universe.names
+        columns = zip(self.universe.elements, self.columns)
+        return tuple(sorted((a, b) for b, column in columns for a in names(column)))
 
     @property
     def is_reflexive(self) -> bool:
-        return all((i, i) in self.pairs for i in range(self.universe.size))
-
-    @property
-    def is_symmetric(self) -> bool:
-        return all((j, i) in self.pairs for i, j in self.pairs)
-
-    @property
-    def is_transitive(self) -> bool:
-        by_first = {}
-        for i, j in self.pairs:
-            by_first.setdefault(i, set()).add(j)
-        for i, j in self.pairs:
-            for k in by_first.get(j, ()):
-                if (i, k) not in self.pairs:
-                    return False
-        return True
-
-    @property
-    def is_tolerance(self) -> bool:
-        return self.is_reflexive and self.is_symmetric
+        return all(column >> x & 1 for x, column in enumerate(self.columns))
 
     def __eq__(self, other):
         return (
             isinstance(other, BinaryRelation)
             and self.universe == other.universe
-            and self.pairs == other.pairs
+            and self.columns == other.columns
         )
 
     def __hash__(self):
-        return hash((self.universe.elements, self.pairs))
+        return hash((self.universe.elements, self.columns))
 
     def __repr__(self):
         return f"BinaryRelation({self.named_pairs()!r})"
+
+
+def _columns(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    """The predecessor columns of index pairs on n elements."""
+    columns = [0] * n
+    for i, j in pairs:
+        if not (0 <= i < n and 0 <= j < n):
+            raise MsslabError(f"pair index ({i},{j}) outside universe of size {n}")
+        columns[j] |= 1 << i
+    return tuple(columns)
 
 
 def close_relation(
@@ -96,19 +81,25 @@ def close_relation(
     One pass suffices: the transitive closure of a reflexive or symmetric
     relation is again reflexive or symmetric, so transitivity goes last.
     """
-    pairs = set(r.pairs)
-    n = r.universe.size
+    columns = list(r.columns)
+    n = len(columns)
     if reflexive:
-        pairs.update((i, i) for i in range(n))
+        columns = [column | 1 << x for x, column in enumerate(columns)]
     if symmetric:
-        pairs.update([(j, i) for i, j in pairs])
+        # Column y of the transpose holds every x whose column holds y.
+        columns = [
+            columns[y] | sum(1 << x for x, column in enumerate(columns) if column >> y & 1)
+            for y in range(n)
+        ]
     if transitive:
         # Warshall: after round k, every path through 0..k has its shortcut.
         for k in range(n):
-            into = [i for i in range(n) if (i, k) in pairs]
-            out = [j for j in range(n) if (k, j) in pairs]
-            pairs.update((i, j) for i in into for j in out)
-    return BinaryRelation.from_indices(r.universe, pairs)
+            for x in range(n):
+                if columns[x] >> k & 1:
+                    columns[x] |= columns[k]
+    closed = BinaryRelation(r.universe)
+    closed.columns = tuple(columns)
+    return closed
 
 
 class _GranuleTable(dict):
@@ -186,10 +177,6 @@ class Granulation:
         """Union of the granules meeting ``a``."""
         return self._read(self.upper_table, a)
 
-    def is_union_of_granules(self, a: Subset) -> bool:
-        """True when ``a`` equals some union of granules (the empty union for ∅)."""
-        return self.lower(a) == a
-
     def __len__(self):
         return len(self.granules)
 
@@ -211,26 +198,21 @@ class Granulation:
 
 
 def predecessor_granulation(r: BinaryRelation) -> Granulation:
-    """Granules n(x) = {y : (y, x) in r}, listed in generator order.
+    """Granules n(x) = {y : (y, x) in r}, the nonzero columns of ``r`` in
+    generator order.
 
     Empty neighborhoods are skipped with a note; a non-reflexive input
     gets a note too, since generators then need not belong to their granule.
     """
     universe = r.universe
-    notes = []
-    granules = []
-    for x in range(universe.size):
-        mask = 0
-        for y, x2 in r.pairs:
-            if x2 == x:
-                mask |= 1 << y
-        if mask == 0:
-            notes.append(f"empty neighborhood of {universe.elements[x]} skipped")
-            continue
-        granules.append(mask)
+    notes = [
+        f"empty neighborhood of {name} skipped"
+        for name, column in zip(universe.elements, r.columns)
+        if not column
+    ]
     if not r.is_reflexive:
         notes.append("relation is not reflexive; predecessor granules may miss their generators")
-    return Granulation(universe, granules, notes)
+    return Granulation(universe, [column for column in r.columns if column], notes)
 
 
 def is_definite(a: Subset, g: Granulation) -> bool:

@@ -1,12 +1,14 @@
 """Finite model search: enumerate small structures, hunt for axiom combinations.
 
 Relations on up to four elements are enumerated exhaustively, and ``budget``
-counts labelled relations. Every family is one stream of granule-mask
-tuples (``_candidates``), each yielded as a key and a builder. Under a
-builtin δ every verdict a search asks for depends on a candidate only
-through its set of granule masks, and the key is that set, so each
-granule set is built and checked once. A structure's laws are checked
-only up to the first that does not match the profile, theorems first.
+counts labelled relations. A relation is streamed as its nonzero
+predecessor columns, the form ``BinaryRelation`` holds. Every family is
+one stream of granule-mask tuples (``_candidates``), each yielded as a
+key and a builder. Under a builtin δ every verdict a search asks for
+depends on a candidate only through its set of granule masks, and the
+key is that set, so each granule set is built and checked once. A
+structure's laws are checked only up to the first that does not match
+the profile, theorems first.
 Extensional predicate tables are always sampled (their count is doubly
 exponential), with the seed fixing the stream.
 """

@@ -66,10 +66,6 @@ class Verdict(NamedTuple):
     note: Optional[str] = None
 
     @property
-    def holds(self) -> bool:
-        return self.status == HOLDS
-
-    @property
     def failed(self) -> bool:
         return self.status == FAILS
 

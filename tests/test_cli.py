@@ -264,6 +264,24 @@ def test_search_finds_and_serializes_a_witness(repo_root, tmp_path):
     assert report["search"]["structure"]["delta_kind"] == "E0"
 
 
+def test_search_report_lists_members_in_universe_order():
+    from msslab.cli import _search_report
+
+    # At n = 10, "x10" sorts before "x2" as a string.
+    document = {"n": 10, "delta": "E0", "required": ["UL1"], "budget": 1, "exhaustive": False}
+    structure = _search_report(document, None)["search"]["structure"]
+    index = structure["universe"].index
+    granules = structure["granules"]
+    assert all(g == sorted(g, key=index) for g in granules)
+    assert any(g != sorted(g) for g in granules)
+
+
+def test_search_spec_errors_quote_the_value_as_written(repo_root, tmp_path):
+    result = run_cli(repo_root, "search", str(write_config(tmp_path, {"n": [3]})))
+    assert result.returncode == 1
+    assert result.stderr == "msslab: parse error: n: expected an integer of at least 1, got [3]\n"
+
+
 PAPER_CONFIG = json.loads((Path(__file__).resolve().parent.parent / FIXTURE).read_text())
 
 

@@ -47,6 +47,9 @@ PAPER_CUBE = "tests/test_delta.py::test_cube_matches_the_sweep_on_the_paper_delt
 PAPER_TRANS1 = "tests/test_delta.py::test_trans1_kernel_matches_the_sweep_on_the_paper_deltas"
 FIVE_ELEMENT_TRANS1 = "tests/test_delta.py::test_trans1_is_exhaustive_at_five_elements"
 TWO_ELEMENT_ORACLE = "tests/test_search.py::test_verify_matches_oracle_on_all_two_element_structures"
+SEARCH = "src/msslab/search.py"
+GRANULES = "src/msslab/granules.py"
+CLOSURE = "tests/test_granules.py::test_closure_matches_the_fixpoint_on_every_relation_of_three_elements"
 
 MUTANTS = (
     Mutant(
@@ -107,39 +110,97 @@ MUTANTS = (
         (FIVE_ELEMENT_TRANS1,),
     ),
     Mutant(
+        "last-b",
+        KERNELS,
+        "b, mask = next((b, mask) for b, mask in enumerate(bad) if mask)",
+        "b, mask = max((b, mask) for b, mask in enumerate(bad) if mask)",
+        (PAPER_CUBE,),
+    ),
+    Mutant(
         "key-keeps-the-empty-column",
-        "src/msslab/search.py",
+        SEARCH,
         "return tuple([column for shift in shifts if (column := spread >> shift & row)])",
         "return tuple([spread >> shift & row for shift in shifts])",
         ("tests/test_search.py::test_relation_candidates_are_the_predecessor_granulations",),
     ),
+    # Two granule sets with equal sums share a key, so one is never checked.
+    Mutant(
+        "colliding-granulation-key",
+        SEARCH,
+        "yield frozenset(masks) if keyed else None",
+        "yield sum(masks) if keyed else None",
+        ("tests/test_search.py::test_each_granule_set_is_verified_once",),
+    ),
     Mutant(
         "memo-on-an-extensional-delta",
-        "src/msslab/search.py",
+        SEARCH,
         "keyed = not (spec.extensional or ",
         "keyed = not (",
         ("tests/test_search.py::test_extensional_tables_are_verified_every_time",),
     ),
     Mutant(
+        "no-theorem-first-order",
+        SEARCH,
+        "    checks.sort(key=lambda check: LAWS[check[0]].arity is not None)\n",
+        "",
+        ("tests/test_search.py::test_forbidding_a_theorem_reads_no_delta_plane",),
+    ),
+    Mutant(
+        "no-parse-time-extensional-size-check",
+        SEARCH,
+        "if self.extensional and self.n > EXTENSIONAL_TABLE_LIMIT:",
+        "if False:",
+        ("tests/test_search.py::test_search_spec_validation",),
+    ),
+    Mutant(
         "symmetric-after-transitive",
-        "src/msslab/granules.py",
+        GRANULES,
         "    if symmetric:\n"
-        "        pairs.update([(j, i) for i, j in pairs])\n"
+        "        # Column y of the transpose holds every x whose column holds y.\n"
+        "        columns = [\n"
+        "            columns[y] | sum(1 << x for x, column in enumerate(columns) if column >> y & 1)\n"
+        "            for y in range(n)\n"
+        "        ]\n"
         "    if transitive:\n"
         "        # Warshall: after round k, every path through 0..k has its shortcut.\n"
         "        for k in range(n):\n"
-        "            into = [i for i in range(n) if (i, k) in pairs]\n"
-        "            out = [j for j in range(n) if (k, j) in pairs]\n"
-        "            pairs.update((i, j) for i in into for j in out)\n",
+        "            for x in range(n):\n"
+        "                if columns[x] >> k & 1:\n"
+        "                    columns[x] |= columns[k]\n",
         "    if transitive:\n"
         "        for k in range(n):\n"
-        "            into = [i for i in range(n) if (i, k) in pairs]\n"
-        "            out = [j for j in range(n) if (k, j) in pairs]\n"
-        "            pairs.update((i, j) for i in into for j in out)\n"
+        "            for x in range(n):\n"
+        "                if columns[x] >> k & 1:\n"
+        "                    columns[x] |= columns[k]\n"
         "    if symmetric:\n"
-        "        pairs.update([(j, i) for i, j in pairs])\n",
-        ("tests/test_granules.py::test_closure_matches_the_fixpoint_on_every_relation_of_three_elements",),
+        "        columns = [\n"
+        "            columns[y] | sum(1 << x for x, column in enumerate(columns) if column >> y & 1)\n"
+        "            for y in range(n)\n"
+        "        ]\n",
+        (CLOSURE,),
     ),
+    # Column y's own bits instead of bit y of every column: no transpose.
+    Mutant(
+        "transpose-reads-the-wrong-axis",
+        GRANULES,
+        "for x, column in enumerate(columns) if column >> y & 1)",
+        "for x, column in enumerate(columns) if columns[y] >> x & 1)",
+        (CLOSURE,),
+    ),
+) + tuple(
+    # Each config table check dropped: the malformed case it refuses parses.
+    Mutant(
+        f"no-{check}-check",
+        "src/msslab/config.py",
+        snippet,
+        "if False:",
+        (f"tests/test_cli.py::test_malformed_configs_are_parse_errors_naming_the_field[{case}-validate]",),
+    )
+    for check, snippet, case in (
+        ("totality", "if total and len(first) != pairs:", "f-not-total"),
+        ("second-value", "if rows[i][2] != v:", "conflicting-sum-rows"),
+        ("duplicate-cluster", "if first < k:", "duplicate-cluster"),
+    )
 ) + tuple(
     # One per keyed kind: its relation R swapped for another.
     Mutant(
