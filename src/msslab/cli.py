@@ -140,10 +140,7 @@ def _parse_search_spec(spec_data: dict, cli_seed):
         raise ParseError(f"unknown fields {sorted(unknown)}")
     if "n" not in spec_data:
         raise ParseError("missing required field", "n")
-    fields = {
-        k: tuple(v) if k in ("required", "forbidden") and isinstance(v, list) else v
-        for k, v in spec_data.items()
-    }
+    fields = dict(spec_data)
     seed = fields.pop("seed", None)
     # The document's own seed is checked even where --seed overrides it.
     spec = SearchSpec(**fields, seed=DEFAULT_SEED if seed is None else seed)

@@ -1,6 +1,7 @@
-"""The law kernels on masks: the coherence and sum law evaluators a sweep
-quantifies, and ``cube_verdict``, which decides every law that reads δ
-in one walk over the planes of the predicate's cube.
+"""The law kernels on masks: ``INSTANCES``, the one place the instance of
+each swept law on δ or the sum is written, which a sweep quantifies and
+a replay re-runs, and ``cube_verdict``, which decides every law that
+reads δ in one walk over the planes of the predicate's cube.
 
 ``structure.check_axiom`` and ``structure.evaluator`` import this module
 only when a law has to be swept or decided on δ or on the sum, so a run
@@ -18,89 +19,51 @@ from .structure import LAWS
 from .verdicts import Verdict, decided
 
 
-def coherence_evaluator(d: Callable[[int, int, int], bool], axiom: str):
-    """One coherence law on masks, for the predicate ``d`` on masks.
+def _omega_asso(d, s):
+    def omega_asso(a, b, c):
+        bc = s(b, c)
+        if bc is None:
+            return True
+        ab = s(a, b)
+        if ab is None:
+            return True
+        left, right = s(a, bc), s(ab, c)
+        return left is None or right is None or left == right
 
-    The evaluator returns True (satisfied), None (vacuously satisfied) or
-    False (violated).
-    """
-    if axiom == "i-coh":
-        return lambda a, b: d(b, b, a)
-    if axiom == "n-coh":
-        return lambda a, b, c: d(b, a, c) if d(a, b, c) else None
-    if axiom == "i-coh-2":
-        return lambda a, b: not d(a, b, b)
-    if axiom == "strict-n-coh":
-        return lambda a, b, c: not d(a, c, b) if d(a, b, c) else None
-    if axiom == "trans-1":
-        return lambda a, b, c, e: not d(a, e, c) if d(a, b, c) and d(a, e, b) else None
-    raise MsslabError(f"unknown coherence axiom {axiom!r}")
+    return omega_asso
 
 
-def sum_evaluator(
-    d: Optional[Callable[[int, int, int], bool]],
-    s: Callable[[int, int], Optional[int]],
-    axiom: str,
-):
-    """One sum law on masks, for the sum ``s`` and predicate ``d`` on masks;
-    ``s`` returns None where it is undefined.
-
-    Partial values are compared by conditional equality (both defined
-    implies equal) except in omega-star-com, which asks for strong
-    equality. The delta-sum laws pass vacuously when the antecedent fails
-    or the squared sum is undefined.
-    """
-    if axiom == "omega-star-com":
-        # Undefined is one value, so strong equality is plain equality.
-        return lambda a, b: s(a, b) == s(b, a)
-    if axiom == "omega-id":
-
-        def omega_id(a):
-            aa = s(a, a)
-            return aa is None or aa == a
-
-        return omega_id
-    if axiom == "omega-asso":
-
-        def omega_asso(a, b, c):
-            bc = s(b, c)
-            if bc is None:
-                return True
-            ab = s(a, b)
-            if ab is None:
-                return True
-            left, right = s(a, bc), s(ab, c)
-            return left is None or right is None or left == right
-
-        return omega_asso
-    if axiom == "delta-sum1":
-
-        def delta_sum1(a, b, c):
-            if not d(a, b, c):
-                return None
-            aa = s(a, a)
-            return None if aa is None else d(aa, b, c)
-
-        return delta_sum1
-    if axiom == "delta-sum2":
-
-        def delta_sum2(a, b, c):
-            if not d(a, b, c):
-                return None
-            bb = s(b, b)
-            return None if bb is None else d(a, bb, c)
-
-        return delta_sum2
-    if axiom == "delta-sum3":
-
-        def delta_sum3(a, b, c):
-            if not d(a, b, c):
-                return None
-            cc = s(c, c)
-            return None if cc is None else d(a, b, cc)
-
-        return delta_sum3
-    raise MsslabError(f"unknown sum axiom {axiom!r}")
+# Each swept law that reads δ or the sum, with the builder of its instance
+# from ``d``, the predicate on masks, and ``s``, the sum on masks, which
+# returns None where it is undefined (each None when its slot is unbound).
+# An instance returns True (satisfied), None (vacuously satisfied) or
+# False (violated). Partial values are compared by conditional equality
+# (both defined implies equal) except in omega-star-com, which asks for
+# strong equality: undefined is one value there, so it is plain equality.
+# The delta-sum laws pass vacuously when the antecedent fails or the
+# squared sum is undefined. Each instance takes its fixed arity, since a
+# sampled sweep calls it up to a million times.
+INSTANCES: dict[str, Callable[..., Callable[..., Optional[bool]]]] = {
+    "i-coh": lambda d, s: lambda a, b: d(b, b, a),
+    "n-coh": lambda d, s: lambda a, b, c: d(b, a, c) if d(a, b, c) else None,
+    "i-coh-2": lambda d, s: lambda a, b: not d(a, b, b),
+    "strict-n-coh": lambda d, s: lambda a, b, c: not d(a, c, b) if d(a, b, c) else None,
+    "trans-1": lambda d, s: (
+        lambda a, b, c, e: not d(a, e, c) if d(a, b, c) and d(a, e, b) else None
+    ),
+    "omega-star-com": lambda d, s: lambda a, b: s(a, b) == s(b, a),
+    "omega-id": lambda d, s: lambda a: (aa := s(a, a)) is None or aa == a,
+    "omega-asso": _omega_asso,
+    "delta-sum1": lambda d, s: (
+        lambda a, b, c: None if not d(a, b, c) or (aa := s(a, a)) is None else d(aa, b, c)
+    ),
+    "delta-sum2": lambda d, s: (
+        lambda a, b, c: None if not d(a, b, c) or (bb := s(b, b)) is None else d(a, bb, c)
+    ),
+    "delta-sum3": lambda d, s: (
+        lambda a, b, c: None if not d(a, b, c) or (cc := s(c, c)) is None else d(a, b, cc)
+    ),
+}
 
 
 # The live mask of a law every instance of which is substantive.

@@ -29,24 +29,8 @@ def subset_names(subset) -> list[str]:
 
 
 def verdict_dict(v: Verdict) -> dict:
-    return {
-        "axiom": v.axiom,
-        "status": v.status,
-        "witnesses": [[subset_names(part) for part in w] for w in v.witnesses],
-        "instances_checked": v.instances_checked,
-        "mode": v.mode,
-        "seed": v.seed,
-        "note": v.note,
-    }
-
-
-def classification_dict(c) -> dict:
-    return {
-        "is_mss": c.is_mss,
-        "is_strict": c.is_strict,
-        "is_rough": c.is_rough,
-        "is_gmss": c.is_gmss,
-    }
+    """The verdict's fields, each witness as lists of element names."""
+    return {**v._asdict(), "witnesses": [[subset_names(part) for part in w] for w in v.witnesses]}
 
 
 def structure_summary(cfg: LabConfig) -> dict:
@@ -88,7 +72,7 @@ def axioms_section(cfg: LabConfig, *, seed: Optional[int]) -> dict:
         verdicts = verify(s, PER_DELTA_AXIOMS, seed=seed)
         per_delta[spec.name] = [verdict_dict(v) for v in verdicts]
         flags = classify(s, list(structural) + list(verdicts))
-        classification[spec.name] = classification_dict(flags)
+        classification[spec.name] = flags._asdict()
 
     section = {
         "structural": [verdict_dict(v) for v in structural],
@@ -122,9 +106,7 @@ def validation_section(cfg: LabConfig) -> dict:
                 "upper_deficit": (
                     None if r.upper_deficit is None else subset_names(r.upper_deficit)
                 ),
-                "lu_valid": r.grades.lu_valid,
-                "l_pre_valid": r.grades.l_pre_valid,
-                "u_pre_valid": r.grades.u_pre_valid,
+                **r.grades._asdict(),
                 "proposition": verdict_dict(r.proposition),
             }
             for r in report.per_cluster

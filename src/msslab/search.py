@@ -39,7 +39,9 @@ def _is_int(value) -> bool:
 
 
 def _is_laws(value) -> bool:
-    return isinstance(value, tuple) and all(isinstance(a, str) and a in LAWS for a in value)
+    return isinstance(value, (list, tuple)) and all(
+        isinstance(a, str) and a in LAWS for a in value
+    )
 
 
 # Each field of a search spec: the test its value must pass, and the
@@ -74,10 +76,12 @@ class _SearchFields(NamedTuple):
 
 class SearchSpec(_SearchFields):
     """The fields of a search, each checked by ``FIELD_CHECKS`` when the
-    spec is constructed; a refused field is a ``ParseError`` naming it.
-    A required or forbidden law that no searched structure can decide,
-    one that reads a slot outside ``SEARCHED_SLOTS`` or has no
-    definition, is refused too: its verdict could never match."""
+    spec is constructed; a refused field is a ``ParseError`` naming it and
+    quoting the value as given. ``required`` and ``forbidden`` may be
+    given as lists and are kept as tuples. A required or forbidden law
+    that no searched structure can decide, one that reads a slot outside
+    ``SEARCHED_SLOTS`` or has no definition, is refused too: its verdict
+    could never match."""
 
     __slots__ = ()
 
@@ -100,7 +104,8 @@ class SearchSpec(_SearchFields):
                     raise ParseError(f"{a} reads {unbound}, which a search never binds", field)
                 if not LAWS[a].defined:
                     raise ParseError(f"{a} has no definition", field)
-        return self
+        # A law list is kept as a tuple, so the spec hashes and equals its tuple form.
+        return super().__new__(cls, *[tuple(v) if isinstance(v, list) else v for v in self])
 
     @classmethod
     def _make(cls, iterable):

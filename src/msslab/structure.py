@@ -17,7 +17,9 @@ arity of its instances and its theorem reasons. The laws that are not
 theorems are swept on masks (``evaluator``), reading each slot's own
 mask form: l and u are the granulation's mask tables, the ones its
 E2/uE1 predicates and granular sum read too, and delta and the sum are
-compiled once per predicate and per sum.
+compiled once per predicate and per sum. lclu's instance is written in
+``evaluator``; that of every law on delta or the sum lives in
+``kernels.INSTANCES``.
 """
 
 from __future__ import annotations
@@ -266,11 +268,12 @@ def reduct(s: MssStructure, keep: Iterable[str]) -> MssStructure:
 
 
 def evaluator(s: MssStructure, axiom: str) -> Callable[..., Optional[bool]]:
-    """The instance evaluator of one swept axiom over ``s``, taking masks.
+    """The instance of one swept law over ``s``, taking masks.
 
-    It reads the slots' own mask forms: the granulation's l table, the
-    predicate's and the sum's ``masked()`` (the sum returns None where
-    undefined).
+    lclu's instance reads the granulation's l table and κ and is written
+    here. Every other law's is ``kernels.INSTANCES[axiom]``, built on the
+    predicate's and the sum's ``masked()`` forms (None for an unbound
+    slot; the sum returns None where undefined).
     """
     law = LAWS.get(axiom)
     if law is None or law.arity is None:
@@ -278,12 +281,10 @@ def evaluator(s: MssStructure, axiom: str) -> Callable[..., Optional[bool]]:
     if axiom == "lclu":
         L, kappa = s.ops.lower_table, frozenset(s.kappa)
         return lambda a: L[a] in kappa if a in kappa else None
-    from . import kernels  # only a law on delta or the sum reads it
+    from .kernels import INSTANCES  # only a law on delta or the sum reads it
 
     d = s.delta.masked() if s.delta is not None else None
-    if "sum" in law.reads:
-        return kernels.sum_evaluator(d, s.sum.masked(), axiom)
-    return kernels.coherence_evaluator(d, axiom)
+    return INSTANCES[axiom](d, s.sum.masked() if s.sum is not None else None)
 
 
 def axiom_instance(s: MssStructure, axiom: str, args) -> Optional[bool]:

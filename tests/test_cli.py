@@ -277,9 +277,14 @@ def test_search_report_lists_members_in_universe_order():
 
 
 def test_search_spec_errors_quote_the_value_as_written(repo_root, tmp_path):
-    result = run_cli(repo_root, "search", str(write_config(tmp_path, {"n": [3]})))
-    assert result.returncode == 1
-    assert result.stderr == "msslab: parse error: n: expected an integer of at least 1, got [3]\n"
+    for document, message in (
+        ({"n": [3]}, "n: expected an integer of at least 1, got [3]"),
+        ({"n": 3, "required": ["nope"]}, "required: expected a list of axiom names, got ['nope']"),
+        ({"n": 3, "forbidden": [1]}, "forbidden: expected a list of axiom names, got [1]"),
+    ):
+        result = run_cli(repo_root, "search", str(write_config(tmp_path, document)))
+        assert result.returncode == 1
+        assert result.stderr == f"msslab: parse error: {message}\n"
 
 
 PAPER_CONFIG = json.loads((Path(__file__).resolve().parent.parent / FIXTURE).read_text())

@@ -10,6 +10,7 @@ from msslab import (
     DeltaPredicate,
     Granulation,
     MsslabError,
+    StructureError,
     SumOperation,
     Universe,
     UniverseMismatchError,
@@ -17,7 +18,7 @@ from msslab import (
 )
 from msslab.config import parse_config
 from msslab.delta import BUILTIN_DELTAS
-from msslab.kernels import coherence_evaluator, cube_verdict
+from msslab.kernels import INSTANCES, cube_verdict
 from msslab.oracles import StructureDescription, o_sum_law_holds
 from msslab.structure import LAWS, axiom_instance, check_axiom, evaluator
 from msslab.verdicts import sweep
@@ -152,6 +153,19 @@ def test_omega_asso_compares_by_conditional_equality():
     verdicts = {v.axiom: v.status for v in sum_laws(None, s)}
     assert verdicts["omega-asso"] == "holds"
     assert verdicts["omega-star-com"] == "fails"
+
+
+def test_the_instance_table_holds_exactly_the_swept_laws_on_delta_or_the_sum(H):
+    on_delta_or_sum = {
+        axiom
+        for axiom, law in LAWS.items()
+        if law.arity is not None and law.reads & {"delta", "sum"}
+    }
+    assert set(INSTANCES) == on_delta_or_sum
+    for axiom, law in LAWS.items():
+        if law.arity is None:
+            with pytest.raises(StructureError, match="has no instance evaluator"):
+                evaluator(assemble(H), axiom)
 
 
 def test_def_compat_examples(H, delta_builtins):
@@ -348,7 +362,7 @@ def test_trans1_is_still_sampled_at_ten_elements():
     d = DeltaPredicate.builtin("E0", u)
     v = check_axiom(assemble(u, delta=d), "trans-1")
     assert v.mode == "sampled" and v.seed == 0
-    assert v == sweep("trans-1", u, 4, coherence_evaluator(d.masked(), "trans-1"))
+    assert v == sweep("trans-1", u, 4, INSTANCES["trans-1"](d.masked(), None))
 
 
 # The laws the cube decides, every law that reads delta, and those besides

@@ -565,6 +565,11 @@ def test_search_spec_validation():
             SearchSpec(*args, **kwargs)
         with pytest.raises(ParseError, match=message):
             SearchSpec(4)._replace(**dict(zip(SearchSpec._fields, args)), **kwargs)
+    # A law list may be a list; the spec keeps it as a tuple.
+    listed = SearchSpec(n=3, required=["UL1"], forbidden=["i-coh"])
+    assert listed == SearchSpec(n=3, required=("UL1",), forbidden=("i-coh",))
+    assert hash(listed) == hash(SearchSpec(n=3, required=("UL1",), forbidden=("i-coh",)))
+    assert listed.required == ("UL1",) and listed.forbidden == ("i-coh",)
 
 
 def test_search_refuses_exactly_the_laws_no_searched_structure_can_decide():

@@ -96,6 +96,27 @@ MUTANTS = (
         (PAPER_CUBE,),
     ),
     Mutant(
+        "delta-sum2-squares-c",
+        KERNELS,
+        "(bb := s(b, b))",
+        "(bb := s(c, c))",
+        (PAPER_CUBE,),
+    ),
+    Mutant(
+        "omega-asso-strong-equality",
+        KERNELS,
+        "return left is None or right is None or left == right",
+        "return left == right",
+        ("tests/test_delta.py::test_omega_asso_compares_by_conditional_equality",),
+    ),
+    Mutant(
+        "n-coh-consequent-reads-abc",
+        KERNELS,
+        "lambda a, b, c: d(b, a, c) if d(a, b, c) else None",
+        "lambda a, b, c: d(a, b, c) if d(a, b, c) else None",
+        (PAPER_CUBE,),
+    ),
+    Mutant(
         "rank-off-by-one",
         "src/msslab/verdicts.py",
         "checked = 1 + sum(",
@@ -144,6 +165,22 @@ MUTANTS = (
         "    checks.sort(key=lambda check: LAWS[check[0]].arity is not None)\n",
         "",
         ("tests/test_search.py::test_forbidding_a_theorem_reads_no_delta_plane",),
+    ),
+    # Every law checked before the first mismatch stops the search.
+    Mutant(
+        "eager-checks",
+        SEARCH,
+        "if all(getattr(check_axiom(s, a), shown) for a, shown in checks):",
+        "if all([getattr(check_axiom(s, a), shown) for a, shown in checks]):",
+        ("tests/test_search.py::test_forbidding_a_theorem_reads_no_delta_plane",),
+    ),
+    # Every sampled relation drawn before the first table: another stream.
+    Mutant(
+        "bits-drawn-up-front",
+        SEARCH,
+        "bit_stream = (rng.randrange(total) for _ in range(spec.budget))",
+        "bit_stream = [rng.randrange(total) for _ in range(spec.budget)]",
+        ("tests/test_search.py::test_sampled_relations_under_extensional_tables_draw_a_pinned_stream",),
     ),
     Mutant(
         "no-parse-time-extensional-size-check",
