@@ -140,10 +140,9 @@ def _parse_search_spec(spec_data: dict, cli_seed):
         raise ParseError(f"unknown fields {sorted(unknown)}")
     if "n" not in spec_data:
         raise ParseError("missing required field", "n")
-    fields = dict(spec_data)
-    seed = fields.pop("seed", None)
-    # The document's own seed is checked even where --seed overrides it.
-    spec = SearchSpec(**fields, seed=DEFAULT_SEED if seed is None else seed)
+    seed = spec_data.get("seed")
+    # The document's own seed is checked even where --seed overrides it; null is no seed.
+    spec = SearchSpec(**{**spec_data, "seed": DEFAULT_SEED if seed is None else seed})
     return spec._replace(seed=_pick_seed(cli_seed, seed))
 
 

@@ -19,7 +19,8 @@ mask form: l and u are the granulation's mask tables, the ones its
 E2/uE1 predicates and granular sum read too, and delta and the sum are
 compiled once per predicate and per sum. lclu's instance is written in
 ``evaluator``; that of every law on delta or the sum lives in
-``kernels.INSTANCES``.
+``kernels.INSTANCES``. ``CLASSES`` lists the laws that define each
+structure class, and ``classify`` reads its flags from their verdicts.
 """
 
 from __future__ import annotations
@@ -165,9 +166,6 @@ LAWS = {
 
 AXIOM_ORDER = tuple(LAWS)
 THEOREMS = {name: law.theorem for name, law in LAWS.items() if law.theorem is not None}
-# The named conditions that define membership in the base structure class:
-# the eleven laws of the set slots and of l and u, and four coherence laws.
-DEFINITION_AXIOMS = AXIOM_ORDER[:11] + ("i-coh", "n-coh", "i-coh-2", "trans-1")
 ADMISSIBILITY_AXIOMS = tuple(name for name, law in LAWS.items() if "gamma" in law.reads)
 
 
@@ -272,12 +270,16 @@ def evaluator(s: MssStructure, axiom: str) -> Callable[..., Optional[bool]]:
 
     lclu's instance reads the granulation's l table and κ and is written
     here. Every other law's is ``kernels.INSTANCES[axiom]``, built on the
-    predicate's and the sum's ``masked()`` forms (None for an unbound
-    slot; the sum returns None where undefined).
+    predicate's and the sum's ``masked()`` forms (None for a slot the law
+    does not read; the sum returns None where undefined). A law that reads
+    an unbound slot has no instance.
     """
     law = LAWS.get(axiom)
     if law is None or law.arity is None:
         raise StructureError(f"axiom {axiom!r} has no instance evaluator")
+    unbound = law.reads - s.bound_slots()
+    if unbound:
+        raise StructureError(f"{axiom} reads unbound slots {sorted(unbound)}")
     if axiom == "lclu":
         L, kappa = s.ops.lower_table, frozenset(s.kappa)
         return lambda a: L[a] in kappa if a in kappa else None
@@ -378,6 +380,20 @@ class Classification(NamedTuple):
     is_gmss: Optional[bool]
 
 
+# The laws that define each structure class, by flag: the definitional
+# battery (the laws of the set slots and of l and u, and four coherence
+# laws), alone or with the asymmetry law, lclu or admissibility.
+CLASSES = {
+    flag: AXIOM_ORDER[:11] + ("i-coh", "n-coh", "i-coh-2", "trans-1") + extra
+    for flag, extra in (
+        ("is_mss", ()),
+        ("is_strict", ("strict-n-coh",)),
+        ("is_rough", ("lclu",)),
+        ("is_gmss", ADMISSIBILITY_AXIOMS),
+    )
+}
+
+
 def _all_pass(verdicts: dict[str, Verdict], axioms) -> Optional[bool]:
     if any(verdicts[a].failed for a in axioms if a in verdicts):
         return False
@@ -386,36 +402,13 @@ def _all_pass(verdicts: dict[str, Verdict], axioms) -> Optional[bool]:
     return True
 
 
-def _conj(*flags):
-    if any(flag is False for flag in flags):
-        return False
-    if any(flag is None for flag in flags):
-        return None
-    return True
+def classify(s: MssStructure, verdicts: Optional[Sequence[Verdict]] = None) -> Classification:
+    """The flags of ``CLASSES`` from ``verdicts`` (default: ``verify(s)``).
 
-
-def classify(
-    s: MssStructure, verdicts: Optional[Sequence[Verdict]] = None
-) -> Classification:
-    """Derive the structure-class flags from axiom verdicts.
-
-    ``is_mss`` needs the whole definitional battery; ``is_strict`` adds the
-    asymmetry law, ``is_rough`` adds closure of cluster membership under
-    the lower approximation, ``is_gmss`` adds an admissible granulation.
+    A flag is False when a law of its class fails, else None when one is
+    deferred or not among the verdicts, else True. A structure without
+    gamma is not a gmss.
     """
-    if verdicts is None:
-        verdicts = verify(s)
-    by_name = {v.axiom: v for v in verdicts}
-    for name in ("strict-n-coh", "lclu", *ADMISSIBILITY_AXIOMS):
-        if name not in by_name:
-            extra = check_axiom(s, name)
-            by_name[extra.axiom] = extra
-
-    is_mss = _all_pass(by_name, DEFINITION_AXIOMS)
-    is_strict = _conj(is_mss, _all_pass(by_name, ("strict-n-coh",)))
-    is_rough = _conj(is_mss, _all_pass(by_name, ("lclu",)))
-    if s.granulation is None:
-        is_gmss = False
-    else:
-        is_gmss = _conj(is_mss, _all_pass(by_name, ADMISSIBILITY_AXIOMS))
-    return Classification(is_mss, is_strict, is_rough, is_gmss)
+    by_name = {v.axiom: v for v in (verify(s) if verdicts is None else verdicts)}
+    flags = Classification(**{name: _all_pass(by_name, laws) for name, laws in CLASSES.items()})
+    return flags if s.granulation is not None else flags._replace(is_gmss=False)

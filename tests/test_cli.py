@@ -322,6 +322,19 @@ def test_mistyped_fields_are_parse_errors(repo_root, tmp_path, command, document
     assert "Traceback" not in result.stderr
 
 
+def test_search_spec_seed_is_checked_where_the_flag_overrides_it(repo_root, tmp_path):
+    spec = write_config(tmp_path, {"n": 2, "seed": "7"})
+    result = run_cli(repo_root, "search", str(spec), "--seed", "5")
+    assert result.returncode == 1
+    assert result.stderr.startswith("msslab: parse error: seed: ")
+    # a null seed is no seed, as in a config
+    spec = write_config(tmp_path, {"n": 2, "seed": None})
+    for flags, seed in (((), 0), (("--seed", "5"), 5)):
+        result = run_cli(repo_root, "search", str(spec), *flags)
+        assert result.returncode == 0
+        assert json.loads(result.stdout)["provenance"]["seed"] == seed
+
+
 def _def0(name, f):
     return {**PAPER_CONFIG, "delta": [{"kind": "def0", "name": name, "f": f}]}
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -26,11 +27,15 @@ from msslab.search import enumerate_structures, SearchSpec
 from msslab.structure import (
     ADMISSIBILITY_AXIOMS,
     AXIOM_ORDER,
+    CLASSES,
     LAWS,
     THEOREMS,
+    Classification,
     axiom_instance,
     check_axiom,
+    evaluator,
 )
+from msslab.verdicts import Verdict
 
 PASSING = ("holds", "vacuous")
 
@@ -296,6 +301,76 @@ def test_classify_defers_rough_without_kappa(H, granulation, delta_builtins):
     bare = assemble(H, granulation=granulation)
     flags = classify(bare)
     assert flags.is_mss is None and flags.is_rough is None
+
+
+# Each law a class adds to the definitional battery, with that class;
+# written out here, not read from CLASSES, so that a law dropped there shows.
+EXTRA_LAWS = [
+    ("strict-n-coh", "is_strict"),
+    ("lclu", "is_rough"),
+    *((law, "is_gmss") for law in ADMISSIBILITY_AXIOMS),
+]
+
+
+def made_up(fails=(), deferrals=(), missing=()):
+    """A verdict on every law: it holds, unless it is named here."""
+    status = {**dict.fromkeys(deferrals, "deferred"), **dict.fromkeys(fails, "fails")}
+    return [Verdict(law, status.get(law, "holds")) for law in AXIOM_ORDER if law not in missing]
+
+
+@pytest.fixture
+def gamma_bound(H, granulation):
+    return assemble(H, granulation=granulation)
+
+
+@pytest.fixture
+def gamma_unbound(gamma_bound):
+    return reduct(gamma_bound, gamma_bound.bound_slots() - {"gamma"})
+
+
+def test_classes_are_keyed_by_the_classification_fields():
+    assert tuple(CLASSES) == Classification._fields
+
+
+def test_a_class_holds_when_every_law_of_it_holds(gamma_bound, gamma_unbound):
+    assert classify(gamma_bound, made_up()) == (True, True, True, True)
+    # without gamma a structure is not a gmss, whatever its verdicts
+    assert classify(gamma_unbound, made_up()) == (True, True, True, False)
+    assert classify(gamma_unbound, made_up(missing=ADMISSIBILITY_AXIOMS)).is_gmss is False
+
+
+@pytest.mark.parametrize("law, flag", EXTRA_LAWS)
+def test_a_law_a_class_adds_changes_only_that_class(gamma_bound, law, flag):
+    others = {name: True for name in Classification._fields}
+    assert classify(gamma_bound, made_up(fails=[law]))._asdict() == {**others, flag: False}
+    assert classify(gamma_bound, made_up(deferrals=[law]))._asdict() == {**others, flag: None}
+    assert classify(gamma_bound, made_up(missing=[law]))._asdict() == {**others, flag: None}
+
+
+@pytest.mark.parametrize("law", AXIOM_ORDER[:11] + ("i-coh", "n-coh", "i-coh-2", "trans-1"))
+def test_a_battery_law_decides_every_class(gamma_bound, gamma_unbound, law):
+    assert classify(gamma_bound, made_up(fails=[law])) == (False,) * 4
+    assert classify(gamma_bound, made_up(deferrals=[law])) == (None,) * 4
+    assert classify(gamma_bound, made_up(missing=[law])) == (None,) * 4
+    assert classify(gamma_unbound, made_up(missing=[law])) == (None, None, None, False)
+
+
+def test_a_failure_beats_a_deferral(gamma_bound):
+    flags = classify(gamma_bound, made_up(fails=["lclu"], deferrals=["PT1"], missing=["TB"]))
+    assert flags == (None, None, False, None)
+
+
+def test_no_law_reading_an_unbound_slot_has_an_instance():
+    s = assemble(Universe(["x1", "x2"]))
+    empty = s.universe.subset([])
+    for name, law in LAWS.items():
+        if law.arity is None:
+            continue
+        message = f"{name} reads unbound slots {sorted(law.reads - s.bound_slots())}"
+        with pytest.raises(StructureError, match=re.escape(message)):
+            evaluator(s, name)
+        with pytest.raises(StructureError, match=re.escape(message)):
+            axiom_instance(s, name, (empty,) * law.arity)
 
 
 def test_approximation_laws_hold_for_all_generated_structures():

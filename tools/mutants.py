@@ -50,6 +50,8 @@ TWO_ELEMENT_ORACLE = "tests/test_search.py::test_verify_matches_oracle_on_all_tw
 SEARCH = "src/msslab/search.py"
 GRANULES = "src/msslab/granules.py"
 CLOSURE = "tests/test_granules.py::test_closure_matches_the_fixpoint_on_every_relation_of_three_elements"
+STRUCTURE = "src/msslab/structure.py"
+CLASS_EXTRAS = "tests/test_structure.py::test_a_law_a_class_adds_changes_only_that_class"
 
 MUTANTS = (
     Mutant(
@@ -223,6 +225,48 @@ MUTANTS = (
         "for x, column in enumerate(columns) if column >> y & 1)",
         "for x, column in enumerate(columns) if columns[y] >> x & 1)",
         (CLOSURE,),
+    ),
+    Mutant(
+        "no-strict-n-coh-in-is-strict",
+        STRUCTURE,
+        '("is_strict", ("strict-n-coh",)),',
+        '("is_strict", ()),',
+        (CLASS_EXTRAS,),
+    ),
+    Mutant(
+        "no-lclu-in-is-rough",
+        STRUCTURE,
+        '("is_rough", ("lclu",)),',
+        '("is_rough", ()),',
+        (CLASS_EXTRAS,),
+    ),
+    Mutant(
+        "no-admissibility-in-is-gmss",
+        STRUCTURE,
+        '("is_gmss", ADMISSIBILITY_AXIOMS),',
+        '("is_gmss", ()),',
+        (CLASS_EXTRAS,),
+    ),
+    Mutant(
+        "gmss-without-gamma",
+        STRUCTURE,
+        "return flags if s.granulation is not None else flags._replace(is_gmss=False)",
+        "return flags",
+        ("tests/test_structure.py::test_a_class_holds_when_every_law_of_it_holds",),
+    ),
+    Mutant(
+        "a-missing-law-passes",
+        STRUCTURE,
+        'if any(a not in verdicts or verdicts[a].status == "deferred" for a in axioms):',
+        'if any(a in verdicts and verdicts[a].status == "deferred" for a in axioms):',
+        (CLASS_EXTRAS,),
+    ),
+    Mutant(
+        "instance-on-an-unbound-slot",
+        STRUCTURE,
+        'raise StructureError(f"{axiom} reads unbound slots {sorted(unbound)}")',
+        "pass",
+        ("tests/test_structure.py::test_no_law_reading_an_unbound_slot_has_an_instance",),
     ),
 ) + tuple(
     # Each config table check dropped: the malformed case it refuses parses.
