@@ -16,7 +16,14 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .delta import BUILTIN_DELTAS, EXTENSIONAL_TABLE_LIMIT, DeltaPredicate, SumOperation
+from .delta import (
+    BUILTIN_DELTAS,
+    EXTENSIONAL_TABLE_LIMIT,
+    EXTENSIONAL_TABLE_REFUSED,
+    KEYED_KINDS,
+    DeltaPredicate,
+    SumOperation,
+)
 from .errors import MsslabError, ParseError
 from .granules import (
     BinaryRelation,
@@ -308,7 +315,7 @@ def _parse_deltas(universe, raw, granulation) -> tuple[DeltaSpec, ...]:
                 raise ParseError(
                     f"unknown builtin {entry!r}; expected one of {BUILTIN_DELTAS}", field
                 )
-            if entry in ("E2", "uE1") and granulation is None:
+            if KEYED_KINDS[entry].granular and granulation is None:
                 raise ParseError(f"{entry} needs a granulation", field)
             spec = DeltaSpec(name=entry, kind=entry)
         elif isinstance(entry, dict):
@@ -321,11 +328,7 @@ def _parse_deltas(universe, raw, granulation) -> tuple[DeltaSpec, ...]:
                 raise ParseError("expected a string", f"{field}.name")
             if kind == "extensional":
                 if universe.size > EXTENSIONAL_TABLE_LIMIT:
-                    raise ParseError(
-                        "extensional tables admitted only for universes of size"
-                        f" <= {EXTENSIONAL_TABLE_LIMIT}",
-                        field,
-                    )
+                    raise ParseError(EXTENSIONAL_TABLE_REFUSED, field)
                 triples = _rows(universe, entry.get("triples", []), f"{field}.triples", "[a, b, c]")
                 spec = DeltaSpec(name=name, kind=kind, table=triples)
             elif entry.get("f") == "union":

@@ -7,16 +7,17 @@ explicit triple table. The coherence and sum laws are evaluated on masks
 by the kernels of ``kernels`` and swept by ``structure.check_axiom``,
 which decides the laws that read δ, every coherence and delta-sum law,
 on the predicate's cube of rows (``DeltaPredicate.plane``) instead
-whenever its 2²ⁿ rows fit the budget (``kernels.cube_verdict``). A plane
-is built from the keys, or read off the table, with no call of the
-predicate, when a law's walk first reaches it. A sum of ``UNION_SUMS``
-is the union wherever it is defined, so the omega laws are theorems
-there.
+whenever its 2²ⁿ rows fit the budget (``kernels.cube_verdict``). Each
+constructor builds a predicate's key, R and mask function, or a sum's
+mask function, once; nothing is compiled lazily. A plane is built from
+the keys, or read off the table, with no call of the predicate, when a
+law's walk first reaches it. A sum of ``UNION_SUMS`` is the union
+wherever it is defined, so the omega laws are theorems there.
 """
 from __future__ import annotations
 
 import operator
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional
 
 from .errors import ConfigurationError, UniverseMismatchError
 from .granules import Granulation
@@ -27,55 +28,72 @@ BUILTIN_DELTAS = ("E0", "E1", "E2", "uE1")
 UNION_SUMS = ("total-union", "granular-sum")
 
 EXTENSIONAL_TABLE_LIMIT = 6
+EXTENSIONAL_TABLE_REFUSED = (
+    f"extensional tables admitted only for universes of size <= {EXTENSIONAL_TABLE_LIMIT}"
+)
 
 
-def _union(d):
+def _union(g):
     return operator.or_
 
 
-def _upper_of_union(d):
-    upper = d.granulation.upper_table
+def _upper_of_union(g):
+    upper = g.upper_table
     return lambda a, x: upper[a | x]
 
 
-def _lower_of_meet(d):
-    lower = d.granulation.lower_table
+def _lower_of_meet(g):
+    lower = g.lower_table
     return lambda a, x: lower[a & x]
 
 
-def _nearness(d):
-    return d.nearness
+class KeyedKind(NamedTuple):
+    """A kind that holds at (a, b, c) iff key(a, b) R key(a, c): R, the
+    maker of the key on masks from a granulation, and whether the kind
+    needs one."""
+
+    relation: str
+    make_key: Optional[Callable[[Granulation], Callable[[int, int], int]]]
+    granular: bool
 
 
-# Each kind but "extensional" holds at (a, b, c) iff key(a, b) R key(a, c):
-# the key on masks, built from the predicate, and R.
 KEYED_KINDS = {
-    "E0": (_union, "⊆"),
-    "E1": (_union, "⊊"),
-    "uE1": (_upper_of_union, "⊆"),
-    "E2": (_lower_of_meet, "⊋"),
-    "def0": (_nearness, "⊆"),
+    "E0": KeyedKind("⊆", _union, False),
+    "E1": KeyedKind("⊊", _union, False),
+    "uE1": KeyedKind("⊆", _upper_of_union, True),
+    "E2": KeyedKind("⊋", _lower_of_meet, True),
+    "def0": KeyedKind("⊆", None, False),  # the key is the map given to from_nearness
 }
 
 
 class DeltaPredicate:
     """Ternary predicate over subsets; total on the powerset cube.
 
-    Every kind is defined once, by its key and relation in ``KEYED_KINDS``
-    or by its table; ``masked`` and ``plane`` both read that definition.
-    Calling the predicate on subsets encodes them and evaluates ``masked``.
+    Every kind is defined once, by its row of ``KEYED_KINDS`` or by its
+    table. Each constructor builds the predicate's key, R and mask
+    function once; nothing is compiled lazily. ``masked`` returns the
+    mask function and ``plane`` reads the key and R. Calling the
+    predicate on subsets encodes them and evaluates ``masked``.
     """
 
-    __slots__ = ("universe", "kind", "granulation", "nearness", "table", "_masked", "_cube")
+    __slots__ = ("universe", "kind", "granulation", "table", "_key", "_relation", "_masked", "_cube")
 
-    def __init__(self, universe, kind, granulation=None, nearness=None, table=None):
+    def __init__(self, universe, kind, key=None, relation=None, granulation=None, table=None):
         self.universe = universe
         self.kind = kind
         self.granulation = granulation
-        self.nearness = nearness
         self.table = table
-        self._masked = None
+        self._key = key
+        self._relation = relation
         self._cube = None
+        if table is not None:
+            self._masked = lambda a, b, c: (a, b, c) in table
+        elif relation == "⊆":
+            self._masked = lambda a, b, c: not key(a, b) & ~key(a, c)
+        elif relation == "⊊":
+            self._masked = lambda a, b, c: (kb := key(a, b)) != (kc := key(a, c)) and not kb & ~kc
+        else:
+            self._masked = lambda a, b, c: (kb := key(a, b)) != (kc := key(a, c)) and not kc & ~kb
 
     @classmethod
     def builtin(
@@ -85,11 +103,12 @@ class DeltaPredicate:
         the others ignore it."""
         if name not in BUILTIN_DELTAS:
             raise ConfigurationError(f"unknown builtin delta {name!r}; expected one of {BUILTIN_DELTAS}")
-        if name in ("E2", "uE1") and granulation is None:
+        relation, make_key, granular = KEYED_KINDS[name]
+        if granular and granulation is None:
             raise ConfigurationError(f"delta {name} needs a granulation")
         if granulation is not None and granulation.universe != universe:
             raise UniverseMismatchError("granulation universe differs from the predicate's")
-        return cls(universe, name, granulation=granulation)
+        return cls(universe, name, make_key(granulation), relation, granulation=granulation)
 
     @classmethod
     def extensional_from_masks(
@@ -97,9 +116,7 @@ class DeltaPredicate:
     ) -> "DeltaPredicate":
         """The predicate true exactly on the listed (a, b, c) mask triples."""
         if universe.size > EXTENSIONAL_TABLE_LIMIT:
-            raise ConfigurationError(
-                f"extensional tables admitted only for universes of size <= {EXTENSIONAL_TABLE_LIMIT}"
-            )
+            raise ConfigurationError(EXTENSIONAL_TABLE_REFUSED)
         return cls(universe, "extensional", table=frozenset(mask_triples))
 
     @classmethod
@@ -111,15 +128,16 @@ class DeltaPredicate:
         f is a map on masks: the total ``table`` of (a, b) pairs, or union
         when no table is given.
         """
+        relation = KEYED_KINDS["def0"].relation
         if table is None:
-            return cls(universe, "def0", nearness=operator.or_)
+            return cls(universe, "def0", operator.or_, relation)
         size = 1 << universe.size
         if len(table) != size * size:
             raise ConfigurationError(
                 f"nearness table must be total: expected {size * size} pairs, got {len(table)}"
             )
         table = dict(table)
-        return cls(universe, "def0", nearness=lambda a, b: table[(a, b)])
+        return cls(universe, "def0", lambda a, b: table[(a, b)], relation)
 
     def sorted_table(self) -> tuple[tuple[int, int, int], ...]:
         """Canonical serialization order for extensional tables."""
@@ -128,28 +146,8 @@ class DeltaPredicate:
         return tuple(sorted(self.table))
 
     def masked(self) -> Callable[[int, int, int], bool]:
-        """The predicate on masks, compiled at the first call from the
-        kind's key and relation (``KEYED_KINDS``), or from its table."""
-        if self._masked is None:
-            self._masked = self._compile()
+        """The predicate on masks, built by its constructor."""
         return self._masked
-
-    def _compile(self) -> Callable[[int, int, int], bool]:
-        if self.kind == "extensional":
-            table = self.table
-            return lambda a, b, c: (a, b, c) in table
-        key, relation = self._keyed()
-        if relation == "⊆":
-            return lambda a, b, c: not key(a, b) & ~key(a, c)
-        if relation == "⊊":
-            return lambda a, b, c: (kb := key(a, b)) != (kc := key(a, c)) and not kb & ~kc
-        return lambda a, b, c: (kb := key(a, b)) != (kc := key(a, c)) and not kc & ~kb
-
-    def _keyed(self) -> tuple[Callable[[int, int], int], str]:
-        if self.kind not in KEYED_KINDS:
-            raise ConfigurationError(f"unknown delta kind {self.kind!r}")
-        build, relation = KEYED_KINDS[self.kind]
-        return build(self), relation
 
     def plane(self, a: int) -> tuple[list[int], list[int]]:
         """Plane ``a`` of the predicate's cube, ``(rows, cols)``, built at its
@@ -173,7 +171,7 @@ class DeltaPredicate:
             else:
                 self._cube = [None] * top
         if self._cube[a] is None:
-            key, relation = self._keyed()
+            key, relation = self._key, self._relation
             top = len(self._cube)
             keys = [key(a, x) for x in range(top)]
             groups = {}
@@ -218,49 +216,39 @@ class SumOperation:
 
     __slots__ = ("universe", "mode", "granulation", "table", "_masked")
 
-    def __init__(self, universe, mode, granulation=None, table=None):
+    def __init__(self, universe, mode, masked, granulation=None, table=None):
         self.universe = universe
         self.mode = mode
         self.granulation = granulation
         self.table = table
-        self._masked = None
+        self._masked = masked
 
     @classmethod
     def total_union(cls, universe: Universe) -> "SumOperation":
-        return cls(universe, "total-union")
+        return cls(universe, "total-union", operator.or_)
 
     @classmethod
     def granular(cls, g: Granulation) -> "SumOperation":
-        return cls(g.universe, "granular-sum", granulation=g)
+        lower = g.lower_table
+
+        def granular_sum(a, b):
+            u = a | b
+            return u if lower[u] == u else None
+
+        return cls(g.universe, "granular-sum", granular_sum, granulation=g)
 
     @classmethod
     def extensional(
         cls, universe: Universe, table: Mapping[tuple[int, int], int]
     ) -> "SumOperation":
-        return cls(universe, "extensional-partial", table=dict(table))
+        table = dict(table)
+        get = table.get
+        return cls(universe, "extensional-partial", lambda a, b: get((a, b)), table=table)
 
     def masked(self) -> Callable[[int, int], Optional[int]]:
-        """The sum on masks, None where it is undefined; compiled at the
-        first call."""
-        if self._masked is None:
-            self._masked = self._compile()
+        """The sum on masks, None where it is undefined; built by its
+        constructor."""
         return self._masked
-
-    def _compile(self) -> Callable[[int, int], Optional[int]]:
-        if self.mode == "total-union":
-            return operator.or_
-        if self.mode == "granular-sum":
-            lower = self.granulation.lower_table
-
-            def granular_sum(a, b):
-                u = a | b
-                return u if lower[u] == u else None
-
-            return granular_sum
-        if self.mode == "extensional-partial":
-            get = self.table.get
-            return lambda a, b: get((a, b))
-        raise ConfigurationError(f"unknown sum mode {self.mode!r}")
 
     def __call__(self, a: Subset, b: Subset) -> Subset | None:
         """``a + b``, or None where the sum is undefined."""

@@ -46,7 +46,7 @@ def structure_summary(cfg: LabConfig) -> dict:
         "delta_candidates": [d.name for d in cfg.deltas],
         "sum": cfg.sum_mode,
         "clustering": cluster_names(cfg),
-        "reduct": list(cfg.reduct_keep) if cfg.reduct_keep else None,
+        "reduct": list(cfg.reduct_keep) if cfg.reduct_keep is not None else None,
     }
 
 
@@ -253,8 +253,8 @@ def render_text(report: dict) -> str:
             out(f"  granules: {', '.join(_set_text(g) for g in structure['granules'])}")
         if structure.get("clustering"):
             out(f"  clustering: {', '.join(_set_text(c) for c in structure['clustering'])}")
-        if structure.get("reduct"):
-            out(f"  reduct keeps: {' '.join(structure['reduct'])}")
+        if structure.get("reduct") is not None:
+            out(f"  reduct keeps: {' '.join(structure['reduct']) or 'no slots'}")
 
     if report.get("axioms"):
         _render_axioms(out, report["axioms"])

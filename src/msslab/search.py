@@ -20,7 +20,7 @@ from functools import partial
 from itertools import repeat
 from typing import Callable, Iterator, NamedTuple, Optional
 
-from .delta import BUILTIN_DELTAS, EXTENSIONAL_TABLE_LIMIT, DeltaPredicate
+from .delta import BUILTIN_DELTAS, EXTENSIONAL_TABLE_LIMIT, EXTENSIONAL_TABLE_REFUSED, DeltaPredicate
 from .errors import BudgetError, ParseError
 from .granules import Granulation
 from .sets import Universe
@@ -93,10 +93,7 @@ class SearchSpec(_SearchFields):
                 raise ParseError(f"expected {expected}, got {value!r}", field)
         # Refused before any table is drawn: a table draws 2**(3n) values.
         if self.extensional and self.n > EXTENSIONAL_TABLE_LIMIT:
-            raise ParseError(
-                f"extensional tables admitted only for universes of size <= {EXTENSIONAL_TABLE_LIMIT}",
-                "n",
-            )
+            raise ParseError(EXTENSIONAL_TABLE_REFUSED, "n")
         for field in ("required", "forbidden"):
             for a in getattr(self, field):
                 unbound = sorted(LAWS[a].reads - SEARCHED_SLOTS)

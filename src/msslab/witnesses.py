@@ -52,7 +52,8 @@ def replay_failures(cfg: LabConfig, report) -> list[str]:
         witnesses = []
         for i, w in enumerate(_expect(v.get("witnesses", []), list, f"{field}.witnesses")):
             at = f"{field}.witnesses[{i}]"
-            if arity is not None and len(_expect(w, list, at)) != arity:
+            # Every witness is an array, also of a law with no arity.
+            if len(_expect(w, list, at)) != arity and arity is not None:
                 raise ParseError(f"a witness of {name} must have {arity} subsets", at)
             for j, part in enumerate(w):
                 for k, element in enumerate(_expect(part, list, f"{at}[{j}]")):

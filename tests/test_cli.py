@@ -365,6 +365,8 @@ MALFORMED_CONFIGS = {
         {**PAPER_CONFIG, "delta": [{"kind": "extensional", "tripels": []}]},
         "delta[0]",
     ),
+    "uE1-without-granulation": ({"universe": ["x1", "x2"], "delta": ["uE1"]}, "delta[0]"),
+    "granular-sum-without-granulation": ({"universe": ["x1", "x2"], "sum": "granular-sum"}, "sum"),
     # Refused at parse, before any sweep runs, not when the table is built.
     "extensional-table-on-seven-elements": (
         {
@@ -727,6 +729,19 @@ def test_reports_and_configs_match_the_schemas(repo_root, tmp_path):
         report_schema.validate(report)
 
 
+def test_an_empty_reduct_is_reported_as_keeping_no_slots(repo_root, tmp_path):
+    config = str(write_config(tmp_path, {**PAPER_CONFIG, "reduct": []}))
+    result = run_cli(repo_root, "check-axioms", config)
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout)
+    schema_validator(repo_root, "report.schema.json").validate(report)
+    assert report["structure"]["reduct"] == []
+    statuses = {v["status"] for vs in report["axioms"]["per_delta"].values() for v in vs}
+    assert statuses == {"deferred"}
+    text = run_cli(repo_root, "check-axioms", config, "--format", "text").stdout
+    assert "\n  reduct keeps: no slots\n" in text
+
+
 def test_schema_refuses_traceability_flags(repo_root):
     jsonschema = pytest.importorskip("jsonschema")
     report_schema = schema_validator(repo_root, "report.schema.json")
@@ -849,6 +864,17 @@ def test_replay_subcommand_exits_2_on_a_forged_step5_witness(repo_root, tmp_path
     assert result.stderr == "msslab: per_delta[E1]: a witness of trans-1 does not replay\n"
 
 
+def test_replay_subcommand_exits_2_on_a_compatibility_witness_that_holds(repo_root, tmp_path):
+    report = json.loads((GOLDEN / "paper-validate.json").read_text(encoding="utf-8"))
+    e2 = next(row for row in report["validation"]["compatibility"] if row["delta"] == "E2")
+    full = PAPER_CONFIG["universe"]
+    e2["witnesses"] = [[full, full, []]]  # l(H ∩ H) = H ⊋ ∅ = l(H ∩ ∅), so E2 holds
+    forged = write_config(tmp_path, report, "forged.json")
+    result = run_cli(repo_root, "replay", FIXTURE, str(forged))
+    assert result.returncode == 2
+    assert result.stderr == "msslab: compatibility[E2]: witness does not violate\n"
+
+
 @pytest.mark.parametrize(
     "content, message",
     [
@@ -905,6 +931,11 @@ def test_replay_subcommand_exits_2_on_a_forged_step5_witness(repo_root, tmp_path
             ),
             "a witness of trans-1 must have 4 subsets",
         ),
+        # PT1 is a theorem with no arity, so only the shape check reads the witness.
+        (
+            json.dumps({"axioms": {"structural": [{"axiom": "PT1", "status": "fails", "witnesses": [5]}]}}),
+            "axioms.structural[0].witnesses[0]: must be an array",
+        ),
     ],
     ids=[
         "invalid-json",
@@ -915,6 +946,7 @@ def test_replay_subcommand_exits_2_on_a_forged_step5_witness(repo_root, tmp_path
         "axioms-not-an-object",
         "witnesses-not-an-array",
         "witness-of-the-wrong-arity",
+        "witness-of-a-theorem-not-an-array",
     ],
 )
 def test_replay_subcommand_exits_1_on_a_report_it_cannot_read(repo_root, tmp_path, content, message):

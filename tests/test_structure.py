@@ -157,6 +157,8 @@ def test_assemble_rejects_mixed_universes(H, granulation):
         assemble(other, granulation=granulation)
     with pytest.raises(UniverseMismatchError):
         assemble(H, granulation=granulation, delta=DeltaPredicate.builtin("E0", other))
+    with pytest.raises(UniverseMismatchError, match="sum operation"):
+        assemble(H, granulation=granulation, sum=SumOperation.total_union(other))
 
 
 # Each constructor that takes subset masks, and whether it needs them nonempty.

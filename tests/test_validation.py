@@ -140,6 +140,9 @@ def test_validate_clustering_rejects_operators_of_another_universe(granulation):
         validate_clustering(foreign, granulation)
     with pytest.raises(UniverseMismatchError):
         validity_grades(other.full, granulation)
+    own = Clustering(granulation.universe, [0b0011])
+    with pytest.raises(UniverseMismatchError, match="clustering and predicate"):
+        check_compatibility(own, DeltaPredicate.builtin("E0", other))
 
 
 def test_clustering_validation_errors(H):

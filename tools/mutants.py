@@ -51,6 +51,9 @@ SEARCH = "src/msslab/search.py"
 GRANULES = "src/msslab/granules.py"
 CLOSURE = "tests/test_granules.py::test_closure_matches_the_fixpoint_on_every_relation_of_three_elements"
 STRUCTURE = "src/msslab/structure.py"
+DELTA = "src/msslab/delta.py"
+# The malformed config case that a config check refuses, run through validate.
+MALFORMED = "tests/test_cli.py::test_malformed_configs_are_parse_errors_naming_the_field[{}-validate]"
 CLASS_EXTRAS = "tests/test_structure.py::test_a_law_a_class_adds_changes_only_that_class"
 
 MUTANTS = (
@@ -261,6 +264,24 @@ MUTANTS = (
         'if any(a in verdicts and verdicts[a].status == "deferred" for a in axioms):',
         (CLASS_EXTRAS,),
     ),
+    # uE1 built without a granulation: neither the config nor the builtin refuses it.
+    Mutant(
+        "uE1-reads-no-granulation",
+        DELTA,
+        '"uE1": KeyedKind("⊆", _upper_of_union, True),',
+        '"uE1": KeyedKind("⊆", _upper_of_union, False),',
+        (
+            MALFORMED.format("uE1-without-granulation"),
+            "tests/test_delta.py::test_builtin_requiring_operators_without_them",
+        ),
+    ),
+    Mutant(
+        "compatibility-witness-never-violates",
+        "src/msslab/witnesses.py",
+        "if d(*w):",
+        "if False:",
+        ("tests/test_cli.py::test_replay_subcommand_exits_2_on_a_compatibility_witness_that_holds",),
+    ),
     Mutant(
         "instance-on-an-unbound-slot",
         STRUCTURE,
@@ -275,28 +296,34 @@ MUTANTS = (
         "src/msslab/config.py",
         snippet,
         "if False:",
-        (f"tests/test_cli.py::test_malformed_configs_are_parse_errors_naming_the_field[{case}-validate]",),
+        (MALFORMED.format(case),),
     )
     for check, snippet, case in (
         ("totality", "if total and len(first) != pairs:", "f-not-total"),
         ("second-value", "if rows[i][2] != v:", "conflicting-sum-rows"),
         ("duplicate-cluster", "if first < k:", "duplicate-cluster"),
+        (
+            "delta-granulation",
+            "if KEYED_KINDS[entry].granular and granulation is None:",
+            "uE1-without-granulation",
+        ),
+        ("sum-granulation", "if granulation is None:", "granular-sum-without-granulation"),
     )
 ) + tuple(
     # One per keyed kind: its relation R swapped for another.
     Mutant(
         f"{kind}-relation-swapped",
-        "src/msslab/delta.py",
-        f'"{kind}": ({key}, "{relation}"),',
-        f'"{kind}": ({key}, "{swapped}"),',
+        DELTA,
+        f'"{kind}": KeyedKind("{relation}", {key}, {granular}),',
+        f'"{kind}": KeyedKind("{swapped}", {key}, {granular}),',
         (test,),
     )
-    for kind, key, relation, swapped, test in (
-        ("E0", "_union", "⊆", "⊊", TWO_ELEMENT_ORACLE),
-        ("E1", "_union", "⊊", "⊆", TWO_ELEMENT_ORACLE),
-        ("uE1", "_upper_of_union", "⊆", "⊊", TWO_ELEMENT_ORACLE),
-        ("E2", "_lower_of_meet", "⊋", "⊊", TWO_ELEMENT_ORACLE),
-        ("def0", "_nearness", "⊆", "⊊", "tests/test_delta.py::test_def0_with_union_map_matches_plain_inclusion"),
+    for kind, relation, key, granular, swapped, test in (
+        ("E0", "⊆", "_union", False, "⊊", TWO_ELEMENT_ORACLE),
+        ("E1", "⊊", "_union", False, "⊆", TWO_ELEMENT_ORACLE),
+        ("uE1", "⊆", "_upper_of_union", True, "⊊", TWO_ELEMENT_ORACLE),
+        ("E2", "⊋", "_lower_of_meet", True, "⊊", TWO_ELEMENT_ORACLE),
+        ("def0", "⊆", None, False, "⊊", "tests/test_delta.py::test_def0_with_union_map_matches_plain_inclusion"),
     )
 )
 
