@@ -4,12 +4,12 @@
 to a subset mask or a relation pair's index, where it reads it, and
 checks each table and list against its contract there: a def0 nearness
 table is total, a sum table gives each pair at most one value, clusters
-are nonempty and distinct, an extensional δ table is admitted only on a
-small universe. A malformed document is a ``ParseError`` naming the
-offending field, and nothing is built from it. ``LabConfig`` and
-``DeltaSpec`` hold masks only, a relation its predecessor columns, so
-building a structure, a predicate, the sum or the clustering never
-reads a name again.
+are nonempty, no cluster, compatibility mode or reduct slot is listed
+twice, an extensional δ table is admitted only on a small universe. A
+malformed document is a ``ParseError`` naming the offending field, and
+nothing is built from it. ``LabConfig`` and ``DeltaSpec`` hold masks
+only, a relation its predecessor columns, so building a structure, a
+predicate, the sum or the clustering never reads a name again.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .granules import (
 )
 from .sets import Universe
 from .structure import SIGNATURE_SLOTS, MssStructure, assemble, reduct
-from .validation import COMPATIBILITY_MODES, Clustering
+from .validation import COMPATIBILITY_MODES
 
 KNOWN_FIELDS = {
     "universe",
@@ -99,14 +99,7 @@ class LabConfig(NamedTuple):
             return SumOperation.extensional(self.universe, table)
         return None
 
-    def clustering(self) -> Optional[Clustering]:
-        if self.clusters is None:
-            return None
-        return Clustering(self.universe, self.clusters)
-
-    def structure(
-        self, delta_spec: Optional[DeltaSpec] = None, *, apply_reduct: bool = True
-    ) -> MssStructure:
+    def structure(self, delta_spec: Optional[DeltaSpec] = None) -> MssStructure:
         built = assemble(
             self.universe,
             granulation=self.granulation,
@@ -114,7 +107,7 @@ class LabConfig(NamedTuple):
             sum=self.sum_operation(),
             kappa=self.clusters,
         )
-        if apply_reduct and self.reduct_keep is not None:
+        if self.reduct_keep is not None:
             # A config may list slots that this particular assembly leaves
             # unbound (e.g. delta while candidates are still being tried);
             # keep whatever of the request is actually bound.
@@ -133,6 +126,15 @@ def _known(raw: dict, fields, field) -> None:
     unknown = set(raw) - set(fields)
     if unknown:
         raise ParseError(f"unknown fields {sorted(unknown)}", field)
+
+
+def _distinct(values: list, field) -> tuple:
+    """The entries as a tuple; an entry equal to an earlier one is refused."""
+    for k, value in enumerate(values):
+        first = values.index(value)
+        if first < k:
+            raise ParseError(f"duplicate of {field}[{first}]", f"{field}[{k}]")
+    return tuple(values)
 
 
 def _indices(universe: Universe, value, field) -> list[int]:
@@ -227,25 +229,22 @@ def parse_config(data: dict) -> LabConfig:
 
     clusters = None
     if data.get("clustering") is not None:
-        clusters = tuple(_subsets(universe, data["clustering"], "clustering", "cluster"))
+        clusters = _subsets(universe, data["clustering"], "clustering", "cluster")
         if not clusters:
             raise ParseError("expected a nonempty list of clusters", "clustering")
-        for k, mask in enumerate(clusters):
-            first = clusters.index(mask)
-            if first < k:
-                raise ParseError(f"duplicate of clustering[{first}]", f"clustering[{k}]")
+        clusters = _distinct(clusters, "clustering")
 
     modes = ("overlap-closer",)
     if data.get("compatibility_modes") is not None:
         raw_modes = _names(data["compatibility_modes"], "compatibility_modes", "mode names")
-        modes = tuple(raw_modes) or modes
+        modes = _distinct(raw_modes, "compatibility_modes") or modes
     for mode in modes:
         if mode not in COMPATIBILITY_MODES:
             raise ParseError(f"unsupported compatibility mode {mode!r}", "compatibility_modes")
 
     reduct_keep = None
     if data.get("reduct") is not None:
-        reduct_keep = tuple(_names(data["reduct"], "reduct", "slot names"))
+        reduct_keep = _distinct(_names(data["reduct"], "reduct", "slot names"), "reduct")
         for slot in reduct_keep:
             if slot not in SIGNATURE_SLOTS:
                 raise ParseError(f"unknown signature slot {slot!r}", "reduct")

@@ -33,7 +33,7 @@ def run_pipeline(
         raise ParseError("missing clustering input", "clustering")
     seed = cfg.run_seed(seed)
 
-    skeleton = cfg.structure(None, apply_reduct=False)
+    skeleton = cfg._replace(reduct_keep=None).structure(None)
     bound = cfg.structure(None)
     step1 = {
         "structure": structure_summary(cfg),

@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING, Optional
 
 from .errors import ParseError
 from .structure import ADMISSIBILITY_AXIOMS, LAWS, classify, verify
-from .validation import check_compatibility, validate_clustering
+from .validation import ClusterGrades, Clustering, check_compatibility, validate_clustering
 from .verdicts import Verdict, deferred, provenance, to_json
 
 if TYPE_CHECKING:  # annotations only
@@ -85,9 +85,9 @@ def axioms_section(cfg: LabConfig, *, seed: Optional[int]) -> dict:
 
 
 def validation_section(cfg: LabConfig) -> dict:
-    clustering = cfg.clustering()
-    if clustering is None:
+    if cfg.clusters is None:
         raise ParseError("missing clustering input", "clustering")
+    clustering = Clustering(cfg.universe, cfg.clusters)
     s = cfg.structure(None)
     section: dict = {}
 
@@ -111,12 +111,8 @@ def validation_section(cfg: LabConfig) -> dict:
             }
             for r in report.per_cluster
         ]
-        section["clustering_grades"] = {
-            "lu_valid": report.lu_valid,
-            "l_pre_valid": report.l_pre_valid,
-            "u_pre_valid": report.u_pre_valid,
-        }
-        section["note"] = report.note
+        section["clustering_grades"] = report.grades._asdict()
+        section["note"] = "lu-validity is the two-sided fixpoint lower(C) = upper(C) = C"
 
     compat = []
     for spec in cfg.deltas:
@@ -126,16 +122,13 @@ def validation_section(cfg: LabConfig) -> dict:
                 verdict = deferred(f"compatibility:{mode_name}")
             else:
                 verdict = check_compatibility(clustering, d, mode_name)
+            row = verdict_dict(verdict)
             compat.append(
                 {
                     "delta": spec.name,
                     "mode": mode_name,
                     "compatible": None if d is None else not verdict.failed,
-                    "status": verdict.status,
-                    "witnesses": [
-                        [subset_names(part) for part in w] for w in verdict.witnesses
-                    ],
-                    "instances_checked": verdict.instances_checked,
+                    **{key: row[key] for key in ("status", "witnesses", "instances_checked")},
                 }
             )
     section["compatibility"] = compat
@@ -191,7 +184,7 @@ def _verdict_line(out, v, label=None):
         first = v["witnesses"][0]
         witness = "  witness " + " ".join(_set_text(p) for p in first)
     note = f"  ({v['note']})" if v.get("note") else ""
-    out(f"  {label or v['axiom']:<34} {v['status']:<12}{witness}{note}")
+    out(f"  {label or v['axiom']:<34} {v['status']:<12}{witness}{note}".rstrip())
 
 
 def _render_axioms(out, axioms):
@@ -222,9 +215,7 @@ def _render_validation(out, validation):
         lo = "undefined" if row["lower_deficit"] is None else _set_text(row["lower_deficit"])
         up = "undefined" if row["upper_deficit"] is None else _set_text(row["upper_deficit"])
         out(f"  {cluster:<20} lower-deficit {lo:<14} upper-deficit {up}")
-        grades = ", ".join(
-            f"{key}={row[key]}" for key in ("lu_valid", "l_pre_valid", "u_pre_valid")
-        )
+        grades = ", ".join(f"{key}={row[key]}" for key in ClusterGrades._fields)
         out(f"    grades: {grades}")
         out(f"    proposition: {row['proposition']['status']}")
     grades = validation.get("clustering_grades", {})

@@ -348,13 +348,12 @@ def verify(
     axioms: Optional[Sequence[str]] = None,
     *,
     seed: Optional[int] = None,
-    budget: int = DEFAULT_SAMPLE_BUDGET,
 ) -> list[Verdict]:
     """Check the requested axioms (default: every registered one), in order."""
     requested = list(axioms) if axioms is not None else list(AXIOM_ORDER)
     if "gamma" not in s.bound_slots() and axioms is None:
         requested = [a for a in requested if a not in ADMISSIBILITY_AXIOMS]
-    return [check_axiom(s, axiom, seed=seed, budget=budget) for axiom in requested]
+    return [check_axiom(s, axiom, seed=seed) for axiom in requested]
 
 
 def replay(s: MssStructure, verdict: Verdict) -> bool:

@@ -108,11 +108,11 @@ class ClusterReport(NamedTuple):
 
 
 class ValidityReport(NamedTuple):
+    """Each cluster's report, and the clustering's grades: each grade holds
+    of the clustering when it holds of every cluster."""
+
     per_cluster: tuple[ClusterReport, ...]
-    lu_valid: bool
-    l_pre_valid: bool
-    u_pre_valid: bool
-    note: str = "lu-validity is the two-sided fixpoint lower(C) = upper(C) = C"
+    grades: ClusterGrades
 
 
 DEFICIT_TRACEABILITY = (
@@ -133,7 +133,8 @@ def check_proposition(c: Subset, g: Granulation) -> Verdict:
 
 
 def validate_clustering(cl: Clustering, g: Granulation) -> ValidityReport:
-    """Per-cluster deficits, grades, and proposition checks, then aggregates."""
+    """Per-cluster deficits, grades, and proposition checks, then the
+    clustering's grades."""
     if g.universe != cl.universe:
         raise UniverseMismatchError("clustering and operator universes differ")
     reports = tuple(
@@ -147,12 +148,8 @@ def validate_clustering(cl: Clustering, g: Granulation) -> ValidityReport:
         for c in map(cl.universe.from_mask, cl.clusters)
     )
 
-    return ValidityReport(
-        per_cluster=reports,
-        lu_valid=all(r.grades.lu_valid for r in reports),
-        l_pre_valid=all(r.grades.l_pre_valid for r in reports),
-        u_pre_valid=all(r.grades.u_pre_valid for r in reports),
-    )
+    grades = ClusterGrades(*map(all, zip(*(r.grades for r in reports))))
+    return ValidityReport(per_cluster=reports, grades=grades)
 
 
 def _compat_instances(cl: Clustering, mode: str):

@@ -352,6 +352,11 @@ MALFORMED_CONFIGS = {
         "sum.table[1]",
     ),
     "duplicate-cluster": ({**PAPER_CONFIG, "clustering": [["x1", "x3"], ["x3", "x1"]]}, "clustering[1]"),
+    "repeated-compatibility-mode": (
+        {**PAPER_CONFIG, "compatibility_modes": ["clue-singleton", "clue-singleton"]},
+        "compatibility_modes[1]",
+    ),
+    "repeated-reduct-slot": ({**PAPER_CONFIG, "reduct": ["P", "P", "l", "u", "delta"]}, "reduct[1]"),
     "empty-cluster": ({**PAPER_CONFIG, "clustering": [["x1"], []]}, "clustering[1]"),
     "numeric-delta-name": (_def0(7, "union"), "delta[0].name"),
     "element-named-twice": ({**PAPER_CONFIG, "universe": ["x1", "x2", "x1"]}, "universe"),
@@ -389,6 +394,19 @@ def test_malformed_configs_are_parse_errors_naming_the_field(tmp_path, capsys, c
     assert captured.out == ""
     assert captured.err.startswith(f"msslab: parse error: {field}: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["check-axioms", "validate", "pipeline"])
+def test_text_reports_end_no_line_in_whitespace(tmp_path, capsys, command):
+    from msslab.cli import main
+    from msslab.structure import SIGNATURE_SLOTS
+
+    # Without delta, every per-delta and compatibility row is deferred.
+    no_delta = {**PAPER_CONFIG, "reduct": [s for s in SIGNATURE_SLOTS if s != "delta"]}
+    for document in (PAPER_CONFIG, no_delta):
+        assert main([command, str(write_config(tmp_path, document)), "--format", "text"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines and [line for line in lines if line != line.rstrip()] == []
 
 
 def test_library_builders_fall_back_to_the_config_seed():
@@ -703,6 +721,8 @@ def test_config_schema_refuses_the_malformed_shapes(repo_root):
         "pairs-not-a-list",
         "sum-without-table",
         "misspelt-triples",
+        "repeated-compatibility-mode",
+        "repeated-reduct-slot",
     ):
         assert not config_schema.is_valid(MALFORMED_CONFIGS[case][0]), case
 

@@ -21,7 +21,7 @@ from msslab.delta import BUILTIN_DELTAS
 from msslab.oracles import o_deficits, o_pre_valid_search, powerset
 from msslab.pipeline import run_pipeline
 from msslab.search import SearchSpec, enumerate_structures
-from msslab.validation import COMPATIBILITY_MODES
+from msslab.validation import COMPATIBILITY_MODES, ClusterGrades
 
 
 def test_deficits_of_the_worked_example(H, granulation):
@@ -127,7 +127,16 @@ def test_proposition_holds_for_every_subset(H, granulation):
 def test_validate_clustering_aggregates(H, granulation, clustering):
     report = validate_clustering(clustering, granulation)
     assert len(report.per_cluster) == 3
-    assert not report.lu_valid and not report.l_pre_valid
+    grades = [r.grades for r in report.per_cluster]
+    assert report.grades == ClusterGrades(
+        lu_valid=all(g.lu_valid for g in grades),
+        l_pre_valid=all(g.l_pre_valid for g in grades),
+        u_pre_valid=all(g.u_pre_valid for g in grades),
+    )
+    # One cluster is l-pre-valid, so an OR over the clusters would read True.
+    l_pre_valid = [r.cluster.members() for r in report.per_cluster if r.grades.l_pre_valid]
+    assert l_pre_valid == [("x2", "x3")]
+    assert not report.grades.lu_valid and not report.grades.l_pre_valid
     by_cluster = {r.cluster.members(): r for r in report.per_cluster}
     assert by_cluster[("x2", "x4")].lower_deficit == H.subset(["x1", "x2", "x3"])
     assert all(r.proposition.status == "holds" for r in report.per_cluster)

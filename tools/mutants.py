@@ -282,6 +282,25 @@ MUTANTS = (
         "if False:",
         ("tests/test_cli.py::test_replay_subcommand_exits_2_on_a_compatibility_witness_that_holds",),
     ),
+    # A clustering's grades read as holding when any cluster's do.
+    Mutant(
+        "clustering-grades-any",
+        "src/msslab/validation.py",
+        "ClusterGrades(*map(all, ",
+        "ClusterGrades(*map(any, ",
+        (
+            "tests/test_cli.py::test_reports_match_golden_bytes"
+            "[validate-examples/paper-example.json-paper-validate.json]",
+            "tests/test_validation.py::test_validate_clustering_aggregates",
+        ),
+    ),
+    Mutant(
+        "verdict-line-padded",
+        "src/msslab/report.py",
+        '{witness}{note}".rstrip())',
+        '{witness}{note}")',
+        ("tests/test_cli.py::test_text_reports_end_no_line_in_whitespace[check-axioms]",),
+    ),
     Mutant(
         "instance-on-an-unbound-slot",
         STRUCTURE,
@@ -308,6 +327,19 @@ MUTANTS = (
             "uE1-without-granulation",
         ),
         ("sum-granulation", "if granulation is None:", "granular-sum-without-granulation"),
+    )
+) + tuple(
+    # Each list's repeat check dropped: a list that repeats an entry parses.
+    Mutant(
+        f"no-{check}-duplicate-check",
+        "src/msslab/config.py",
+        f'_distinct({value}, "{field}")',
+        f"tuple({value})",
+        (MALFORMED.format(case),),
+    )
+    for check, value, field, case in (
+        ("compatibility-mode", "raw_modes", "compatibility_modes", "repeated-compatibility-mode"),
+        ("reduct", '_names(data["reduct"], "reduct", "slot names")', "reduct", "repeated-reduct-slot"),
     )
 ) + tuple(
     # One per keyed kind: its relation R swapped for another.
