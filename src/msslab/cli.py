@@ -35,8 +35,7 @@ def _common_flags(p, strict=True):
         "--seed",
         type=int,
         default=None,
-        help="seed for sampled checks; defaults to the config seed, "
-        f"then MSSLAB_SEED, then {DEFAULT_SEED}",
+        help=f"seed for sampled checks; defaults to the document's seed, then {DEFAULT_SEED}",
     )
     p.add_argument("--output", type=Path, default=None, help="write report here instead of stdout")
     if strict:
@@ -90,20 +89,6 @@ def _load_json(path: Path) -> dict:
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
 
 
-def _pick_seed(cli_seed, config_seed) -> int:
-    if cli_seed is not None:
-        return cli_seed
-    if config_seed is not None:
-        return config_seed
-    env = os.environ.get("MSSLAB_SEED")
-    if not env:
-        return DEFAULT_SEED
-    try:
-        return int(env)
-    except ValueError:
-        raise ParseError(f"expected an integer, got {env!r}", "MSSLAB_SEED") from None
-
-
 def _emit(report: dict, args) -> None:
     if args.format == "json":
         text = to_json(report)
@@ -143,7 +128,7 @@ def _parse_search_spec(spec_data: dict, cli_seed):
     seed = spec_data.get("seed")
     # The document's own seed is checked even where --seed overrides it; null is no seed.
     spec = SearchSpec(**{**spec_data, "seed": DEFAULT_SEED if seed is None else seed})
-    return spec._replace(seed=_pick_seed(cli_seed, seed))
+    return spec if cli_seed is None else spec._replace(seed=cli_seed)
 
 
 def _structure_dict(s) -> dict:
@@ -209,15 +194,14 @@ def main(argv=None) -> int:
             return _replay(cfg, _load_json(args.report))
         from .report import build_check_axioms, build_validate, has_failures
 
-        seed = _pick_seed(args.seed, cfg.seed)
         if args.command == "check-axioms":
-            report = build_check_axioms(cfg, seed=seed)
+            report = build_check_axioms(cfg, seed=args.seed)
         elif args.command == "validate":
-            report = build_validate(cfg, seed=seed)
+            report = build_validate(cfg, seed=args.seed)
         else:
             from .pipeline import run_pipeline  # only this subcommand reads it
 
-            report = run_pipeline(cfg, seed=seed)
+            report = run_pipeline(cfg, seed=args.seed)
         _emit(report, args)
         if getattr(args, "strict_exit", False) and has_failures(report):
             return EXIT_STRICT

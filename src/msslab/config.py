@@ -238,16 +238,16 @@ def parse_config(data: dict) -> LabConfig:
     if data.get("compatibility_modes") is not None:
         raw_modes = _names(data["compatibility_modes"], "compatibility_modes", "mode names")
         modes = _distinct(raw_modes, "compatibility_modes") or modes
-    for mode in modes:
+    for k, mode in enumerate(modes):
         if mode not in COMPATIBILITY_MODES:
-            raise ParseError(f"unsupported compatibility mode {mode!r}", "compatibility_modes")
+            raise ParseError(f"unsupported compatibility mode {mode!r}", f"compatibility_modes[{k}]")
 
     reduct_keep = None
     if data.get("reduct") is not None:
         reduct_keep = _distinct(_names(data["reduct"], "reduct", "slot names"), "reduct")
-        for slot in reduct_keep:
+        for k, slot in enumerate(reduct_keep):
             if slot not in SIGNATURE_SLOTS:
-                raise ParseError(f"unknown signature slot {slot!r}", "reduct")
+                raise ParseError(f"unknown signature slot {slot!r}", f"reduct[{k}]")
 
     seed = data.get("seed")
     if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):

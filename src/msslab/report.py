@@ -187,45 +187,52 @@ def _verdict_line(out, v, label=None):
     out(f"  {label or v['axiom']:<34} {v['status']:<12}{witness}{note}".rstrip())
 
 
-def _render_axioms(out, axioms):
-    out("axioms:")
-    for v in axioms.get("structural", []):
-        _verdict_line(out, v)
-    for name, verdicts in sorted(axioms.get("per_delta", {}).items()):
-        out(f"axioms under {name}:")
-        for v in verdicts:
+def _pairs(row: dict) -> str:
+    """``key=value`` for each entry, in the JSON's sorted key order."""
+    return ", ".join(
+        f"{key}={'deferred' if val is None else val}" for key, val in sorted(row.items())
+    )
+
+
+def _note(out, section):
+    if section.get("note"):
+        out(f"  note: {section['note']}")
+
+
+def _render_section(out, section):
+    """The axioms and validation of a report, or of its step 5."""
+    axioms = section.get("axioms")
+    if axioms:
+        out("axioms:")
+        for v in axioms.get("structural", []):
             _verdict_line(out, v)
-    for name, flags in sorted(axioms.get("classification", {}).items()):
-        rendered = ", ".join(
-            f"{key}={'deferred' if val is None else val}"
-            for key, val in sorted(flags.items())
-        )
-        out(f"classification under {name}: {rendered}")
-    if axioms.get("note"):
-        out(f"  note: {axioms['note']}")
-
-
-def _render_validation(out, validation):
-    out("clusters:")
-    for row in validation.get("clusters", []):
-        cluster = _set_text(row["cluster"])
-        if row.get("status") == "deferred":
-            out(f"  {cluster:<20} deferred")
-            continue
-        lo = "undefined" if row["lower_deficit"] is None else _set_text(row["lower_deficit"])
-        up = "undefined" if row["upper_deficit"] is None else _set_text(row["upper_deficit"])
-        out(f"  {cluster:<20} lower-deficit {lo:<14} upper-deficit {up}")
-        grades = ", ".join(f"{key}={row[key]}" for key in ClusterGrades._fields)
-        out(f"    grades: {grades}")
-        out(f"    proposition: {row['proposition']['status']}")
-    grades = validation.get("clustering_grades", {})
-    if grades:
-        rendered = ", ".join(f"{key}={val}" for key, val in sorted(grades.items()))
-        out(f"clustering grades: {rendered}")
-    if validation.get("compatibility"):
-        out("compatibility:")
-        for row in validation["compatibility"]:
-            _verdict_line(out, row, label=f"{row['delta']} under {row['mode']}")
+        for name, verdicts in sorted(axioms.get("per_delta", {}).items()):
+            out(f"axioms under {name}:")
+            for v in verdicts:
+                _verdict_line(out, v)
+        for name, flags in sorted(axioms.get("classification", {}).items()):
+            out(f"classification under {name}: {_pairs(flags)}")
+        _note(out, axioms)
+    validation = section.get("validation")
+    if validation:
+        out("clusters:")
+        for row in validation.get("clusters", []):
+            cluster = _set_text(row["cluster"])
+            if row.get("status") == "deferred":
+                out(f"  {cluster:<20} deferred")
+                continue
+            lo = "undefined" if row["lower_deficit"] is None else _set_text(row["lower_deficit"])
+            up = "undefined" if row["upper_deficit"] is None else _set_text(row["upper_deficit"])
+            out(f"  {cluster:<20} lower-deficit {lo:<14} upper-deficit {up}")
+            out(f"    grades: {_pairs({key: row[key] for key in ClusterGrades._fields})}")
+            out(f"    proposition: {row['proposition']['status']}")
+        if validation.get("clustering_grades"):
+            out(f"clustering grades: {_pairs(validation['clustering_grades'])}")
+        if validation.get("compatibility"):
+            out("compatibility:")
+            for row in validation["compatibility"]:
+                _verdict_line(out, row, label=f"{row['delta']} under {row['mode']}")
+        _note(out, validation)
 
 
 def render_text(report: dict) -> str:
@@ -247,28 +254,20 @@ def render_text(report: dict) -> str:
         if structure.get("reduct") is not None:
             out(f"  reduct keeps: {' '.join(structure['reduct']) or 'no slots'}")
 
-    if report.get("axioms"):
-        _render_axioms(out, report["axioms"])
-    if report.get("validation"):
-        _render_validation(out, report["validation"])
+    _render_section(out, report)
 
     steps = report.get("steps")
     if steps:
         for name in ("step1_assemble", "step2_reduct", "step3_clustering", "step4_bind"):
             if name in steps:
                 out(f"{name}: {json.dumps(steps[name], sort_keys=True)}")
-        investigate = steps.get("step5_investigate", {})
-        if investigate.get("axioms"):
-            _render_axioms(out, investigate["axioms"])
-        if investigate.get("validation"):
-            _render_validation(out, investigate["validation"])
+        _render_section(out, steps.get("step5_investigate", {}))
 
     search = report.get("search")
     if search:
         out(f"search: found={search['found']} examined={search['examined']}")
         if search.get("structure"):
             out(f"  witness structure: {json.dumps(search['structure'], sort_keys=True)}")
-        if search.get("note"):
-            out(f"  {search['note']}")
+        _note(out, search)
 
     return "\n".join(lines) + "\n"

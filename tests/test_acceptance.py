@@ -5,7 +5,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 
 import functools
 import itertools
-import os
 import random
 import subprocess
 import sys
@@ -208,14 +207,11 @@ def test_criterion_8_proposition_sweep(three_element_granulations):
 @criterion(9, "deterministic reports")
 def test_criterion_9_determinism(repo_root):
     def run(*args):
-        env = dict(os.environ)
-        env.pop("MSSLAB_SEED", None)
         return subprocess.run(
             [sys.executable, "-m", "msslab", "validate", FIXTURE, *args],
             cwd=repo_root,
             capture_output=True,
             text=True,
-            env=env,
         )
 
     first = run("--seed", "7")

@@ -25,7 +25,6 @@ N7_CONFIG = "tests/golden/n7-config.json"
 
 def run_cli(repo_root, *args, env_extra=None):
     env = dict(os.environ)
-    env.pop("MSSLAB_SEED", None)
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -357,6 +356,11 @@ MALFORMED_CONFIGS = {
         "compatibility_modes[1]",
     ),
     "repeated-reduct-slot": ({**PAPER_CONFIG, "reduct": ["P", "P", "l", "u", "delta"]}, "reduct[1]"),
+    "unknown-compatibility-mode": (
+        {**PAPER_CONFIG, "compatibility_modes": ["overlap-closer", "nope"]},
+        "compatibility_modes[1]",
+    ),
+    "unknown-reduct-slot": ({**PAPER_CONFIG, "reduct": ["P", "nope"]}, "reduct[1]"),
     "empty-cluster": ({**PAPER_CONFIG, "clustering": [["x1"], []]}, "clustering[1]"),
     "numeric-delta-name": (_def0(7, "union"), "delta[0].name"),
     "element-named-twice": ({**PAPER_CONFIG, "universe": ["x1", "x2", "x1"]}, "universe"),
@@ -407,6 +411,60 @@ def test_text_reports_end_no_line_in_whitespace(tmp_path, capsys, command):
         assert main([command, str(write_config(tmp_path, document)), "--format", "text"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines and [line for line in lines if line != line.rstrip()] == []
+
+
+# The paper example without relation and granulation: l and u are unbound.
+UNGRANULATED_CONFIG = {
+    **{k: v for k, v in PAPER_CONFIG.items() if k not in ("relation", "granulation")},
+    "delta": ["E0", "E1"],
+    "sum": "total-union",
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "pipeline"])
+def test_text_reports_print_the_validation_note(tmp_path, capsys, command):
+    from msslab.cli import main
+
+    for document in (PAPER_CONFIG, UNGRANULATED_CONFIG):
+        path = str(write_config(tmp_path, document))
+        assert main([command, path]) == 0
+        report = json.loads(capsys.readouterr().out)
+        if command == "pipeline":
+            report = report["steps"]["step5_investigate"]
+        assert main([command, path, "--format", "text"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines.count(f"  note: {report['validation']['note']}") == 1
+
+
+@pytest.mark.parametrize("command", ["check-axioms", "validate", "pipeline"])
+def test_text_rows_list_their_keys_in_sorted_order(tmp_path, capsys, command):
+    from msslab.cli import main
+
+    assert main([command, str(write_config(tmp_path, PAPER_CONFIG)), "--format", "text"]) == 0
+    rows = [
+        line.split(": ", 1)[1].split(", ")
+        for line in capsys.readouterr().out.splitlines()
+        if line.lstrip().startswith(("grades:", "clustering grades:", "classification under "))
+    ]
+    assert rows
+    for row in rows:
+        keys = [pair.split("=")[0] for pair in row]
+        assert keys == sorted(keys), row
+
+
+def test_text_search_report_ends_in_its_note(tmp_path, capsys):
+    from msslab.cli import main
+
+    # the search-n3 benchmark spec, which finds nothing
+    spec = {
+        "n": 3,
+        "family": "relations",
+        "delta": "E2",
+        "required": ["i-coh-2", "strict-n-coh", "n-coh"],
+        "forbidden": ["UL1", "UL2"],
+    }
+    assert main(["search", str(write_config(tmp_path, spec)), "--format", "text"]) == 0
+    assert capsys.readouterr().out.endswith("\n  note: none within budget\n")
 
 
 def test_library_builders_fall_back_to_the_config_seed():
@@ -628,15 +686,12 @@ def test_package_resolves_submodules_and_refuses_unknown_names():
         from msslab import no_such_name  # noqa: F401
 
 
-def test_env_seed_is_honoured(repo_root):
-    result = run_cli(repo_root, "validate", FIXTURE, env_extra={"MSSLAB_SEED": "99"})
-    assert json.loads(result.stdout)["provenance"]["seed"] == 99
-
-
-def test_malformed_env_seed_is_a_parse_error(repo_root):
-    result = run_cli(repo_root, "validate", FIXTURE, env_extra={"MSSLAB_SEED": "abc"})
-    assert result.returncode == 1
-    assert result.stderr == "msslab: parse error: MSSLAB_SEED: expected an integer, got 'abc'\n"
+def test_the_environment_does_not_seed_a_run(repo_root):
+    plain = run_cli(repo_root, "validate", FIXTURE)
+    assert plain.returncode == 0
+    for value in ("99", "abc"):
+        result = run_cli(repo_root, "validate", FIXTURE, env_extra={"MSSLAB_SEED": value})
+        assert (result.returncode, result.stdout, result.stderr) == (0, plain.stdout, ""), value
 
 
 def test_output_file_matches_stdout(repo_root, tmp_path):
@@ -723,6 +778,8 @@ def test_config_schema_refuses_the_malformed_shapes(repo_root):
         "misspelt-triples",
         "repeated-compatibility-mode",
         "repeated-reduct-slot",
+        "unknown-compatibility-mode",
+        "unknown-reduct-slot",
     ):
         assert not config_schema.is_valid(MALFORMED_CONFIGS[case][0]), case
 

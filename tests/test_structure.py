@@ -1,5 +1,7 @@
+import itertools
 import json
 import re
+from collections import Counter
 
 import pytest
 
@@ -22,6 +24,7 @@ from msslab import (
     verify,
 )
 from msslab.config import parse_config
+from msslab.oracles import StructureDescription, o_claim
 from msslab.report import build_check_axioms
 from msslab.search import enumerate_structures, SearchSpec
 from msslab.structure import (
@@ -279,6 +282,29 @@ def test_classify_example(H, granulation, clustering, delta_builtins):
     lclu = check_axiom(s, "lclu")
     assert lclu.status == "fails"
     assert lclu.witnesses[0][0] == H.subset(["x1", "x3"])
+
+
+def test_the_definitional_battery_has_no_model_on_one_element():
+    # i-coh at (b, b) asks delta(b, b, b) and i-coh-2 at (b, b) its negation;
+    # trans-1 at (a, b, b, b) and strict-n-coh at (a, b, b) each entail i-coh-2.
+    laws = ("i-coh", "n-coh", "i-coh-2", "strict-n-coh", "trans-1")
+    u = Universe(["x1"])
+    cells = list(itertools.product(range(2), repeat=3))
+    patterns = Counter()
+    for bits in range(256):  # every extensional delta table on one element
+        triples = [cell for k, cell in enumerate(cells) if bits >> k & 1]
+        s = assemble(u, delta=DeltaPredicate.extensional_from_masks(u, triples))
+        table = frozenset(tuple(frozenset(u.names(m)) for m in t) for t in triples)
+        desc = StructureDescription(u.elements, (), "extensional", table)
+        passing = frozenset(a for a in laws if not check_axiom(s, a).failed)
+        assert passing == {a for a in laws if o_claim(desc, f"axiom:{a}")}, bits
+        patterns[passing] += 1
+    assert sorted(patterns.values(), reverse=True) == [168, 56, 12, 7, 5, 4, 4]
+    for passing in patterns:
+        if "i-coh" in passing:
+            assert not passing & {"i-coh-2", "strict-n-coh", "trans-1"}, passing
+        if passing & {"trans-1", "strict-n-coh"}:
+            assert "i-coh-2" in passing, passing
 
 
 def test_definite_clusters_close_under_lower(H, granulation, delta_builtins):

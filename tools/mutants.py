@@ -302,6 +302,35 @@ MUTANTS = (
         ("tests/test_cli.py::test_text_reports_end_no_line_in_whitespace[check-axioms]",),
     ),
     Mutant(
+        "validation-note-dropped",
+        "src/msslab/report.py",
+        "        _note(out, validation)\n",
+        "",
+        ("tests/test_cli.py::test_text_reports_print_the_validation_note[validate]",),
+    ),
+    # Rows in insertion order: a cluster's grades and the clustering's read differently.
+    Mutant(
+        "pairs-unsorted",
+        "src/msslab/report.py",
+        "sorted(row.items())",
+        "row.items()",
+        ("tests/test_cli.py::test_text_rows_list_their_keys_in_sorted_order[validate]",),
+    ),
+    Mutant(
+        "compatibility-mode-field-unindexed",
+        "src/msslab/config.py",
+        'f"compatibility_modes[{k}]")',
+        '"compatibility_modes")',
+        (MALFORMED.format("unknown-compatibility-mode"),),
+    ),
+    Mutant(
+        "reduct-slot-field-unindexed",
+        "src/msslab/config.py",
+        'f"reduct[{k}]")',
+        '"reduct")',
+        (MALFORMED.format("unknown-reduct-slot"),),
+    ),
+    Mutant(
         "instance-on-an-unbound-slot",
         STRUCTURE,
         'raise StructureError(f"{axiom} reads unbound slots {sorted(unbound)}")',
