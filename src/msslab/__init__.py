@@ -41,7 +41,6 @@ _EXPORTS = {
         "verify",
     ),
     "validation": (
-        "Clustering",
         "ValidityReport",
         "check_compatibility",
         "check_proposition",

@@ -198,8 +198,9 @@ def parse_config(data: dict) -> LabConfig:
     _known(data, KNOWN_FIELDS, None)
     if "universe" not in data:
         raise ParseError("missing required field", "universe")
+    names = _names(data["universe"], "universe")
     try:
-        universe = Universe(_names(data["universe"], "universe"))
+        universe = Universe(names)
     except MsslabError as exc:  # empty, or a name given twice
         raise ParseError(str(exc), "universe") from None
 

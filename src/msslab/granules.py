@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .errors import MsslabError, UniverseMismatchError
-from .sets import Subset, Universe, nonempty_masks
+from .sets import Subset, Universe, check_mask
 
 
 class BinaryRelation:
@@ -153,7 +153,9 @@ class Granulation:
     __slots__ = ("universe", "granules", "notes", "lower_table", "upper_table")
 
     def __init__(self, universe: Universe, granules: Iterable[int], notes=()):
-        given = nonempty_masks(universe, granules, "granule")
+        given = tuple(granules)
+        if not all(check_mask(universe, g) for g in given):
+            raise MsslabError("granules must be nonempty")
         kept = tuple(dict.fromkeys(given))
         notes = list(notes)
         if len(kept) < len(given):

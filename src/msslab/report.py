@@ -13,8 +13,8 @@ from typing import TYPE_CHECKING, Optional
 
 from .errors import ParseError
 from .structure import ADMISSIBILITY_AXIOMS, LAWS, classify, verify
-from .validation import ClusterGrades, Clustering, check_compatibility, validate_clustering
-from .verdicts import Verdict, deferred, provenance, to_json
+from .validation import GRADE_READS, ClusterGrades, check_compatibility, validate_clustering
+from .verdicts import DEFERRED, Verdict, provenance, to_json
 
 if TYPE_CHECKING:  # annotations only
     from .config import LabConfig
@@ -87,18 +87,22 @@ def axioms_section(cfg: LabConfig, *, seed: Optional[int]) -> dict:
 def validation_section(cfg: LabConfig) -> dict:
     if cfg.clusters is None:
         raise ParseError("missing clustering input", "clustering")
-    clustering = Clustering(cfg.universe, cfg.clusters)
     s = cfg.structure(None)
     section: dict = {}
 
-    if s.ops is None:
+    unbound = GRADE_READS - s.bound_slots()
+    if unbound:
         section["clusters"] = [
             {"cluster": names, "status": "deferred"} for names in cluster_names(cfg)
         ]
         section["clustering_grades"] = {"status": "deferred"}
-        section["note"] = "approximation operators unbound; deficits and grades deferred"
+        section["note"] = (
+            "approximation operators unbound; deficits and grades deferred"
+            if "l" in unbound
+            else "cluster membership unbound; deficits, grades and compatibility deferred"
+        )
     else:
-        report = validate_clustering(clustering, s.ops)
+        report = validate_clustering(s)
         section["clusters"] = [
             {
                 "cluster": subset_names(r.cluster),
@@ -116,18 +120,15 @@ def validation_section(cfg: LabConfig) -> dict:
 
     compat = []
     for spec in cfg.deltas:
-        d = cfg.structure(spec).delta
+        s = cfg.structure(spec)
         for mode_name in cfg.compatibility_modes:
-            if d is None:  # the reduct drops delta
-                verdict = deferred(f"compatibility:{mode_name}")
-            else:
-                verdict = check_compatibility(clustering, d, mode_name)
+            verdict = check_compatibility(s, mode_name)
             row = verdict_dict(verdict)
             compat.append(
                 {
                     "delta": spec.name,
                     "mode": mode_name,
-                    "compatible": None if d is None else not verdict.failed,
+                    "compatible": None if verdict.status == DEFERRED else not verdict.failed,
                     **{key: row[key] for key in ("status", "witnesses", "instances_checked")},
                 }
             )

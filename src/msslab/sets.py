@@ -146,16 +146,6 @@ def check_mask(universe: Universe, mask: int) -> int:
     return mask
 
 
-def nonempty_masks(universe: Universe, masks: Iterable[int], what: str) -> tuple[int, ...]:
-    """``masks`` as a tuple, each refused unless it is a nonempty subset
-    mask of ``universe``; ``what`` names one of them in the error."""
-    masks = tuple(masks)
-    for mask in masks:
-        if not check_mask(universe, mask):
-            raise MsslabError(f"{what}s must be nonempty")
-    return masks
-
-
 def encode(universe: Universe, subsets) -> tuple[int, ...]:
     """Masks of ``subsets``, each of which must live in ``universe``."""
     masks = []

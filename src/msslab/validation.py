@@ -7,48 +7,43 @@ what its upper approximation has in excess, and the grades record
 fixpoint/preimage/image conditions. That a computable deficit forces
 traceability is a theorem here, reported with its reason.
 
-A clustering is built from cluster masks. The deficits and grades take
-one cluster as a ``Subset``; an upper deficit is None where it is
-undefined. The grades read the granulation's l and u tables, and
-compatibility reads the predicate's mask form.
+A clustering is a structure's cluster membership κ, read with its l and
+u or with its δ. The deficits and grades take one cluster as a
+``Subset``; an upper deficit is None where it is undefined. The grades
+read the granulation's l and u tables, and compatibility reads the
+predicate's mask form.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
-from .delta import DeltaPredicate
-from .errors import MsslabError, UniverseMismatchError
+from .errors import MsslabError, StructureError, UniverseMismatchError
 from .granules import Granulation
-from .sets import Subset, Universe, nonempty_masks, partial_difference
-from .verdicts import Verdict, decided, theorem
+from .sets import Subset, check_mask, partial_difference
+from .verdicts import Verdict, decided, deferred, theorem
+
+if TYPE_CHECKING:  # annotations only
+    from .structure import MssStructure
 
 COMPATIBILITY_MODES = ("overlap-closer", "clue-singleton")
 
+# The slots each check reads: the deficits and grades, and compatibility.
+GRADE_READS = frozenset({"kappa", "l", "u"})
+COMPATIBILITY_READS = frozenset({"kappa", "delta"})
 
-class Clustering:
-    """Distinct nonempty cluster masks over one universe; overlap is allowed."""
 
-    __slots__ = ("universe", "clusters")
-
-    def __init__(self, universe: Universe, clusters: Iterable[int]):
-        clusters = nonempty_masks(universe, clusters, "cluster")
-        if not clusters:
-            raise MsslabError("a clustering needs at least one cluster")
-        for k, c in enumerate(clusters):
-            if c in clusters[:k]:
-                raise MsslabError(f"duplicate cluster {universe.from_mask(c)!r}")
-        self.universe = universe
-        self.clusters = clusters
-
-    def __iter__(self):
-        return iter(self.clusters)
-
-    def __len__(self):
-        return len(self.clusters)
-
-    def __repr__(self):
-        return f"Clustering({list(map(self.universe.from_mask, self.clusters))!r})"
+def _clusters(s: MssStructure) -> tuple[int, ...]:
+    """κ read as a clustering: at least one cluster, each a nonempty mask of
+    the universe, none repeated."""
+    if not s.kappa:
+        raise MsslabError("a clustering needs at least one cluster")
+    if not all(check_mask(s.universe, c) for c in s.kappa):
+        raise MsslabError("clusters must be nonempty")
+    for k, c in enumerate(s.kappa):
+        if c in s.kappa[:k]:
+            raise MsslabError(f"duplicate cluster {s.universe.from_mask(c)!r}")
+    return s.kappa
 
 
 def lower_deficit(c: Subset, g: Granulation) -> Subset:
@@ -132,29 +127,29 @@ def check_proposition(c: Subset, g: Granulation) -> Verdict:
     return theorem("deficit-traceability", DEFICIT_TRACEABILITY)
 
 
-def validate_clustering(cl: Clustering, g: Granulation) -> ValidityReport:
-    """Per-cluster deficits, grades, and proposition checks, then the
-    clustering's grades."""
-    if g.universe != cl.universe:
-        raise UniverseMismatchError("clustering and operator universes differ")
+def validate_clustering(s: MssStructure) -> ValidityReport:
+    """Per-cluster deficits, grades, and proposition checks of κ under the
+    structure's l and u, then the clustering's grades."""
+    unbound = GRADE_READS - s.bound_slots()
+    if unbound:
+        raise StructureError(f"validation reads unbound slots {sorted(unbound)}")
     reports = tuple(
         ClusterReport(
             cluster=c,
-            lower_deficit=lower_deficit(c, g),
-            upper_deficit=upper_deficit(c, g),
-            grades=validity_grades(c, g),
-            proposition=check_proposition(c, g),
+            lower_deficit=lower_deficit(c, s.ops),
+            upper_deficit=upper_deficit(c, s.ops),
+            grades=validity_grades(c, s.ops),
+            proposition=check_proposition(c, s.ops),
         )
-        for c in map(cl.universe.from_mask, cl.clusters)
+        for c in map(s.universe.from_mask, _clusters(s))
     )
 
     grades = ClusterGrades(*map(all, zip(*(r.grades for r in reports))))
     return ValidityReport(per_cluster=reports, grades=grades)
 
 
-def _compat_instances(cl: Clustering, mode: str):
+def _compat_instances(clusters: tuple[int, ...], size: int, mode: str):
     """The (a, b, c) mask triples a mode quantifies over, in cluster-list order."""
-    clusters = cl.clusters
     if mode == "overlap-closer":
         for a in clusters:
             for b in clusters:
@@ -165,7 +160,7 @@ def _compat_instances(cl: Clustering, mode: str):
                         continue
                     yield (a, b, c)
     else:
-        points = [1 << x for x in range(cl.universe.size)]
+        points = [1 << x for x in range(size)]
         for cluster in clusters:
             inside = [p for p in points if p & cluster]
             outside = [p for p in points if not p & cluster]
@@ -175,10 +170,8 @@ def _compat_instances(cl: Clustering, mode: str):
                         yield (a, b, c)
 
 
-def check_compatibility(
-    cl: Clustering, d: DeltaPredicate, mode: str = "overlap-closer"
-) -> Verdict:
-    """Whether the clustering is compatible with the predicate under a mode.
+def check_compatibility(s: MssStructure, mode: str = "overlap-closer") -> Verdict:
+    """Whether κ is compatible with the structure's δ under a mode.
 
     ``overlap-closer`` quantifies over cluster triples: every cluster must
     be closer to each overlapping cluster than to each disjoint one.
@@ -186,15 +179,18 @@ def check_compatibility(
     singletons, must be closer to each other than to any outsider.
 
     The verdict fails on the first violating triple (in cluster-list
-    order); a clustering with no applicable triple is vacuously compatible.
+    order); a clustering with no applicable triple is vacuously
+    compatible. It is deferred when κ or δ is unbound.
     """
     if mode not in COMPATIBILITY_MODES:
         raise MsslabError(f"unknown compatibility mode {mode!r}")
-    if cl.universe != d.universe:
-        raise UniverseMismatchError("clustering and predicate universes differ")
-    holds, first, checked = d.masked(), None, 0
-    for checked, triple in enumerate(_compat_instances(cl, mode), 1):
+    axiom = f"compatibility:{mode}"
+    unbound = COMPATIBILITY_READS - s.bound_slots()
+    if unbound:
+        return deferred(axiom, f"unbound slots: {sorted(unbound)}")
+    holds, first, checked = s.delta.masked(), None, 0
+    for checked, triple in enumerate(_compat_instances(_clusters(s), s.universe.size, mode), 1):
         if not holds(*triple):
             first = triple
             break
-    return decided(f"compatibility:{mode}", cl.universe, 3, first, checked > 0, count=checked)
+    return decided(axiom, s.universe, 3, first, checked > 0, count=checked)

@@ -10,7 +10,8 @@ from typing import Optional
 
 from .config import LabConfig
 from .errors import ParseError
-from .structure import LAWS, MssStructure, replay
+from .structure import LAWS, replay
+from .validation import COMPATIBILITY_READS
 from .verdicts import FAILS, Verdict
 
 
@@ -29,8 +30,10 @@ def replay_failures(cfg: LabConfig, report) -> list[str]:
     the report it reads whose shape is not that of
     ``schemas/report.schema.json``, a delta the config does not declare,
     a witness element outside its universe, a failing row whose axiom
-    names no law with a definition, or a failing law that reads a slot
-    the config leaves unbound, is a ``ParseError`` naming the JSON path.
+    names no law with a definition, or a failing law or compatibility row
+    that reads a slot the config leaves unbound, is a ``ParseError``
+    naming the JSON path. A compatibility witness is replayed on the
+    config's structure under its delta, so the config's reduct applies.
     """
     problems = []
     specs = {spec.name: spec for spec in cfg.deltas}
@@ -63,6 +66,17 @@ def replay_failures(cfg: LabConfig, report) -> list[str]:
             witnesses.append(tuple(map(cfg.universe.subset, w)))
         return witnesses
 
+    def bound(delta_name: Optional[str], reads, name: str, field: str):
+        """The config's structure under the delta, refused when it leaves
+        a slot of ``reads`` unbound."""
+        s = cfg.structure(spec_for(delta_name) if delta_name else None)
+        unbound = reads - s.bound_slots()
+        if unbound:
+            raise ParseError(
+                f"{name} reads {sorted(unbound)}, which the config leaves unbound", field
+            )
+        return s
+
     def check(v, delta_name: Optional[str], field: str, label: str):
         witnesses = failing(v, field, "axiom")
         if witnesses is None:
@@ -73,12 +87,7 @@ def replay_failures(cfg: LabConfig, report) -> list[str]:
         if not witnesses:
             problems.append(f"{label}: failing verdict without witness")
             return
-        s = cfg.structure(spec_for(delta_name) if delta_name else None)
-        unbound = law.reads - s.bound_slots()
-        if unbound:
-            raise ParseError(
-                f"{v['axiom']} reads {sorted(unbound)}, which the config leaves unbound", field
-            )
+        s = bound(delta_name, law.reads, v["axiom"], field)
         if not replay(s, Verdict(v["axiom"], FAILS, witnesses=tuple(witnesses))):
             problems.append(f"{label}: a witness of {v['axiom']} does not replay")
 
@@ -106,8 +115,8 @@ def replay_failures(cfg: LabConfig, report) -> list[str]:
             if not witnesses:
                 problems.append(f"compatibility[{row['delta']}]: failing row without witness")
                 continue
-            d = spec_for(row["delta"]).build(cfg.universe, cfg.granulation)
+            s = bound(row["delta"], COMPATIBILITY_READS, "compatibility", f"{field}[{i}]")
             for w in witnesses:
-                if d(*w):
+                if s.delta(*w):
                     problems.append(f"compatibility[{row['delta']}]: witness does not violate")
     return problems

@@ -4,9 +4,9 @@ import pytest
 
 from msslab import (
     BinaryRelation,
-    Clustering,
     DeltaPredicate,
     Universe,
+    assemble,
     close_relation,
     predecessor_granulation,
 )
@@ -32,9 +32,9 @@ def granulation(tolerance):
 
 
 @pytest.fixture(scope="session")
-def clustering(H):
-    # {x1,x3}, {x2,x3}, {x2,x4}
-    return Clustering(H, [0b0101, 0b0110, 0b1010])
+def clustering(H, granulation):
+    # The worked example's granulation with κ = {x1,x3}, {x2,x3}, {x2,x4}.
+    return assemble(H, granulation=granulation, kappa=[0b0101, 0b0110, 0b1010])
 
 
 @pytest.fixture(scope="session")

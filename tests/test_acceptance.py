@@ -14,7 +14,6 @@ import pytest
 
 from msslab import (
     BinaryRelation,
-    Clustering,
     DeltaPredicate,
     Universe,
     assemble,
@@ -78,31 +77,20 @@ def test_criterion_2_deficits(H, granulation):
 
 
 @criterion(3, "compatibility reproduction")
-def test_criterion_3_compatibility(H, granulation, clustering, delta_builtins):
+def test_criterion_3_compatibility(granulation, clustering, delta_builtins):
     expected = {"E0": True, "E1": True, "E2": False, "uE1": True}
     for name, should_hold in expected.items():
-        verdict = check_compatibility(clustering, delta_builtins[name])
+        s = clustering._replace(delta=delta_builtins[name])
+        verdict = check_compatibility(s)
         assert (not verdict.failed) == should_hold, name
         if not should_hold:
             assert verdict.witnesses, "incompatibility must carry a witness"
-        s = assemble(
-            H,
-            granulation=granulation,
-            delta=delta_builtins[name],
-            kappa=list(clustering),
-        )
         desc = StructureDescription.from_structure(s)
         assert o_claim(desc, "compatibility:overlap-closer") == should_hold, name
 
-    as_clustering = Clustering(H, list(granulation))
-    verdict = check_compatibility(as_clustering, delta_builtins["uE1"])
+    s = clustering._replace(delta=delta_builtins["uE1"], kappa=tuple(granulation))
+    verdict = check_compatibility(s)
     assert not verdict.failed
-    s = assemble(
-        H,
-        granulation=granulation,
-        delta=delta_builtins["uE1"],
-        kappa=list(as_clustering),
-    )
     assert o_claim(StructureDescription.from_structure(s), "compatibility:overlap-closer")
 
 

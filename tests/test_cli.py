@@ -311,6 +311,7 @@ PAPER_CONFIG = json.loads((Path(__file__).resolve().parent.parent / FIXTURE).rea
         ("search", {"n": 2, "forbidden": ["i-coh", "trans1"]}, "forbidden"),
         ("search", {"n": 2, "delta": "E9"}, "delta"),
         ("check-axioms", {**PAPER_CONFIG, "seed": True}, "seed"),
+        ("check-axioms", {**PAPER_CONFIG, "universe": "x1"}, "universe"),
     ],
 )
 def test_mistyped_fields_are_parse_errors(repo_root, tmp_path, command, document, field):
@@ -434,6 +435,43 @@ def test_text_reports_print_the_validation_note(tmp_path, capsys, command):
         assert main([command, path, "--format", "text"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines.count(f"  note: {report['validation']['note']}") == 1
+
+
+@pytest.mark.parametrize("command", ["validate", "pipeline"])
+def test_a_reduct_that_drops_kappa_defers_every_validation_row(
+    repo_root, tmp_path, capsys, command
+):
+    from msslab.cli import main
+    from msslab.structure import SIGNATURE_SLOTS
+
+    report_schema = schema_validator(repo_root, "report.schema.json")
+    notes = {}
+    for dropped in ("kappa", "l"):
+        document = {**PAPER_CONFIG, "reduct": [s for s in SIGNATURE_SLOTS if s != dropped]}
+        path = str(write_config(tmp_path, document))
+        assert main([command, path]) == 0
+        report = json.loads(capsys.readouterr().out)
+        report_schema.validate(report)
+        validation = (report["steps"]["step5_investigate"] if command == "pipeline" else report)[
+            "validation"
+        ]
+        notes[dropped] = validation["note"]
+        assert validation["clusters"] == [
+            {"cluster": names, "status": "deferred"} for names in PAPER_CONFIG["clustering"]
+        ]
+        assert validation["clustering_grades"] == {"status": "deferred"}
+        compatibility = [(row["status"], row["compatible"]) for row in validation["compatibility"]]
+        if dropped == "kappa":
+            assert compatibility == [("deferred", None)] * len(PAPER_CONFIG["delta"])
+        else:  # l and u travel as a pair; δ and κ are still bound
+            assert ("fails", False) in compatibility
+        assert main([command, path, "--format", "text"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines.count(f"  note: {validation['note']}") == 1
+    assert notes == {
+        "kappa": "cluster membership unbound; deficits, grades and compatibility deferred",
+        "l": "approximation operators unbound; deficits and grades deferred",
+    }
 
 
 @pytest.mark.parametrize("command", ["check-axioms", "validate", "pipeline"])
@@ -648,7 +686,6 @@ PACKAGE_NAMES = {
         "verify",
     ],
     "validation": [
-        "Clustering",
         "ValidityReport",
         "check_compatibility",
         "check_proposition",
@@ -1046,6 +1083,23 @@ def test_replay_refuses_a_failing_law_on_a_slot_the_config_leaves_unbound(tmp_pa
         "msslab: parse error: axioms.structural[12]: "
         "lclu reads ['kappa'], which the config leaves unbound\n"
     )
+
+
+def test_replay_refuses_a_failing_compatibility_row_on_a_slot_the_config_leaves_unbound(
+    tmp_path, capsys
+):
+    from msslab.cli import main
+    from msslab.structure import SIGNATURE_SLOTS
+
+    # The report's E2 row fails; replayed under this config's reduct, it reads δ or κ unbound.
+    report = GOLDEN / "paper-validate.json"
+    for dropped in ("delta", "kappa"):
+        config = {**PAPER_CONFIG, "reduct": [s for s in SIGNATURE_SLOTS if s != dropped]}
+        assert main(["replay", str(write_config(tmp_path, config)), str(report)]) == 1
+        assert capsys.readouterr().err == (
+            "msslab: parse error: validation.compatibility[2]: "
+            f"compatibility reads [{dropped!r}], which the config leaves unbound\n"
+        )
 
 
 def failing_structural_row(tmp_path, axiom):

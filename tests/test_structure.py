@@ -7,7 +7,6 @@ import pytest
 
 from msslab import (
     BinaryRelation,
-    Clustering,
     DeltaPredicate,
     Granulation,
     MsslabError,
@@ -49,7 +48,7 @@ def build(H, granulation, clustering, delta_name, delta_builtins, sum_op=None):
         granulation=granulation,
         delta=delta_builtins[delta_name],
         sum=sum_op,
-        kappa=list(clustering),
+        kappa=clustering.kappa,
     )
 
 
@@ -167,7 +166,6 @@ def test_assemble_rejects_mixed_universes(H, granulation):
 # Each constructor that takes subset masks, and whether it needs them nonempty.
 MASK_CONSTRUCTORS = {
     "Granulation": (Granulation, True),
-    "Clustering": (Clustering, True),
     "assemble": (lambda u, masks: assemble(u, kappa=masks), False),
 }
 

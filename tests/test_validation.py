@@ -1,15 +1,17 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from msslab import (
-    Clustering,
     DeltaPredicate,
     Granulation,
     MsslabError,
+    StructureError,
     Universe,
     UniverseMismatchError,
+    assemble,
     check_compatibility,
     check_proposition,
     lower_deficit,
@@ -124,8 +126,8 @@ def test_proposition_holds_for_every_subset(H, granulation):
         assert v.note.startswith("theorem: l(C) lies inside C")
 
 
-def test_validate_clustering_aggregates(H, granulation, clustering):
-    report = validate_clustering(clustering, granulation)
+def test_validate_clustering_aggregates(H, clustering):
+    report = validate_clustering(clustering)
     assert len(report.per_cluster) == 3
     grades = [r.grades for r in report.per_cluster]
     assert report.grades == ClusterGrades(
@@ -143,30 +145,51 @@ def test_validate_clustering_aggregates(H, granulation, clustering):
 
 
 def test_validate_clustering_rejects_operators_of_another_universe(granulation):
+    # κ, l, u and δ share the structure's carrier, so a clustering over
+    # another universe than its operators cannot be assembled.
     other = Universe(["x", "y", "z"])
-    foreign = Clustering(other, [0b011])
-    with pytest.raises(UniverseMismatchError, match="clustering and operator"):
-        validate_clustering(foreign, granulation)
+    with pytest.raises(UniverseMismatchError, match="granulation universe"):
+        validate_clustering(assemble(other, granulation=granulation, kappa=[0b011]))
     with pytest.raises(UniverseMismatchError):
         validity_grades(other.full, granulation)
-    own = Clustering(granulation.universe, [0b0011])
-    with pytest.raises(UniverseMismatchError, match="clustering and predicate"):
-        check_compatibility(own, DeltaPredicate.builtin("E0", other))
+    foreign_delta = DeltaPredicate.builtin("E0", other)
+    with pytest.raises(UniverseMismatchError, match="delta predicate universe"):
+        check_compatibility(assemble(granulation.universe, delta=foreign_delta, kappa=[0b0011]))
 
 
-def test_clustering_validation_errors(H):
-    with pytest.raises(MsslabError):
-        Clustering(H, [])
-    with pytest.raises(MsslabError):
-        Clustering(H, [0])
-    with pytest.raises(MsslabError, match=r"duplicate cluster \{x1\}"):
-        Clustering(H, [0b0001, 0b0010, 0b0001])
+def test_clustering_validation_errors(clustering, delta_builtins):
+    for kappa, message in (
+        ((), "at least one cluster"),
+        ((0b0001, 0), "must be nonempty"),
+        ((0b0001, 1 << 4), "outside the universe"),
+        ((0b0001, 0b0010, 0b0001), r"duplicate cluster \{x1\}"),
+    ):
+        s = clustering._replace(delta=delta_builtins["E0"], kappa=kappa)
+        with pytest.raises(MsslabError, match=message):
+            validate_clustering(s)
+        with pytest.raises(MsslabError, match=message):
+            check_compatibility(s)
+
+
+def test_checks_on_a_structure_that_leaves_their_slots_unbound(H, granulation, delta_builtins):
+    e0 = delta_builtins["E0"]
+    for s, unbound in (
+        (assemble(H, granulation=granulation, delta=e0), ["kappa"]),
+        (assemble(H, delta=e0, kappa=[0b0011]), ["l", "u"]),
+    ):
+        with pytest.raises(StructureError, match=re.escape(f"reads unbound slots {unbound}")):
+            validate_clustering(s)
+    for s in (assemble(H, delta=e0), assemble(H, kappa=[0b0011])):
+        for mode in COMPATIBILITY_MODES:
+            v = check_compatibility(s, mode)
+            assert (v.axiom, v.status) == (f"compatibility:{mode}", "deferred")
+            assert v.instances_checked == 0
 
 
 def test_compatibility_reproduces_the_example(H, clustering, delta_builtins):
-    assert check_compatibility(clustering, delta_builtins["E0"]).status == "holds"
-    assert check_compatibility(clustering, delta_builtins["E1"]).status == "holds"
-    v = check_compatibility(clustering, delta_builtins["E2"])
+    assert check_compatibility(clustering._replace(delta=delta_builtins["E0"])).status == "holds"
+    assert check_compatibility(clustering._replace(delta=delta_builtins["E1"])).status == "holds"
+    v = check_compatibility(clustering._replace(delta=delta_builtins["E2"]))
     assert v.status == "fails"
     assert tuple(w.members() for w in v.witnesses[0]) == (
         ("x1", "x3"),
@@ -175,31 +198,31 @@ def test_compatibility_reproduces_the_example(H, clustering, delta_builtins):
     )
 
 
-def test_granulation_is_a_clustering_for_upper_inclusion(H, granulation, delta_builtins):
-    as_clustering = Clustering(H, list(granulation))
-    assert check_compatibility(as_clustering, delta_builtins["uE1"]).status == "holds"
+def test_granulation_is_a_clustering_for_upper_inclusion(granulation, clustering, delta_builtins):
+    as_clustering = clustering._replace(delta=delta_builtins["uE1"], kappa=tuple(granulation))
+    assert check_compatibility(as_clustering).status == "holds"
 
 
-def test_clue_singleton_rejects_plain_inclusion_here(H, clustering, delta_builtins):
-    v = check_compatibility(clustering, delta_builtins["E0"], "clue-singleton")
+def test_clue_singleton_rejects_plain_inclusion_here(clustering, delta_builtins):
+    v = check_compatibility(clustering._replace(delta=delta_builtins["E0"]), "clue-singleton")
     assert v.status == "fails"
 
 
-def test_compatibility_invariant_under_cluster_reordering(H, clustering, delta_builtins):
-    for perm in itertools.permutations(clustering.clusters):
-        shuffled = Clustering(H, list(perm))
+def test_compatibility_invariant_under_cluster_reordering(clustering, delta_builtins):
+    for perm in itertools.permutations(clustering.kappa):
         for name in ("E0", "E1", "E2", "uE1"):
+            s = clustering._replace(delta=delta_builtins[name])
             assert (
-                check_compatibility(shuffled, delta_builtins[name]).failed
-                == check_compatibility(clustering, delta_builtins[name]).failed
+                check_compatibility(s._replace(kappa=perm)).failed
+                == check_compatibility(s).failed
             )
 
 
-def compatibility_by_loop(cl: Clustering, d: DeltaPredicate, mode: str):
+def compatibility_by_loop(s, mode: str):
     """(status, witnesses, instances_checked) of a plain loop over the
     instances of ``mode`` as subsets, clusters in list order."""
-    u = cl.universe
-    clusters = [u.from_mask(m) for m in cl.clusters]
+    u, d = s.universe, s.delta
+    clusters = [u.from_mask(m) for m in s.kappa]
     if mode == "overlap-closer":
         triples = [
             (a, b, c)
@@ -231,24 +254,23 @@ def granulated_clusterings(draw):
     top = 1 << n
     g = Granulation(u, draw(st.lists(st.integers(1, top - 1), min_size=1, max_size=4)))
     clusters = draw(st.lists(st.integers(1, top - 1), min_size=1, max_size=5, unique=True))
-    return Clustering(u, clusters), g
+    return assemble(u, granulation=g, kappa=clusters)
 
 
 @settings(max_examples=150, deadline=None)
 @given(granulated_clusterings())
-def test_compatibility_matches_a_plain_loop_in_cluster_list_order(drawn):
-    cl, g = drawn
+def test_compatibility_matches_a_plain_loop_in_cluster_list_order(cl):
     for name in BUILTIN_DELTAS:
-        d = DeltaPredicate.builtin(name, cl.universe, g)
+        s = cl._replace(delta=DeltaPredicate.builtin(name, cl.universe, cl.granulation))
         for mode in COMPATIBILITY_MODES:
-            v = check_compatibility(cl, d, mode)
+            v = check_compatibility(s, mode)
             got = (v.status, v.witnesses, v.instances_checked)
-            assert got == compatibility_by_loop(cl, d, mode), (cl, g, name, mode)
+            assert got == compatibility_by_loop(s, mode), (cl, name, mode)
 
 
-def test_compatibility_vacuous_for_single_cluster(H, delta_builtins):
-    lonely = Clustering(H, [0b0001])
-    assert check_compatibility(lonely, delta_builtins["E2"]).status == "vacuous"
+def test_compatibility_vacuous_for_single_cluster(clustering, delta_builtins):
+    lonely = clustering._replace(delta=delta_builtins["E2"], kappa=(0b0001,))
+    assert check_compatibility(lonely).status == "vacuous"
 
 
 def test_whole_universe_cluster_is_lu_valid(H, granulation):
@@ -258,7 +280,7 @@ def test_whole_universe_cluster_is_lu_valid(H, granulation):
 
 def test_unknown_compatibility_mode_rejected(clustering, delta_builtins):
     with pytest.raises(MsslabError, match="unknown compatibility mode 'nearest-first'"):
-        check_compatibility(clustering, delta_builtins["E0"], "nearest-first")
+        check_compatibility(clustering._replace(delta=delta_builtins["E0"]), "nearest-first")
 
 
 def test_pipeline_on_the_example_config():

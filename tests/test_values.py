@@ -24,10 +24,10 @@ def factories(repo_root, H, granulation, clustering):
     """For each value type, a function that builds a fresh, equal instance."""
     with open(repo_root / FIXTURE, encoding="utf-8") as handle:
         document = json.load(handle)
-    cluster = H.from_mask(clustering.clusters[0])
+    cluster = H.from_mask(clustering.kappa[0])
 
     def structure():
-        return assemble(H, granulation=granulation, kappa=clustering)
+        return assemble(H, granulation=granulation, kappa=clustering.kappa)
 
     return {
         "Verdict": lambda: Verdict("trans-1", "fails", witnesses=((cluster, cluster),)),
@@ -36,8 +36,8 @@ def factories(repo_root, H, granulation, clustering):
         "MssStructure": structure,
         "Classification": lambda: classify(structure()),
         "ClusterGrades": lambda: validity_grades(cluster, granulation),
-        "ClusterReport": lambda: validate_clustering(clustering, granulation).per_cluster[0],
-        "ValidityReport": lambda: validate_clustering(clustering, granulation),
+        "ClusterReport": lambda: validate_clustering(structure()).per_cluster[0],
+        "ValidityReport": lambda: validate_clustering(structure()),
         "SearchSpec": lambda: SearchSpec(n=3, required=("n-coh",)),
         "StructureDescription": lambda: StructureDescription.from_structure(structure()),
     }

@@ -55,6 +55,8 @@ DELTA = "src/msslab/delta.py"
 # The malformed config case that a config check refuses, run through validate.
 MALFORMED = "tests/test_cli.py::test_malformed_configs_are_parse_errors_naming_the_field[{}-validate]"
 CLASS_EXTRAS = "tests/test_structure.py::test_a_law_a_class_adds_changes_only_that_class"
+VALIDATION = "src/msslab/validation.py"
+NO_KAPPA = "tests/test_cli.py::test_a_reduct_that_drops_kappa_defers_every_validation_row[{}]"
 
 MUTANTS = (
     Mutant(
@@ -278,14 +280,37 @@ MUTANTS = (
     Mutant(
         "compatibility-witness-never-violates",
         "src/msslab/witnesses.py",
-        "if d(*w):",
+        "if s.delta(*w):",
         "if False:",
         ("tests/test_cli.py::test_replay_subcommand_exits_2_on_a_compatibility_witness_that_holds",),
+    ),
+    # κ dropped from the slots a check reads: a reduct that drops κ no
+    # longer defers the check, which then reads an unbound κ.
+    Mutant(
+        "compatibility-reads-no-kappa",
+        VALIDATION,
+        'COMPATIBILITY_READS = frozenset({"kappa", "delta"})',
+        'COMPATIBILITY_READS = frozenset({"delta"})',
+        (NO_KAPPA.format("validate"),),
+    ),
+    Mutant(
+        "grade-reads-no-kappa",
+        VALIDATION,
+        'GRADE_READS = frozenset({"kappa", "l", "u"})',
+        'GRADE_READS = frozenset({"l", "u"})',
+        (NO_KAPPA.format("validate"),),
+    ),
+    Mutant(
+        "no-repeated-cluster-check",
+        VALIDATION,
+        "if c in s.kappa[:k]:",
+        "if False:",
+        ("tests/test_validation.py::test_clustering_validation_errors",),
     ),
     # A clustering's grades read as holding when any cluster's do.
     Mutant(
         "clustering-grades-any",
-        "src/msslab/validation.py",
+        VALIDATION,
         "ClusterGrades(*map(all, ",
         "ClusterGrades(*map(any, ",
         (
