@@ -238,7 +238,7 @@ def parse_config(data: dict) -> LabConfig:
     modes = ("overlap-closer",)
     if data.get("compatibility_modes") is not None:
         raw_modes = _names(data["compatibility_modes"], "compatibility_modes", "mode names")
-        modes = _distinct(raw_modes, "compatibility_modes") or modes
+        modes = _distinct(raw_modes, "compatibility_modes")
     for k, mode in enumerate(modes):
         if mode not in COMPATIBILITY_MODES:
             raise ParseError(f"unsupported compatibility mode {mode!r}", f"compatibility_modes[{k}]")

@@ -5,15 +5,17 @@ element's predecessor neighborhood: the form a relation search streams.
 A granulation is built from granule masks and holds them as masks. The
 lower approximation of A is the union of granules included in A; the
 upper approximation is the union of granules meeting A. Both are defined
-once per granulation, on subset masks, as the memo tables
-``Granulation.lower_table`` and ``upper_table``; every layer that reads
-l or u (``Granulation.lower``/``upper`` on subsets, the validity grades,
-the axiom sweeps, E2/uE1, the granular sum) reads those two tables.
+once per granulation, on subset masks, as two fills of one memo table
+type: ``Granulation.lower_table`` and ``upper_table``. Every layer that
+reads l or u (``Granulation.lower``/``upper`` on subsets, the validity
+grades, the axiom sweeps, E2/uE1, the granular sum) reads those two
+tables, through the structure slot or the predicate that holds the
+granulation.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .errors import MsslabError, UniverseMismatchError
 from .sets import Subset, Universe, check_mask
@@ -102,43 +104,19 @@ def close_relation(
     return closed
 
 
-class _GranuleTable(dict):
-    """An approximation operator on masks, filled as it is read: an entry
-    is computed at its first lookup, so a table never outgrows the masks
-    actually read."""
+class _Table(dict):
+    """An operator on masks, filled as it is read: ``table[a]`` is
+    ``fill(a)``, computed and stored at its first lookup, so a table never
+    outgrows the masks actually read."""
 
-    __slots__ = ("granules",)
+    __slots__ = ("fill",)
 
-    def __init__(self, granules: tuple[int, ...]):
+    def __init__(self, fill: Callable[[int], int]):
         super().__init__()
-        self.granules = granules
-
-
-class _LowerTable(_GranuleTable):
-    """l: ``table[a]`` is the union of the granules included in ``a``."""
-
-    __slots__ = ()
+        self.fill = fill
 
     def __missing__(self, a: int) -> int:
-        out = 0
-        for g in self.granules:
-            if not g & ~a:
-                out |= g
-        self[a] = out
-        return out
-
-
-class _UpperTable(_GranuleTable):
-    """u: ``table[a]`` is the union of the granules meeting ``a``."""
-
-    __slots__ = ()
-
-    def __missing__(self, a: int) -> int:
-        out = 0
-        for g in self.granules:
-            if g & a:
-                out |= g
-        self[a] = out
+        out = self[a] = self.fill(a)
         return out
 
 
@@ -163,8 +141,24 @@ class Granulation:
         self.universe = universe
         self.granules = kept
         self.notes = tuple(notes)
-        self.lower_table = _LowerTable(kept)
-        self.upper_table = _UpperTable(kept)
+        # The fills close over the granules, not over self: a granulation
+        # and its tables then form no reference cycle.
+        def lower(a: int) -> int:  # l: the union of the granules included in a
+            out = 0
+            for g in kept:
+                if not g & ~a:
+                    out |= g
+            return out
+
+        def upper(a: int) -> int:  # u: the union of the granules meeting a
+            out = 0
+            for g in kept:
+                if g & a:
+                    out |= g
+            return out
+
+        self.lower_table = _Table(lower)
+        self.upper_table = _Table(upper)
 
     def _read(self, table: dict, a: Subset) -> Subset:
         if a.universe != self.universe:

@@ -34,15 +34,14 @@ def verdict_dict(v: Verdict) -> dict:
 
 
 def structure_summary(cfg: LabConfig) -> dict:
+    g = cfg.granulation  # an empty granulation is falsy, yet given
     return {
         "universe": list(cfg.universe.elements),
         "relation": (
             [list(p) for p in cfg.relation.named_pairs()] if cfg.relation else None
         ),
-        "granules": (
-            [list(cfg.universe.names(g)) for g in cfg.granulation] if cfg.granulation else None
-        ),
-        "granulation_notes": list(cfg.granulation.notes) if cfg.granulation else [],
+        "granules": None if g is None else [list(cfg.universe.names(m)) for m in g],
+        "granulation_notes": [] if g is None else list(g.notes),
         "delta_candidates": [d.name for d in cfg.deltas],
         "sum": cfg.sum_mode,
         "clustering": cluster_names(cfg),
@@ -61,7 +60,7 @@ def axioms_section(cfg: LabConfig, *, seed: Optional[int]) -> dict:
     """Structural verdicts once, coherence and sum-interaction per candidate."""
     base = cfg.structure(None)
     structural_list = list(STRUCTURAL_AXIOMS)
-    if base.granulation is not None:
+    if "gamma" in base.bound_slots():
         structural_list += list(ADMISSIBILITY_AXIOMS)
     structural = verify(base, structural_list, seed=seed)
 
@@ -248,8 +247,10 @@ def render_text(report: dict) -> str:
     if structure:
         out("structure:")
         out(f"  universe: {' '.join(structure['universe'])}")
-        if structure.get("granules"):
-            out(f"  granules: {', '.join(_set_text(g) for g in structure['granules'])}")
+        if structure.get("granules") is not None:
+            out(f"  granules: {', '.join(map(_set_text, structure['granules'])) or 'none'}")
+        for note in structure.get("granulation_notes", []):
+            out(f"  granulation note: {note}")
         if structure.get("clustering"):
             out(f"  clustering: {', '.join(_set_text(c) for c in structure['clustering'])}")
         if structure.get("reduct") is not None:

@@ -24,14 +24,14 @@ from .delta import BUILTIN_DELTAS, EXTENSIONAL_TABLE_LIMIT, EXTENSIONAL_TABLE_RE
 from .errors import BudgetError, ParseError
 from .granules import Granulation
 from .sets import Universe
-from .structure import LAWS, SET_SLOTS, MssStructure, assemble, check_axiom
+from .structure import GRANULATION_SLOTS, LAWS, SET_SLOTS, MssStructure, assemble, check_axiom
 
 FAMILIES = ("relations", "extensional-deltas", "granulations")
 # A search draws its predicate from a builtin or from a random table.
 SEARCH_DELTAS = BUILTIN_DELTAS + ("extensional",)
 RELATION_EXHAUSTIVE_LIMIT = 4
 # A searched structure binds one granulation and δ, never the sum or kappa.
-SEARCHED_SLOTS = SET_SLOTS | {"l", "u", "gamma", "delta"}
+SEARCHED_SLOTS = SET_SLOTS | GRANULATION_SLOTS | {"delta"}
 
 
 def _is_int(value) -> bool:
@@ -80,8 +80,8 @@ class SearchSpec(_SearchFields):
     quoting the value as given. ``required`` and ``forbidden`` may be
     given as lists and are kept as tuples. A required or forbidden law
     that no searched structure can decide, one that reads a slot outside
-    ``SEARCHED_SLOTS`` or has no definition, is refused too: its verdict
-    could never match."""
+    ``SEARCHED_SLOTS`` or has no definition, is refused too, and so is a
+    law both required and forbidden: its verdict could never match."""
 
     __slots__ = ()
 
@@ -101,6 +101,9 @@ class SearchSpec(_SearchFields):
                     raise ParseError(f"{a} reads {unbound}, which a search never binds", field)
                 if not LAWS[a].defined:
                     raise ParseError(f"{a} has no definition", field)
+        both = [a for a in self.forbidden if a in self.required]
+        if both:
+            raise ParseError(f"{both[0]} is required too; no verdict passes and fails", "forbidden")
         # A law list is kept as a tuple, so the spec hashes and equals its tuple form.
         return super().__new__(cls, *[tuple(v) if isinstance(v, list) else v for v in self])
 

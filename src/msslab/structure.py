@@ -3,7 +3,9 @@
 A structure bundles a parthood predicate, order, join/meet, approximation
 operators, constants, a nearness predicate, a partial sum, and cluster
 membership over one universe. Any slot may be left unbound; checks that
-need an unbound slot report a deferred verdict instead of failing.
+need an unbound slot report a deferred verdict instead of failing. One
+slot, the granulation, binds l, u and gamma: l and u are the rough
+approximation that gamma induces, so they are never held apart from it.
 
 Parthood and order are inclusion, join and meet are union and
 intersection, and the constants are H and the empty set; l and u are
@@ -57,8 +59,12 @@ SIGNATURE_SLOTS = (
 
 # The slots whose interpretation is fixed: parthood and order are
 # inclusion, join and meet are union and intersection, top is H and
-# bottom is the empty set. A structure records which of them are bound.
+# bottom is the empty set.
 SET_SLOTS = frozenset({"P", "leq", "join", "meet", "top", "bottom"})
+# The slots that one granulation binds: its approximations l and u, and
+# itself as gamma. A structure records which of these and of ``SET_SLOTS``
+# no reduct has dropped.
+GRANULATION_SLOTS = frozenset({"l", "u", "gamma"})
 
 
 class Law(NamedTuple):
@@ -170,31 +176,23 @@ ADMISSIBILITY_AXIOMS = tuple(name for name, law in LAWS.items() if "gamma" in la
 
 
 class MssStructure(NamedTuple):
-    """A structure over one universe. ``ops`` is the granulation whose l
-    and u are bound (None when a reduct dropped them); ``granulation`` is
-    the one bound as gamma."""
+    """A structure over one universe. ``kept`` lists the slots of
+    ``SET_SLOTS`` and ``GRANULATION_SLOTS`` that no reduct has dropped;
+    ``granulation`` binds those of l, u and gamma that it lists, so
+    ``s._replace(granulation=g)`` binds all three on an unreduced
+    structure. delta, the sum and kappa are bound by their value."""
 
     universe: Universe
-    set_slots: frozenset[str] = SET_SLOTS
-    ops: Optional[Granulation] = None
+    kept: frozenset[str] = SET_SLOTS | GRANULATION_SLOTS
+    granulation: Optional[Granulation] = None
     delta: Optional[DeltaPredicate] = None
     sum: Optional[SumOperation] = None
     kappa: Optional[tuple[int, ...]] = None
-    granulation: Optional[Granulation] = None
 
     def bound_slots(self) -> frozenset[str]:
-        bound = set(self.set_slots)
-        if self.ops is not None:
-            bound.update(("l", "u"))
-        if self.delta is not None:
-            bound.add("delta")
-        if self.sum is not None:
-            bound.add("sum")
-        if self.kappa is not None:
-            bound.add("kappa")
-        if self.granulation is not None:
-            bound.add("gamma")
-        return frozenset(bound)
+        bound = self.kept if self.granulation is not None else self.kept - GRANULATION_SLOTS
+        valued = {slot for slot in ("delta", "sum", "kappa") if getattr(self, slot) is not None}
+        return bound | valued
 
     def __repr__(self):
         return f"MssStructure(|H|={self.universe.size}, slots={sorted(self.bound_slots())})"
@@ -227,12 +225,7 @@ def assemble(
         clusters = tuple(check_mask(universe, c) for c in kappa)
 
     return MssStructure(
-        universe=universe,
-        ops=granulation,
-        delta=delta,
-        sum=sum,
-        kappa=clusters,
-        granulation=granulation,
+        universe=universe, granulation=granulation, delta=delta, sum=sum, kappa=clusters
     )
 
 
@@ -241,7 +234,8 @@ def reduct(s: MssStructure, keep: Iterable[str]) -> MssStructure:
 
     The carrier itself is not part of the signature and cannot be dropped;
     the approximation operators travel as the l/u pair, so keeping one
-    without the other drops both.
+    without the other drops both. The granulation stays while any of l, u
+    and gamma is kept.
     """
     keep = set(keep)
     if "universe" in keep:
@@ -253,15 +247,16 @@ def reduct(s: MssStructure, keep: Iterable[str]) -> MssStructure:
     if missing:
         raise StructureError(f"cannot keep unbound slots {sorted(missing)}")
 
-    keep_ops = "l" in keep and "u" in keep
+    if not {"l", "u"} <= keep:
+        keep -= {"l", "u"}
+    kept = s.kept & keep
     return MssStructure(
         universe=s.universe,
-        set_slots=s.set_slots & keep,
-        ops=s.ops if keep_ops else None,
+        kept=kept,
+        granulation=s.granulation if kept & GRANULATION_SLOTS else None,
         delta=s.delta if "delta" in keep else None,
         sum=s.sum if "sum" in keep else None,
         kappa=s.kappa if "kappa" in keep else None,
-        granulation=s.granulation if "gamma" in keep else None,
     )
 
 
@@ -281,7 +276,7 @@ def evaluator(s: MssStructure, axiom: str) -> Callable[..., Optional[bool]]:
     if unbound:
         raise StructureError(f"{axiom} reads unbound slots {sorted(unbound)}")
     if axiom == "lclu":
-        L, kappa = s.ops.lower_table, frozenset(s.kappa)
+        L, kappa = s.granulation.lower_table, frozenset(s.kappa)
         return lambda a: L[a] in kappa if a in kappa else None
     from .kernels import INSTANCES  # only a law on delta or the sum reads it
 
@@ -410,4 +405,4 @@ def classify(s: MssStructure, verdicts: Optional[Sequence[Verdict]] = None) -> C
     """
     by_name = {v.axiom: v for v in (verify(s) if verdicts is None else verdicts)}
     flags = Classification(**{name: _all_pass(by_name, laws) for name, laws in CLASSES.items()})
-    return flags if s.granulation is not None else flags._replace(is_gmss=False)
+    return flags if "gamma" in s.bound_slots() else flags._replace(is_gmss=False)

@@ -136,10 +136,10 @@ def validate_clustering(s: MssStructure) -> ValidityReport:
     reports = tuple(
         ClusterReport(
             cluster=c,
-            lower_deficit=lower_deficit(c, s.ops),
-            upper_deficit=upper_deficit(c, s.ops),
-            grades=validity_grades(c, s.ops),
-            proposition=check_proposition(c, s.ops),
+            lower_deficit=lower_deficit(c, s.granulation),
+            upper_deficit=upper_deficit(c, s.granulation),
+            grades=validity_grades(c, s.granulation),
+            proposition=check_proposition(c, s.granulation),
         )
         for c in map(s.universe.from_mask, _clusters(s))
     )

@@ -856,6 +856,56 @@ def test_an_empty_reduct_is_reported_as_keeping_no_slots(repo_root, tmp_path):
     assert "\n  reduct keeps: no slots\n" in text
 
 
+# Two empty granulations: no relation pair gives a nonempty neighborhood,
+# and an empty list of granules.
+EMPTY_GRANULATIONS = {
+    "predecessor": (
+        {"universe": ["a", "b"], "relation": {"pairs": []}, "granulation": "predecessor"},
+        [
+            "empty neighborhood of a skipped",
+            "empty neighborhood of b skipped",
+            "relation is not reflexive; predecessor granules may miss their generators",
+        ],
+    ),
+    "listed": ({"universe": ["a", "b"], "granulation": []}, []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EMPTY_GRANULATIONS))
+def test_an_empty_granulation_is_reported_with_its_notes(repo_root, tmp_path, capsys, case):
+    from msslab.cli import main
+
+    document, notes = EMPTY_GRANULATIONS[case]
+    path = str(write_config(tmp_path, {**document, "clustering": [["a"]]}))
+    assert main(["check-axioms", path]) == 0
+    report = json.loads(capsys.readouterr().out)
+    schema_validator(repo_root, "report.schema.json").validate(report)
+    structure = report["structure"]
+    assert (structure["granules"], structure["granulation_notes"]) == ([], notes)
+    assert main(["pipeline", path]) == 0
+    step1 = json.loads(capsys.readouterr().out)["steps"]["step1_assemble"]
+    assert {"l", "u", "gamma"} <= set(step1["bound_slots"])
+    assert main(["check-axioms", path, "--format", "text"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "  granules: none" in lines
+    assert [line for line in lines if "granulation note" in line] == [
+        f"  granulation note: {note}" for note in notes
+    ]
+
+
+def test_an_empty_list_of_compatibility_modes_checks_no_mode(repo_root, tmp_path, capsys):
+    from msslab.cli import main
+
+    document = {**PAPER_CONFIG, "compatibility_modes": []}
+    assert parse_config(document).compatibility_modes == ()
+    assert main(["validate", str(write_config(tmp_path, document))]) == 0
+    report = json.loads(capsys.readouterr().out)
+    schema_validator(repo_root, "report.schema.json").validate(report)
+    assert report["validation"]["compatibility"] == []
+    # The clusters are still graded.
+    assert report["validation"]["clustering_grades"]["lu_valid"] is False
+
+
 def test_schema_refuses_traceability_flags(repo_root):
     jsonschema = pytest.importorskip("jsonschema")
     report_schema = schema_validator(repo_root, "report.schema.json")

@@ -386,14 +386,26 @@ def test_oracle_claims_on_the_example(H, granulation, delta_builtins):
         o_claim(desc, "perpetual-motion")
 
 
-def test_oracle_compatibility_matches_optimized_path(clustering, delta_builtins):
-    from msslab import check_compatibility
+def test_oracle_compatibility_matches_optimized_path():
+    from msslab.validation import COMPATIBILITY_MODES, check_compatibility
 
-    for name in ("E0", "E1", "E2", "uE1"):
-        s = clustering._replace(delta=delta_builtins[name])
-        fast = not check_compatibility(s).failed
-        slow = o_claim(StructureDescription.from_structure(s), "compatibility:overlap-closer")
-        assert fast == slow, name
+    # Every set of distinct nonempty clusters on three elements, under the
+    # singletons, the whole universe and two overlapping granules.
+    u = _universe(3)
+    for granules in ([0b001, 0b010, 0b100], [0b111], [0b011, 0b110]):
+        g = Granulation(u, granules)
+        for name in BUILTIN_DELTAS:
+            d = DeltaPredicate.builtin(name, u, g)
+            for bits in range(1, 1 << 7):
+                kappa = [m for m in range(1, 8) if bits >> m - 1 & 1]
+                s = assemble(u, granulation=g, delta=d, kappa=kappa)
+                desc = StructureDescription.from_structure(s)
+                for mode in COMPATIBILITY_MODES:
+                    v = check_compatibility(s, mode)
+                    case = (granules, name, kappa, mode)
+                    assert (not v.failed) == o_claim(desc, f"compatibility:{mode}"), case
+                    if v.failed:
+                        assert v.witnesses and not s.delta(*v.witnesses[0]), case
 
 
 def test_verify_matches_oracle_on_all_two_element_structures():
@@ -552,6 +564,7 @@ BAD_SPECS = (
     ((3,), {"forbidden": ("lclu",)}, r"forbidden: lclu reads \['kappa'\], which a search"),
     ((3,), {"required": ("i-coh", "delta-sum3")}, r"required: delta-sum3 reads \['sum'\]"),
     ((3,), {"forbidden": ("clos1",)}, "forbidden: clos1 has no definition"),
+    ((2,), {"required": ("n-coh",), "forbidden": ("n-coh",)}, "forbidden: n-coh is required too"),
     ((7, "relations", "extensional"), {}, "n: extensional tables"),
     ((), {"n": 7, "family": "extensional-deltas"}, "n: extensional tables"),
 )

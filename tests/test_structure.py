@@ -195,8 +195,8 @@ def test_every_layer_reads_the_granulation_tables(repo_root):
     e2, ue1 = cfg.structure(specs["E2"]), cfg.structure(specs["uE1"])
     L, U = cfg.granulation.lower_table, cfg.granulation.upper_table
     for s in (e2, ue1):
-        assert s.ops.lower_table is L and s.ops.upper_table is U
-        assert s.ops is cfg.granulation and s.delta.granulation is cfg.granulation
+        assert s.granulation.lower_table is L and s.granulation.upper_table is U
+        assert s.granulation is cfg.granulation
         assert s.sum.granulation.lower_table is L
 
     # Nothing has read l or u yet; each layer's reads land in the same tables.
@@ -258,6 +258,56 @@ def test_reduct_verdicts_match_full_structure(H, granulation, clustering, delta_
     for v in verify(step2):
         if v.status != "deferred" and v.axiom != "clos1":
             assert v.status == full[v.axiom], v.axiom
+
+
+def test_replacing_the_granulation_binds_l_u_and_gamma(H, granulation):
+    laws = ("UL1", "lclu", "admissible-representable")
+    bare = assemble(H, kappa=[0b0101])
+    assert [v.status for v in verify(bare, laws)] == ["deferred"] * 3
+    bound = bare._replace(granulation=granulation)
+    assert bound.bound_slots() >= {"l", "u", "gamma"}
+    # UL1 and admissibility are theorems; lclu fails at {x1,x3}, whose l is {x1}.
+    assert [v.status for v in verify(bound, laws)] == ["holds", "fails", "holds"]
+
+
+GAMMA_LAWS = (
+    "admissible-representable",
+    "admissible-granules-lower-definite",
+    "admissible-pairs-in-definite",
+)
+L_U_LAWS = ("UL1", "UL2", "UL3", "lclu")
+
+
+# Reducts that keep some of l, u and gamma: whether the granulation stays
+# (l and u travel as a pair), and the laws each defers.
+@pytest.mark.parametrize(
+    "kept, stays, deferred",
+    [
+        (("l", "u", "gamma"), True, ()),
+        (("gamma",), True, L_U_LAWS + GAMMA_LAWS),
+        (("l", "u"), True, GAMMA_LAWS),
+        (("l", "gamma"), True, L_U_LAWS + GAMMA_LAWS),
+        (("l",), False, L_U_LAWS + GAMMA_LAWS),
+        ((), False, L_U_LAWS + GAMMA_LAWS),
+    ],
+    ids=["all", "gamma", "l-u", "l-gamma", "l", "none"],
+)
+def test_a_reduct_keeps_the_granulation_while_it_keeps_l_u_or_gamma(
+    H, granulation, delta_builtins, kept, stays, deferred
+):
+    full = assemble(
+        H,
+        granulation=granulation,
+        delta=delta_builtins["E1"],
+        sum=SumOperation.granular(granulation),
+        kappa=[0b0101],
+    )
+    others = full.bound_slots() - {"l", "u", "gamma"}
+    s = reduct(full, others | set(kept))
+    assert (s.granulation is granulation) == stays
+    assert {v.axiom for v in verify(s, AXIOM_ORDER) if v.status == "deferred"} == set(deferred)
+    # A slot that a reduct dropped stays dropped when the granulation is set again.
+    assert s._replace(granulation=granulation).bound_slots() == s.bound_slots()
 
 
 def test_reduct_rejects_bad_slots(H, granulation):

@@ -57,6 +57,11 @@ MALFORMED = "tests/test_cli.py::test_malformed_configs_are_parse_errors_naming_t
 CLASS_EXTRAS = "tests/test_structure.py::test_a_law_a_class_adds_changes_only_that_class"
 VALIDATION = "src/msslab/validation.py"
 NO_KAPPA = "tests/test_cli.py::test_a_reduct_that_drops_kappa_defers_every_validation_row[{}]"
+REPLACED_GRANULATION = "tests/test_structure.py::test_replacing_the_granulation_binds_l_u_and_gamma"
+GRANULATION_REDUCT = (
+    "tests/test_structure.py::test_a_reduct_keeps_the_granulation_while_it_keeps_l_u_or_gamma[{}]"
+)
+REPORT = "src/msslab/report.py"
 
 MUTANTS = (
     Mutant(
@@ -255,9 +260,45 @@ MUTANTS = (
     Mutant(
         "gmss-without-gamma",
         STRUCTURE,
-        "return flags if s.granulation is not None else flags._replace(is_gmss=False)",
+        'return flags if "gamma" in s.bound_slots() else flags._replace(is_gmss=False)',
         "return flags",
         ("tests/test_structure.py::test_a_class_holds_when_every_law_of_it_holds",),
+    ),
+    # A granulation binds l, u and gamma exactly where a reduct kept them.
+    Mutant(
+        "unset-granulation-binds-its-slots",
+        STRUCTURE,
+        "bound = self.kept if self.granulation is not None else self.kept - GRANULATION_SLOTS",
+        "bound = self.kept",
+        (REPLACED_GRANULATION,),
+    ),
+    Mutant(
+        "reduct-keeps-the-granulation-only-with-gamma",
+        STRUCTURE,
+        "granulation=s.granulation if kept & GRANULATION_SLOTS else None,",
+        'granulation=s.granulation if "gamma" in kept else None,',
+        (GRANULATION_REDUCT.format("l-u"),),
+    ),
+    Mutant(
+        "reduct-keeps-l-without-u",
+        STRUCTURE,
+        'if not {"l", "u"} <= keep:',
+        "if False:",
+        (GRANULATION_REDUCT.format("l"),),
+    ),
+    Mutant(
+        "lower-fill-reversed",
+        GRANULES,
+        "if not g & ~a:",
+        "if not a & ~g:",
+        ("tests/test_granules.py::test_lower_upper_examples",),
+    ),
+    Mutant(
+        "upper-fill-outside",
+        GRANULES,
+        "if g & a:",
+        "if g & ~a:",
+        ("tests/test_granules.py::test_lower_upper_examples",),
     ),
     Mutant(
         "a-missing-law-passes",
@@ -321,14 +362,14 @@ MUTANTS = (
     ),
     Mutant(
         "verdict-line-padded",
-        "src/msslab/report.py",
+        REPORT,
         '{witness}{note}".rstrip())',
         '{witness}{note}")',
         ("tests/test_cli.py::test_text_reports_end_no_line_in_whitespace[check-axioms]",),
     ),
     Mutant(
         "validation-note-dropped",
-        "src/msslab/report.py",
+        REPORT,
         "        _note(out, validation)\n",
         "",
         ("tests/test_cli.py::test_text_reports_print_the_validation_note[validate]",),
@@ -336,10 +377,39 @@ MUTANTS = (
     # Rows in insertion order: a cluster's grades and the clustering's read differently.
     Mutant(
         "pairs-unsorted",
-        "src/msslab/report.py",
+        REPORT,
         "sorted(row.items())",
         "row.items()",
         ("tests/test_cli.py::test_text_rows_list_their_keys_in_sorted_order[validate]",),
+    ),
+    # An empty granulation is falsy: read as absent, it hides its notes.
+    Mutant(
+        "empty-granulation-reported-absent",
+        REPORT,
+        '"granules": None if g is None else',
+        '"granules": None if not g else',
+        ("tests/test_cli.py::test_an_empty_granulation_is_reported_with_its_notes[listed]",),
+    ),
+    Mutant(
+        "granulation-notes-unprinted",
+        REPORT,
+        '            out(f"  granulation note: {note}")\n',
+        "            pass\n",
+        ("tests/test_cli.py::test_an_empty_granulation_is_reported_with_its_notes[predecessor]",),
+    ),
+    Mutant(
+        "no-modes-checks-overlap-closer",
+        "src/msslab/config.py",
+        'modes = _distinct(raw_modes, "compatibility_modes")\n',
+        'modes = _distinct(raw_modes, "compatibility_modes") or modes\n',
+        ("tests/test_cli.py::test_an_empty_list_of_compatibility_modes_checks_no_mode",),
+    ),
+    Mutant(
+        "law-required-and-forbidden-searched",
+        SEARCH,
+        "        if both:\n",
+        "        if False:\n",
+        ("tests/test_search.py::test_search_spec_validation",),
     ),
     Mutant(
         "compatibility-mode-field-unindexed",
