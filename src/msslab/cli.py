@@ -1,4 +1,5 @@
-"""Command-line front end.
+"""Command-line front end: arguments, files and exit codes. Each report
+is one library call on the JSON document the command reads.
 
 Exit codes: 0 success, 1 usage or parse problem, 2 axiom/validation
 failure under --strict-exit or a witness that does not replay, 3
@@ -15,7 +16,7 @@ import tempfile
 from pathlib import Path
 
 from .errors import BudgetError, MsslabError, ParseError
-from .verdicts import DEFAULT_SEED, provenance, to_json
+from .verdicts import DEFAULT_SEED, to_json
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -114,97 +115,44 @@ def _emit(report: dict, args) -> None:
         raise MsslabError(f"cannot write {args.output}: {exc.strerror or exc}") from exc
 
 
-def _parse_search_spec(spec_data: dict, cli_seed):
-    """The spec document as a ``SearchSpec``, which checks every field."""
-    from .search import SearchSpec  # only the search subcommand reads it
+def _report(args, document) -> dict:
+    """The command's report, one library call on the parsed document."""
+    if args.command == "search":
+        from .search import build_search, parse_spec  # only the search subcommand reads it
 
-    if not isinstance(spec_data, dict):
-        raise ParseError("search spec must be a JSON object")
-    unknown = set(spec_data) - set(SearchSpec._fields)
-    if unknown:
-        raise ParseError(f"unknown fields {sorted(unknown)}")
-    if "n" not in spec_data:
-        raise ParseError("missing required field", "n")
-    seed = spec_data.get("seed")
-    # The document's own seed is checked even where --seed overrides it; null is no seed.
-    spec = SearchSpec(**{**spec_data, "seed": DEFAULT_SEED if seed is None else seed})
-    return spec if cli_seed is None else spec._replace(seed=cli_seed)
+        return build_search(parse_spec(document), seed=args.seed)
+    from .config import parse_config  # every command but search reads a config
 
+    cfg = parse_config(document)
+    if args.command == "pipeline":
+        from .pipeline import run_pipeline  # only this subcommand reads it
 
-def _structure_dict(s) -> dict:
-    """The found structure as the search report lists it: names, not masks."""
-    names = s.universe.names
-    table = s.delta.table
-    return {
-        "universe": list(s.universe.elements),
-        "granules": [list(names(g)) for g in s.granulation],
-        "delta_kind": s.delta.kind,
-        "delta_table": (
-            sorted([list(names(m)) for m in triple] for triple in table)
-            if table is not None
-            else None
-        ),
-    }
+        return run_pipeline(cfg, seed=args.seed)
+    from .report import build_check_axioms, build_validate
 
-
-def _search_report(spec_data: dict, cli_seed) -> dict:
-    from .search import find_witness
-
-    spec = _parse_search_spec(spec_data, cli_seed)
-    found, examined = find_witness(spec)
-    return {
-        "command": "search",
-        "provenance": provenance(spec.seed),
-        "spec": {
-            k: list(v) if isinstance(v, tuple) else v
-            for k, v in spec._asdict().items()
-            if k != "seed"
-        },
-        "search": {
-            "found": found is not None,
-            "examined": examined,
-            "structure": _structure_dict(found) if found is not None else None,
-            "note": None if found is not None else "none within budget",
-        },
-    }
-
-
-def _replay(cfg, report) -> int:
-    from .witnesses import replay_failures  # only this subcommand reads it
-
-    problems = replay_failures(cfg, report)
-    for problem in problems:
-        print(f"msslab: {problem}", file=sys.stderr)
-    return EXIT_STRICT if problems else EXIT_OK
+    build = build_check_axioms if args.command == "check-axioms" else build_validate
+    return build(cfg, seed=args.seed)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "search":
-            report = _search_report(_load_json(args.spec), args.seed)
-            _emit(report, args)
-            return EXIT_OK
-
-        from .config import parse_config  # every command but search reads a config
-
-        cfg = parse_config(_load_json(args.config))
         if args.command == "replay":
-            return _replay(cfg, _load_json(args.report))
-        from .report import build_check_axioms, build_validate, has_failures
+            from .config import parse_config
+            from .witnesses import replay_failures  # only this subcommand reads it
 
-        if args.command == "check-axioms":
-            report = build_check_axioms(cfg, seed=args.seed)
-        elif args.command == "validate":
-            report = build_validate(cfg, seed=args.seed)
-        else:
-            from .pipeline import run_pipeline  # only this subcommand reads it
-
-            report = run_pipeline(cfg, seed=args.seed)
+            cfg = parse_config(_load_json(args.config))
+            problems = replay_failures(cfg, _load_json(args.report))
+            for problem in problems:
+                print(f"msslab: {problem}", file=sys.stderr)
+            return EXIT_STRICT if problems else EXIT_OK
+        report = _report(args, _load_json(args.spec if args.command == "search" else args.config))
         _emit(report, args)
-        if getattr(args, "strict_exit", False) and has_failures(report):
-            return EXIT_STRICT
+        if getattr(args, "strict_exit", False):
+            from .report import has_failures  # every command with --strict-exit loaded it
+
+            if has_failures(report):
+                return EXIT_STRICT
         return EXIT_OK
     except BudgetError as exc:
         print(f"msslab: budget exceeded: {exc}", file=sys.stderr)

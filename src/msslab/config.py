@@ -84,11 +84,6 @@ class LabConfig(NamedTuple):
     reduct_keep: Optional[tuple[str, ...]]
     seed: Optional[int]
 
-    def run_seed(self, seed: Optional[int]) -> Optional[int]:
-        """The seed a run uses: ``seed``, else the config's. None leaves
-        ``DEFAULT_SEED`` to the sweeps."""
-        return self.seed if seed is None else seed
-
     def sum_operation(self) -> Optional[SumOperation]:
         if self.sum_mode == "total-union":
             return SumOperation.total_union(self.universe)

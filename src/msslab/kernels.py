@@ -1,7 +1,9 @@
 """The law kernels on masks: ``INSTANCES``, the one place the instance of
 each swept law on δ or the sum is written, which a sweep quantifies and
-a replay re-runs, and ``cube_verdict``, which decides every law that
-reads δ in one walk over the planes of the predicate's cube.
+a replay re-runs; ``cube_verdict``, which decides every law that reads
+δ in one walk over the planes of the predicate's cube; and
+``table_verdict``, which decides each omega law on an extensional sum in
+one walk over the table's defined pairs.
 
 ``structure.check_axiom`` and ``structure.evaluator`` import this module
 only when a law has to be swept or decided on δ or on the sum, so a run
@@ -13,7 +15,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from .delta import DeltaPredicate
+from .delta import DeltaPredicate, SumOperation
 from .errors import MsslabError
 from .structure import LAWS
 from .verdicts import Verdict, decided
@@ -203,3 +205,39 @@ def cube_verdict(
             if fixed:
                 break
     return decided(axiom, d.universe, arity, first, substantive)
+
+
+def table_verdict(axiom: str, s: SumOperation) -> Verdict:
+    """An omega law, which reads only the sum, decided on the defined
+    pairs of an ``extensional-partial`` table.
+
+    An instance reads True where a sum it compares is undefined (both
+    sides of omega-star-com undefined are equal), so only a tuple that
+    reads listed pairs can violate. The walk visits those tuples in
+    canonical order, so its first violation is the least:
+
+    - omega-id: the listed (a, a);
+    - omega-star-com: each (a, b) for which (a, b) or (b, a) is listed;
+    - omega-asso: a over the listed pairs, b over the defined (a, b), and
+      c over the defined (b, c).
+
+    Every instance is substantive, so a law with no violation holds, with
+    the whole space as its count. The walk is bounded by the table, not by
+    a budget.
+    """
+    table = s.table
+    pairs = sorted(table)
+    if axiom == "omega-id":
+        tuples = [(a,) for a, b in pairs if a == b]
+    elif axiom == "omega-star-com":
+        tuples = sorted({*pairs, *[(b, a) for a, b in pairs]})
+    elif axiom == "omega-asso":
+        after: dict[int, list[int]] = {}
+        for a, b in pairs:
+            after.setdefault(a, []).append(b)
+        tuples = ((a, b, c) for a, bs in after.items() for b in bs for c in after.get(b, ()))
+    else:
+        raise MsslabError(f"axiom {axiom!r} is not decided on a sum table")
+    instance = INSTANCES[axiom](None, s.masked())
+    first = next((t for t in tuples if instance(*t) is False), None)
+    return decided(axiom, s.universe, LAWS[axiom].arity, first, True)

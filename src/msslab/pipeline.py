@@ -6,32 +6,26 @@ clustering produced elsewhere, keeping the laboratory algorithm-agnostic.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .config import LabConfig, parse_config
 from .errors import ParseError
-from .report import (
-    axioms_section,
-    cluster_names,
-    provenance,
-    structure_summary,
-    validation_section,
-)
+from .report import axioms_section, cluster_names, structure_summary, validation_section
 from .structure import SIGNATURE_SLOTS
+from .verdicts import provenance, run_seed
+
+if TYPE_CHECKING:  # annotations only
+    from .config import LabConfig
 
 
-def run_pipeline(
-    config: LabConfig | dict, *, seed: Optional[int] = None, jobs: int = 1
-) -> dict:
+def run_pipeline(cfg: LabConfig, *, seed: Optional[int] = None, jobs: int = 1) -> dict:
     """Assemble, reduce, ingest a clustering, bind membership, investigate.
 
     ``jobs`` is accepted and ignored; it stays only because
     ``bench/traced.py`` passes ``jobs=1``.
     """
-    cfg = parse_config(config) if isinstance(config, dict) else config
     if cfg.clusters is None:
         raise ParseError("missing clustering input", "clustering")
-    seed = cfg.run_seed(seed)
+    seed = run_seed(seed, cfg.seed)
 
     skeleton = cfg._replace(reduct_keep=None).structure(None)
     bound = cfg.structure(None)

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Optional
 from .errors import ParseError
 from .structure import ADMISSIBILITY_AXIOMS, LAWS, classify, verify
 from .validation import GRADE_READS, ClusterGrades, check_compatibility, validate_clustering
-from .verdicts import DEFERRED, Verdict, provenance, to_json
+from .verdicts import DEFERRED, Verdict, provenance, run_seed, to_json
 
 if TYPE_CHECKING:  # annotations only
     from .config import LabConfig
@@ -138,7 +138,7 @@ def validation_section(cfg: LabConfig) -> dict:
 def build_check_axioms(cfg: LabConfig, *, seed: Optional[int], jobs: int = 1) -> dict:
     """The check-axioms report. ``jobs`` is accepted and ignored; it stays
     only because ``bench/traced.py`` passes ``jobs=1``."""
-    seed = cfg.run_seed(seed)
+    seed = run_seed(seed, cfg.seed)
     return {
         "command": "check-axioms",
         "provenance": provenance(seed),
@@ -150,7 +150,7 @@ def build_check_axioms(cfg: LabConfig, *, seed: Optional[int], jobs: int = 1) ->
 def build_validate(cfg: LabConfig, *, seed: Optional[int], jobs: int = 1) -> dict:
     """The validate report. ``jobs`` is accepted and ignored; it stays only
     because ``bench/traced.py`` passes ``jobs=1``."""
-    seed = cfg.run_seed(seed)
+    seed = run_seed(seed, cfg.seed)
     return {
         "command": "validate",
         "provenance": provenance(seed),

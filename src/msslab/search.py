@@ -11,6 +11,9 @@ structure's laws are checked only up to the first that does not match
 the profile, theorems first.
 Extensional predicate tables are always sampled (their count is doubly
 exponential), with the seed fixing the stream.
+
+``parse_spec`` reads a spec document and ``build_search`` writes the
+search report, the one library call the ``search`` command makes.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .errors import BudgetError, ParseError
 from .granules import Granulation
 from .sets import Universe
 from .structure import GRANULATION_SLOTS, LAWS, SET_SLOTS, MssStructure, assemble, check_axiom
+from .verdicts import provenance, run_seed
 
 FAMILIES = ("relations", "extensional-deltas", "granulations")
 # A search draws its predicate from a builtin or from a random table.
@@ -53,7 +57,7 @@ FIELD_CHECKS = {
     "required": (_is_laws, "a list of axiom names"),
     "forbidden": (_is_laws, "a list of axiom names"),
     "budget": (lambda v: _is_int(v) and v >= 1, "a positive integer"),
-    "seed": (_is_int, "an integer"),
+    "seed": (lambda v: v is None or _is_int(v), "an integer"),
     "density": (
         lambda v: (_is_int(v) or isinstance(v, float)) and 0 <= v <= 1,
         "a number in [0, 1]",
@@ -69,7 +73,7 @@ class _SearchFields(NamedTuple):
     required: tuple[str, ...] = ()
     forbidden: tuple[str, ...] = ()
     budget: int = 10_000
-    seed: int = 0
+    seed: Optional[int] = None
     density: float = 0.5
     exhaustive: bool = True
 
@@ -77,8 +81,9 @@ class _SearchFields(NamedTuple):
 class SearchSpec(_SearchFields):
     """The fields of a search, each checked by ``FIELD_CHECKS`` when the
     spec is constructed; a refused field is a ``ParseError`` naming it and
-    quoting the value as given. ``required`` and ``forbidden`` may be
-    given as lists and are kept as tuples. A required or forbidden law
+    quoting the value as given. A ``seed`` of None is no seed: a stream
+    then draws from ``verdicts.DEFAULT_SEED``. ``required`` and
+    ``forbidden`` may be given as lists and are kept as tuples. A required or forbidden law
     that no searched structure can decide, one that reads a slot outside
     ``SEARCHED_SLOTS`` or has no definition, is refused too, and so is a
     law both required and forbidden: its verdict could never match."""
@@ -175,7 +180,7 @@ def _candidates(
     it must run before the next candidate is drawn."""
     n = spec.n
     universe = _universe(n)
-    rng = random.Random(spec.seed)
+    rng = random.Random(run_seed(None, spec.seed))
 
     def build(masks):
         granulation = Granulation(universe, masks)
@@ -254,3 +259,51 @@ def find_witness(spec: SearchSpec) -> tuple[Optional[MssStructure], int]:
         if key is not None:
             rejected.add(key)
     return None, examined
+
+
+def parse_spec(document) -> SearchSpec:
+    """A search spec document as a ``SearchSpec``, which checks every
+    field; a ``null`` seed is no seed, as in a config."""
+    if not isinstance(document, dict):
+        raise ParseError("search spec must be a JSON object")
+    unknown = set(document) - set(SearchSpec._fields)
+    if unknown:
+        raise ParseError(f"unknown fields {sorted(unknown)}")
+    if "n" not in document:
+        raise ParseError("missing required field", "n")
+    return SearchSpec(**document)
+
+
+def build_search(spec: SearchSpec, *, seed: Optional[int] = None) -> dict:
+    """The search report: ``find_witness`` under the run's seed
+    (``verdicts.run_seed`` of ``seed`` and the spec's), the spec's other
+    fields, and the structure found, its subsets listed by element names."""
+    spec = spec._replace(seed=run_seed(seed, spec.seed))
+    found, examined = find_witness(spec)
+    structure = None
+    if found is not None:
+        names = found.universe.names
+        table = found.delta.table
+        structure = {
+            "universe": list(found.universe.elements),
+            "granules": [list(names(g)) for g in found.granulation],
+            "delta_kind": found.delta.kind,
+            "delta_table": (
+                None if table is None else sorted([list(names(m)) for m in row] for row in table)
+            ),
+        }
+    return {
+        "command": "search",
+        "provenance": provenance(spec.seed),
+        "spec": {
+            k: list(v) if isinstance(v, tuple) else v
+            for k, v in spec._asdict().items()
+            if k != "seed"
+        },
+        "search": {
+            "found": found is not None,
+            "examined": examined,
+            "structure": structure,
+            "note": None if found is not None else "none within budget",
+        },
+    }

@@ -304,17 +304,20 @@ def check_axiom(
 
     A law of ``THEOREMS`` whose slots are bound holds as a theorem, with
     no instance checked, and so does a law with a ``union_theorem`` when
-    the sum is a union sum (``delta.UNION_SUMS``): the omega laws. The
-    laws that read delta (the five coherence laws and delta-sum1..3) are
-    decided in one walk over the planes of delta (``kernels.cube_verdict``)
-    when the cube's 2²ⁿ rows, shared through ``DeltaPredicate.plane``, fit
-    ``budget``: up to n = 9 at the default
-    budget, each verdict the one the contract of ``verdicts`` fixes. An
-    arity-2 sweep is exhaustive at the same n, so i-coh and i-coh-2 are
-    never sampled where the cube could have decided them. Every other
-    law, and those laws past that budget, is swept. Only a swept or
-    cube-decided law loads the law kernels (``kernels``); a theorem,
-    deferred or unspecified verdict does not.
+    the sum is a union sum (``delta.UNION_SUMS``): the omega laws. Under
+    an ``extensional-partial`` sum each omega law is decided on the
+    table's defined pairs (``kernels.table_verdict``), exactly at every
+    n and whatever the budget. The laws that read delta (the five
+    coherence laws and delta-sum1..3) are decided in one walk over the
+    planes of delta (``kernels.cube_verdict``) when the cube's 2²ⁿ rows,
+    shared through ``DeltaPredicate.plane``, fit ``budget``: up to n = 9
+    at the default budget, each verdict the one the contract of
+    ``verdicts`` fixes. An arity-2 sweep is exhaustive at the same n, so
+    i-coh and i-coh-2 are never sampled where the cube could have
+    decided them. Every other law, and those laws past that budget, is
+    swept. Only a swept, table-decided or cube-decided law loads the law
+    kernels (``kernels``); a theorem, deferred or unspecified verdict
+    does not.
     """
     law = LAWS.get(axiom)
     if law is None:
@@ -330,6 +333,10 @@ def check_axiom(
         return theorem(axiom, law.theorem)
     if law.union_theorem is not None and s.sum.mode in UNION_SUMS:
         return theorem(axiom, law.union_theorem)
+    if law.reads == {"sum"} and s.sum.mode == "extensional-partial":
+        from .kernels import table_verdict  # only a law decided on the sum table reads it
+
+        return table_verdict(axiom, s.sum)
     if "delta" in law.reads and (1 << s.universe.size) ** 2 <= budget:
         from .kernels import cube_verdict  # only a law decided on delta reads it
 

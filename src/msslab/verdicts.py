@@ -1,10 +1,11 @@
 """Verdicts for axiom checks, plus the shared quantifier sweep, and the
-provenance and canonical JSON of every report.
+seed rule, provenance and canonical JSON of every report.
 
 A check walks a quantification space of subset-mask tuples and classifies
 each instance as substantively satisfied, vacuously satisfied, or
 violated. Every exact decider (the sweep, the law kernels on the delta
-cube and the compatibility check) builds its verdict through ``decided``,
+cube and on a sum table, and the compatibility check) builds its verdict
+through ``decided``,
 under one contract:
 
 - the first violating tuple of the walk, decoded to subsets, is the
@@ -42,13 +43,17 @@ DEFAULT_SAMPLE_BUDGET = 1_000_000
 DEFAULT_SEED = 0
 
 
-def provenance(seed: Optional[int]) -> dict:
-    """Tool, version, and the seed sampled sweeps use (``DEFAULT_SEED`` for None)."""
-    return {
-        "tool": "msslab",
-        "version": __version__,
-        "seed": DEFAULT_SEED if seed is None else seed,
-    }
+def run_seed(given: Optional[int], document: Optional[int]) -> int:
+    """The seed a run uses: the one it is given, else its document's, else
+    ``DEFAULT_SEED``. Every report builder reads its seed through here."""
+    if given is not None:
+        return given
+    return DEFAULT_SEED if document is None else document
+
+
+def provenance(seed: int) -> dict:
+    """Tool, version, and the seed the run used."""
+    return {"tool": "msslab", "version": __version__, "seed": seed}
 
 
 def to_json(report: dict) -> str:

@@ -237,12 +237,12 @@ def test_astronomical_search_counts_are_written_as_powers(repo_root, tmp_path, d
     [{"n": 10, "family": "extensional-deltas"}, {"n": 10, "delta": "extensional"}],
 )
 def test_oversized_extensional_search_is_refused_before_drawing(repo_root, tmp_path, document):
-    from msslab.cli import _search_report
     from msslab.errors import ParseError
+    from msslab.search import build_search, parse_spec
 
     start = time.perf_counter()
     with pytest.raises(ParseError) as err:
-        _search_report(document, 0)
+        build_search(parse_spec(document), seed=0)
     # Drawing a table at n = 10 takes 2**30 draws, which would run for minutes.
     assert time.perf_counter() - start < 1.0
     assert str(err.value) == "n: extensional tables admitted only for universes of size <= 6"
@@ -264,11 +264,11 @@ def test_search_finds_and_serializes_a_witness(repo_root, tmp_path):
 
 
 def test_search_report_lists_members_in_universe_order():
-    from msslab.cli import _search_report
+    from msslab.search import build_search, parse_spec
 
     # At n = 10, "x10" sorts before "x2" as a string.
     document = {"n": 10, "delta": "E0", "required": ["UL1"], "budget": 1, "exhaustive": False}
-    structure = _search_report(document, None)["search"]["structure"]
+    structure = build_search(parse_spec(document))["search"]["structure"]
     index = structure["universe"].index
     granules = structure["granules"]
     assert all(g == sorted(g, key=index) for g in granules)
@@ -287,6 +287,13 @@ def test_search_spec_errors_quote_the_value_as_written(repo_root, tmp_path):
 
 
 PAPER_CONFIG = json.loads((Path(__file__).resolve().parent.parent / FIXTURE).read_text())
+# The search-n3 benchmark spec, which finds nothing.
+SEARCH_N3 = {
+    "n": 3,
+    "delta": "E2",
+    "required": ["i-coh-2", "strict-n-coh", "n-coh"],
+    "forbidden": ["UL1", "UL2"],
+}
 
 
 @pytest.mark.parametrize(
@@ -514,7 +521,38 @@ def test_library_builders_fall_back_to_the_config_seed():
         assert build(cfg, seed=None)["provenance"]["seed"] == 7
         assert build(cfg, seed=3)["provenance"]["seed"] == 3
         assert build(cfg._replace(seed=None), seed=None)["provenance"]["seed"] == 0
-    assert run_pipeline({**PAPER_CONFIG, "seed": 7})["provenance"]["seed"] == 7
+    assert run_pipeline(parse_config({**PAPER_CONFIG, "seed": 7}))["provenance"]["seed"] == 7
+
+
+def test_library_search_falls_back_to_the_document_seed():
+    from msslab.search import build_search, parse_spec
+
+    for document_seed, given, used in ((7, None, 7), (7, 3, 3), (None, None, 0), (None, 3, 3)):
+        spec = parse_spec({**SEARCH_N3, "seed": document_seed})
+        assert build_search(spec, seed=given)["provenance"]["seed"] == used
+    # The stream draws from the seed the run uses, wherever it was given.
+    document = {"n": 2, "delta": "extensional", "budget": 16, "density": 0.3}
+    seeded = build_search(parse_spec({**document, "seed": 5}))
+    assert seeded == build_search(parse_spec(document), seed=5)
+    assert seeded != build_search(parse_spec(document))
+
+
+@pytest.mark.parametrize(
+    "document, flags",
+    [
+        (SEARCH_N3, ()),
+        (SEARCH_N3, ("--seed", "5")),
+        ({"n": 2, "delta": "E0", "required": ["i-coh"], "budget": 50}, ()),
+    ],
+    ids=["search-n3", "search-n3-seed-5", "found"],
+)
+def test_library_search_report_is_the_cli_report(repo_root, tmp_path, document, flags):
+    from msslab.search import build_search, parse_spec
+
+    result = run_cli(repo_root, "search", str(write_config(tmp_path, document)), *flags)
+    assert result.returncode == 0, result.stderr
+    seed = int(flags[1]) if flags else None
+    assert result.stdout == to_json(build_search(parse_spec(document), seed=seed))
 
 
 def test_config_names_are_resolved_to_masks_at_parse():
@@ -556,9 +594,8 @@ def test_integer_past_the_digit_limit_is_a_parse_error(repo_root, tmp_path, comm
 
 
 def test_search_structure_matches_the_oracle_description(tmp_path):
-    from msslab.cli import _search_report
     from msslab.oracles import StructureDescription
-    from msslab.search import SearchSpec, find_witness
+    from msslab.search import SearchSpec, build_search, find_witness, parse_spec
 
     document = {
         "n": 2,
@@ -568,7 +605,7 @@ def test_search_structure_matches_the_oracle_description(tmp_path):
         "budget": 16,
         "density": 0.3,
     }
-    structure = _search_report(document, 5)["search"]["structure"]
+    structure = build_search(parse_spec(document), seed=5)["search"]["structure"]
     found, _ = find_witness(SearchSpec(**{**document, "forbidden": ("n-coh", "i-coh")}, seed=5))
     desc = StructureDescription.from_structure(found)
     assert structure == {
@@ -596,12 +633,6 @@ def test_failed_write_is_reported_without_leftovers(repo_root, tmp_path, target)
 # a module whose code a command never runs stays unloaded there.
 COMMON = {"cli", "delta", "errors", "granules", "sets", "structure", "verdicts"}
 CONFIG_COMMAND = COMMON | {"config", "report", "validation"}
-SEARCH_N3 = {
-    "n": 3,
-    "delta": "E2",
-    "required": ["i-coh-2", "strict-n-coh", "n-coh"],
-    "forbidden": ["UL1", "UL2"],
-}
 
 
 @pytest.mark.parametrize(

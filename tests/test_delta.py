@@ -18,9 +18,9 @@ from msslab import (
 )
 from msslab.config import parse_config
 from msslab.delta import BUILTIN_DELTAS
-from msslab.kernels import INSTANCES, cube_verdict
+from msslab.kernels import INSTANCES, cube_verdict, table_verdict
 from msslab.oracles import StructureDescription, o_sum_law_holds
-from msslab.structure import LAWS, axiom_instance, check_axiom, evaluator
+from msslab.structure import LAWS, axiom_instance, check_axiom, evaluator, replay
 from msslab.verdicts import sweep
 
 
@@ -584,6 +584,69 @@ def test_omega_laws_are_swept_under_a_partial_sum(H):
             v = check_axiom(assemble(H, sum=s), axiom)
             assert v.mode == "exhaustive" and v == swept(None, axiom, s), axiom
         assert check_axiom(assemble(H, sum=s), "omega-id").status == expected
+
+
+@st.composite
+def partial_sum_tables(draw):
+    """An extensional sum on up to three elements, its pairs listed in
+    drawn order, not sorted."""
+    n = draw(st.integers(1, 3))
+    top = 1 << n
+    element = st.integers(0, top - 1)
+    pairs = draw(st.lists(st.tuples(element, element), unique=True, max_size=2 * top))
+    values = draw(st.lists(element, min_size=len(pairs), max_size=len(pairs)))
+    return SumOperation.extensional(Universe([f"x{i+1}" for i in range(n)]), dict(zip(pairs, values)))
+
+
+U2 = Universe(["x1", "x2"])
+
+
+@settings(max_examples=200, deadline=None)
+# only (b, a) is listed: omega-star-com's least witness (a, b) is not
+@example(SumOperation.extensional(U2, {(2, 1): 3}))
+# two moved squares listed in descending order: omega-id's least witness is the later one
+@example(SumOperation.extensional(U2, {(3, 3): 0, (1, 1): 0}))
+# the table's first listed violation of omega-asso is (3, 2, 2); the least is (1, 2, 2)
+@example(SumOperation.extensional(U2, {(2, 2): 2, (3, 2): 1, (1, 2): 3}))
+@example(SumOperation.extensional(U2, {(a, b): a | b for a in range(4) for b in range(4)}))
+@given(partial_sum_tables())
+def test_table_walk_matches_the_sweep_on_partial_sums(s):
+    structure = assemble(s.universe, sum=s)
+    for axiom in OMEGA_LAWS:
+        v = table_verdict(axiom, s)
+        assert v == swept(None, axiom, s) == check_axiom(structure, axiom), axiom
+
+
+def test_omega_laws_are_exact_on_a_sum_table_embedded_in_ten_elements():
+    # Five pairs on x1..x3 in a universe of ten: omega-asso's least witness
+    # is past the sample budget, where a sampled sweep reported it holding.
+    one, two, three = ["x1"], ["x2"], ["x3"]
+    cfg = parse_config(
+        {
+            "universe": [f"x{i + 1}" for i in range(10)],
+            "sum": {
+                "kind": "extensional-partial",
+                "table": [
+                    [one, two, one + two],
+                    [two, one, two],
+                    [one, one, two],
+                    [three, three, three],
+                    [two, two, one + two + three],
+                ],
+            },
+        }
+    )
+    s = cfg.structure()
+    expected = {
+        "omega-star-com": ([one, two], 1_027),
+        "omega-id": ([one], 2),
+        "omega-asso": ([one, one, one], 1_049_602),
+    }
+    for axiom, (witness, count) in expected.items():
+        v = check_axiom(s, axiom)
+        assert (v.status, v.mode, v.instances_checked) == ("fails", "exhaustive", count), axiom
+        assert [list(part.members()) for part in v.witnesses[0]] == witness, axiom
+        assert replay(s, v), axiom
 
 
 @st.composite

@@ -19,6 +19,7 @@ from msslab import (
     validate_clustering,
     validity_grades,
 )
+from msslab.config import parse_config
 from msslab.delta import BUILTIN_DELTAS
 from msslab.oracles import o_deficits, o_pre_valid_search, powerset
 from msslab.pipeline import run_pipeline
@@ -294,7 +295,7 @@ def test_pipeline_on_the_example_config():
         "delta": ["E0", "E1"],
         "clustering": [["x1", "x3"], ["x2", "x3"], ["x2", "x4"]],
     }
-    report = run_pipeline(config)
+    report = run_pipeline(parse_config(config))
     steps = report["steps"]
     assert steps["step3_clustering"]["source"] == "external clustering ingested"
     assert steps["step4_bind"]["kappa_bound"] is True
@@ -313,7 +314,7 @@ def test_pipeline_without_delta_candidates_is_validation_only():
         "granulation": "predecessor",
         "clustering": [["x1"]],
     }
-    report = run_pipeline(config)
+    report = run_pipeline(parse_config(config))
     axioms = report["steps"]["step5_investigate"]["axioms"]
     assert axioms["per_delta"] == {}
     assert "note" in axioms
@@ -328,7 +329,7 @@ def test_pipeline_with_reduct_defers_deficits():
         "clustering": [["x1"]],
         "reduct": ["P", "leq", "join", "meet", "top", "bottom"],
     }
-    report = run_pipeline(config)
+    report = run_pipeline(parse_config(config))
     validation = report["steps"]["step5_investigate"]["validation"]
     assert validation["clusters"][0]["status"] == "deferred"
     assert report["steps"]["step2_reduct"]["applied"] is True
@@ -341,4 +342,4 @@ def test_pipeline_requires_clustering():
         "granulation": "predecessor",
     }
     with pytest.raises(MsslabError):
-        run_pipeline(config)
+        run_pipeline(parse_config(config))

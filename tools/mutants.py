@@ -62,6 +62,7 @@ GRANULATION_REDUCT = (
     "tests/test_structure.py::test_a_reduct_keeps_the_granulation_while_it_keeps_l_u_or_gamma[{}]"
 )
 REPORT = "src/msslab/report.py"
+TABLE_WALK = "tests/test_delta.py::test_table_walk_matches_the_sweep_on_partial_sums"
 
 MUTANTS = (
     Mutant(
@@ -127,6 +128,38 @@ MUTANTS = (
         "lambda a, b, c: d(b, a, c) if d(a, b, c) else None",
         "lambda a, b, c: d(a, b, c) if d(a, b, c) else None",
         (PAPER_CUBE,),
+    ),
+    # The sum-table walks: each must visit every tuple that can violate, in canonical order.
+    Mutant(
+        "omega-star-com-walks-only-the-listed-pairs",
+        KERNELS,
+        "tuples = sorted({*pairs, *[(b, a) for a, b in pairs]})",
+        "tuples = pairs",
+        (TABLE_WALK,),
+    ),
+    Mutant(
+        "omega-asso-walks-in-table-order",
+        KERNELS,
+        "        for a, b in pairs:\n            after.setdefault(a, []).append(b)\n",
+        "        for a, b in table:\n            after.setdefault(a, []).append(b)\n",
+        (TABLE_WALK,),
+    ),
+    Mutant(
+        "omega-id-takes-the-first-bad-pair-in-dict-order",
+        KERNELS,
+        "tuples = [(a,) for a, b in pairs if a == b]",
+        "tuples = [(a,) for a, b in table if a == b]",
+        (TABLE_WALK,),
+    ),
+    Mutant(
+        "run-seed-ignores-the-document-seed",
+        "src/msslab/verdicts.py",
+        "return DEFAULT_SEED if document is None else document",
+        "return DEFAULT_SEED",
+        (
+            "tests/test_cli.py::test_library_builders_fall_back_to_the_config_seed",
+            "tests/test_cli.py::test_library_search_falls_back_to_the_document_seed",
+        ),
     ),
     Mutant(
         "rank-off-by-one",
