@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from typing import Callable, Iterable
 
-from .errors import MsslabError, UniverseMismatchError
-from .sets import Subset, Universe, check_mask
+from .errors import MsslabError
+from .sets import Subset, Universe, check_mask, encode
 
 
 class BinaryRelation:
@@ -161,9 +161,7 @@ class Granulation:
         self.upper_table = _Table(upper)
 
     def _read(self, table: dict, a: Subset) -> Subset:
-        if a.universe != self.universe:
-            raise UniverseMismatchError("subset and granulation universes differ")
-        return Subset(self.universe, table[a.mask])
+        return Subset(self.universe, table[encode(self.universe, (a,))[0]])
 
     def lower(self, a: Subset) -> Subset:
         """Union of the granules included in ``a``."""

@@ -34,6 +34,7 @@ FAMILIES = ("relations", "extensional-deltas", "granulations")
 # A search draws its predicate from a builtin or from a random table.
 SEARCH_DELTAS = BUILTIN_DELTAS + ("extensional",)
 RELATION_EXHAUSTIVE_LIMIT = 4
+GRANULATION_SAMPLED_LIMIT = 16  # a sampled granulation draws 2**n - 1 bits
 # A searched structure binds one granulation and δ, never the sum or kappa.
 SEARCHED_SLOTS = SET_SLOTS | GRANULATION_SLOTS | {"delta"}
 
@@ -86,7 +87,8 @@ class SearchSpec(_SearchFields):
     ``forbidden`` may be given as lists and are kept as tuples. A required or forbidden law
     that no searched structure can decide, one that reads a slot outside
     ``SEARCHED_SLOTS`` or has no definition, is refused too, and so is a
-    law both required and forbidden: its verdict could never match."""
+    law both required and forbidden: its verdict could never match. So is
+    a sampled granulation search on more than ``GRANULATION_SAMPLED_LIMIT`` elements."""
 
     __slots__ = ()
 
@@ -99,6 +101,9 @@ class SearchSpec(_SearchFields):
         # Refused before any table is drawn: a table draws 2**(3n) values.
         if self.extensional and self.n > EXTENSIONAL_TABLE_LIMIT:
             raise ParseError(EXTENSIONAL_TABLE_REFUSED, "n")
+        sampled = self.family == "granulations" and not self.exhaustive
+        if sampled and self.n > GRANULATION_SAMPLED_LIMIT:
+            raise ParseError(f"sampled granulations need n <= {GRANULATION_SAMPLED_LIMIT}", "n")
         for field in ("required", "forbidden"):
             for a in getattr(self, field):
                 unbound = sorted(LAWS[a].reads - SEARCHED_SLOTS)

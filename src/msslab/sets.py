@@ -4,7 +4,7 @@ A subset of a universe is a bitmask, element 0 in the least significant
 bit; the canonical enumeration order of the powerset is ascending mask
 rank. Masks are the package's one internal subset form: granulations,
 clusterings and cluster membership are built from them. ``Subset`` is
-the immutable value object at the API edge, taken and returned by
+the immutable value object at the API edge, read through ``encode`` by
 operations on subsets and carried by witnesses. A partial operation
 returns None where it is undefined, on subsets and on masks alike.
 """
@@ -119,16 +119,16 @@ class Subset:
         return hash((self.universe.elements, self.mask))
 
     def __or__(self, other: "Subset") -> "Subset":
-        return Subset(self.universe, self.mask | _co_mask(self, other))
+        return Subset(self.universe, self.mask | encode(self.universe, (other,))[0])
 
     def __and__(self, other: "Subset") -> "Subset":
-        return Subset(self.universe, self.mask & _co_mask(self, other))
+        return Subset(self.universe, self.mask & encode(self.universe, (other,))[0])
 
     def __sub__(self, other: "Subset") -> "Subset":
-        return Subset(self.universe, self.mask & ~_co_mask(self, other))
+        return Subset(self.universe, self.mask & ~encode(self.universe, (other,))[0])
 
     def __le__(self, other: "Subset") -> bool:
-        return self.mask & ~_co_mask(self, other) == 0
+        return self.mask & ~encode(self.universe, (other,))[0] == 0
 
     def __lt__(self, other: "Subset") -> bool:
         return self <= other and self.mask != other.mask
@@ -147,7 +147,7 @@ def check_mask(universe: Universe, mask: int) -> int:
 
 
 def encode(universe: Universe, subsets) -> tuple[int, ...]:
-    """Masks of ``subsets``, each of which must live in ``universe``."""
+    """Masks of ``subsets``, each checked to be a ``Subset`` of ``universe``."""
     masks = []
     for s in subsets:
         if not isinstance(s, Subset):
@@ -159,17 +159,6 @@ def encode(universe: Universe, subsets) -> tuple[int, ...]:
             )
         masks.append(s.mask)
     return tuple(masks)
-
-
-def _co_mask(a: Subset, b: Subset) -> int:
-    if not isinstance(b, Subset):
-        raise TypeError(f"expected Subset, got {type(b).__name__}")
-    if a.universe != b.universe:
-        raise UniverseMismatchError(
-            f"operands live in different universes: "
-            f"{a.universe.elements} vs {b.universe.elements}"
-        )
-    return b.mask
 
 
 def partial_difference(a: Subset, b: Subset) -> Subset | None:

@@ -180,7 +180,8 @@ class MssStructure(NamedTuple):
     ``SET_SLOTS`` and ``GRANULATION_SLOTS`` that no reduct has dropped;
     ``granulation`` binds those of l, u and gamma that it lists, so
     ``s._replace(granulation=g)`` binds all three on an unreduced
-    structure. delta, the sum and kappa are bound by their value."""
+    structure. delta, the sum and kappa are bound by their value: E2, uE1
+    and a granular sum keep reading the granulation they were built with."""
 
     universe: Universe
     kept: frozenset[str] = SET_SLOTS | GRANULATION_SLOTS

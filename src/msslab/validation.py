@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
-from .errors import MsslabError, StructureError, UniverseMismatchError
+from .errors import MsslabError, StructureError
 from .granules import Granulation
-from .sets import Subset, check_mask, partial_difference
+from .sets import Subset, check_mask, encode, partial_difference
 from .verdicts import Verdict, decided, deferred, theorem
 
 if TYPE_CHECKING:  # annotations only
@@ -80,9 +80,7 @@ def validity_grades(c: Subset, g: Granulation) -> ClusterGrades:
 
     Each cluster costs n + 2 reads of the u table.
     """
-    if c.universe != g.universe:
-        raise UniverseMismatchError("subset and granulation universes differ")
-    lower, upper, m = g.lower_table, g.upper_table, c.mask
+    lower, upper, (m,) = g.lower_table, g.upper_table, encode(g.universe, (c,))
     inside = 0
     for x in range(g.universe.size):
         if not upper[1 << x] & ~m:

@@ -11,7 +11,7 @@ from typing import Optional
 from .config import LabConfig
 from .errors import ParseError
 from .structure import LAWS, replay
-from .validation import COMPATIBILITY_READS
+from .validation import COMPATIBILITY_MODES, COMPATIBILITY_READS, _compat_instances
 from .verdicts import FAILS, Verdict
 
 
@@ -32,8 +32,9 @@ def replay_failures(cfg: LabConfig, report) -> list[str]:
     a witness element outside its universe, a failing row whose axiom
     names no law with a definition, or a failing law or compatibility row
     that reads a slot the config leaves unbound, is a ``ParseError``
-    naming the JSON path. A compatibility witness is replayed on the
-    config's structure under its delta, so the config's reduct applies.
+    naming the JSON path, as is a failing compatibility row's unknown
+    ``mode``. A compatibility witness is replayed on the config's structure
+    under its delta, so its reduct applies, and must be an instance of the mode.
     """
     problems = []
     specs = {spec.name: spec for spec in cfg.deltas}
@@ -112,11 +113,18 @@ def replay_failures(cfg: LabConfig, report) -> list[str]:
             witnesses = failing(row, f"{field}[{i}]", "delta")
             if witnesses is None:
                 continue
+            mode = row.get("mode")
+            if mode not in COMPATIBILITY_MODES:
+                raise ParseError(f"unsupported compatibility mode {mode!r}", f"{field}[{i}].mode")
+            label = f"compatibility[{row['delta']}]"
             if not witnesses:
-                problems.append(f"compatibility[{row['delta']}]: failing row without witness")
+                problems.append(f"{label}: failing row without witness")
                 continue
             s = bound(row["delta"], COMPATIBILITY_READS, "compatibility", f"{field}[{i}]")
+            triples = set(_compat_instances(s.kappa, s.universe.size, mode))
             for w in witnesses:
                 if s.delta(*w):
-                    problems.append(f"compatibility[{row['delta']}]: witness does not violate")
+                    problems.append(f"{label}: witness does not violate")
+                elif tuple(p.mask for p in w) not in triples:
+                    problems.append(f"{label}: witness is not an instance of {mode}")
     return problems

@@ -1070,6 +1070,43 @@ def test_replay_subcommand_exits_2_on_a_compatibility_witness_that_holds(repo_ro
     assert result.stderr == "msslab: compatibility[E2]: witness does not violate\n"
 
 
+def test_replay_subcommand_exits_2_on_a_compatibility_witness_its_mode_does_not_check(
+    repo_root, tmp_path, capsys
+):
+    from msslab.cli import main
+
+    report = json.loads((GOLDEN / "paper-validate.json").read_text(encoding="utf-8"))
+    rows = {row["delta"]: row for row in report["validation"]["compatibility"]}
+    # δ is false at both triples, and neither is a triple of clusters.
+    rows["E1"].update(status="fails", compatible=False, witnesses=[[[], [], []]])
+    rows["E2"]["witnesses"] = [[["x1"], ["x4"], ["x2"]]]
+    forged = write_config(tmp_path, report, "forged.json")
+    assert main(["replay", str(repo_root / FIXTURE), str(forged)]) == 2
+    assert capsys.readouterr().err == (
+        "msslab: compatibility[E1]: witness is not an instance of overlap-closer\n"
+        "msslab: compatibility[E2]: witness is not an instance of overlap-closer\n"
+    )
+
+
+@pytest.mark.parametrize("mode", [None, "nope"], ids=["missing", "unknown"])
+def test_replay_refuses_a_failing_compatibility_row_without_a_known_mode(
+    repo_root, tmp_path, capsys, mode
+):
+    from msslab.cli import main
+
+    report = json.loads((GOLDEN / "paper-validate.json").read_text(encoding="utf-8"))
+    e2 = report["validation"]["compatibility"][2]
+    del e2["mode"]
+    if mode is not None:
+        e2["mode"] = mode
+    forged = write_config(tmp_path, report, "forged.json")
+    assert main(["replay", str(repo_root / FIXTURE), str(forged)]) == 1
+    assert capsys.readouterr().err == (
+        "msslab: parse error: validation.compatibility[2].mode: "
+        f"unsupported compatibility mode {mode!r}\n"
+    )
+
+
 @pytest.mark.parametrize(
     "content, message",
     [

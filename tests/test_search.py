@@ -83,6 +83,18 @@ def test_refusing_a_huge_granulation_search_builds_no_huge_count():
     assert peak < 1 << 20
 
 
+def test_a_sampled_granulation_search_is_refused_past_sixteen_elements():
+    # A draw picks from 2**n - 1 candidate granules, one bit each.
+    assert SearchSpec(16, "granulations", exhaustive=False).n == 16
+    refused = r"^n: sampled granulations need n <= 16$"
+    with pytest.raises(ParseError, match=refused):
+        SearchSpec(17, "granulations", exhaustive=False)
+    with pytest.raises(ParseError, match=refused):
+        SearchSpec(16, "granulations", exhaustive=False)._replace(n=17)
+    # An exhaustive walk is refused by its budget when it runs, not here.
+    assert SearchSpec(17, "granulations").n == 17
+
+
 def test_a_sampled_relation_search_builds_only_small_column_tables():
     # Each row of the relation's bits is spread through chunks of at most
     # eight bits, so a table holds at most 256 entries, not 2**n.

@@ -4,12 +4,20 @@ import pytest
 from hypothesis import given, strategies as st
 
 from msslab import (
+    DeltaPredicate,
     MsslabError,
     Subset,
+    SumOperation,
     Universe,
     UniverseMismatchError,
+    assemble,
+    is_definite,
+    lower_deficit,
     partial_difference,
+    upper_deficit,
+    validity_grades,
 )
+from msslab.structure import axiom_instance
 
 
 def masks(universe):
@@ -50,6 +58,39 @@ def test_universe_mismatch_is_structural_error(H):
         H.empty | other.empty
     with pytest.raises(UniverseMismatchError):
         partial_difference(H.empty, other.empty)
+
+
+# Every entry point that takes a Subset, called with the operand x.
+SUBSET_ENTRY_POINTS = {
+    "or": lambda H, G, x: H.full | x,
+    "and": lambda H, G, x: H.full & x,
+    "sub": lambda H, G, x: H.full - x,
+    "le": lambda H, G, x: H.full <= x,
+    "lt": lambda H, G, x: H.full < x,
+    "partial_difference": lambda H, G, x: partial_difference(H.full, x),
+    "lower": lambda H, G, x: G.lower(x),
+    "upper": lambda H, G, x: G.upper(x),
+    "is_definite": lambda H, G, x: is_definite(x, G),
+    "lower_deficit": lambda H, G, x: lower_deficit(x, G),
+    "upper_deficit": lambda H, G, x: upper_deficit(x, G),
+    "validity_grades": lambda H, G, x: validity_grades(x, G),
+    "delta": lambda H, G, x: DeltaPredicate.builtin("E0", H)(H.full, H.empty, x),
+    "sum": lambda H, G, x: SumOperation.granular(G)(H.full, x),
+    "axiom_instance": lambda H, G, x: axiom_instance(
+        assemble(H, granulation=G, delta=DeltaPredicate.builtin("E0", H)), "i-coh", (H.full, x)
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", SUBSET_ENTRY_POINTS.values(), ids=SUBSET_ENTRY_POINTS)
+@pytest.mark.parametrize(
+    "operand, error",
+    [(Universe(["y1", "y2", "y3", "y4"]).full, UniverseMismatchError), (5, TypeError)],
+    ids=["subset-of-another-universe", "int"],
+)
+def test_every_subset_operand_is_checked_at_the_edge(H, granulation, entry, operand, error):
+    with pytest.raises(error):
+        entry(H, granulation, operand)
 
 
 def test_partial_difference_examples(H):

@@ -235,6 +235,13 @@ MUTANTS = (
         ("tests/test_search.py::test_search_spec_validation",),
     ),
     Mutant(
+        "sampled-granulation-limit-one-higher",
+        SEARCH,
+        "GRANULATION_SAMPLED_LIMIT = 16",
+        "GRANULATION_SAMPLED_LIMIT = 17",
+        ("tests/test_search.py::test_a_sampled_granulation_search_is_refused_past_sixteen_elements",),
+    ),
+    Mutant(
         "symmetric-after-transitive",
         GRANULES,
         "    if symmetric:\n"
@@ -357,6 +364,17 @@ MUTANTS = (
         "if s.delta(*w):",
         "if False:",
         ("tests/test_cli.py::test_replay_subcommand_exits_2_on_a_compatibility_witness_that_holds",),
+    ),
+    # A compatibility witness need only violate δ: a triple of no clusters replays.
+    Mutant(
+        "compatibility-witness-of-any-triple",
+        "src/msslab/witnesses.py",
+        "elif tuple(p.mask for p in w) not in triples:",
+        "elif False:",
+        (
+            "tests/test_cli.py::"
+            "test_replay_subcommand_exits_2_on_a_compatibility_witness_its_mode_does_not_check",
+        ),
     ),
     # κ dropped from the slots a check reads: a reduct that drops κ no
     # longer defers the check, which then reads an unbound κ.
