@@ -32,7 +32,7 @@ from .granules import (
     predecessor_granulation,
 )
 from .sets import Universe
-from .structure import SIGNATURE_SLOTS, MssStructure, assemble, reduct
+from .structure import SIGNATURE_SLOTS, MssStructure, assemble
 from .validation import COMPATIBILITY_MODES
 
 KNOWN_FIELDS = {
@@ -102,12 +102,11 @@ class LabConfig(NamedTuple):
             sum=self.sum_operation(),
             kappa=self.clusters,
         )
-        if self.reduct_keep is not None:
-            # A config may list slots that this particular assembly leaves
-            # unbound (e.g. delta while candidates are still being tried);
-            # keep whatever of the request is actually bound.
-            built = reduct(built, set(self.reduct_keep) & built.bound_slots())
-        return built
+        if self.reduct_keep is None:
+            return built
+        # A listed slot that this assembly leaves unbound, such as delta
+        # while no candidate is given, stays unbound.
+        return built._replace(kept=frozenset(self.reduct_keep))
 
 
 def _names(value, field, what="element names"):

@@ -12,9 +12,10 @@ constructor builds a predicate's key, R and mask function, or a sum's
 mask function, once; nothing is compiled lazily. A plane is built from
 the keys, or read off the table, with no call of the predicate, when a
 law's walk first reaches it. A sum of ``UNION_SUMS`` is the union
-wherever it is defined, so the omega laws are theorems there. A
-predicate keeps no granulation; E2 and uE1 read its tables through their
-key.
+wherever it is defined, so the omega laws are theorems there. E2 and
+uE1 read the l and u tables of a granulation through their key, and
+record that granulation, as a granular sum does, so that a structure
+binds them only over it.
 """
 from __future__ import annotations
 
@@ -78,12 +79,13 @@ class DeltaPredicate:
     predicate on subsets encodes them and evaluates ``masked``.
     """
 
-    __slots__ = ("universe", "kind", "table", "_key", "_relation", "_masked", "_cube")
+    __slots__ = ("universe", "kind", "table", "granulation", "_key", "_relation", "_masked", "_cube")
 
-    def __init__(self, universe, kind, key=None, relation=None, table=None):
+    def __init__(self, universe, kind, key=None, relation=None, table=None, granulation=None):
         self.universe = universe
         self.kind = kind
         self.table = table
+        self.granulation = granulation
         self._key = key
         self._relation = relation
         self._cube = None
@@ -109,7 +111,8 @@ class DeltaPredicate:
             raise ConfigurationError(f"delta {name} needs a granulation")
         if granulation is not None and granulation.universe != universe:
             raise UniverseMismatchError("granulation universe differs from the predicate's")
-        return cls(universe, name, make_key(granulation), relation)
+        granulation = granulation if granular else None
+        return cls(universe, name, make_key(granulation), relation, granulation=granulation)
 
     @classmethod
     def extensional_from_masks(

@@ -3,8 +3,9 @@
 A structure bundles a parthood predicate, order, join/meet, approximation
 operators, constants, a nearness predicate, a partial sum, and cluster
 membership over one universe. Any slot may be left unbound; checks that
-need an unbound slot report a deferred verdict instead of failing. One
-slot, the granulation, binds l, u and gamma: l and u are the rough
+need an unbound slot report a deferred verdict instead of failing, and
+one rule, ``MssStructure.bound_slots``, says which are bound. One value,
+the granulation, binds l, u and gamma: l and u are the rough
 approximation that gamma induces, so they are never held apart from it.
 
 Parthood and order are inclusion, join and meet are union and
@@ -62,8 +63,7 @@ SIGNATURE_SLOTS = (
 # bottom is the empty set.
 SET_SLOTS = frozenset({"P", "leq", "join", "meet", "top", "bottom"})
 # The slots that one granulation binds: its approximations l and u, and
-# itself as gamma. A structure records which of these and of ``SET_SLOTS``
-# no reduct has dropped.
+# itself as gamma.
 GRANULATION_SLOTS = frozenset({"l", "u", "gamma"})
 
 
@@ -176,24 +176,31 @@ ADMISSIBILITY_AXIOMS = tuple(name for name, law in LAWS.items() if "gamma" in la
 
 
 class MssStructure(NamedTuple):
-    """A structure over one universe. ``kept`` lists the slots of
-    ``SET_SLOTS`` and ``GRANULATION_SLOTS`` that no reduct has dropped;
-    ``granulation`` binds those of l, u and gamma that it lists, so
-    ``s._replace(granulation=g)`` binds all three on an unreduced
-    structure. delta, the sum and kappa are bound by their value: E2, uE1
-    and a granular sum keep reading the granulation they were built with."""
+    """A structure over one universe. ``kept`` lists the slots that no
+    reduct has dropped, all twelve by default. A kept slot is bound while
+    it has an interpretation here: the set slots always; l, u and gamma
+    while ``granulation`` is set, l and u only as a pair; delta, the sum
+    and kappa while they have a value, but E2, uE1 and a granular sum only
+    over this structure's granulation (or where it has none), so
+    ``s._replace(granulation=g)`` unbinds a delta or sum over another one."""
 
     universe: Universe
-    kept: frozenset[str] = SET_SLOTS | GRANULATION_SLOTS
+    kept: frozenset[str] = frozenset(SIGNATURE_SLOTS)
     granulation: Optional[Granulation] = None
     delta: Optional[DeltaPredicate] = None
     sum: Optional[SumOperation] = None
     kappa: Optional[tuple[int, ...]] = None
 
     def bound_slots(self) -> frozenset[str]:
-        bound = self.kept if self.granulation is not None else self.kept - GRANULATION_SLOTS
-        valued = {slot for slot in ("delta", "sum", "kappa") if getattr(self, slot) is not None}
-        return bound | valued
+        unset = {slot for slot in ("delta", "sum", "kappa") if getattr(self, slot) is None}
+        if self.granulation is None:
+            unset |= GRANULATION_SLOTS
+        else:  # E2, uE1 and a granular sum are bound only over this granulation
+            read = {slot: getattr(getattr(self, slot), "granulation", None) for slot in ("delta", "sum")}
+            unset |= {slot for slot, g in read.items() if g not in (None, self.granulation)}
+        if not {"l", "u"} <= self.kept:
+            unset |= {"l", "u"}
+        return self.kept - unset
 
     def __repr__(self):
         return f"MssStructure(|H|={self.universe.size}, slots={sorted(self.bound_slots())})"
@@ -231,12 +238,12 @@ def assemble(
 
 
 def reduct(s: MssStructure, keep: Iterable[str]) -> MssStructure:
-    """Same carrier, keeping only the named interpretations.
+    """Same carrier and values, keeping only the named bound slots.
 
-    The carrier itself is not part of the signature and cannot be dropped;
-    the approximation operators travel as the l/u pair, so keeping one
-    without the other drops both. The granulation stays while any of l, u
-    and gamma is kept.
+    The carrier is not part of the signature and cannot be dropped. The
+    result narrows ``s.kept`` and clears no value, so read ``bound_slots``,
+    not a value, for what it binds; l and u travel as a pair, so keeping
+    one without the other binds neither.
     """
     keep = set(keep)
     if "universe" in keep:
@@ -247,18 +254,7 @@ def reduct(s: MssStructure, keep: Iterable[str]) -> MssStructure:
     missing = keep - s.bound_slots()
     if missing:
         raise StructureError(f"cannot keep unbound slots {sorted(missing)}")
-
-    if not {"l", "u"} <= keep:
-        keep -= {"l", "u"}
-    kept = s.kept & keep
-    return MssStructure(
-        universe=s.universe,
-        kept=kept,
-        granulation=s.granulation if kept & GRANULATION_SLOTS else None,
-        delta=s.delta if "delta" in keep else None,
-        sum=s.sum if "sum" in keep else None,
-        kappa=s.kappa if "kappa" in keep else None,
-    )
+    return s._replace(kept=s.kept & keep)
 
 
 def evaluator(s: MssStructure, axiom: str) -> Callable[..., Optional[bool]]:

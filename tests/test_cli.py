@@ -1256,3 +1256,76 @@ def test_replay_refuses_a_witness_element_outside_the_universe(repo_root, tmp_pa
         "msslab: parse error: validation.compatibility[0].witnesses[0][2][1]: "
         "element 'x6' is not in the universe\n"
     )
+
+
+def test_a_def0_delta_given_by_a_total_table_is_checked_end_to_end(tmp_path, capsys):
+    from msslab import DeltaPredicate, Universe, assemble
+    from msslab.cli import main
+    from msslab.report import PER_DELTA_AXIOMS, verdict_dict
+    from msslab.structure import check_axiom
+
+    names = ["x1", "x2"]
+    subsets = [[x for i, x in enumerate(names) if m >> i & 1] for m in range(4)]
+    union = [[a, b, [x for x in names if x in a or x in b]] for a in subsets for b in subsets]
+    right = [[a, b, b] for a in subsets for b in subsets]  # f(a, b) = b
+    config = write_config(
+        tmp_path,
+        {
+            "universe": names,
+            "delta": [
+                "E0",
+                {"kind": "def0", "name": "union", "f": union},
+                {"kind": "def0", "name": "right", "f": right},
+            ],
+        },
+    )
+    report = tmp_path / "report.json"
+    assert main(["check-axioms", str(config), "--output", str(report)]) == 0
+    axioms = json.loads(report.read_text(encoding="utf-8"))["axioms"]
+
+    def rows(name):
+        verdicts = axioms["per_delta"][name]
+        return [(v["status"], v["witnesses"], v["instances_checked"]) for v in verdicts]
+
+    assert rows("union") == rows("E0")
+    assert axioms["classification"]["union"] == axioms["classification"]["E0"]
+    u = Universe(names)
+    table = {(a, b): b for a in range(4) for b in range(4)}
+    s = assemble(u, delta=DeltaPredicate.from_nearness(u, table))
+    expected = [verdict_dict(check_axiom(s, axiom)) for axiom in PER_DELTA_AXIOMS]
+    assert axioms["per_delta"]["right"] == json.loads(json.dumps(expected))
+    assert main(["replay", str(config), str(report)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_replay_exits_2_on_a_failing_row_without_a_witness(repo_root, tmp_path, capsys):
+    from msslab.cli import main
+
+    checked = json.loads((GOLDEN / "paper-check-axioms.json").read_text(encoding="utf-8"))
+    i_coh = next(v for v in checked["axioms"]["per_delta"]["E0"] if v["axiom"] == "i-coh")
+    i_coh.update(status="fails", witnesses=[])
+    validated = json.loads((GOLDEN / "paper-validate.json").read_text(encoding="utf-8"))
+    row = next(
+        r
+        for r in validated["validation"]["compatibility"]
+        if r["delta"] == "E0" and r["mode"] == "overlap-closer"
+    )
+    row.update(status="fails", compatible=False, witnesses=[])
+    for report, problem in (
+        (checked, "per_delta[E0]: failing verdict without witness"),
+        (validated, "compatibility[E0]: failing row without witness"),
+    ):
+        forged = write_config(tmp_path, report, "forged.json")
+        assert main(["replay", str(repo_root / FIXTURE), str(forged)]) == 2
+        assert capsys.readouterr().err == f"msslab: {problem}\n"
+
+
+def test_text_search_report_prints_the_witness_structure(tmp_path, capsys):
+    from msslab.cli import main
+
+    spec = str(write_config(tmp_path, {"n": 2, "delta": "E0", "required": ["i-coh"], "budget": 50}))
+    assert main(["search", spec]) == 0
+    structure = json.loads(capsys.readouterr().out)["search"]["structure"]
+    assert main(["search", spec, "--format", "text"]) == 0
+    line = f"\n  witness structure: {json.dumps(structure, sort_keys=True)}\n"
+    assert line in capsys.readouterr().out

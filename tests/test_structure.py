@@ -278,22 +278,22 @@ GAMMA_LAWS = (
 L_U_LAWS = ("UL1", "UL2", "UL3", "lclu")
 
 
-# Reducts that keep some of l, u and gamma: whether the granulation stays
-# (l and u travel as a pair), and the laws each defers.
+# Reducts that keep some of l, u and gamma, and the laws each defers (l
+# and u travel as a pair).
 @pytest.mark.parametrize(
-    "kept, stays, deferred",
+    "kept, deferred",
     [
-        (("l", "u", "gamma"), True, ()),
-        (("gamma",), True, L_U_LAWS + GAMMA_LAWS),
-        (("l", "u"), True, GAMMA_LAWS),
-        (("l", "gamma"), True, L_U_LAWS + GAMMA_LAWS),
-        (("l",), False, L_U_LAWS + GAMMA_LAWS),
-        ((), False, L_U_LAWS + GAMMA_LAWS),
+        (("l", "u", "gamma"), ()),
+        (("gamma",), L_U_LAWS + GAMMA_LAWS),
+        (("l", "u"), GAMMA_LAWS),
+        (("l", "gamma"), L_U_LAWS + GAMMA_LAWS),
+        (("l",), L_U_LAWS + GAMMA_LAWS),
+        ((), L_U_LAWS + GAMMA_LAWS),
     ],
     ids=["all", "gamma", "l-u", "l-gamma", "l", "none"],
 )
 def test_a_reduct_keeps_the_granulation_while_it_keeps_l_u_or_gamma(
-    H, granulation, delta_builtins, kept, stays, deferred
+    H, granulation, delta_builtins, kept, deferred
 ):
     full = assemble(
         H,
@@ -304,10 +304,55 @@ def test_a_reduct_keeps_the_granulation_while_it_keeps_l_u_or_gamma(
     )
     others = full.bound_slots() - {"l", "u", "gamma"}
     s = reduct(full, others | set(kept))
-    assert (s.granulation is granulation) == stays
+    # A reduct clears no value; bound_slots says what it binds.
+    assert s.granulation is granulation
     assert {v.axiom for v in verify(s, AXIOM_ORDER) if v.status == "deferred"} == set(deferred)
     # A slot that a reduct dropped stays dropped when the granulation is set again.
     assert s._replace(granulation=granulation).bound_slots() == s.bound_slots()
+
+
+@pytest.mark.parametrize("slot", ["delta", "sum", "kappa"])
+def test_a_dropped_slot_stays_dropped_when_its_value_is_set_again(
+    H, granulation, clustering, delta_builtins, slot
+):
+    s = build(H, granulation, clustering, "E1", delta_builtins, SumOperation.granular(granulation))
+    value = {"delta": delta_builtins["E0"], "sum": SumOperation.total_union(H), "kappa": (0b0101,)}
+    again = reduct(s, s.bound_slots() - {slot})._replace(**{slot: value[slot]})
+    assert slot not in again.bound_slots()
+    laws = [name for name, law in LAWS.items() if slot in law.reads]
+    assert {v.status for v in verify(again, laws)} == {"deferred"}
+
+
+def test_a_delta_or_sum_over_another_granulation_is_unbound():
+    u = Universe(["x1", "x2", "x3", "x4"])
+    first, third = Granulation(u, [0b0001]), Granulation(u, [0b0100])
+
+    def over(g):
+        delta = DeltaPredicate.builtin("uE1", u, g)
+        return assemble(u, granulation=g, delta=delta, sum=SumOperation.granular(g))
+
+    mixed = over(first)._replace(granulation=third)
+    assert not {"delta", "sum"} & mixed.bound_slots()
+    assert [v.status for v in verify(mixed, ["n-coh", "delta-sum1"])] == ["deferred"] * 2
+    assert verify(mixed, ["n-coh"])[0].note == "unbound slots: ['delta']"
+    # Built over the granulation it is given, the structure decides both.
+    n_coh = check_axiom(over(third), "n-coh")
+    assert (n_coh.status, n_coh.instances_checked) == ("fails", 1025)
+    assert n_coh.witnesses[0] == (u.subset(["x3"]), u.empty, u.empty)
+    # An equal granulation is the structure's own; with none, delta and the sum stay bound.
+    for own in (Granulation(u, [0b0001]), None):
+        assert over(first)._replace(granulation=own).bound_slots() >= {"delta", "sum"}
+    assert assemble(u, delta=DeltaPredicate.builtin("E2", u, first)).bound_slots() >= {"delta"}
+
+
+def test_the_oracle_describes_only_bound_slots(H, granulation, clustering, delta_builtins):
+    s = build(H, granulation, clustering, "E1", delta_builtins, SumOperation.granular(granulation))
+    desc = StructureDescription.from_structure(s)
+    assert (desc.delta_kind, desc.sum_mode, len(desc.clusters)) == ("E1", "granular-sum", 3)
+    cut = reduct(s, s.bound_slots() - {"delta", "sum", "kappa"})
+    bare = StructureDescription.from_structure(cut)
+    assert (bare.delta_kind, bare.sum_mode, bare.clusters) == (None, None, None)
+    assert bare.granules == desc.granules
 
 
 def test_reduct_rejects_bad_slots(H, granulation):

@@ -63,6 +63,7 @@ GRANULATION_REDUCT = (
 )
 REPORT = "src/msslab/report.py"
 TABLE_WALK = "tests/test_delta.py::test_table_walk_matches_the_sweep_on_partial_sums"
+WITNESSLESS = "tests/test_cli.py::test_replay_exits_2_on_a_failing_row_without_a_witness"
 
 MUTANTS = (
     Mutant(
@@ -308,23 +309,47 @@ MUTANTS = (
     Mutant(
         "unset-granulation-binds-its-slots",
         STRUCTURE,
-        "bound = self.kept if self.granulation is not None else self.kept - GRANULATION_SLOTS",
-        "bound = self.kept",
+        "unset |= GRANULATION_SLOTS",
+        "pass",
         (REPLACED_GRANULATION,),
-    ),
-    Mutant(
-        "reduct-keeps-the-granulation-only-with-gamma",
-        STRUCTURE,
-        "granulation=s.granulation if kept & GRANULATION_SLOTS else None,",
-        'granulation=s.granulation if "gamma" in kept else None,',
-        (GRANULATION_REDUCT.format("l-u"),),
     ),
     Mutant(
         "reduct-keeps-l-without-u",
         STRUCTURE,
-        'if not {"l", "u"} <= keep:',
+        'if not {"l", "u"} <= self.kept:',
         "if False:",
-        (GRANULATION_REDUCT.format("l"),),
+        (GRANULATION_REDUCT.format("l"), GRANULATION_REDUCT.format("l-gamma")),
+    ),
+    # A value binds its slot whatever a reduct dropped.
+    Mutant(
+        "value-binds-a-dropped-slot",
+        STRUCTURE,
+        "return self.kept - unset",
+        'return (self.kept | {"delta", "sum", "kappa"}) - unset',
+        ("tests/test_structure.py::test_reduct_drops_and_defers",),
+    ),
+    # E2, uE1 and a granular sum bound over any granulation: a structure mixes two.
+    Mutant(
+        "foreign-granulation-binds",
+        STRUCTURE,
+        "unset |= {slot for slot, g in read.items() if g not in (None, self.granulation)}",
+        "pass",
+        ("tests/test_structure.py::test_a_delta_or_sum_over_another_granulation_is_unbound",),
+    ),
+    Mutant(
+        "config-reduct-ignored",
+        "src/msslab/config.py",
+        "return built._replace(kept=frozenset(self.reduct_keep))",
+        "return built",
+        ("tests/test_cli.py::test_an_empty_reduct_is_reported_as_keeping_no_slots",),
+    ),
+    # The oracle describes a delta that a reduct dropped.
+    Mutant(
+        "oracle-reads-a-dropped-delta",
+        "src/msslab/oracles.py",
+        'if "delta" in bound:',
+        "if s.delta is not None:",
+        ("tests/test_structure.py::test_the_oracle_describes_only_bound_slots",),
     ),
     Mutant(
         "lower-fill-reversed",
@@ -357,6 +382,21 @@ MUTANTS = (
             MALFORMED.format("uE1-without-granulation"),
             "tests/test_delta.py::test_builtin_requiring_operators_without_them",
         ),
+    ),
+    # A failing row without a witness passes as replayed, or as a witness that does not replay.
+    Mutant(
+        "witnessless-verdict-replayed",
+        "src/msslab/witnesses.py",
+        '        if not witnesses:\n            problems.append(f"{label}: failing verdict without witness")\n',
+        '        if False:\n            problems.append(f"{label}: failing verdict without witness")\n',
+        (WITNESSLESS,),
+    ),
+    Mutant(
+        "witnessless-compatibility-row-replayed",
+        "src/msslab/witnesses.py",
+        '            if not witnesses:\n                problems.append(f"{label}: failing row without witness")\n',
+        '            if False:\n                problems.append(f"{label}: failing row without witness")\n',
+        (WITNESSLESS,),
     ),
     Mutant(
         "compatibility-witness-never-violates",
