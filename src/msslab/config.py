@@ -7,9 +7,10 @@ table is total, a sum table gives each pair at most one value, clusters
 are nonempty, no cluster, compatibility mode or reduct slot is listed
 twice, an extensional δ table is admitted only on a small universe. A
 malformed document is a ``ParseError`` naming the offending field, and
-nothing is built from it. ``LabConfig`` and ``DeltaSpec`` hold masks
-only, a relation its predecessor columns, so building a structure, a
-predicate, the sum or the clustering never reads a name again.
+nothing is built from it. ``LabConfig`` holds the base structure the
+config describes, its granulation, sum, clusters and reduct assembled
+once, and builds each δ candidate over it from a ``DeltaSpec`` of masks;
+nothing built from a config reads a name again.
 """
 
 from __future__ import annotations
@@ -73,40 +74,25 @@ class DeltaSpec(NamedTuple):
 
 
 class LabConfig(NamedTuple):
-    universe: Universe
+    """A parsed config: ``base`` is the structure it describes, without δ,
+    and each of ``deltas`` is a δ candidate over it."""
+
+    base: MssStructure
     relation: Optional[BinaryRelation]
-    granulation: Optional[Granulation]
     deltas: tuple[DeltaSpec, ...]
-    sum_mode: Optional[str]
-    sum_table: Optional[MaskRows]
-    clusters: Optional[tuple[int, ...]]
     compatibility_modes: tuple[str, ...]
     reduct_keep: Optional[tuple[str, ...]]
     seed: Optional[int]
 
-    def sum_operation(self) -> Optional[SumOperation]:
-        if self.sum_mode == "total-union":
-            return SumOperation.total_union(self.universe)
-        if self.sum_mode == "granular-sum":
-            return SumOperation.granular(self.granulation)
-        if self.sum_table is not None:
-            table = {(a, b): v for a, b, v in self.sum_table}
-            return SumOperation.extensional(self.universe, table)
-        return None
+    @property
+    def universe(self) -> Universe:
+        return self.base.universe
 
     def structure(self, delta_spec: Optional[DeltaSpec] = None) -> MssStructure:
-        built = assemble(
-            self.universe,
-            granulation=self.granulation,
-            delta=None if delta_spec is None else delta_spec.build(self.universe, self.granulation),
-            sum=self.sum_operation(),
-            kappa=self.clusters,
-        )
-        if self.reduct_keep is None:
-            return built
-        # A listed slot that this assembly leaves unbound, such as delta
-        # while no candidate is given, stays unbound.
-        return built._replace(kept=frozenset(self.reduct_keep))
+        """``base``, or ``base`` under a fresh δ built from ``delta_spec``."""
+        if delta_spec is None:
+            return self.base
+        return self.base._replace(delta=delta_spec.build(self.universe, self.base.granulation))
 
 
 def _names(value, field, what="element names"):
@@ -220,7 +206,7 @@ def parse_config(data: dict) -> LabConfig:
 
     deltas = _parse_deltas(universe, data.get("delta"), granulation)
 
-    sum_mode, sum_table = _parse_sum(universe, data.get("sum"), granulation)
+    sum_op = _parse_sum(universe, data.get("sum"), granulation)
 
     clusters = None
     if data.get("clustering") is not None:
@@ -248,18 +234,11 @@ def parse_config(data: dict) -> LabConfig:
     if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
         raise ParseError("expected an integer", "seed")
 
-    return LabConfig(
-        universe=universe,
-        relation=relation,
-        granulation=granulation,
-        deltas=deltas,
-        sum_mode=sum_mode,
-        sum_table=sum_table,
-        clusters=clusters,
-        compatibility_modes=modes,
-        reduct_keep=reduct_keep,
-        seed=seed,
-    )
+    base = assemble(universe, granulation=granulation, sum=sum_op, kappa=clusters)
+    if reduct_keep is not None:
+        # A kept slot with no value, such as delta, stays unbound.
+        base = base._replace(kept=frozenset(reduct_keep))
+    return LabConfig(base, relation, deltas, modes, reduct_keep, seed)
 
 
 def _parse_relation(universe, raw) -> BinaryRelation:
@@ -341,18 +320,18 @@ def _parse_deltas(universe, raw, granulation) -> tuple[DeltaSpec, ...]:
     return tuple(specs)
 
 
-def _parse_sum(universe, raw, granulation):
-    """The sum's mode and, for a table, its rows."""
+def _parse_sum(universe, raw, granulation) -> Optional[SumOperation]:
+    """The sum the config names, or None."""
     if raw is None:
-        return None, None
+        return None
     if raw == "total-union":
-        return "total-union", None
+        return SumOperation.total_union(universe)
     if raw == "granular-sum":
         if granulation is None:
             raise ParseError("granular-sum needs a granulation", "sum")
-        return "granular-sum", None
+        return SumOperation.granular(granulation)
     if isinstance(raw, dict) and raw.get("kind") == "extensional-partial":
         _known(raw, ("kind", "table"), "sum")
-        table = _function(universe, raw.get("table"), "sum.table", total=False)
-        return "extensional-partial", table
+        rows = _function(universe, raw.get("table"), "sum.table", total=False)
+        return SumOperation.extensional(universe, {(a, b): v for a, b, v in rows})
     raise ParseError("sum must be total-union, granular-sum, or an extensional table", "sum")

@@ -211,7 +211,8 @@ class DeltaPredicate:
 
 
 class SumOperation:
-    """Partial aggregation of subsets.
+    """Partial aggregation of subsets, compared and hashed by its universe,
+    mode, granulation and table.
 
     Modes: ``total-union`` is always defined; ``granular-sum`` is defined
     exactly when the union is itself a union of granules; an
@@ -258,6 +259,17 @@ class SumOperation:
         """``a + b``, or None where the sum is undefined."""
         value = self.masked()(*encode(self.universe, (a, b)))
         return None if value is None else self.universe.from_mask(value)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, SumOperation)
+            and (self.universe, self.mode, self.granulation, self.table)
+            == (other.universe, other.mode, other.granulation, other.table)
+        )
+
+    def __hash__(self):
+        table = None if self.table is None else frozenset(self.table.items())
+        return hash((self.universe.elements, self.mode, self.granulation, table))
 
     def __repr__(self):
         return f"SumOperation({self.mode})"

@@ -23,12 +23,12 @@ def run_pipeline(cfg: LabConfig, *, seed: Optional[int] = None, jobs: int = 1) -
     ``jobs`` is accepted and ignored; it stays only because
     ``bench/traced.py`` passes ``jobs=1``.
     """
-    if cfg.clusters is None:
+    bound = cfg.base
+    if bound.kappa is None:
         raise ParseError("missing clustering input", "clustering")
     seed = run_seed(seed, cfg.seed)
 
-    skeleton = cfg._replace(reduct_keep=None).structure(None)
-    bound = cfg.structure(None)
+    skeleton = bound._replace(kept=frozenset(SIGNATURE_SLOTS))
     step1 = {
         "structure": structure_summary(cfg),
         "bound_slots": sorted(skeleton.bound_slots() - {"kappa"}),
@@ -53,7 +53,7 @@ def run_pipeline(cfg: LabConfig, *, seed: Optional[int] = None, jobs: int = 1) -
 
     step4 = {
         "kappa_bound": "kappa" in bound.bound_slots(),
-        "cluster_count": len(cfg.clusters),
+        "cluster_count": len(bound.kappa),
     }
 
     step5 = {

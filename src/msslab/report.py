@@ -34,7 +34,7 @@ def verdict_dict(v: Verdict) -> dict:
 
 
 def structure_summary(cfg: LabConfig) -> dict:
-    g = cfg.granulation  # an empty granulation is falsy, yet given
+    g = cfg.base.granulation  # an empty granulation is falsy, yet given
     return {
         "universe": list(cfg.universe.elements),
         "relation": (
@@ -43,7 +43,7 @@ def structure_summary(cfg: LabConfig) -> dict:
         "granules": None if g is None else [list(cfg.universe.names(m)) for m in g],
         "granulation_notes": [] if g is None else list(g.notes),
         "delta_candidates": [d.name for d in cfg.deltas],
-        "sum": cfg.sum_mode,
+        "sum": getattr(cfg.base.sum, "mode", None),
         "clustering": cluster_names(cfg),
         "reduct": list(cfg.reduct_keep) if cfg.reduct_keep is not None else None,
     }
@@ -51,14 +51,14 @@ def structure_summary(cfg: LabConfig) -> dict:
 
 def cluster_names(cfg: LabConfig) -> Optional[list[list[str]]]:
     """The config's clusters, each as its element names."""
-    if cfg.clusters is None:
+    if cfg.base.kappa is None:
         return None
-    return [list(cfg.universe.names(mask)) for mask in cfg.clusters]
+    return [list(cfg.universe.names(mask)) for mask in cfg.base.kappa]
 
 
 def axioms_section(cfg: LabConfig, *, seed: Optional[int]) -> dict:
     """Structural verdicts once, coherence and sum-interaction per candidate."""
-    base = cfg.structure(None)
+    base = cfg.base
     structural_list = list(STRUCTURAL_AXIOMS)
     if "gamma" in base.bound_slots():
         structural_list += list(ADMISSIBILITY_AXIOMS)
@@ -84,9 +84,9 @@ def axioms_section(cfg: LabConfig, *, seed: Optional[int]) -> dict:
 
 
 def validation_section(cfg: LabConfig) -> dict:
-    if cfg.clusters is None:
+    s = cfg.base
+    if s.kappa is None:
         raise ParseError("missing clustering input", "clustering")
-    s = cfg.structure(None)
     section: dict = {}
 
     unbound = GRADE_READS - s.bound_slots()

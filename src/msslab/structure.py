@@ -37,6 +37,7 @@ from .sets import Universe, check_mask, encode
 from .verdicts import (
     DEFAULT_SAMPLE_BUDGET,
     Verdict,
+    decided,
     deferred,
     sweep,
     theorem,
@@ -304,7 +305,9 @@ def check_axiom(
     the sum is a union sum (``delta.UNION_SUMS``): the omega laws. Under
     an ``extensional-partial`` sum each omega law is decided on the
     table's defined pairs (``kernels.table_verdict``), exactly at every
-    n and whatever the budget. The laws that read delta (the five
+    n and whatever the budget. lclu is decided by walking κ's clusters in
+    mask order, since no other subset has a substantive instance, so it
+    too is exact at every n. The laws that read delta (the five
     coherence laws and delta-sum1..3) are decided in one walk over the
     planes of delta (``kernels.cube_verdict``) when the cube's 2²ⁿ rows,
     shared through ``DeltaPredicate.plane``, fit ``budget``: up to n = 9
@@ -334,6 +337,10 @@ def check_axiom(
         from .kernels import table_verdict  # only a law decided on the sum table reads it
 
         return table_verdict(axiom, s.sum)
+    if axiom == "lclu":  # only a cluster can violate it
+        lclu = evaluator(s, axiom)
+        first = next(((a,) for a in sorted(set(s.kappa)) if lclu(a) is False), None)
+        return decided(axiom, s.universe, 1, first, bool(s.kappa))
     if "delta" in law.reads and (1 << s.universe.size) ** 2 <= budget:
         from .kernels import cube_verdict  # only a law decided on delta reads it
 

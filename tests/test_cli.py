@@ -557,9 +557,8 @@ def test_library_search_report_is_the_cli_report(repo_root, tmp_path, document, 
 
 def test_config_names_are_resolved_to_masks_at_parse():
     cfg = parse_config(_partial_sum([["x1"], ["x2"], ["x1", "x2"]], [["x1"], ["x2"], ["x2", "x1"]]))
-    assert cfg.clusters == (0b0101, 0b0110, 0b1010)
-    assert cfg.sum_table == ((0b01, 0b10, 0b11), (0b01, 0b10, 0b11))
-    assert cfg.sum_operation().table == {(0b01, 0b10): 0b11}
+    assert cfg.base.kappa == (0b0101, 0b0110, 0b1010)
+    assert cfg.base.sum.table == {(0b01, 0b10): 0b11}
     spec = parse_config(_def0("union", "union")).deltas[0]
     assert spec == ("union", "def0", None) and type(spec)._fields == ("name", "kind", "table")
     same_masks = _partial_sum([["x1"], ["x2"], ["x1", "x2"]], [["x1"], ["x2"], ["x1", "x2"]])

@@ -1,9 +1,11 @@
 import itertools
 import json
+import math
 import re
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from msslab import (
     BinaryRelation,
@@ -37,7 +39,7 @@ from msslab.structure import (
     check_axiom,
     evaluator,
 )
-from msslab.verdicts import Verdict
+from msslab.verdicts import Verdict, sweep
 
 PASSING = ("holds", "vacuous")
 
@@ -193,10 +195,10 @@ def test_every_layer_reads_the_granulation_tables(repo_root):
     cfg = parse_config(document)
     specs = {spec.name: spec for spec in cfg.deltas}
     e2, ue1 = cfg.structure(specs["E2"]), cfg.structure(specs["uE1"])
-    L, U = cfg.granulation.lower_table, cfg.granulation.upper_table
+    L, U = cfg.base.granulation.lower_table, cfg.base.granulation.upper_table
     for s in (e2, ue1):
         assert s.granulation.lower_table is L and s.granulation.upper_table is U
-        assert s.granulation is cfg.granulation
+        assert s.granulation is cfg.base.granulation
         assert s.sum.granulation.lower_table is L
 
     # Nothing has read l or u yet; each layer's reads land in the same tables.
@@ -406,6 +408,44 @@ def test_definite_clusters_close_under_lower(H, granulation, delta_builtins):
     ]
     s = assemble(H, granulation=granulation, delta=delta_builtins["E1"], kappa=definite)
     assert check_axiom(s, "lclu").status == "holds"
+
+
+def test_lclu_is_decided_on_kappa_past_the_sample_budget():
+    # Six 4-point tolerance chains on 24 elements. l({x21}) and l({x22,x23})
+    # are empty and no cluster; the least violation, {x21}, lies past the
+    # first million masks, where a sampled sweep saw lclu vacuous.
+    u = Universe([f"x{i + 1}" for i in range(24)])
+    chains = [(f"x{4 * c + i + 1}", f"x{4 * c + i + 2}") for c in range(6) for i in range(3)]
+    g = predecessor_granulation(close_relation(BinaryRelation(u, chains), reflexive=True, symmetric=True))
+    clusters = [["x22", "x23"], ["x1", "x2"], ["x21"], ["x5", "x6", "x7"]]
+    s = assemble(u, granulation=g, kappa=[u.subset(c).mask for c in clusters])
+    v = check_axiom(s, "lclu")
+    assert (v.status, v.mode, v.seed) == ("fails", "exhaustive", None)
+    assert v.witnesses == ((u.subset(["x21"]),),) and v.instances_checked == (1 << 20) + 1
+    assert replay(s, v)
+
+
+def test_lclu_on_an_empty_kappa_is_vacuous(H, granulation):
+    v = check_axiom(assemble(H, granulation=granulation, kappa=()), "lclu")
+    assert (v.status, v.mode, v.instances_checked) == ("vacuous", "exhaustive", 16)
+
+
+@st.composite
+def granulated_clusterings(draw):
+    """A granulation and a κ on up to six elements, κ in drawn order with
+    repeats and the empty set allowed."""
+    n = draw(st.integers(1, 6))
+    u = Universe([f"x{i + 1}" for i in range(n)])
+    granules = draw(st.lists(st.integers(1, (1 << n) - 1), max_size=6))
+    kappa = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=6))
+    return assemble(u, granulation=Granulation(u, granules), kappa=kappa)
+
+
+@settings(max_examples=200, deadline=None)
+@given(granulated_clusterings())
+def test_the_kappa_walk_decides_lclu_as_the_exhaustive_sweep(s):
+    swept = sweep("lclu", s.universe, 1, evaluator(s, "lclu"), budget=math.inf)
+    assert check_axiom(s, "lclu") == swept  # every field, witness and count included
 
 
 def test_classify_without_granulation(H, granulation, delta_builtins):

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import msslab
-from msslab import assemble, classify, validate_clustering
+from msslab import SumOperation, assemble, classify, validate_clustering
 from msslab.config import DeltaSpec, parse_config
 from msslab.oracles import StructureDescription
 from msslab.search import SearchSpec
@@ -20,10 +20,14 @@ FIXTURE = "examples/paper-example.json"
 
 
 @pytest.fixture(scope="module")
-def factories(repo_root, H, granulation, clustering):
-    """For each value type, a function that builds a fresh, equal instance."""
+def document(repo_root):
     with open(repo_root / FIXTURE, encoding="utf-8") as handle:
-        document = json.load(handle)
+        return json.load(handle)
+
+
+@pytest.fixture(scope="module")
+def factories(document, H, granulation, clustering):
+    """For each value type, a function that builds a fresh, equal instance."""
     cluster = H.from_mask(clustering.kappa[0])
 
     def structure():
@@ -73,6 +77,44 @@ def test_equal_fields_make_equal_values(factories, name):
     first, second = factories[name](), factories[name]()
     assert first is not second
     assert first == second and hash(first) == hash(second)
+
+
+@pytest.mark.parametrize("kind", ["total-union", "granular-sum", "extensional-partial"])
+def test_equal_sums_assemble_equal_structures(H, granulation, kind):
+    def make():
+        if kind == "total-union":
+            return SumOperation.total_union(H)
+        if kind == "granular-sum":
+            return SumOperation.granular(granulation)
+        return SumOperation.extensional(H, {(0b0001, 0b0010): 0b0011})
+
+    first, second = (assemble(H, granulation=granulation, sum=make()) for _ in range(2))
+    assert first.sum is not second.sum
+    assert first == second and hash(first) == hash(second)
+
+
+SUM_TABLE = {"kind": "extensional-partial", "table": [[["x1"], ["x2"], ["x1", "x2"]]]}
+
+
+@pytest.mark.parametrize("sum_document", [None, "total-union", "granular-sum", SUM_TABLE])
+def test_a_config_parsed_twice_is_one_value(document, sum_document):
+    first, second = (parse_config({**document, "sum": sum_document}) for _ in range(2))
+    assert first == second and hash(first) == hash(second)
+
+
+def test_configs_whose_sum_tables_differ_differ(document):
+    other = {**SUM_TABLE, "table": [[["x1"], ["x2"], ["x2"]]]}
+    assert parse_config({**document, "sum": SUM_TABLE}) != parse_config({**document, "sum": other})
+
+
+def test_a_config_holds_its_base_and_builds_each_delta_afresh(document):
+    cfg = parse_config(document)
+    assert type(cfg)._fields == (
+        "base", "relation", "deltas", "compatibility_modes", "reduct_keep", "seed"
+    )
+    assert cfg.structure(None) is cfg.base and cfg.base.delta is None
+    spec = cfg.deltas[0]
+    assert cfg.structure(spec).delta is not cfg.structure(spec).delta
 
 
 def test_verdict_repr_names_axiom_status_and_first_witness(H):

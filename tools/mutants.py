@@ -62,6 +62,9 @@ GRANULATION_REDUCT = (
     "tests/test_structure.py::test_a_reduct_keeps_the_granulation_while_it_keeps_l_u_or_gamma[{}]"
 )
 REPORT = "src/msslab/report.py"
+CONFIG = "src/msslab/config.py"
+BASE_AND_FRESH_DELTA = "tests/test_values.py::test_a_config_holds_its_base_and_builds_each_delta_afresh"
+LCLU_PAST_THE_BUDGET = "tests/test_structure.py::test_lclu_is_decided_on_kappa_past_the_sample_budget"
 TABLE_WALK = "tests/test_delta.py::test_table_walk_matches_the_sweep_on_partial_sums"
 WITNESSLESS = "tests/test_cli.py::test_replay_exits_2_on_a_failing_row_without_a_witness"
 
@@ -338,10 +341,44 @@ MUTANTS = (
     ),
     Mutant(
         "config-reduct-ignored",
-        "src/msslab/config.py",
-        "return built._replace(kept=frozenset(self.reduct_keep))",
-        "return built",
+        CONFIG,
+        "base = base._replace(kept=frozenset(reduct_keep))",
+        "pass",
         ("tests/test_cli.py::test_an_empty_reduct_is_reported_as_keeping_no_slots",),
+    ),
+    # A δ candidate is its config's base, with no δ bound.
+    Mutant(
+        "config-structure-ignores-its-delta",
+        CONFIG,
+        "return self.base._replace(delta=delta_spec.build(self.universe, self.base.granulation))",
+        "return self.base",
+        (BASE_AND_FRESH_DELTA,),
+    ),
+    # Two sums that differ only in their tables compare equal.
+    Mutant(
+        "sum-equality-ignores-the-table",
+        DELTA,
+        "            and (self.universe, self.mode, self.granulation, self.table)\n"
+        "            == (other.universe, other.mode, other.granulation, other.table)\n",
+        "            and (self.universe, self.mode, self.granulation)\n"
+        "            == (other.universe, other.mode, other.granulation)\n",
+        ("tests/test_values.py::test_configs_whose_sum_tables_differ_differ",),
+    ),
+    # lclu's κ walk finds the greatest violating cluster, not the least.
+    Mutant(
+        "lclu-walks-kappa-in-reverse",
+        STRUCTURE,
+        "for a in sorted(set(s.kappa))",
+        "for a in sorted(set(s.kappa), reverse=True)",
+        (LCLU_PAST_THE_BUDGET,),
+    ),
+    # lclu over an empty κ reads as holding.
+    Mutant(
+        "lclu-always-substantive",
+        STRUCTURE,
+        "return decided(axiom, s.universe, 1, first, bool(s.kappa))",
+        "return decided(axiom, s.universe, 1, first, True)",
+        ("tests/test_structure.py::test_lclu_on_an_empty_kappa_is_vacuous",),
     ),
     # The oracle describes a delta that a reduct dropped.
     Mutant(
