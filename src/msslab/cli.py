@@ -51,17 +51,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="msslab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check-axioms", help="verify the axiom battery of a configured structure")
-    p.add_argument("config", type=Path)
-    _common_flags(p)
-
-    p = sub.add_parser("validate", help="deficits, validity grades, and compatibility of a clustering")
-    p.add_argument("config", type=Path)
-    _common_flags(p)
-
-    p = sub.add_parser("pipeline", help="run the five-step investigation end to end")
-    p.add_argument("config", type=Path)
-    _common_flags(p)
+    for command, summary in (
+        ("check-axioms", "verify the axiom battery of a configured structure"),
+        ("validate", "deficits, validity grades, and compatibility of a clustering"),
+        ("pipeline", "run the five-step investigation end to end"),
+    ):
+        p = sub.add_parser(command, help=summary)
+        p.add_argument("config", type=Path)
+        _common_flags(p)
 
     p = sub.add_parser("search", help="hunt for structures meeting/breaking named axioms")
     p.add_argument("spec", type=Path)

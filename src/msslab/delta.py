@@ -143,12 +143,6 @@ class DeltaPredicate:
         table = dict(table)
         return cls(universe, "def0", lambda a, b: table[(a, b)], relation)
 
-    def sorted_table(self) -> tuple[tuple[int, int, int], ...]:
-        """Canonical serialization order for extensional tables."""
-        if self.table is None:
-            raise ConfigurationError("predicate has no extensional table")
-        return tuple(sorted(self.table))
-
     def masked(self) -> Callable[[int, int, int], bool]:
         """The predicate on masks, built by its constructor."""
         return self._masked

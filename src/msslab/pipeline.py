@@ -11,7 +11,7 @@ from typing import TYPE_CHECKING, Optional
 from .errors import ParseError
 from .report import axioms_section, cluster_names, structure_summary, validation_section
 from .structure import SIGNATURE_SLOTS
-from .verdicts import provenance, run_seed
+from .verdicts import document, run_seed
 
 if TYPE_CHECKING:  # annotations only
     from .config import LabConfig
@@ -61,14 +61,14 @@ def run_pipeline(cfg: LabConfig, *, seed: Optional[int] = None, jobs: int = 1) -
         "validation": validation_section(cfg),
     }
 
-    return {
-        "command": "pipeline",
-        "provenance": provenance(seed),
-        "steps": {
+    return document(
+        "pipeline",
+        seed,
+        steps={
             "step1_assemble": step1,
             "step2_reduct": step2,
             "step3_clustering": step3,
             "step4_bind": step4,
             "step5_investigate": step5,
         },
-    }
+    )

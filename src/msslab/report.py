@@ -2,8 +2,9 @@
 
 Reports are plain dicts serialized with sorted keys so that equal runs
 diff cleanly; the text format is rendered from the finished dict and
-never computed separately. ``provenance`` and ``to_json`` are defined in
-``verdicts``, which the search command loads without this module.
+never computed separately. ``document``, which writes every report's
+command and provenance, and ``to_json`` are defined in ``verdicts``,
+which the search command loads without this module.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import TYPE_CHECKING, Optional
 from .errors import ParseError
 from .structure import ADMISSIBILITY_AXIOMS, LAWS, classify, verify
 from .validation import GRADE_READS, ClusterGrades, check_compatibility, validate_clustering
-from .verdicts import DEFERRED, Verdict, provenance, run_seed, to_json
+from .verdicts import DEFERRED, Verdict, document, run_seed, to_json
 
 if TYPE_CHECKING:  # annotations only
     from .config import LabConfig
@@ -24,13 +25,9 @@ STRUCTURAL_AXIOMS = tuple(a for a, law in LAWS.items() if not law.reads & {"delt
 PER_DELTA_AXIOMS = tuple(a for a, law in LAWS.items() if "delta" in law.reads)
 
 
-def subset_names(subset) -> list[str]:
-    return list(subset.members())
-
-
 def verdict_dict(v: Verdict) -> dict:
     """The verdict's fields, each witness as lists of element names."""
-    return {**v._asdict(), "witnesses": [[subset_names(part) for part in w] for w in v.witnesses]}
+    return {**v._asdict(), "witnesses": [[list(part.members()) for part in w] for w in v.witnesses]}
 
 
 def structure_summary(cfg: LabConfig) -> dict:
@@ -104,10 +101,10 @@ def validation_section(cfg: LabConfig) -> dict:
         report = validate_clustering(s)
         section["clusters"] = [
             {
-                "cluster": subset_names(r.cluster),
-                "lower_deficit": subset_names(r.lower_deficit),
+                "cluster": list(r.cluster.members()),
+                "lower_deficit": list(r.lower_deficit.members()),
                 "upper_deficit": (
-                    None if r.upper_deficit is None else subset_names(r.upper_deficit)
+                    None if r.upper_deficit is None else list(r.upper_deficit.members())
                 ),
                 **r.grades._asdict(),
                 "proposition": verdict_dict(r.proposition),
@@ -139,24 +136,17 @@ def build_check_axioms(cfg: LabConfig, *, seed: Optional[int], jobs: int = 1) ->
     """The check-axioms report. ``jobs`` is accepted and ignored; it stays
     only because ``bench/traced.py`` passes ``jobs=1``."""
     seed = run_seed(seed, cfg.seed)
-    return {
-        "command": "check-axioms",
-        "provenance": provenance(seed),
-        "structure": structure_summary(cfg),
-        "axioms": axioms_section(cfg, seed=seed),
-    }
+    axioms = axioms_section(cfg, seed=seed)
+    return document("check-axioms", seed, structure=structure_summary(cfg), axioms=axioms)
 
 
 def build_validate(cfg: LabConfig, *, seed: Optional[int], jobs: int = 1) -> dict:
     """The validate report. ``jobs`` is accepted and ignored; it stays only
     because ``bench/traced.py`` passes ``jobs=1``."""
     seed = run_seed(seed, cfg.seed)
-    return {
-        "command": "validate",
-        "provenance": provenance(seed),
-        "structure": structure_summary(cfg),
-        "validation": validation_section(cfg),
-    }
+    return document(
+        "validate", seed, structure=structure_summary(cfg), validation=validation_section(cfg)
+    )
 
 
 def has_failures(report: dict) -> bool:

@@ -28,7 +28,7 @@ from .errors import BudgetError, ParseError
 from .granules import Granulation
 from .sets import Universe
 from .structure import GRANULATION_SLOTS, LAWS, SET_SLOTS, MssStructure, assemble, check_axiom
-from .verdicts import provenance, run_seed
+from .verdicts import document, run_seed
 
 FAMILIES = ("relations", "extensional-deltas", "granulations")
 # A search draws its predicate from a builtin or from a random table.
@@ -136,26 +136,26 @@ def _column_masks(n: int) -> Callable[[int], tuple[int, ...]]:
     """A relation's nonzero predecessor-column masks in generator order,
     read off its bits: the granule of x is every y with bit y*n + x set.
 
-    Each row y of the bits is cut into chunks of at most eight bits, and
-    each chunk is spread once, for each of its values, into the columns'
-    bits (bit y of column x at bit x*n + y), so a table never holds more
-    than 256 entries."""
-    chunks = []
-    for y in range(n):
-        for low in range(0, n, 8):
-            xs = range(low, min(low + 8, n))
-            table = [
-                sum(1 << (x * n + y) for x in xs if value >> (x - low) & 1)
-                for value in range(1 << len(xs))
-            ]
-            chunks.append((y * n + low, len(table) - 1, table))
+    Each row y of the bits is cut into chunks of at most eight bits. One
+    table, of at most 256 entries whatever n is, spreads a chunk's bit i
+    to bit i*n; the chunk from column low is read through it shifted by
+    low*n + y, which puts bit y of column x at bit x*n + y."""
+    width = min(n, 8)
+    table = [
+        sum(1 << (i * n) for i in range(width) if value >> i & 1) for value in range(1 << width)
+    ]
+    chunks = [
+        (y * n + low, (1 << min(8, n - low)) - 1, low * n + y)
+        for y in range(n)
+        for low in range(0, n, 8)
+    ]
     row = (1 << n) - 1
     shifts = range(0, n * n, n)
 
     def columns(bits: int) -> tuple[int, ...]:
         spread = 0
-        for shift, mask, table in chunks:
-            spread |= table[bits >> shift & mask]
+        for shift, mask, offset in chunks:
+            spread |= table[bits >> shift & mask] << offset
         return tuple([column for shift in shifts if (column := spread >> shift & row)])
 
     return columns
@@ -297,18 +297,18 @@ def build_search(spec: SearchSpec, *, seed: Optional[int] = None) -> dict:
                 None if table is None else sorted([list(names(m)) for m in row] for row in table)
             ),
         }
-    return {
-        "command": "search",
-        "provenance": provenance(spec.seed),
-        "spec": {
+    return document(
+        "search",
+        spec.seed,
+        spec={
             k: list(v) if isinstance(v, tuple) else v
             for k, v in spec._asdict().items()
             if k != "seed"
         },
-        "search": {
+        search={
             "found": found is not None,
             "examined": examined,
             "structure": structure,
             "note": None if found is not None else "none within budget",
         },
-    }
+    )

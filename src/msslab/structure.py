@@ -385,11 +385,11 @@ class Classification(NamedTuple):
     is_gmss: Optional[bool]
 
 
-# The laws that define each structure class, by flag: the definitional
-# battery (the laws of the set slots and of l and u, and four coherence
-# laws), alone or with the asymmetry law, lclu or admissibility.
+# The laws of each class: the battery (laws reading only set slots, l and u,
+# and four coherence laws), alone or with strict-n-coh, lclu or admissibility.
 CLASSES = {
-    flag: AXIOM_ORDER[:11] + ("i-coh", "n-coh", "i-coh-2", "trans-1") + extra
+    flag: tuple(a for a, law in LAWS.items() if law.reads and law.reads <= SET_SLOTS | {"l", "u"})
+    + ("i-coh", "n-coh", "i-coh-2", "trans-1", *extra)
     for flag, extra in (
         ("is_mss", ()),
         ("is_strict", ("strict-n-coh",)),

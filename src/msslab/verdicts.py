@@ -1,5 +1,5 @@
 """Verdicts for axiom checks, plus the shared quantifier sweep, and the
-seed rule, provenance and canonical JSON of every report.
+seed rule, header (``document``) and canonical JSON of every report.
 
 A check walks a quantification space of subset-mask tuples and classifies
 each instance as substantively satisfied, vacuously satisfied, or
@@ -45,15 +45,17 @@ DEFAULT_SEED = 0
 
 def run_seed(given: Optional[int], document: Optional[int]) -> int:
     """The seed a run uses: the one it is given, else its document's, else
-    ``DEFAULT_SEED``. Every report builder reads its seed through here."""
+    ``DEFAULT_SEED``. Every report builder and sampled sweep reads it here."""
     if given is not None:
         return given
     return DEFAULT_SEED if document is None else document
 
 
-def provenance(seed: int) -> dict:
-    """Tool, version, and the seed the run used."""
-    return {"tool": "msslab", "version": __version__, "seed": seed}
+def document(command: str, seed: int, **sections) -> dict:
+    """A report: its command, its provenance (tool, version and the seed
+    the run used), then its sections."""
+    provenance = {"tool": "msslab", "version": __version__, "seed": seed}
+    return {"command": command, "provenance": provenance, **sections}
 
 
 def to_json(report: dict) -> str:
@@ -137,10 +139,12 @@ def sweep(
     satisfied), or False (violated). The sweep is exhaustive exactly when
     the space has at most ``budget`` tuples; a larger space is sampled
     with ``budget`` tuples, each element drawn by
-    ``Random(seed).randrange(2**n)`` in turn (seed ``DEFAULT_SEED`` when
-    none is given). With the default budget every law of arity ≤ 3 is
-    exhaustive up to n = 6. ``structure.check_axiom`` says which laws are
-    decided on the delta cube instead.
+    ``Random(seed).randrange(2**n)`` in turn (by ``run_seed``, a seed of
+    None is ``DEFAULT_SEED``). No report law reaches the sweep at n ≤ 9:
+    ``structure.check_axiom`` decides lclu on κ, the omega laws as
+    theorems or on the sum table and the δ laws on the delta cube. The
+    sweep is the sampled path past the cube, and the exhaustive reference
+    the tests compare those deciders against.
     """
     top = 1 << universe.size
     if top**arity <= budget:
@@ -148,7 +152,7 @@ def sweep(
         tuples = itertools.product(range(top), repeat=arity)
     else:
         mode = "sampled"
-        seed = DEFAULT_SEED if seed is None else seed
+        seed = run_seed(seed, None)
         draws = map(random.Random(seed).randrange, itertools.repeat(top))
         tuples = itertools.islice(zip(*[draws] * arity), budget)
 

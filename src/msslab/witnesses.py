@@ -40,11 +40,6 @@ def replay_failures(cfg: LabConfig, report) -> list[str]:
     specs = {spec.name: spec for spec in cfg.deltas}
     elements = frozenset(cfg.universe.elements)
 
-    def spec_for(name: str):
-        if name not in specs:
-            raise ParseError(f"the report names delta {name!r}, which the config does not declare")
-        return specs[name]
-
     def failing(v, field: str, key: str) -> Optional[list]:
         """The witnesses of the row ``v`` when it fails, each a tuple of
         ``arity`` subsets; None when it does not fail."""
@@ -68,9 +63,14 @@ def replay_failures(cfg: LabConfig, report) -> list[str]:
         return witnesses
 
     def bound(delta_name: Optional[str], reads, name: str, field: str):
-        """The config's structure under the delta, refused when it leaves
-        a slot of ``reads`` unbound."""
-        s = cfg.structure(spec_for(delta_name) if delta_name else None)
+        """The config's structure under the delta ``delta_name``, which
+        the config must declare (None is no delta, and "" a name), refused
+        when it leaves a slot of ``reads`` unbound."""
+        if delta_name is not None and delta_name not in specs:
+            raise ParseError(
+                f"the report names delta {delta_name!r}, which the config does not declare"
+            )
+        s = cfg.structure(specs.get(delta_name))
         unbound = reads - s.bound_slots()
         if unbound:
             raise ParseError(

@@ -11,6 +11,7 @@ import pytest
 
 import msslab
 import msslab.report
+import msslab.structure
 import msslab.witnesses
 from msslab.config import parse_config
 from msslab.report import render_text, to_json
@@ -792,6 +793,23 @@ def test_reports_match_golden_bytes(repo_root, command, config, golden):
     assert result.stdout == (GOLDEN / golden).read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("config", [FIXTURE, N5_CONFIG, N6_CONFIG, N7_CONFIG])
+def test_no_report_law_reaches_the_sweep_up_to_nine_elements(repo_root, monkeypatch, config):
+    # lclu is decided on the clusters, the omega laws as theorems or on the
+    # sum table, and the delta laws on the cube, whose 2**(2n) rows fit the
+    # sample budget up to n = 9.
+    from msslab.pipeline import run_pipeline
+    from msslab.report import build_check_axioms, build_validate
+
+    def refused(axiom, *args, **kwargs):
+        raise AssertionError(f"{axiom} was swept")
+
+    monkeypatch.setattr(msslab.structure, "sweep", refused)
+    cfg = parse_config(json.loads((repo_root / config).read_text(encoding="utf-8")))
+    for build in (build_check_axioms, build_validate, run_pipeline):
+        build(cfg, seed=7)
+
+
 def test_unseeded_sampled_runs_repeat(repo_root, tmp_path):
     # At n=10 the 2^20 rows of the cube are past the budget, so trans-1 is
     # sampled; under E0 every sampled law but i-coh fails within a few draws.
@@ -1217,6 +1235,28 @@ def test_replay_refuses_a_failing_compatibility_row_on_a_slot_the_config_leaves_
             "msslab: parse error: validation.compatibility[2]: "
             f"compatibility reads [{dropped!r}], which the config leaves unbound\n"
         )
+
+
+@pytest.mark.parametrize("command", ["check-axioms", "validate", "pipeline"])
+def test_the_failing_rows_of_a_delta_named_empty_replay(tmp_path, capsys, command):
+    from msslab.cli import main
+    from msslab.report import has_failures
+
+    # Only rows under "" can fail, as lclu is deferred without a granulation:
+    # its coherence laws fail, and so does its compatibility row.
+    config = write_config(
+        tmp_path,
+        {
+            "universe": ["x1", "x2", "x3"],
+            "delta": [{"kind": "def0", "name": "", "f": "union"}],
+            "clustering": [["x1"], ["x2"], ["x1", "x3"]],
+        },
+    )
+    report = tmp_path / "report.json"
+    assert main([command, str(config), "--output", str(report)]) == 0
+    assert has_failures(json.loads(report.read_text(encoding="utf-8")))
+    assert main(["replay", str(config), str(report)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def failing_structural_row(tmp_path, axiom):

@@ -75,11 +75,6 @@ def test_extensional_table_limit():
         DeltaPredicate.extensional_from_masks(big, [])
 
 
-def test_extensional_table_canonical_order(H):
-    d = DeltaPredicate.extensional_from_masks(H, [(2, 0, 0), (1, 0, 0)])
-    assert d.sorted_table() == ((1, 0, 0), (2, 0, 0))
-
-
 def test_eval_sum_examples(H, granulation):
     total = SumOperation.total_union(H)
     grain = SumOperation.granular(granulation)

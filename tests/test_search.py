@@ -139,7 +139,7 @@ def test_enumeration_is_deterministic():
 
     def snapshot():
         return [
-            (s.granulation.granules, tuple(s.delta.sorted_table()))
+            (s.granulation.granules, tuple(sorted(s.delta.table)))
             for s in enumerate_structures(spec)
         ]
 
@@ -298,7 +298,7 @@ def plain_search(spec):
 def search_answer(found, examined):
     if found is None:
         return None, examined
-    table = found.delta.sorted_table() if found.delta.kind == "extensional" else None
+    table = tuple(sorted(found.delta.table)) if found.delta.kind == "extensional" else None
     return (found.granulation.granules, table), examined
 
 
@@ -331,7 +331,7 @@ def test_sampled_relations_under_extensional_tables_draw_a_pinned_stream():
         bits = rng.randrange(16)
         columns = {sum(1 << y for y in range(2) if bits >> (2 * y + x) & 1) for x in range(2)}
         triples = tuple(t for t in itertools.product(range(4), repeat=3) if rng.random() < 0.3)
-        assert (set(s.granulation.granules), s.delta.sorted_table()) == (columns - {0}, triples)
+        assert (set(s.granulation.granules), tuple(sorted(s.delta.table))) == (columns - {0}, triples)
 
 
 def test_exhaustive_relation_search_covers_four_elements():
@@ -373,10 +373,12 @@ def test_a_key_is_none_where_no_two_candidates_can_share_one():
     assert all(isinstance(key, frozenset) for key, _ in search._candidates(relations))
 
 
-# Rows of nine and twelve bits are spread through two chunks each.
+# Rows of nine to sixteen bits are spread through two chunks each, and
+# rows of 17 and 24 bits through three; at n = 9 and 17 the last chunk
+# holds one bit.
 @settings(max_examples=200, deadline=None)
 @given(
-    st.sampled_from((4, 5, 9, 12)).flatmap(
+    st.sampled_from((1, 4, 5, 8, 9, 12, 16, 17, 24)).flatmap(
         lambda n: st.tuples(st.just(n), st.integers(0, (1 << n * n) - 1))
     )
 )
@@ -384,6 +386,18 @@ def test_column_masks_match_the_predecessor_granulation(relation):
     n, bits = relation
     masks = search._column_masks(n)(bits)
     assert Granulation(_universe(n), masks).granules == predecessor_granules(n, bits)
+
+
+def test_column_masks_build_one_small_table_whatever_n_is():
+    # One table of 256 spread values serves every chunk of every row; a
+    # table per chunk would take tens of megabytes at n = 64.
+    tracemalloc.start()
+    try:
+        search._column_masks(64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_oracle_claims_on_the_example(H, granulation, delta_builtins):

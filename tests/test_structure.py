@@ -516,6 +516,18 @@ def test_a_battery_law_decides_every_class(gamma_bound, gamma_unbound, law):
     assert classify(gamma_unbound, made_up(missing=[law])) == (None, None, None, False)
 
 
+# The laws that no class names: clos1 has no definition, and the omega
+# and delta-sum laws read the sum.
+@pytest.mark.parametrize(
+    "law",
+    ["clos1", "omega-star-com", "omega-id", "omega-asso", "delta-sum1", "delta-sum2", "delta-sum3"],
+)
+def test_a_law_outside_every_class_changes_no_flag(gamma_bound, law):
+    assert classify(gamma_bound, made_up(fails=[law])) == (True,) * 4
+    assert classify(gamma_bound, made_up(deferrals=[law])) == (True,) * 4
+    assert classify(gamma_bound, made_up(missing=[law])) == (True,) * 4
+
+
 def test_a_failure_beats_a_deferral(gamma_bound):
     flags = classify(gamma_bound, made_up(fails=["lclu"], deferrals=["PT1"], missing=["TB"]))
     assert flags == (None, None, False, None)

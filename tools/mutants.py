@@ -54,6 +54,7 @@ STRUCTURE = "src/msslab/structure.py"
 DELTA = "src/msslab/delta.py"
 # The malformed config case that a config check refuses, run through validate.
 MALFORMED = "tests/test_cli.py::test_malformed_configs_are_parse_errors_naming_the_field[{}-validate]"
+COLUMN_MASKS = "tests/test_search.py::test_column_masks_match_the_predecessor_granulation"
 CLASS_EXTRAS = "tests/test_structure.py::test_a_law_a_class_adds_changes_only_that_class"
 VALIDATION = "src/msslab/validation.py"
 NO_KAPPA = "tests/test_cli.py::test_a_reduct_that_drops_kappa_defers_every_validation_row[{}]"
@@ -193,6 +194,23 @@ MUTANTS = (
         "return tuple([spread >> shift & row for shift in shifts])",
         ("tests/test_search.py::test_relation_candidates_are_the_predecessor_granulations",),
     ),
+    # Every chunk reads the one spread table at its row's offset.
+    Mutant(
+        "one-table-drops-the-row-offset",
+        SEARCH,
+        ", low * n + y)",
+        ", low * n)",
+        (COLUMN_MASKS,),
+    ),
+    # Past n = 8 the bits this spills land in columns >= n, which are never
+    # read; below it they index past the table of 2**n entries.
+    Mutant(
+        "one-table-last-chunk-reads-eight-bits",
+        SEARCH,
+        "(1 << min(8, n - low)) - 1,",
+        "255,",
+        (COLUMN_MASKS,),
+    ),
     # Two granule sets with equal sums share a key, so one is never checked.
     Mutant(
         "colliding-granulation-key",
@@ -300,6 +318,13 @@ MUTANTS = (
         '("is_gmss", ADMISSIBILITY_AXIOMS),',
         '("is_gmss", ()),',
         (CLASS_EXTRAS,),
+    ),
+    Mutant(
+        "battery-includes-clos1",
+        STRUCTURE,
+        "if law.reads and law.reads <= SET_SLOTS",
+        "if law.reads <= SET_SLOTS",
+        ("tests/test_structure.py::test_a_law_outside_every_class_changes_no_flag",),
     ),
     Mutant(
         "gmss-without-gamma",
