@@ -33,7 +33,7 @@ from .granules import (
     predecessor_granulation,
 )
 from .sets import Universe
-from .structure import SIGNATURE_SLOTS, MssStructure, assemble
+from .structure import SIGNATURE_SLOTS, MssStructure, assemble, reduct
 from .validation import COMPATIBILITY_MODES
 
 KNOWN_FIELDS = {
@@ -236,8 +236,7 @@ def parse_config(data: dict) -> LabConfig:
 
     base = assemble(universe, granulation=granulation, sum=sum_op, kappa=clusters)
     if reduct_keep is not None:
-        # A kept slot with no value, such as delta, stays unbound.
-        base = base._replace(kept=frozenset(reduct_keep))
+        base = reduct(base, reduct_keep)
     return LabConfig(base, relation, deltas, modes, reduct_keep, seed)
 
 

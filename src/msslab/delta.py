@@ -9,13 +9,12 @@ which decides the laws that read δ, every coherence and delta-sum law,
 on the predicate's cube of rows (``DeltaPredicate.plane``) instead
 whenever its 2²ⁿ rows fit the budget (``kernels.cube_verdict``). Each
 constructor builds a predicate's key, R and mask function, or a sum's
-mask function, once; nothing is compiled lazily. A plane is built from
-the keys, or read off the table, with no call of the predicate, when a
-law's walk first reaches it. A sum of ``UNION_SUMS`` is the union
-wherever it is defined, so the omega laws are theorems there. E2 and
-uE1 read the l and u tables of a granulation through their key, and
-record that granulation, as a granular sum does, so that a structure
-binds them only over it.
+mask function, once. A plane is built from the keys, or read off the
+table, with no call of the predicate, when a law's walk first reaches
+it. A sum of ``UNION_SUMS`` is the union wherever it is defined, so the
+omega laws are theorems there. E2 and uE1 read the l and u tables of a
+granulation through their key, and record that granulation, as a
+granular sum does, so that a structure binds them only over it.
 """
 from __future__ import annotations
 
@@ -74,9 +73,9 @@ class DeltaPredicate:
 
     Every kind is defined once, by its row of ``KEYED_KINDS`` or by its
     table. Each constructor builds the predicate's key, R and mask
-    function once; nothing is compiled lazily. ``masked`` returns the
-    mask function and ``plane`` reads the key and R. Calling the
-    predicate on subsets encodes them and evaluates ``masked``.
+    function once. ``masked`` returns the mask function and ``plane``
+    reads the key and R. Calling the predicate on subsets encodes them
+    and evaluates ``masked``.
     """
 
     __slots__ = ("universe", "kind", "table", "granulation", "_key", "_relation", "_masked", "_cube")

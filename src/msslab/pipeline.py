@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from .errors import ParseError
 from .report import axioms_section, cluster_names, structure_summary, validation_section
 from .structure import SIGNATURE_SLOTS
 from .verdicts import document, run_seed
@@ -23,9 +22,8 @@ def run_pipeline(cfg: LabConfig, *, seed: Optional[int] = None, jobs: int = 1) -
     ``jobs`` is accepted and ignored; it stays only because
     ``bench/traced.py`` passes ``jobs=1``.
     """
+    validation = validation_section(cfg)  # refuses a config with no clustering
     bound = cfg.base
-    if bound.kappa is None:
-        raise ParseError("missing clustering input", "clustering")
     seed = run_seed(seed, cfg.seed)
 
     skeleton = bound._replace(kept=frozenset(SIGNATURE_SLOTS))
@@ -58,7 +56,7 @@ def run_pipeline(cfg: LabConfig, *, seed: Optional[int] = None, jobs: int = 1) -
 
     step5 = {
         "axioms": axioms_section(cfg, seed=seed),
-        "validation": validation_section(cfg),
+        "validation": validation,
     }
 
     return document(

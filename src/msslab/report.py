@@ -13,15 +13,15 @@ import json
 from typing import TYPE_CHECKING, Optional
 
 from .errors import ParseError
-from .structure import ADMISSIBILITY_AXIOMS, LAWS, classify, verify
+from .structure import LAWS, classify, verify
 from .validation import GRADE_READS, ClusterGrades, check_compatibility, validate_clustering
 from .verdicts import DEFERRED, Verdict, document, run_seed, to_json
 
 if TYPE_CHECKING:  # annotations only
     from .config import LabConfig
 
-# Laws checked once per structure, and those checked once per delta candidate.
-STRUCTURAL_AXIOMS = tuple(a for a, law in LAWS.items() if not law.reads & {"delta", "gamma"})
+# The laws checked once per delta candidate; every other law of ``verify``
+# is checked once per structure.
 PER_DELTA_AXIOMS = tuple(a for a, law in LAWS.items() if "delta" in law.reads)
 
 
@@ -55,11 +55,7 @@ def cluster_names(cfg: LabConfig) -> Optional[list[list[str]]]:
 
 def axioms_section(cfg: LabConfig, *, seed: Optional[int]) -> dict:
     """Structural verdicts once, coherence and sum-interaction per candidate."""
-    base = cfg.base
-    structural_list = list(STRUCTURAL_AXIOMS)
-    if "gamma" in base.bound_slots():
-        structural_list += list(ADMISSIBILITY_AXIOMS)
-    structural = verify(base, structural_list, seed=seed)
+    structural = [v for v in verify(cfg.base, seed=seed) if v.axiom not in PER_DELTA_AXIOMS]
 
     per_delta = {}
     classification = {}
@@ -67,7 +63,7 @@ def axioms_section(cfg: LabConfig, *, seed: Optional[int]) -> dict:
         s = cfg.structure(spec)
         verdicts = verify(s, PER_DELTA_AXIOMS, seed=seed)
         per_delta[spec.name] = [verdict_dict(v) for v in verdicts]
-        flags = classify(s, list(structural) + list(verdicts))
+        flags = classify(s, structural + verdicts)
         classification[spec.name] = flags._asdict()
 
     section = {

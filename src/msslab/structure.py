@@ -239,23 +239,23 @@ def assemble(
 
 
 def reduct(s: MssStructure, keep: Iterable[str]) -> MssStructure:
-    """Same carrier and values, keeping only the named bound slots.
+    """Same carrier and values, keeping only the named slots.
 
-    The carrier is not part of the signature and cannot be dropped. The
-    result narrows ``s.kept`` and clears no value, so read ``bound_slots``,
-    not a value, for what it binds; l and u travel as a pair, so keeping
-    one without the other binds neither.
+    It refuses a name outside the signature (the carrier is always kept
+    and is not one) and a slot that an earlier reduct dropped. A kept
+    slot with no value yet, such as delta, is bound once it has one. The
+    result narrows ``s.kept`` and clears no value, so read
+    ``bound_slots``, not a value, for what it binds; l and u travel as a
+    pair, so keeping one without the other binds neither.
     """
     keep = set(keep)
-    if "universe" in keep:
-        raise StructureError("the carrier is not a signature slot; it is always retained")
     unknown = keep - set(SIGNATURE_SLOTS)
     if unknown:
         raise StructureError(f"unknown signature slots {sorted(unknown)}")
-    missing = keep - s.bound_slots()
-    if missing:
-        raise StructureError(f"cannot keep unbound slots {sorted(missing)}")
-    return s._replace(kept=s.kept & keep)
+    dropped = keep - s.kept
+    if dropped:
+        raise StructureError(f"cannot keep dropped slots {sorted(dropped)}")
+    return s._replace(kept=frozenset(keep))
 
 
 def evaluator(s: MssStructure, axiom: str) -> Callable[..., Optional[bool]]:
@@ -328,7 +328,7 @@ def check_axiom(
         )
     unbound = law.reads - s.bound_slots()
     if unbound:
-        return deferred(axiom, f"unbound slots: {sorted(unbound)}")
+        return deferred(axiom, unbound)
     if law.theorem is not None:
         return theorem(axiom, law.theorem)
     if law.union_theorem is not None and s.sum.mode in UNION_SUMS:

@@ -185,7 +185,7 @@ def check_compatibility(s: MssStructure, mode: str = "overlap-closer") -> Verdic
     axiom = f"compatibility:{mode}"
     unbound = COMPATIBILITY_READS - s.bound_slots()
     if unbound:
-        return deferred(axiom, f"unbound slots: {sorted(unbound)}")
+        return deferred(axiom, unbound)
     holds, first, checked = s.delta.masked(), None, 0
     for checked, triple in enumerate(_compat_instances(_clusters(s), s.universe.size, mode), 1):
         if not holds(*triple):

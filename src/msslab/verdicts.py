@@ -86,8 +86,9 @@ class Verdict(NamedTuple):
         return f"Verdict({self.axiom}: {self.status}{extra})"
 
 
-def deferred(axiom: str, note: str = "required interpretation is unbound") -> Verdict:
-    return Verdict(axiom, DEFERRED, mode="none", note=note)
+def deferred(axiom: str, unbound) -> Verdict:
+    """A law that reads the ``unbound`` slots; no instance is checked."""
+    return Verdict(axiom, DEFERRED, mode="none", note=f"unbound slots: {sorted(unbound)}")
 
 
 def unspecified(axiom: str, note: str) -> Verdict:

@@ -28,7 +28,8 @@ def replay_failures(cfg: LabConfig, report) -> list[str]:
     Walks the report's own axiom verdicts and compatibility rows and, in a
     pipeline report, those under ``steps.step5_investigate``. A part of
     the report it reads whose shape is not that of
-    ``schemas/report.schema.json``, a delta the config does not declare,
+    ``schemas/report.schema.json``, a delta the config does not declare
+    (each ``per_delta`` key and each compatibility row's ``delta``),
     a witness element outside its universe, a failing row whose axiom
     names no law with a definition, or a failing law or compatibility row
     that reads a slot the config leaves unbound, is a ``ParseError``
@@ -62,14 +63,15 @@ def replay_failures(cfg: LabConfig, report) -> list[str]:
             witnesses.append(tuple(map(cfg.universe.subset, w)))
         return witnesses
 
+    def declared(delta_name, field: str) -> None:
+        """Refuse a delta name that is no string the config declares."""
+        if _expect(delta_name, str, field) not in specs:
+            raise ParseError(f"names delta {delta_name!r}, which the config does not declare", field)
+
     def bound(delta_name: Optional[str], reads, name: str, field: str):
-        """The config's structure under the delta ``delta_name``, which
-        the config must declare (None is no delta, and "" a name), refused
-        when it leaves a slot of ``reads`` unbound."""
-        if delta_name is not None and delta_name not in specs:
-            raise ParseError(
-                f"the report names delta {delta_name!r}, which the config does not declare"
-            )
+        """The config's structure under the declared delta ``delta_name``
+        (None is no delta, and "" a name), refused when it leaves a slot of
+        ``reads`` unbound."""
         s = cfg.structure(specs.get(delta_name))
         unbound = reads - s.bound_slots()
         if unbound:
@@ -104,12 +106,14 @@ def replay_failures(cfg: LabConfig, report) -> list[str]:
         per_delta = _expect(axioms.get("per_delta", {}), dict, f"{prefix}axioms.per_delta")
         for name, verdicts in per_delta.items():
             field = f"{prefix}axioms.per_delta.{name}"
+            declared(name, field)
             for i, v in enumerate(_expect(verdicts, list, field)):
                 check(v, name, f"{field}[{i}]", f"per_delta[{name}]")
 
         validation = _expect(section.get("validation", {}), dict, f"{prefix}validation")
         field = f"{prefix}validation.compatibility"
         for i, row in enumerate(_expect(validation.get("compatibility", []), list, field)):
+            declared(_expect(row, dict, f"{field}[{i}]").get("delta"), f"{field}[{i}].delta")
             witnesses = failing(row, f"{field}[{i}]", "delta")
             if witnesses is None:
                 continue

@@ -1124,6 +1124,48 @@ def test_replay_refuses_a_failing_compatibility_row_without_a_known_mode(
     )
 
 
+def _rename_e0(per_delta):
+    per_delta["ZZ"] = per_delta.pop("E0")
+
+
+@pytest.mark.parametrize(
+    "golden, forge, field, message",
+    [
+        (
+            "paper-validate.json",
+            lambda report: report["validation"]["compatibility"][0].update(delta="ZZ"),
+            "validation.compatibility[0].delta",
+            "names delta 'ZZ', which the config does not declare",
+        ),
+        (
+            "paper-validate.json",
+            lambda report: report["validation"]["compatibility"][0].update(delta=5),
+            "validation.compatibility[0].delta",
+            "must be a string",
+        ),
+        (
+            "paper-check-axioms.json",
+            lambda report: _rename_e0(report["axioms"]["per_delta"]),
+            "axioms.per_delta.ZZ",
+            "names delta 'ZZ', which the config does not declare",
+        ),
+    ],
+    ids=["passing-compatibility-row", "compatibility-delta-not-a-string", "per-delta-key"],
+)
+def test_replay_refuses_every_undeclared_delta_naming_its_path(
+    repo_root, tmp_path, capsys, golden, forge, field, message
+):
+    from msslab.cli import main
+
+    report = json.loads((GOLDEN / golden).read_text(encoding="utf-8"))
+    rows = report.get("validation", {}).get("compatibility", [])
+    assert not rows or rows[0]["status"] != "fails"  # E0 under overlap-closer passes
+    forge(report)
+    forged = write_config(tmp_path, report, "forged.json")
+    assert main(["replay", str(repo_root / FIXTURE), str(forged)]) == 1
+    assert capsys.readouterr().err == f"msslab: parse error: {field}: {message}\n"
+
+
 @pytest.mark.parametrize(
     "content, message",
     [

@@ -363,8 +363,11 @@ def test_reduct_rejects_bad_slots(H, granulation):
         reduct(s, ["universe"])
     with pytest.raises(StructureError):
         reduct(s, ["volume"])
-    with pytest.raises(StructureError):
-        reduct(s, ["delta"])  # unbound here
+    # A kept slot with no value is allowed and binds nothing until it has one.
+    delta_only = reduct(s, ["delta"])
+    assert delta_only.kept == {"delta"} and not delta_only.bound_slots()
+    with pytest.raises(StructureError, match=re.escape("cannot keep dropped slots ['l']")):
+        reduct(reduct(s, ["P"]), ["P", "l"])
 
 
 def test_classify_example(H, granulation, clustering, delta_builtins):

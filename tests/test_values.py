@@ -13,6 +13,7 @@ from msslab import SumOperation, assemble, classify, validate_clustering
 from msslab.config import DeltaSpec, parse_config
 from msslab.oracles import StructureDescription
 from msslab.search import SearchSpec
+from msslab.structure import SIGNATURE_SLOTS, reduct
 from msslab.validation import validity_grades
 from msslab.verdicts import Verdict, decided
 
@@ -115,6 +116,22 @@ def test_a_config_holds_its_base_and_builds_each_delta_afresh(document):
     assert cfg.structure(None) is cfg.base and cfg.base.delta is None
     spec = cfg.deltas[0]
     assert cfg.structure(spec).delta is not cfg.structure(spec).delta
+
+
+REDUCTS = {
+    "P-delta": ["P", "delta"],
+    **{f"all-but-{out}": [s for s in SIGNATURE_SLOTS if s != out] for out in SIGNATURE_SLOTS},
+    "none": [],
+}
+
+
+@pytest.mark.parametrize("keep", REDUCTS.values(), ids=REDUCTS)
+def test_a_config_reduct_is_the_structure_reduct(document, keep):
+    plain = parse_config({k: v for k, v in document.items() if k != "reduct"})
+    cfg = parse_config({**document, "reduct": keep})
+    assert reduct(plain.base, keep) == cfg.base
+    # A kept delta has no value in the base, and is bound under each candidate.
+    assert ("delta" in cfg.structure(cfg.deltas[0]).bound_slots()) == ("delta" in keep)
 
 
 def test_verdict_repr_names_axiom_status_and_first_witness(H):

@@ -367,9 +367,20 @@ MUTANTS = (
     Mutant(
         "config-reduct-ignored",
         CONFIG,
-        "base = base._replace(kept=frozenset(reduct_keep))",
+        "base = reduct(base, reduct_keep)",
         "pass",
         ("tests/test_cli.py::test_an_empty_reduct_is_reported_as_keeping_no_slots",),
+    ),
+    # A reduct may keep only what has a value: a config that keeps δ is refused.
+    Mutant(
+        "reduct-refuses-valueless-slot",
+        STRUCTURE,
+        "dropped = keep - s.kept",
+        "dropped = keep - s.bound_slots()",
+        (
+            "tests/test_values.py::test_a_config_reduct_is_the_structure_reduct[P-delta]",
+            NO_KAPPA.format("validate"),
+        ),
     ),
     # A δ candidate is its config's base, with no δ bound.
     Mutant(
@@ -476,6 +487,19 @@ MUTANTS = (
         (
             "tests/test_cli.py::"
             "test_replay_subcommand_exits_2_on_a_compatibility_witness_its_mode_does_not_check",
+        ),
+    ),
+    # Only a failing compatibility row's delta is looked up: a passing row may name any.
+    Mutant(
+        "replay-checks-only-failing-deltas",
+        "src/msslab/witnesses.py",
+        '            declared(_expect(row, dict, f"{field}[{i}]").get("delta"), f"{field}[{i}].delta")\n',
+        "",
+        (
+            "tests/test_cli.py::test_replay_refuses_every_undeclared_delta_naming_its_path"
+            "[passing-compatibility-row]",
+            "tests/test_cli.py::test_replay_refuses_every_undeclared_delta_naming_its_path"
+            "[compatibility-delta-not-a-string]",
         ),
     ),
     # κ dropped from the slots a check reads: a reduct that drops κ no
