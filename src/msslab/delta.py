@@ -19,11 +19,12 @@ granular sum does, so that a structure binds them only over it.
 from __future__ import annotations
 
 import operator
+from itertools import chain
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional
 
 from .errors import ConfigurationError, UniverseMismatchError
 from .granules import Granulation
-from .sets import Subset, Universe, encode
+from .sets import Subset, Universe, check_mask, encode
 
 BUILTIN_DELTAS = ("E0", "E1", "E2", "uE1")
 # The sum modes that are the union of their arguments wherever they are defined.
@@ -33,6 +34,11 @@ EXTENSIONAL_TABLE_LIMIT = 6
 EXTENSIONAL_TABLE_REFUSED = (
     f"extensional tables admitted only for universes of size <= {EXTENSIONAL_TABLE_LIMIT}"
 )
+
+
+def _check_masks(universe: Universe, masks: Iterable[int]) -> None:
+    for mask in set(masks):  # each distinct mask once
+        check_mask(universe, mask)
 
 
 def _union(g):
@@ -120,7 +126,9 @@ class DeltaPredicate:
         """The predicate true exactly on the listed (a, b, c) mask triples."""
         if universe.size > EXTENSIONAL_TABLE_LIMIT:
             raise ConfigurationError(EXTENSIONAL_TABLE_REFUSED)
-        return cls(universe, "extensional", table=frozenset(mask_triples))
+        table = frozenset(mask_triples)
+        _check_masks(universe, chain.from_iterable(table))
+        return cls(universe, "extensional", table=table)
 
     @classmethod
     def from_nearness(
@@ -140,6 +148,7 @@ class DeltaPredicate:
                 f"nearness table must be total: expected {size * size} pairs, got {len(table)}"
             )
         table = dict(table)
+        _check_masks(universe, chain(*table, table.values()))
         return cls(universe, "def0", lambda a, b: table[(a, b)], relation)
 
     def masked(self) -> Callable[[int, int, int], bool]:
@@ -240,6 +249,7 @@ class SumOperation:
         cls, universe: Universe, table: Mapping[tuple[int, int], int]
     ) -> "SumOperation":
         table = dict(table)
+        _check_masks(universe, chain(*table, table.values()))
         get = table.get
         return cls(universe, "extensional-partial", lambda a, b: get((a, b)), table=table)
 

@@ -179,11 +179,11 @@ ADMISSIBILITY_AXIOMS = tuple(name for name, law in LAWS.items() if "gamma" in la
 class MssStructure(NamedTuple):
     """A structure over one universe. ``kept`` lists the slots that no
     reduct has dropped, all twelve by default. A kept slot is bound while
-    it has an interpretation here: the set slots always; l, u and gamma
-    while ``granulation`` is set, l and u only as a pair; delta, the sum
-    and kappa while they have a value, but E2, uE1 and a granular sum only
-    over this structure's granulation (or where it has none), so
-    ``s._replace(granulation=g)`` unbinds a delta or sum over another one."""
+    it has an interpretation here: the set slots always; kappa while it is
+    set; l, u and gamma while ``granulation`` is set over this universe, l
+    and u only as a pair; delta and the sum while they are set over this
+    universe and, when both the value and the structure have a granulation,
+    over the same one. A value over another carrier is unbound, however set."""
 
     universe: Universe
     kept: frozenset[str] = frozenset(SIGNATURE_SLOTS)
@@ -193,12 +193,12 @@ class MssStructure(NamedTuple):
     kappa: Optional[tuple[int, ...]] = None
 
     def bound_slots(self) -> frozenset[str]:
-        unset = {slot for slot in ("delta", "sum", "kappa") if getattr(self, slot) is None}
-        if self.granulation is None:
+        unset = {"kappa"} if self.kappa is None else set()
+        if (g := self.granulation) is None or g.universe != self.universe:
             unset |= GRANULATION_SLOTS
-        else:  # E2, uE1 and a granular sum are bound only over this granulation
-            read = {slot: getattr(getattr(self, slot), "granulation", None) for slot in ("delta", "sum")}
-            unset |= {slot for slot, g in read.items() if g not in (None, self.granulation)}
+        for slot, v in (("delta", self.delta), ("sum", self.sum)):
+            if v is None or v.universe != self.universe or g is not None and v.granulation not in (None, g):
+                unset.add(slot)
         if not {"l", "u"} <= self.kept:
             unset |= {"l", "u"}
         return self.kept - unset

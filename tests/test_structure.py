@@ -17,11 +17,13 @@ from msslab import (
     Universe,
     UniverseMismatchError,
     assemble,
+    check_compatibility,
     classify,
     close_relation,
     predecessor_granulation,
     reduct,
     replay,
+    validate_clustering,
     verify,
 )
 from msslab.config import parse_config
@@ -190,6 +192,43 @@ def test_constructors_take_masks_inside_the_universe(H, name):
     assert masks == (0b0011, 0b1100, 0b1111)
 
 
+def _pairs(rows):
+    return {(a, b): v for a, b, v in rows}
+
+
+# Each constructor that takes a table of masks, read as (a, b, c) rows, and
+# the names of a row's three positions.
+TABLE_CONSTRUCTORS = {
+    "extensional": (DeltaPredicate.extensional_from_masks, ("a", "b", "c")),
+    "nearness": (lambda u, rows: DeltaPredicate.from_nearness(u, _pairs(rows)), ("a", "b", "f")),
+    "sum": (lambda u, rows: SumOperation.extensional(u, _pairs(rows)), ("a", "b", "sum")),
+}
+TABLE_POSITIONS = [(name, i) for name in TABLE_CONSTRUCTORS for i in range(3)]
+
+
+@pytest.mark.parametrize(
+    "name, position",
+    TABLE_POSITIONS,
+    ids=[f"{name}-{TABLE_CONSTRUCTORS[name][1][i]}" for name, i in TABLE_POSITIONS],
+)
+def test_table_constructors_take_masks_inside_the_universe(H, name, position):
+    build, _ = TABLE_CONSTRUCTORS[name]
+    # The union on every pair: a total nearness map, a sum table and a triple table.
+    rows = [(a, b, a | b) for a in range(16) for b in range(16)]
+
+    def with_mask(mask):  # the last row, (H, H, H), with one position replaced
+        row = [0b1111] * 3
+        row[position] = mask
+        return rows[:-1] + [tuple(row)]
+
+    for mask in (-1, 0b10000, 1 << 9):
+        with pytest.raises(MsslabError, match="outside the universe"):
+            build(H, with_mask(mask))
+    with pytest.raises(TypeError, match="expected a subset mask, got Subset"):
+        build(H, with_mask(H.full))
+    assert build(H, rows).universe == H
+
+
 def test_every_layer_reads_the_granulation_tables(repo_root):
     document = json.loads((repo_root / "examples/paper-example.json").read_text())
     cfg = parse_config(document)
@@ -347,6 +386,44 @@ def test_a_delta_or_sum_over_another_granulation_is_unbound():
     assert assemble(u, delta=DeltaPredicate.builtin("E2", u, first)).bound_slots() >= {"delta"}
 
 
+OTHER = Universe(["p", "q"])
+# A value over another universe, and the slots it would bind.
+FOREIGN_VALUES = {
+    "delta": (lambda: DeltaPredicate.builtin("E0", OTHER), {"delta"}),
+    "sum": (lambda: SumOperation.total_union(OTHER), {"sum"}),
+    "granulation": (lambda: Granulation(OTHER, [0b01, 0b10]), {"l", "u", "gamma"}),
+}
+
+
+@pytest.mark.parametrize("field", FOREIGN_VALUES)
+def test_a_value_over_another_universe_is_unbound(H, field):
+    g = Granulation(H, [0b0011, 0b1100])
+    own = {"delta": DeltaPredicate.builtin("E0", H), "sum": SumOperation.total_union(H)}
+    s = assemble(H, granulation=g, kappa=[0b0011, 0b1100], **own)
+    make, slots = FOREIGN_VALUES[field]
+    with pytest.raises(UniverseMismatchError):
+        assemble(H, **{field: make()})
+    # Set with _replace, the value is held and unbound, and every check defers.
+    mixed = s._replace(**{field: make()})
+    assert s.bound_slots() - mixed.bound_slots() == slots
+    laws = [name for name, law in LAWS.items() if law.reads & slots]
+    for v in verify(mixed, laws):
+        assert v.status == "deferred", v.axiom
+        assert v.note == f"unbound slots: {sorted(LAWS[v.axiom].reads & slots)}"
+        if LAWS[v.axiom].arity is not None:
+            with pytest.raises(StructureError, match="reads unbound slots"):
+                evaluator(mixed, v.axiom)
+    assert (check_compatibility(mixed).status == "deferred") == (field == "delta")
+    if field == "granulation":
+        with pytest.raises(StructureError, match=re.escape("unbound slots ['l', 'u']")):
+            validate_clustering(mixed)
+    else:
+        assert validate_clustering(mixed) == validate_clustering(s)
+    # Over its own universe, E0 is checked on H's 256 pairs.
+    i_coh = check_axiom(s, "i-coh")
+    assert (i_coh.status, i_coh.instances_checked) == ("holds", 256)
+
+
 def test_the_oracle_describes_only_bound_slots(H, granulation, clustering, delta_builtins):
     s = build(H, granulation, clustering, "E1", delta_builtins, SumOperation.granular(granulation))
     desc = StructureDescription.from_structure(s)
@@ -355,6 +432,9 @@ def test_the_oracle_describes_only_bound_slots(H, granulation, clustering, delta
     bare = StructureDescription.from_structure(cut)
     assert (bare.delta_kind, bare.sum_mode, bare.clusters) == (None, None, None)
     assert bare.granules == desc.granules
+    for other in (None, Granulation(OTHER, [0b01, 0b10])):
+        with pytest.raises(MsslabError, match="needs a granulation over the structure's universe"):
+            StructureDescription.from_structure(s._replace(granulation=other))
 
 
 def test_reduct_rejects_bad_slots(H, granulation):

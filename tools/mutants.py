@@ -67,6 +67,7 @@ CONFIG = "src/msslab/config.py"
 BASE_AND_FRESH_DELTA = "tests/test_values.py::test_a_config_holds_its_base_and_builds_each_delta_afresh"
 LCLU_PAST_THE_BUDGET = "tests/test_structure.py::test_lclu_is_decided_on_kappa_past_the_sample_budget"
 TABLE_WALK = "tests/test_delta.py::test_table_walk_matches_the_sweep_on_partial_sums"
+FOREIGN_VALUE = "tests/test_structure.py::test_a_value_over_another_universe_is_unbound[{}]"
 WITNESSLESS = "tests/test_cli.py::test_replay_exits_2_on_a_failing_row_without_a_witness"
 
 MUTANTS = (
@@ -360,9 +361,25 @@ MUTANTS = (
     Mutant(
         "foreign-granulation-binds",
         STRUCTURE,
-        "unset |= {slot for slot, g in read.items() if g not in (None, self.granulation)}",
-        "pass",
+        " or g is not None and v.granulation not in (None, g)",
+        "",
         ("tests/test_structure.py::test_a_delta_or_sum_over_another_granulation_is_unbound",),
+    ),
+    # A δ or sum over another universe binds, and is checked on that universe.
+    Mutant(
+        "foreign-universe-binds",
+        STRUCTURE,
+        "if v is None or v.universe != self.universe or",
+        "if v is None or",
+        (FOREIGN_VALUE.format("delta"), FOREIGN_VALUE.format("sum")),
+    ),
+    # A granulation over another universe binds l, u and gamma.
+    Mutant(
+        "foreign-universe-granulation-binds",
+        STRUCTURE,
+        "is None or g.universe != self.universe:",
+        "is None:",
+        (FOREIGN_VALUE.format("granulation"),),
     ),
     Mutant(
         "config-reduct-ignored",
@@ -400,6 +417,17 @@ MUTANTS = (
         "            == (other.universe, other.mode, other.granulation)\n",
         ("tests/test_values.py::test_configs_whose_sum_tables_differ_differ",),
     ),
+    # A sum table's masks taken unchecked: a row outside the universe is held and never read.
+    Mutant(
+        "table-masks-unchecked",
+        DELTA,
+        "        _check_masks(universe, chain(*table, table.values()))\n        get = table.get\n",
+        "        get = table.get\n",
+        tuple(
+            f"tests/test_structure.py::test_table_constructors_take_masks_inside_the_universe[sum-{p}]"
+            for p in ("a", "b", "sum")
+        ),
+    ),
     # lclu's κ walk finds the greatest violating cluster, not the least.
     Mutant(
         "lclu-walks-kappa-in-reverse",
@@ -422,6 +450,14 @@ MUTANTS = (
         "src/msslab/oracles.py",
         'if "delta" in bound:',
         "if s.delta is not None:",
+        ("tests/test_structure.py::test_the_oracle_describes_only_bound_slots",),
+    ),
+    # The oracle names the granules of a granulation over another universe.
+    Mutant(
+        "oracle-reads-a-foreign-granulation",
+        "src/msslab/oracles.py",
+        "if s.granulation is None or s.granulation.universe != s.universe:",
+        "if s.granulation is None:",
         ("tests/test_structure.py::test_the_oracle_describes_only_bound_slots",),
     ),
     Mutant(
