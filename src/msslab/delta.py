@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import operator
 from itertools import chain
-from typing import Callable, Iterable, Mapping, NamedTuple, Optional
+from typing import Callable, Collection, Iterable, Mapping, NamedTuple, Optional
 
 from .errors import ConfigurationError, UniverseMismatchError
 from .granules import Granulation
@@ -36,8 +36,13 @@ EXTENSIONAL_TABLE_REFUSED = (
 )
 
 
-def _check_masks(universe: Universe, masks: Iterable[int]) -> None:
-    for mask in set(masks):  # each distinct mask once
+def _check_rows(universe: Universe, rows: Collection[tuple]) -> None:
+    """Refuse a table unless each row, a triple or a nearness or sum entry
+    read as (a, b, value), is three masks of ``universe``."""
+    if set(map(len, rows)) - {3}:
+        row = next(r for r in rows if len(r) != 3)
+        raise ConfigurationError(f"table row {row!r} is not three masks")
+    for mask in set(chain.from_iterable(rows)):  # each distinct mask once
         check_mask(universe, mask)
 
 
@@ -127,7 +132,7 @@ class DeltaPredicate:
         if universe.size > EXTENSIONAL_TABLE_LIMIT:
             raise ConfigurationError(EXTENSIONAL_TABLE_REFUSED)
         table = frozenset(mask_triples)
-        _check_masks(universe, chain.from_iterable(table))
+        _check_rows(universe, table)
         return cls(universe, "extensional", table=table)
 
     @classmethod
@@ -148,7 +153,7 @@ class DeltaPredicate:
                 f"nearness table must be total: expected {size * size} pairs, got {len(table)}"
             )
         table = dict(table)
-        _check_masks(universe, chain(*table, table.values()))
+        _check_rows(universe, [(*pair, f) for pair, f in table.items()])
         return cls(universe, "def0", lambda a, b: table[(a, b)], relation)
 
     def masked(self) -> Callable[[int, int, int], bool]:
@@ -249,7 +254,7 @@ class SumOperation:
         cls, universe: Universe, table: Mapping[tuple[int, int], int]
     ) -> "SumOperation":
         table = dict(table)
-        _check_masks(universe, chain(*table, table.values()))
+        _check_rows(universe, [(*pair, value) for pair, value in table.items()])
         get = table.get
         return cls(universe, "extensional-partial", lambda a, b: get((a, b)), table=table)
 

@@ -180,10 +180,11 @@ class MssStructure(NamedTuple):
     """A structure over one universe. ``kept`` lists the slots that no
     reduct has dropped, all twelve by default. A kept slot is bound while
     it has an interpretation here: the set slots always; kappa while it is
-    set; l, u and gamma while ``granulation`` is set over this universe, l
-    and u only as a pair; delta and the sum while they are set over this
-    universe and, when both the value and the structure have a granulation,
-    over the same one. A value over another carrier is unbound, however set."""
+    set and its masks are ints of this universe; l, u and gamma while
+    ``granulation`` is set over this universe, l and u only as a pair;
+    delta and the sum while set over this universe and, when they and the
+    structure both have a granulation, over the same one. A value over
+    another carrier is unbound, however set."""
 
     universe: Universe
     kept: frozenset[str] = frozenset(SIGNATURE_SLOTS)
@@ -193,7 +194,8 @@ class MssStructure(NamedTuple):
     kappa: Optional[tuple[int, ...]] = None
 
     def bound_slots(self) -> frozenset[str]:
-        unset = {"kappa"} if self.kappa is None else set()
+        k, n = self.kappa, self.universe.size
+        unset = {"kappa"} if k is None or not all(isinstance(c, int) and not c >> n for c in k) else set()
         if (g := self.granulation) is None or g.universe != self.universe:
             unset |= GRANULATION_SLOTS
         for slot, v in (("delta", self.delta), ("sum", self.sum)):

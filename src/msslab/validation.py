@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .errors import MsslabError, StructureError
 from .granules import Granulation
-from .sets import Subset, check_mask, encode, partial_difference
+from .sets import Subset, encode, partial_difference
 from .verdicts import Verdict, decided, deferred, theorem
 
 if TYPE_CHECKING:  # annotations only
@@ -34,11 +34,11 @@ COMPATIBILITY_READS = frozenset({"kappa", "delta"})
 
 
 def _clusters(s: MssStructure) -> tuple[int, ...]:
-    """κ read as a clustering: at least one cluster, each a nonempty mask of
-    the universe, none repeated."""
+    """A bound κ, whose masks lie inside the universe, read as a clustering:
+    at least one cluster, none empty, none repeated."""
     if not s.kappa:
         raise MsslabError("a clustering needs at least one cluster")
-    if not all(check_mask(s.universe, c) for c in s.kappa):
+    if not all(s.kappa):
         raise MsslabError("clusters must be nonempty")
     for k, c in enumerate(s.kappa):
         if c in s.kappa[:k]:

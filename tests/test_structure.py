@@ -41,7 +41,8 @@ from msslab.structure import (
     check_axiom,
     evaluator,
 )
-from msslab.verdicts import Verdict, sweep
+from msslab.validation import COMPATIBILITY_MODES
+from msslab.verdicts import Verdict, sweep, theorem
 
 PASSING = ("holds", "vacuous")
 
@@ -192,8 +193,8 @@ def test_constructors_take_masks_inside_the_universe(H, name):
     assert masks == (0b0011, 0b1100, 0b1111)
 
 
-def _pairs(rows):
-    return {(a, b): v for a, b, v in rows}
+def _pairs(rows):  # each row's last position is the value at the rest
+    return {row[:-1]: row[-1] for row in rows}
 
 
 # Each constructor that takes a table of masks, read as (a, b, c) rows, and
@@ -227,6 +228,17 @@ def test_table_constructors_take_masks_inside_the_universe(H, name, position):
     with pytest.raises(TypeError, match="expected a subset mask, got Subset"):
         build(H, with_mask(H.full))
     assert build(H, rows).universe == H
+
+
+@pytest.mark.parametrize("name", TABLE_CONSTRUCTORS)
+def test_table_constructors_refuse_a_malformed_row(H, name):
+    build, _ = TABLE_CONSTRUCTORS[name]
+    rows = [(a, b, a | b) for a in range(16) for b in range(16)]
+    # The last row, (H, H, H), one position short or long: a nearness or sum
+    # entry keyed (H,) or (H, H, ∅), so a nearness table stays total.
+    for row in ((0b1111, 0b1111), (0b1111, 0b1111, 0, 0b1111)):
+        with pytest.raises(MsslabError, match=re.escape(f"table row {row!r} is not three masks")):
+            build(H, rows[:-1] + [row])
 
 
 def test_every_layer_reads_the_granulation_tables(repo_root):
@@ -422,6 +434,35 @@ def test_a_value_over_another_universe_is_unbound(H, field):
     # Over its own universe, E0 is checked on H's 256 pairs.
     i_coh = check_axiom(s, "i-coh")
     assert (i_coh.status, i_coh.instances_checked) == ("holds", 256)
+
+
+# A κ that is not all ints inside H: a mask above it, a negative mask, the
+# first mask past it, and a Subset.
+FOREIGN_KAPPAS = {
+    "above": lambda H: (0b110000, 0b0011),
+    "negative": lambda H: (-1,),
+    "past": lambda H: (1 << 4,),
+    "subset": lambda H: (H.full,),
+}
+
+
+@pytest.mark.parametrize("name", FOREIGN_KAPPAS)
+def test_a_kappa_outside_the_universe_is_unbound(H, name):
+    g, e0 = Granulation(H, [0b0011, 0b1100]), DeltaPredicate.builtin("E0", H)
+    s = assemble(H, granulation=g, delta=e0, kappa=[0b0011])
+    mixed = s._replace(kappa=FOREIGN_KAPPAS[name](H))
+    assert s.bound_slots() - mixed.bound_slots() == {"kappa"}
+    checks = [check_axiom(mixed, "lclu")] + [check_compatibility(mixed, m) for m in COMPATIBILITY_MODES]
+    for v in checks:
+        assert (v.status, v.note) == ("deferred", "unbound slots: ['kappa']"), v.axiom
+    with pytest.raises(StructureError, match=re.escape("reads unbound slots ['kappa']")):
+        validate_clustering(mixed)
+    assert check_axiom(mixed, "PT1") == check_axiom(s, "PT1") == theorem("PT1", THEOREMS["PT1"])
+    assert StructureDescription.from_structure(mixed).clusters is None
+    # Inside H, an empty and a repeated mask still bind: lclu reads a family of subsets.
+    family = s._replace(kappa=(0, 0b0011, 0b0011))
+    assert "kappa" in family.bound_slots()
+    assert check_axiom(family, "lclu").status == "holds"
 
 
 def test_the_oracle_describes_only_bound_slots(H, granulation, clustering, delta_builtins):

@@ -162,7 +162,6 @@ def test_clustering_validation_errors(clustering, delta_builtins):
     for kappa, message in (
         ((), "at least one cluster"),
         ((0b0001, 0), "must be nonempty"),
-        ((0b0001, 1 << 4), "outside the universe"),
         ((0b0001, 0b0010, 0b0001), r"duplicate cluster \{x1\}"),
     ):
         s = clustering._replace(delta=delta_builtins["E0"], kappa=kappa)
@@ -170,6 +169,11 @@ def test_clustering_validation_errors(clustering, delta_builtins):
             validate_clustering(s)
         with pytest.raises(MsslabError, match=message):
             check_compatibility(s)
+    # A mask outside the universe leaves κ unbound: validation refuses it, compatibility defers.
+    s = clustering._replace(delta=delta_builtins["E0"], kappa=(0b0001, 1 << 4))
+    with pytest.raises(StructureError, match=re.escape("reads unbound slots ['kappa']")):
+        validate_clustering(s)
+    assert check_compatibility(s).status == "deferred"
 
 
 def test_checks_on_a_structure_that_leaves_their_slots_unbound(H, granulation, delta_builtins):

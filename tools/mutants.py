@@ -68,6 +68,7 @@ BASE_AND_FRESH_DELTA = "tests/test_values.py::test_a_config_holds_its_base_and_b
 LCLU_PAST_THE_BUDGET = "tests/test_structure.py::test_lclu_is_decided_on_kappa_past_the_sample_budget"
 TABLE_WALK = "tests/test_delta.py::test_table_walk_matches_the_sweep_on_partial_sums"
 FOREIGN_VALUE = "tests/test_structure.py::test_a_value_over_another_universe_is_unbound[{}]"
+FOREIGN_KAPPA = "tests/test_structure.py::test_a_kappa_outside_the_universe_is_unbound[{}]"
 WITNESSLESS = "tests/test_cli.py::test_replay_exits_2_on_a_failing_row_without_a_witness"
 
 MUTANTS = (
@@ -421,12 +422,40 @@ MUTANTS = (
     Mutant(
         "table-masks-unchecked",
         DELTA,
-        "        _check_masks(universe, chain(*table, table.values()))\n        get = table.get\n",
+        "        _check_rows(universe, [(*pair, value) for pair, value in table.items()])\n"
+        "        get = table.get\n",
         "        get = table.get\n",
         tuple(
             f"tests/test_structure.py::test_table_constructors_take_masks_inside_the_universe[sum-{p}]"
             for p in ("a", "b", "sum")
         ),
+    ),
+    # A row of another length taken: it dies where the table is read.
+    Mutant(
+        "table-row-shape-unchecked",
+        DELTA,
+        "    if set(map(len, rows)) - {3}:\n",
+        "    if False:\n",
+        tuple(
+            f"tests/test_structure.py::test_table_constructors_refuse_a_malformed_row[{name}]"
+            for name in ("extensional", "nearness", "sum")
+        ),
+    ),
+    # κ binds whatever masks it holds: lclu answers on a foreign mask.
+    Mutant(
+        "foreign-kappa-binds",
+        STRUCTURE,
+        "k is None or not all(isinstance(c, int) and not c >> n for c in k)",
+        "k is None",
+        tuple(FOREIGN_KAPPA.format(name) for name in ("above", "negative", "past", "subset")),
+    ),
+    # A negative mask reads as inside the universe.
+    Mutant(
+        "negative-kappa-binds",
+        STRUCTURE,
+        "isinstance(c, int) and not c >> n",
+        "isinstance(c, int) and c < 1 << n",
+        (FOREIGN_KAPPA.format("negative"),),
     ),
     # lclu's κ walk finds the greatest violating cluster, not the least.
     Mutant(
