@@ -1,6 +1,19 @@
 """Command-line front end: arguments, files and exit codes. Each report
 is one library call on the JSON document the command reads.
 
+commands:
+  check-axioms CONFIG   verify the axiom battery of a configured structure
+  validate CONFIG       deficits, validity grades and compatibility of a clustering
+  pipeline CONFIG       run the five-step investigation end to end
+  search SPEC           hunt for structures meeting/breaking named axioms
+  replay CONFIG REPORT  re-evaluate every failing witness of a report
+
+flags, as --flag VALUE or --flag=VALUE and never abbreviated; replay takes none:
+  --format json|text  the report format (default json)
+  --seed S            seed for sampled checks; defaults to the document's seed, then 0
+  --output FILE       write the report here, atomically, instead of to stdout
+  --strict-exit       exit 2 when any check fails (not on search)
+
 Exit codes: 0 success, 1 usage or parse problem, 2 axiom/validation
 failure under --strict-exit or a witness that does not replay, 3
 infeasible search budget.
@@ -8,66 +21,109 @@ infeasible search budget.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 import tempfile
 from pathlib import Path
+from typing import NamedTuple, Optional
 
 from .errors import BudgetError, MsslabError, ParseError
-from .verdicts import DEFAULT_SEED, to_json
+from .verdicts import to_json
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_STRICT = 2
 EXIT_BUDGET = 3
 
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _common_flags(p, strict=True):
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help=f"seed for sampled checks; defaults to the document's seed, then {DEFAULT_SEED}",
-    )
-    p.add_argument("--output", type=Path, default=None, help="write report here instead of stdout")
-    if strict:
-        p.add_argument(
-            "--strict-exit",
-            action="store_true",
-            help="exit 2 when any check fails",
-        )
+# Each command: the paths it reads, whether it takes ``REPORT_FLAGS`` and
+# whether it takes --strict-exit.
+COMMANDS = {
+    "check-axioms": ("CONFIG", True, True),
+    "validate": ("CONFIG", True, True),
+    "pipeline": ("CONFIG", True, True),
+    "search": ("SPEC", True, False),
+    "replay": ("CONFIG REPORT", False, False),
+}
+# Each flag that takes a value, with its value's form.
+REPORT_FLAGS = {"--format": "json|text", "--seed": "S", "--output": "FILE"}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="msslab", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+class Args(NamedTuple):
+    """A command line as ``main`` runs it."""
 
-    for command, summary in (
-        ("check-axioms", "verify the axiom battery of a configured structure"),
-        ("validate", "deficits, validity grades, and compatibility of a clustering"),
-        ("pipeline", "run the five-step investigation end to end"),
-    ):
-        p = sub.add_parser(command, help=summary)
-        p.add_argument("config", type=Path)
-        _common_flags(p)
+    command: str
+    paths: tuple[Path, ...]
+    format: str = "json"
+    seed: Optional[int] = None
+    output: Optional[Path] = None
+    strict_exit: bool = False
 
-    p = sub.add_parser("search", help="hunt for structures meeting/breaking named axioms")
-    p.add_argument("spec", type=Path)
-    _common_flags(p, strict=False)
 
-    p = sub.add_parser("replay", help="re-evaluate every failing witness of a report")
-    p.add_argument("config", type=Path)
-    p.add_argument("report", type=Path)
-    return parser
+class UsageError(Exception):
+    """A command line that ``COMMANDS`` does not admit, with the command it
+    names, if any, for the usage line."""
+
+    def __init__(self, message, command=None):
+        super().__init__(message)
+        self.command = command
+
+
+def _usage(command: Optional[str]) -> str:
+    lines = []
+    for name in [command] if command in COMMANDS else COMMANDS:
+        paths, reports, strict = COMMANDS[name]
+        flags = [f"[{flag} {form}]" for flag, form in REPORT_FLAGS.items()] if reports else []
+        lines.append(" ".join([name, paths, *flags] + ["[--strict-exit]"] * strict))
+    return "usage: msslab " + "\n       msslab ".join(lines) + "\n"
+
+
+def parse_args(argv: list[str]) -> Args:
+    """``argv`` read through ``COMMANDS``: the command, then its paths and
+    flags in any order, each flag as ``--flag value`` or ``--flag=value``;
+    ``--`` ends the flags. A command line it does not admit, an
+    abbreviated flag included, is a ``UsageError`` naming the argument."""
+    if not argv or argv[0] not in COMMANDS:
+        got = f"unknown command {argv[0]!r}" if argv else "missing command"
+        raise UsageError(f"{got}; expected one of {', '.join(COMMANDS)}")
+    command, words = argv[0], iter(argv[1:])
+    wanted, reports, strict = COMMANDS[command]
+    wanted = wanted.split()
+    paths, values = [], {}
+    for word in words:
+        if word == "--":
+            paths += words
+        elif word == "-" or not word.startswith("-"):
+            paths.append(word)
+        else:
+            flag, given, value = word.partition("=")
+            if flag == "--strict-exit" and strict:
+                if given:
+                    raise UsageError(f"argument {flag}: takes no value", command)
+                value = True
+            elif flag not in REPORT_FLAGS or not reports:
+                raise UsageError(f"unrecognized argument {word}", command)
+            elif not given:
+                value = next(words, None)
+                if value is None:
+                    raise UsageError(f"argument {flag}: expected one value", command)
+            values[flag[2:].replace("-", "_")] = value
+    if len(paths) < len(wanted):
+        raise UsageError(f"missing argument {' '.join(wanted[len(paths):])}", command)
+    if len(paths) > len(wanted):
+        raise UsageError(f"unrecognized argument {paths[len(wanted)]}", command)
+    if values.get("format", "json") not in ("json", "text"):
+        message = f"argument --format: expected json or text, got {values['format']!r}"
+        raise UsageError(message, command)
+    if "seed" in values:
+        try:
+            values["seed"] = int(values["seed"])
+        except ValueError:
+            message = f"argument --seed: expected an integer, got {values['seed']!r}"
+            raise UsageError(message, command) from None
+    if "output" in values:
+        values["output"] = Path(values["output"])
+    return Args(command, tuple(map(Path, paths)), **values)
 
 
 def _load_json(path: Path) -> dict:
@@ -132,20 +188,30 @@ def _report(args, document) -> dict:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    flags = argv[: argv.index("--")] if "--" in argv else argv
+    if "-h" in flags or "--help" in flags:
+        sys.stdout.write(f"{_usage(argv[0])}\n{__doc__}")
+        return EXIT_OK
+    try:
+        args = parse_args(argv)
+    except UsageError as exc:
+        sys.stderr.write(f"{_usage(exc.command)}msslab: error: {exc}\n")
+        return EXIT_USAGE
     try:
         if args.command == "replay":
             from .config import parse_config
             from .witnesses import replay_failures  # only this subcommand reads it
 
-            cfg = parse_config(_load_json(args.config))
-            problems = replay_failures(cfg, _load_json(args.report))
+            config, report = args.paths
+            cfg = parse_config(_load_json(config))
+            problems = replay_failures(cfg, _load_json(report))
             for problem in problems:
                 print(f"msslab: {problem}", file=sys.stderr)
             return EXIT_STRICT if problems else EXIT_OK
-        report = _report(args, _load_json(args.spec if args.command == "search" else args.config))
+        report = _report(args, _load_json(args.paths[0]))
         _emit(report, args)
-        if getattr(args, "strict_exit", False):
+        if args.strict_exit:
             from .report import has_failures  # every command with --strict-exit loaded it
 
             if has_failures(report):

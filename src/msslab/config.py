@@ -17,14 +17,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .delta import (
-    BUILTIN_DELTAS,
-    EXTENSIONAL_TABLE_LIMIT,
-    EXTENSIONAL_TABLE_REFUSED,
-    KEYED_KINDS,
-    DeltaPredicate,
-    SumOperation,
-)
+from .delta import KEYED_KINDS, DeltaPredicate, SumOperation
 from .errors import MsslabError, ParseError
 from .granules import (
     BinaryRelation,
@@ -32,8 +25,9 @@ from .granules import (
     close_relation,
     predecessor_granulation,
 )
+from .laws import BUILTIN_DELTAS, EXTENSIONAL_TABLE_LIMIT, EXTENSIONAL_TABLE_REFUSED, SIGNATURE_SLOTS
 from .sets import Universe
-from .structure import SIGNATURE_SLOTS, MssStructure, assemble, reduct
+from .structure import MssStructure, assemble, reduct
 from .validation import COMPATIBILITY_MODES
 
 KNOWN_FIELDS = {

@@ -11,8 +11,8 @@ whenever its 2²ⁿ rows fit the budget (``kernels.cube_verdict``). Each
 constructor builds a predicate's key, R and mask function, or a sum's
 mask function, once. A plane is built from the keys, or read off the
 table, with no call of the predicate, when a law's walk first reaches
-it. A sum of ``UNION_SUMS`` is the union wherever it is defined, so the
-omega laws are theorems there. E2 and uE1 read the l and u tables of a
+it. A sum of ``laws.UNION_SUMS`` is the union wherever it is defined, so
+the omega laws are theorems there. E2 and uE1 read the l and u tables of a
 granulation through their key, and record that granulation, as a
 granular sum does, so that a structure binds them only over it.
 """
@@ -24,16 +24,8 @@ from typing import Callable, Collection, Iterable, Mapping, NamedTuple, Optional
 
 from .errors import ConfigurationError, UniverseMismatchError
 from .granules import Granulation
+from .laws import BUILTIN_DELTAS, EXTENSIONAL_TABLE_LIMIT, EXTENSIONAL_TABLE_REFUSED
 from .sets import Subset, Universe, check_mask, encode
-
-BUILTIN_DELTAS = ("E0", "E1", "E2", "uE1")
-# The sum modes that are the union of their arguments wherever they are defined.
-UNION_SUMS = ("total-union", "granular-sum")
-
-EXTENSIONAL_TABLE_LIMIT = 6
-EXTENSIONAL_TABLE_REFUSED = (
-    f"extensional tables admitted only for universes of size <= {EXTENSIONAL_TABLE_LIMIT}"
-)
 
 
 def _check_rows(universe: Universe, rows: Collection[tuple]) -> None:

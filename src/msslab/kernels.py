@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 from .delta import DeltaPredicate, SumOperation
 from .errors import MsslabError
-from .structure import LAWS
+from .laws import LAWS
 from .verdicts import Verdict, decided
 
 

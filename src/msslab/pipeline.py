@@ -9,7 +9,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from .report import axioms_section, cluster_names, structure_summary, validation_section
-from .structure import SIGNATURE_SLOTS
+from .laws import SIGNATURE_SLOTS
 from .verdicts import document, run_seed
 
 if TYPE_CHECKING:  # annotations only

@@ -13,7 +13,8 @@ import json
 from typing import TYPE_CHECKING, Optional
 
 from .errors import ParseError
-from .structure import LAWS, classify, verify
+from .laws import LAWS
+from .structure import classify, verify
 from .validation import GRADE_READS, ClusterGrades, check_compatibility, validate_clustering
 from .verdicts import DEFERRED, Verdict, document, run_seed, to_json
 

@@ -8,9 +8,17 @@ key and a builder. Under a builtin δ every verdict a search asks for
 depends on a candidate only through its set of granule masks, and the
 key is that set, so each granule set is built and checked once. A
 structure's laws are checked only up to the first that does not match
-the profile, theorems first.
-Extensional predicate tables are always sampled (their count is doubly
-exponential), with the seed fixing the stream.
+the profile. Extensional predicate tables are always sampled (their
+count is doubly exponential), with the seed fixing the stream.
+
+The theorems among a spec's laws are decided once, from ``laws.LAWS``
+alone, before the stream: a required theorem is never checked, and a
+forbidden one answers the search with nothing found and every labelled
+candidate examined. ``examined`` counts the labelled candidates an
+answer covers, each either checked or ruled out by a theorem. The model
+code (``structure``, ``delta``, ``granules``) loads only when the
+stream is first drawn from, so a search that theorems settle compiles
+none of it.
 
 ``parse_spec`` reads a spec document and ``build_search`` writes the
 search report, the one library call the ``search`` command makes.
@@ -21,14 +29,22 @@ from __future__ import annotations
 import random
 from functools import partial
 from itertools import repeat
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Optional
 
-from .delta import BUILTIN_DELTAS, EXTENSIONAL_TABLE_LIMIT, EXTENSIONAL_TABLE_REFUSED, DeltaPredicate
 from .errors import BudgetError, ParseError
-from .granules import Granulation
+from .laws import (
+    BUILTIN_DELTAS,
+    EXTENSIONAL_TABLE_LIMIT,
+    EXTENSIONAL_TABLE_REFUSED,
+    GRANULATION_SLOTS,
+    LAWS,
+    SET_SLOTS,
+)
 from .sets import Universe
-from .structure import GRANULATION_SLOTS, LAWS, SET_SLOTS, MssStructure, assemble, check_axiom
 from .verdicts import document, run_seed
+
+if TYPE_CHECKING:
+    from .structure import MssStructure
 
 FAMILIES = ("relations", "extensional-deltas", "granulations")
 # A search draws its predicate from a builtin or from a random table.
@@ -128,6 +144,29 @@ class SearchSpec(_SearchFields):
         return self.delta == "extensional" or self.family == "extensional-deltas"
 
 
+# The model names a search builds and checks with, bound on its first build.
+MODEL_NAMES = ("DeltaPredicate", "Granulation", "assemble", "check_axiom")
+
+
+def _load_model() -> None:
+    """Bind ``MODEL_NAMES`` here, keeping a name already bound, such as a
+    wrapper set on this module, so that it sees every build."""
+    from .delta import DeltaPredicate
+    from .granules import Granulation
+    from .structure import assemble, check_axiom
+
+    for name, value in zip(MODEL_NAMES, (DeltaPredicate, Granulation, assemble, check_axiom)):
+        globals().setdefault(name, value)
+
+
+def __getattr__(name):
+    # PEP 562: a model name read from outside loads the model code.
+    if name not in MODEL_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load_model()
+    return globals()[name]
+
+
 def _universe(n: int) -> Universe:
     return Universe([f"x{i + 1}" for i in range(n)])
 
@@ -166,6 +205,30 @@ def _picked_granules(bits: int) -> tuple[int, ...]:
     return tuple([k + 1 for k, bit in enumerate(bin(bits)[:1:-1]) if bit == "1"])
 
 
+def _width(spec: SearchSpec) -> int:
+    # One bit per ordered pair, or per nonempty candidate granule.
+    return spec.n * spec.n if spec.family == "relations" else (1 << spec.n) - 1
+
+
+def _length(spec: SearchSpec) -> int:
+    """The number of labelled candidates in the stream: ``budget`` draws,
+    or all 2**width bit patterns of an exhaustive walk. An exhaustive walk
+    of more than ``budget`` candidates, or of relations on more than
+    ``RELATION_EXHAUSTIVE_LIMIT`` elements, is a ``BudgetError``, decided
+    on exponents before 2**width is built: that number alone can take
+    megabytes for a refused search."""
+    if spec.family == "extensional-deltas" or not spec.exhaustive:
+        return spec.budget
+    relations, width = spec.family == "relations", _width(spec)
+    if width >= spec.budget.bit_length() or relations and spec.n > RELATION_EXHAUSTIVE_LIMIT:
+        limit = f"limit n <= {RELATION_EXHAUSTIVE_LIMIT}, " if relations else ""
+        raise BudgetError(
+            f"exhaustive {spec.family[:-1]} search needs 2**{width} structures "
+            f"({limit}budget {spec.budget})"
+        )
+    return 1 << width
+
+
 def _candidates(
     spec: SearchSpec,
 ) -> Iterator[tuple[Optional[frozenset[int]], Callable[[], MssStructure]]]:
@@ -182,10 +245,14 @@ def _candidates(
     and in an exhaustive granulation walk, where each candidate's bits
     pick a distinct granule set. A built structure carries no relation.
     An extensional ``build()`` draws its table from the stream's rng, so
-    it must run before the next candidate is drawn."""
+    it must run before the next candidate is drawn. The stream holds
+    ``_length(spec)`` candidates, and raises its ``BudgetError`` when
+    first drawn from; only then is the model code loaded."""
     n = spec.n
     universe = _universe(n)
     rng = random.Random(run_seed(None, spec.seed))
+    length = _length(spec)
+    _load_model()
 
     def build(masks):
         granulation = Granulation(universe, masks)
@@ -205,26 +272,14 @@ def _candidates(
 
     if spec.family == "extensional-deltas":
         # sampled tables over the singleton granules
-        stream = repeat(tuple(1 << x for x in range(n)), spec.budget)
+        stream = repeat(tuple(1 << x for x in range(n)), length)
     else:
-        relations = spec.family == "relations"
-        # One bit per ordered pair, or per nonempty candidate granule.
-        width = n * n if relations else (1 << n) - 1
-        # 2**width > budget, decided on exponents, before any table is
-        # built: 2**width alone can take megabytes for a refused search.
-        if spec.exhaustive and (
-            width >= spec.budget.bit_length() or relations and n > RELATION_EXHAUSTIVE_LIMIT
-        ):
-            limit = f"limit n <= {RELATION_EXHAUSTIVE_LIMIT}, " if relations else ""
-            raise BudgetError(
-                f"exhaustive {spec.family[:-1]} search needs 2**{width} structures "
-                f"({limit}budget {spec.budget})"
-            )
-        total = 1 << width
         if spec.exhaustive:
-            bit_stream = range(total)
+            bit_stream = range(length)
         else:
-            bit_stream = (rng.randrange(total) for _ in range(spec.budget))
+            total = 1 << _width(spec)
+            bit_stream = (rng.randrange(total) for _ in range(length))
+        relations = spec.family == "relations"
         stream = map(_column_masks(n) if relations else _picked_granules, bit_stream)
     keyed = not (spec.extensional or spec.family == "granulations" and spec.exhaustive)
     for masks in stream:
@@ -240,18 +295,28 @@ def enumerate_structures(spec: SearchSpec) -> Iterator[MssStructure]:
 def find_witness(spec: SearchSpec) -> tuple[Optional[MssStructure], int]:
     """First enumerated structure meeting every required axiom and breaking
     every forbidden one (None when the stream runs out), with the number of
-    structures examined.
+    labelled candidates examined: each either checked or ruled out by a
+    theorem.
+
+    A law with no arity is a theorem (``SearchSpec`` refuses one with no
+    definition), and every searched structure binds the slots it reads,
+    so it holds on every candidate. It is decided once, before the
+    stream: a required theorem is met by every candidate and never
+    checked, and a forbidden one by none, so the search ends at once with
+    the whole stream examined and nothing built.
 
     Under a builtin δ the verdicts depend only on the set of granule masks
     (l, u and δ are unions of granules read in any order), so a candidate
     whose granule set was rejected before is counted again but not built
     again. Extensional tables are drawn per structure and always checked.
-    A structure's laws are checked one at a time, up to the first that
-    does not pass where required or fail where forbidden: first the
-    theorems, answered from ``LAWS`` alone, then the rest in spec order."""
-    # Each law with the Verdict property it must show.
-    checks = [(a, "passed") for a in spec.required] + [(a, "failed") for a in spec.forbidden]
-    checks.sort(key=lambda check: LAWS[check[0]].arity is not None)
+    A structure's other laws are checked one at a time, in spec order, up
+    to the first that does not pass where required or fail where
+    forbidden."""
+    if any(LAWS[a].arity is None for a in spec.forbidden):
+        return None, _length(spec)
+    # Each law left to check with the Verdict property it must show.
+    checks = [(a, "passed") for a in spec.required if LAWS[a].arity is not None]
+    checks += [(a, "failed") for a in spec.forbidden]
     examined = 0
     rejected = set()
     for key, build in _candidates(spec):

@@ -10,7 +10,8 @@ from typing import Optional
 
 from .config import LabConfig
 from .errors import ParseError
-from .structure import LAWS, replay
+from .laws import LAWS
+from .structure import replay
 from .validation import COMPATIBILITY_MODES, COMPATIBILITY_READS, _compat_instances
 from .verdicts import FAILS, Verdict
 

@@ -146,6 +146,85 @@ def test_usage_error_exit_code(repo_root):
     assert result.returncode == 1 and "--jobs" in result.stderr
 
 
+# Command lines run through main, with the exit code and the error each
+# gives. CONFIG, SPEC, REPORT and OUT stand for files; the rest is literal.
+COMMANDS = "check-axioms, validate, pipeline, search, replay"
+ARGV_CASES = {
+    "format": (["validate", "CONFIG", "--format", "text"], 0, None),
+    "format=": (["validate", "CONFIG", "--format=text"], 0, None),
+    "seed": (["validate", "CONFIG", "--seed", "-3"], 0, None),
+    "seed=": (["validate", "CONFIG", "--seed=-3"], 0, None),
+    "output": (["validate", "CONFIG", "--output", "OUT"], 0, None),
+    "output=": (["validate", "CONFIG", "--output=OUT"], 0, None),
+    "strict-exit": (["check-axioms", "CONFIG", "--strict-exit"], 2, None),
+    "flags-first": (["check-axioms", "--strict-exit", "--format=text", "--seed", "3", "CONFIG"], 2, None),
+    "search-flags": (["search", "--format", "text", "--seed=4", "SPEC", "--output", "OUT"], 0, None),
+    "double-dash": (["validate", "--seed", "3", "--", "CONFIG"], 0, None),
+    "bad-format": (
+        ["validate", "CONFIG", "--format", "xml"],
+        1,
+        "argument --format: expected json or text, got 'xml'",
+    ),
+    "bad-seed": (["validate", "CONFIG", "--seed", "x"], 1, "argument --seed: expected an integer, got 'x'"),
+    "bad-seed=": (["search", "SPEC", "--seed="], 1, "argument --seed: expected an integer, got ''"),
+    "no-value": (["validate", "CONFIG", "--seed"], 1, "argument --seed: expected one value"),
+    "missing-path": (["validate", "--format", "text"], 1, "missing argument CONFIG"),
+    "missing-report": (["replay", "CONFIG"], 1, "missing argument REPORT"),
+    "extra-path": (["pipeline", "CONFIG", "extra.json"], 1, "unrecognized argument extra.json"),
+    "unknown-command": (["frobnicate", "CONFIG"], 1, f"unknown command 'frobnicate'; expected one of {COMMANDS}"),
+    "no-command": ([], 1, f"missing command; expected one of {COMMANDS}"),
+    "flag-for-command": (["--format", "text"], 1, f"unknown command '--format'; expected one of {COMMANDS}"),
+    "unknown-flag": (["validate", "CONFIG", "--jobs", "4"], 1, "unrecognized argument --jobs"),
+    "abbreviated": (["validate", "CONFIG", "--out", "OUT"], 1, "unrecognized argument --out"),
+    "abbreviated=": (["validate", "CONFIG", "--form=text"], 1, "unrecognized argument --form=text"),
+    "strict-exit=": (["validate", "CONFIG", "--strict-exit=yes"], 1, "argument --strict-exit: takes no value"),
+    "search-strict-exit": (["search", "SPEC", "--strict-exit"], 1, "unrecognized argument --strict-exit"),
+    "replay-format": (["replay", "CONFIG", "REPORT", "--format", "json"], 1, "unrecognized argument --format"),
+    "replay-seed": (["replay", "CONFIG", "REPORT", "--seed=1"], 1, "unrecognized argument --seed=1"),
+    "replay-output": (["replay", "--output", "OUT", "CONFIG", "REPORT"], 1, "unrecognized argument --output"),
+    "replay-strict-exit": (["replay", "CONFIG", "REPORT", "--strict-exit"], 1, "unrecognized argument --strict-exit"),
+    "-h": (["-h"], 0, None),
+    "--help": (["search", "--help"], 0, None),
+}
+
+
+@pytest.mark.parametrize("case", ARGV_CASES)
+def test_each_command_line_gives_its_exit_code_and_error(repo_root, tmp_path, capsys, case):
+    from msslab.cli import main
+
+    argv, code, error = ARGV_CASES[case]
+    files = {
+        "CONFIG": str(repo_root / FIXTURE),
+        "SPEC": str(write_config(tmp_path, SEARCH_N3, "spec.json")),
+        "REPORT": str(repo_root / "tests/golden/paper-pipeline.json"),
+        "OUT": str(tmp_path / "out.txt"),
+    }
+    argv = [files.get(word, word.replace("OUT", files["OUT"])) for word in argv]
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    if case in ("-h", "--help"):
+        assert out.startswith("usage: msslab ") and "never abbreviated" in out and not err
+    elif error is None:
+        assert not err and (out or (tmp_path / "out.txt").read_text(encoding="utf-8"))
+    else:
+        # a usage line for the command, then the error naming the argument
+        assert err.startswith("usage: msslab ") and err.endswith(f"\nmsslab: error: {error}\n")
+        assert not out
+
+
+@pytest.mark.parametrize("flag, value", [("--format", "text"), ("--seed", "5"), ("--output", "OUT")])
+def test_a_flag_reads_the_same_in_both_forms(repo_root, tmp_path, capsys, flag, value):
+    from msslab.cli import main
+
+    written = []
+    for form in ([flag, value], [f"{flag}={value}"]):
+        target = tmp_path / f"out-{len(written)}.json"
+        argv = ["validate", str(repo_root / FIXTURE)] + [w.replace("OUT", str(target)) for w in form]
+        assert main(argv) == 0
+        written.append(capsys.readouterr().out or target.read_text(encoding="utf-8"))
+    assert written[0] == written[1]
+
+
 def test_config_without_delta_defers_coherence(repo_root, tmp_path):
     config = write_config(
         tmp_path,
@@ -631,23 +710,24 @@ def test_failed_write_is_reported_without_leftovers(repo_root, tmp_path, target)
 # What each command loads, beside msslab.cli and the modules every command
 # reads. A run without a bytecode cache compiles each module it imports, so
 # a module whose code a command never runs stays unloaded there.
-COMMON = {"cli", "delta", "errors", "granules", "sets", "structure", "verdicts"}
-CONFIG_COMMAND = COMMON | {"config", "report", "validation"}
+COMMON = {"cli", "errors", "laws", "sets", "verdicts"}
+MODEL = COMMON | {"delta", "granules", "structure"}
+CONFIG_COMMAND = MODEL | {"config", "report", "validation"}
 
 
 @pytest.mark.parametrize(
     "args, loaded",
     [
-        # Every candidate fails the theorem UL1 first: no law reads the cube.
+        # The forbidden theorems UL1 and UL2 settle the search: nothing is built.
         (["search", "SPEC"], COMMON | {"search"}),
-        (["search", "SPEC", "--format", "text"], COMMON | {"search", "report", "validation"}),
+        (["search", "SPEC", "--format", "text"], MODEL | {"search", "report", "validation"}),
         # Validation reads no law kernel.
         (["validate", FIXTURE], CONFIG_COMMAND),
         (["check-axioms", FIXTURE], CONFIG_COMMAND | {"kernels"}),
         (["pipeline", FIXTURE], CONFIG_COMMAND | {"kernels", "pipeline"}),
         (
             ["replay", FIXTURE, "tests/golden/paper-pipeline.json"],
-            COMMON | {"config", "kernels", "validation", "witnesses"},
+            MODEL | {"config", "kernels", "validation", "witnesses"},
         ),
     ],
     ids=["search", "search-text", "validate", "check-axioms", "pipeline", "replay"],
@@ -660,14 +740,14 @@ def test_each_command_loads_only_the_modules_it_runs(repo_root, tmp_path, args, 
         "import msslab.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    status = msslab.cli.main(sys.argv[1:])\n"
-        "print(status, *sorted(m for m in sys.modules if m.startswith('msslab.')))"
+        "print(status, 'argparse' in sys.modules, *sorted(m for m in sys.modules if m.startswith('msslab.')))"
     )
     result = subprocess.run(
         [sys.executable, "-c", code, *args], cwd=repo_root, capture_output=True, text=True
     )
     assert result.returncode == 0, result.stderr
-    status, *modules = result.stdout.split()
-    assert status == "0"
+    status, argparse_loaded, *modules = result.stdout.split()
+    assert (status, argparse_loaded) == ("0", "False")
     assert set(modules) == {f"msslab.{name}" for name in loaded}
 
 

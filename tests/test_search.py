@@ -27,6 +27,7 @@ from msslab.oracles import (
 )
 from msslab.search import SearchSpec, enumerate_structures, find_witness
 from msslab.structure import ADMISSIBILITY_AXIOMS, LAWS, axiom_instance, verify
+from msslab.verdicts import to_json
 
 ORACLE_COMPARABLE = (
     "PT1",
@@ -225,6 +226,7 @@ def test_memoised_search_matches_the_plain_loop(
 
 
 def count_built_structures(monkeypatch):
+    # search builds through its own name, bound when the model first loads
     built = []
 
     def counting(*args, **kwargs):
@@ -244,12 +246,32 @@ SEARCH_N3 = SearchSpec(
 
 
 def test_each_granule_set_is_verified_once(monkeypatch):
-    # the search-n3 benchmark spec: 512 relations, 64 granule sets, each
-    # built and checked once
+    # 512 relations, 64 granule sets, each built and checked once
     built = count_built_structures(monkeypatch)
-    assert find_witness(SEARCH_N3) == (None, 512)
+    assert find_witness(SearchSpec(n=3, delta="E2", required=("i-coh",), budget=512)) == (None, 512)
     assert len(built) == 64
     assert len({frozenset(s.granulation.granules) for s in built}) == 64
+    # the search-n3 benchmark spec forbids the theorems UL1 and UL2: it
+    # covers the same 512 relations and builds none
+    built.clear()
+    assert find_witness(SEARCH_N3) == (None, 512)
+    assert built == []
+
+
+def test_a_structure_is_checked_up_to_its_first_mismatch(monkeypatch):
+    # i-coh-2 fails under E0 on every structure, so trans-1 is never checked
+    built = count_built_structures(monkeypatch)
+    checked = []
+    check_axiom = search.check_axiom
+
+    def counting(s, axiom, **kwargs):
+        checked.append((len(built), axiom))
+        return check_axiom(s, axiom, **kwargs)
+
+    monkeypatch.setattr(search, "check_axiom", counting)
+    spec = SearchSpec(n=3, delta="E0", required=("i-coh-2", "trans-1"), budget=512)
+    assert find_witness(spec) == (None, 512)
+    assert checked == [(k, "i-coh-2") for k in range(1, 65)]
 
 
 def test_extensional_tables_are_verified_every_time(monkeypatch):
@@ -275,7 +297,8 @@ def test_forbidding_a_theorem_reads_no_delta_plane(monkeypatch):
         return plane(self, a)
 
     monkeypatch.setattr(DeltaPredicate, "plane", counting)
-    # UL1 is checked first and holds, so no required cube law is read.
+    # The forbidden theorems settle the search first, so no required cube
+    # law is read.
     assert find_witness(SEARCH_N3) == (None, 512)
     assert read == []
     # Without the theorems the first relation is checked on its cube.
@@ -320,6 +343,55 @@ STREAM_SPECS = (
 @pytest.mark.parametrize("spec", STREAM_SPECS)
 def test_search_matches_the_plain_loop_on_every_stream(spec):
     assert search_answer(*find_witness(spec)) == search_answer(*plain_search(spec))
+
+
+# (required, forbidden) profiles with a theorem among their laws, required
+# or forbidden, alone or beside swept laws.
+THEOREM_PROFILES = [
+    (("UL1",), ()),
+    (("TB", "G5"), ("i-coh",)),
+    (("admissible-representable", "n-coh"), ()),
+    ((), ("UL1",)),
+    (("i-coh-2",), ("PT1", "UL3")),
+    (("strict-n-coh",), ("admissible-pairs-in-definite",)),
+]
+# One spec of each family and stream, exhaustive and sampled; the laws are
+# replaced by each profile's.
+THEOREM_STREAMS = {
+    "relations": SearchSpec(3, "relations", "E2", budget=512),
+    "sampled-relations": SearchSpec(3, "relations", "uE1", budget=30, seed=5, exhaustive=False),
+    "relation-tables": SearchSpec(2, "relations", "extensional", budget=16, seed=2, density=0.2),
+    "granulations": SearchSpec(3, "granulations", "E1", budget=128),
+    "sampled-granulations": SearchSpec(4, "granulations", "E0", budget=20, seed=1, exhaustive=False),
+    "extensional-deltas": SearchSpec(2, "extensional-deltas", "E0", budget=25, seed=3, density=0.3),
+}
+
+
+@pytest.mark.parametrize("stream", THEOREM_STREAMS)
+@pytest.mark.parametrize("required, forbidden", THEOREM_PROFILES)
+def test_theorems_decided_once_match_the_plain_loop(monkeypatch, stream, required, forbidden):
+    spec = THEOREM_STREAMS[stream]._replace(required=required, forbidden=forbidden)
+    assert search_answer(*find_witness(spec)) == search_answer(*plain_search(spec))
+    report = to_json(search.build_search(spec))
+    monkeypatch.setattr(search, "find_witness", plain_search)
+    assert report == to_json(search.build_search(spec))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        SearchSpec(5, "relations", "E0", ("UL1",), budget=1 << 30),
+        SearchSpec(5, "relations", "E0", (), ("UL1",), budget=1 << 30),
+        SearchSpec(3, "granulations", "E0", ("TB",), budget=127),
+        SearchSpec(3, "granulations", "E0", (), ("TB",), budget=127),
+    ],
+)
+def test_a_refused_walk_is_refused_whatever_its_theorems(spec):
+    with pytest.raises(BudgetError) as plain:
+        plain_search(spec)
+    with pytest.raises(BudgetError) as hoisted:
+        find_witness(spec)
+    assert str(hoisted.value) == str(plain.value)
 
 
 def test_sampled_relations_under_extensional_tables_draw_a_pinned_stream():

@@ -465,6 +465,27 @@ def test_a_kappa_outside_the_universe_is_unbound(H, name):
     assert check_axiom(family, "lclu").status == "holds"
 
 
+# A κ that is neither a tuple nor a list, iterable or not.
+UNLISTED_KAPPAS = {"int": 5, "set": frozenset({1})}
+
+
+@pytest.mark.parametrize("name", UNLISTED_KAPPAS)
+def test_a_kappa_that_is_no_tuple_or_list_is_unbound(name):
+    H2 = Universe(["x1", "x2"])
+    s = assemble(H2, granulation=Granulation(H2, [0b01, 0b10]), kappa=[0b01])
+    mixed = s._replace(kappa=UNLISTED_KAPPAS[name])
+    assert s.bound_slots() - mixed.bound_slots() == {"kappa"}
+    assert repr(mixed) == repr(s).replace("'kappa', ", "")
+    statuses = {v.axiom: v.status for v in verify(mixed)}
+    assert statuses == {v.axiom: v.status for v in verify(s)} | {"lclu": "deferred"}
+    lclu = check_axiom(mixed, "lclu")
+    assert (lclu.status, lclu.note) == ("deferred", "unbound slots: ['kappa']")
+    with pytest.raises(StructureError, match=re.escape("reads unbound slots ['kappa']")):
+        validate_clustering(mixed)
+    # A list binds, as a clustering set with _replace is.
+    assert "kappa" in s._replace(kappa=[1, 2]).bound_slots()
+
+
 def test_the_oracle_describes_only_bound_slots(H, granulation, clustering, delta_builtins):
     s = build(H, granulation, clustering, "E1", delta_builtins, SumOperation.granular(granulation))
     desc = StructureDescription.from_structure(s)

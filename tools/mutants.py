@@ -70,6 +70,8 @@ TABLE_WALK = "tests/test_delta.py::test_table_walk_matches_the_sweep_on_partial_
 FOREIGN_VALUE = "tests/test_structure.py::test_a_value_over_another_universe_is_unbound[{}]"
 FOREIGN_KAPPA = "tests/test_structure.py::test_a_kappa_outside_the_universe_is_unbound[{}]"
 WITNESSLESS = "tests/test_cli.py::test_replay_exits_2_on_a_failing_row_without_a_witness"
+THEOREMS_ONCE = "tests/test_search.py::test_theorems_decided_once_match_the_plain_loop"
+UNLISTED_KAPPA = "tests/test_structure.py::test_a_kappa_that_is_no_tuple_or_list_is_unbound[{}]"
 
 MUTANTS = (
     Mutant(
@@ -228,12 +230,33 @@ MUTANTS = (
         "keyed = not (",
         ("tests/test_search.py::test_extensional_tables_are_verified_every_time",),
     ),
+    # No shortcut: a forbidden theorem is checked on each candidate, after
+    # the required laws.
     Mutant(
         "no-theorem-first-order",
         SEARCH,
-        "    checks.sort(key=lambda check: LAWS[check[0]].arity is not None)\n",
+        "    if any(LAWS[a].arity is None for a in spec.forbidden):\n        return None, _length(spec)\n",
         "",
-        ("tests/test_search.py::test_forbidding_a_theorem_reads_no_delta_plane",),
+        (
+            "tests/test_search.py::test_forbidding_a_theorem_reads_no_delta_plane",
+            "tests/test_search.py::test_each_granule_set_is_verified_once",
+        ),
+    ),
+    # A forbidden theorem answers with no candidate examined.
+    Mutant(
+        "theorem-shortcut-examines-nothing",
+        SEARCH,
+        "        return None, _length(spec)\n",
+        "        return None, 0\n",
+        (THEOREMS_ONCE,),
+    ),
+    # A required theorem ends the search as a forbidden one does.
+    Mutant(
+        "theorem-shortcut-on-a-required-law",
+        SEARCH,
+        "for a in spec.forbidden):",
+        "for a in spec.required + spec.forbidden):",
+        (THEOREMS_ONCE,),
     ),
     # Every law checked before the first mismatch stops the search.
     Mutant(
@@ -241,14 +264,14 @@ MUTANTS = (
         SEARCH,
         "if all(getattr(check_axiom(s, a), shown) for a, shown in checks):",
         "if all([getattr(check_axiom(s, a), shown) for a, shown in checks]):",
-        ("tests/test_search.py::test_forbidding_a_theorem_reads_no_delta_plane",),
+        ("tests/test_search.py::test_a_structure_is_checked_up_to_its_first_mismatch",),
     ),
     # Every sampled relation drawn before the first table: another stream.
     Mutant(
         "bits-drawn-up-front",
         SEARCH,
-        "bit_stream = (rng.randrange(total) for _ in range(spec.budget))",
-        "bit_stream = [rng.randrange(total) for _ in range(spec.budget)]",
+        "bit_stream = (rng.randrange(total) for _ in range(length))",
+        "bit_stream = [rng.randrange(total) for _ in range(length)]",
         ("tests/test_search.py::test_sampled_relations_under_extensional_tables_draw_a_pinned_stream",),
     ),
     Mutant(
@@ -445,9 +468,17 @@ MUTANTS = (
     Mutant(
         "foreign-kappa-binds",
         STRUCTURE,
-        "k is None or not all(isinstance(c, int) and not c >> n for c in k)",
-        "k is None",
+        "isinstance(k, (tuple, list)) and all(isinstance(c, int) and not c >> n for c in k)",
+        "isinstance(k, (tuple, list))",
         tuple(FOREIGN_KAPPA.format(name) for name in ("above", "negative", "past", "subset")),
+    ),
+    # Any κ but None is walked as masks: an int raises, a set binds.
+    Mutant(
+        "kappa-type-unchecked",
+        STRUCTURE,
+        "masks = isinstance(k, (tuple, list)) and all(",
+        "masks = k is not None and all(",
+        tuple(UNLISTED_KAPPA.format(name) for name in ("int", "set")),
     ),
     # A negative mask reads as inside the universe.
     Mutant(
