@@ -59,8 +59,8 @@ class StructureDescription(NamedTuple):
     @classmethod
     def from_structure(cls, s) -> "StructureDescription":
         """The granules and every bound slot among delta, the sum and kappa."""
-        if s.granulation is None or s.granulation.universe != s.universe:
-            raise MsslabError("oracle needs a granulation over the structure's universe")
+        if s.granulation is None:
+            raise MsslabError("oracle needs a granulation")
         bound = s.bound_slots()
 
         def named(mask):

@@ -215,18 +215,25 @@ def _length(spec: SearchSpec) -> int:
     or all 2**width bit patterns of an exhaustive walk. An exhaustive walk
     of more than ``budget`` candidates, or of relations on more than
     ``RELATION_EXHAUSTIVE_LIMIT`` elements, is a ``BudgetError``, decided
-    on exponents before 2**width is built: that number alone can take
-    megabytes for a refused search."""
+    on exponents. A granulation walk's width, 2**n - 1, is built only when
+    n is below the budget's bit length, and the error writes it as
+    ``2**n - 1``: for a refused search, 2**width can take megabytes, and
+    the width alone can pass Python's limit for int-to-str conversion."""
     if spec.family == "extensional-deltas" or not spec.exhaustive:
         return spec.budget
-    relations, width = spec.family == "relations", _width(spec)
-    if width >= spec.budget.bit_length() or relations and spec.n > RELATION_EXHAUSTIVE_LIMIT:
+    n, bits = spec.n, spec.budget.bit_length()
+    relations = spec.family == "relations"
+    if relations:
+        refused, width = n * n >= bits or n > RELATION_EXHAUSTIVE_LIMIT, n * n
+    else:  # 2**n - 1 >= n, so n >= bits refuses the walk without building its width
+        refused, width = n >= bits or _width(spec) >= bits, f"(2**{n} - 1)"
+    if refused:
         limit = f"limit n <= {RELATION_EXHAUSTIVE_LIMIT}, " if relations else ""
         raise BudgetError(
             f"exhaustive {spec.family[:-1]} search needs 2**{width} structures "
             f"({limit}budget {spec.budget})"
         )
-    return 1 << width
+    return 1 << _width(spec)
 
 
 def _candidates(

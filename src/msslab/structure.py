@@ -2,10 +2,13 @@
 
 A structure bundles a parthood predicate, order, join/meet, approximation
 operators, constants, a nearness predicate, a partial sum, and cluster
-membership over one universe. Any slot may be left unbound; checks that
-need an unbound slot report a deferred verdict instead of failing, and
-one rule, ``MssStructure.bound_slots``, says which are bound. One value,
-the granulation, binds l, u and gamma: l and u are the rough
+membership over one universe. ``MssStructure`` checks each value it
+holds when it is constructed, by ``assemble`` or ``_replace`` alike, and
+refuses one of another type, universe or granulation. So a slot is
+bound exactly while no reduct has dropped it and it is set
+(``MssStructure.bound_slots``). Any slot may be left unbound; checks
+that need an unbound slot report a deferred verdict instead of failing.
+One value, the granulation, binds l, u and gamma: l and u are the rough
 approximation that gamma induces, so they are never held apart from it.
 
 Parthood and order are inclusion, join and meet are union and
@@ -28,7 +31,7 @@ structure class, and ``classify`` reads its flags from their verdicts.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Collection, NamedTuple, Optional, Sequence
 
 from .delta import DeltaPredicate, SumOperation
 from .errors import StructureError, UniverseMismatchError
@@ -55,16 +58,7 @@ from .verdicts import (
 )
 
 
-class MssStructure(NamedTuple):
-    """A structure over one universe. ``kept`` lists the slots that no
-    reduct has dropped, all twelve by default. A kept slot is bound while
-    it has an interpretation here: the set slots always; kappa while it is
-    a tuple or list of ints of this universe; l, u and gamma while
-    ``granulation`` is set over this universe, l and u only as a pair;
-    delta and the sum while set over this universe and, when they and the
-    structure both have a granulation, over the same one. A value over
-    another carrier is unbound, however set."""
-
+class _StructureFields(NamedTuple):
     universe: Universe
     kept: frozenset[str] = frozenset(SIGNATURE_SLOTS)
     granulation: Optional[Granulation] = None
@@ -72,15 +66,60 @@ class MssStructure(NamedTuple):
     sum: Optional[SumOperation] = None
     kappa: Optional[tuple[int, ...]] = None
 
+
+class MssStructure(_StructureFields):
+    """A structure over one universe, each value checked whenever one is
+    constructed, by ``assemble`` or ``_replace``. ``kept``, the slots no
+    reduct has dropped (all twelve by default), is a set, frozenset, tuple
+    or list of ``SIGNATURE_SLOTS`` names, held as a frozenset. The
+    granulation, delta and the sum are None or a ``Granulation``,
+    ``DeltaPredicate`` and ``SumOperation`` over this universe, a delta or
+    sum over a granulation over the structure's own, if it has one. kappa
+    is None or a tuple or list of masks of this universe, held as a tuple.
+    Anything else is a ``TypeError`` or an ``MsslabError``. So a kept slot
+    is bound exactly while it is set: the set slots always, l, u and gamma
+    while the granulation is, l and u only as a pair."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        universe, kept, granulation, delta, sum, kappa = super().__new__(cls, *args, **kwargs)
+        if not isinstance(kept, (set, frozenset, tuple, list)):
+            raise TypeError(f"kept: expected a set of slot names, got {type(kept).__name__}")
+        kept = frozenset(kept)
+        unknown = kept.difference(SIGNATURE_SLOTS)
+        if unknown:
+            raise StructureError(f"unknown signature slots {sorted(unknown)}")
+        for value, kind, name in (
+            (granulation, Granulation, "granulation"),
+            (delta, DeltaPredicate, "delta predicate"),
+            (sum, SumOperation, "sum operation"),
+        ):
+            if value is None:
+                continue
+            if not isinstance(value, kind):
+                raise TypeError(f"{name}: expected a {kind.__name__}, got {type(value).__name__}")
+            if value.universe != universe:
+                raise UniverseMismatchError(f"{name} universe differs from the carrier")
+            if kind is Granulation or granulation is None:
+                continue
+            if value.granulation not in (None, granulation):
+                raise StructureError(f"{name} granulation differs from the structure's")
+        if kappa is not None:
+            if not isinstance(kappa, (tuple, list)):
+                raise TypeError(f"kappa: expected a tuple or list, got {type(kappa).__name__}")
+            kappa = tuple([check_mask(universe, c) for c in kappa])
+        return super().__new__(cls, universe, kept, granulation, delta, sum, kappa)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make; route it through the checks too.
+        return cls(*iterable)
+
     def bound_slots(self) -> frozenset[str]:
-        k, n = self.kappa, self.universe.size
-        masks = isinstance(k, (tuple, list)) and all(isinstance(c, int) and not c >> n for c in k)
-        unset = set() if masks else {"kappa"}
-        if (g := self.granulation) is None or g.universe != self.universe:
+        unset = {slot for slot in ("delta", "sum", "kappa") if getattr(self, slot) is None}
+        if self.granulation is None:
             unset |= GRANULATION_SLOTS
-        for slot, v in (("delta", self.delta), ("sum", self.sum)):
-            if v is None or v.universe != self.universe or g is not None and v.granulation not in (None, g):
-                unset.add(slot)
         if not {"l", "u"} <= self.kept:
             unset |= {"l", "u"}
         return self.kept - unset
@@ -95,49 +134,32 @@ def assemble(
     granulation: Optional[Granulation] = None,
     delta: Optional[DeltaPredicate] = None,
     sum: Optional[SumOperation] = None,
-    kappa: Optional[Iterable[int]] = None,
+    kappa: Optional[Sequence[int]] = None,
 ) -> MssStructure:
     """Build a structure over one universe; delta, sum and kappa may wait.
 
     Every slot of ``SET_SLOTS`` is bound to its set interpretation. A
     granulation binds l and u (its approximations) together with gamma.
-    ``kappa`` lists the cluster masks.
+    ``kappa`` lists the cluster masks. ``MssStructure`` checks each value.
     """
-    if granulation is not None and granulation.universe != universe:
-        raise UniverseMismatchError("granulation universe differs from the carrier")
-
-    if delta is not None and delta.universe != universe:
-        raise UniverseMismatchError("delta predicate universe differs from the carrier")
-    if sum is not None and sum.universe != universe:
-        raise UniverseMismatchError("sum operation universe differs from the carrier")
-
-    clusters = None
-    if kappa is not None:
-        clusters = tuple(check_mask(universe, c) for c in kappa)
-
-    return MssStructure(
-        universe=universe, granulation=granulation, delta=delta, sum=sum, kappa=clusters
-    )
+    return MssStructure(universe, granulation=granulation, delta=delta, sum=sum, kappa=kappa)
 
 
-def reduct(s: MssStructure, keep: Iterable[str]) -> MssStructure:
+def reduct(s: MssStructure, keep: Collection[str]) -> MssStructure:
     """Same carrier and values, keeping only the named slots.
 
-    It refuses a name outside the signature (the carrier is always kept
-    and is not one) and a slot that an earlier reduct dropped. A kept
-    slot with no value yet, such as delta, is bound once it has one. The
-    result narrows ``s.kept`` and clears no value, so read
-    ``bound_slots``, not a value, for what it binds; l and u travel as a
-    pair, so keeping one without the other binds neither.
+    ``keep`` is checked as ``MssStructure`` checks ``kept``, and a slot
+    that an earlier reduct dropped is refused. A kept slot with no value
+    yet, such as delta, is bound once it has one. The result narrows
+    ``s.kept`` and clears no value, so read ``bound_slots``, not a value,
+    for what it binds; l and u travel as a pair, so keeping one without
+    the other binds neither.
     """
-    keep = set(keep)
-    unknown = keep - set(SIGNATURE_SLOTS)
-    if unknown:
-        raise StructureError(f"unknown signature slots {sorted(unknown)}")
-    dropped = keep - s.kept
+    narrowed = s._replace(kept=keep)
+    dropped = narrowed.kept - s.kept
     if dropped:
         raise StructureError(f"cannot keep dropped slots {sorted(dropped)}")
-    return s._replace(kept=frozenset(keep))
+    return narrowed
 
 
 def evaluator(s: MssStructure, axiom: str) -> Callable[..., Optional[bool]]:

@@ -1,5 +1,7 @@
 import itertools
+import json
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -18,6 +20,7 @@ from msslab import (
     predecessor_granulation,
     search,
 )
+from msslab.cli import main
 from msslab.delta import BUILTIN_DELTAS
 from msslab.oracles import (
     ORACLE_AXIOMS,
@@ -75,12 +78,26 @@ def test_refusing_a_huge_granulation_search_builds_no_huge_count():
     spec = SearchSpec(n=27, family="granulations")
     tracemalloc.start()
     try:
-        with pytest.raises(BudgetError, match=r"needs 2\*\*134217727 structures"):
+        with pytest.raises(BudgetError, match=re.escape("needs 2**(2**27 - 1) structures")):
             next(enumerate_structures(spec))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("n", [15000, 100000])
+def test_a_granulation_walk_past_the_int_to_str_limit_exits_3(tmp_path, capsys, n):
+    # 2**n - 1 has more decimal digits than Python converts; the error writes it from n.
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"n": n, "family": "granulations"}))
+    assert main(["search", str(spec)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        f"msslab: budget exceeded: exhaustive granulation search needs 2**(2**{n} - 1) "
+        "structures (budget 10000)\n"
+    )
 
 
 def test_a_sampled_granulation_search_is_refused_past_sixteen_elements():
@@ -113,7 +130,9 @@ def test_a_sampled_relation_search_builds_only_small_column_tables():
 def test_exhaustive_budget_boundary_is_exact(family, width):
     spec = SearchSpec(n=2, family=family, budget=1 << width)
     assert sum(1 for _ in enumerate_structures(spec)) == 1 << width
-    with pytest.raises(BudgetError, match=rf"needs 2\*\*{width} structures"):
+    # A granulation walk's width, 2**n - 1, is written as such.
+    written = width if family == "relations" else "(2**2 - 1)"
+    with pytest.raises(BudgetError, match=re.escape(f"needs 2**{written} structures")):
         next(enumerate_structures(SearchSpec(n=2, family=family, budget=(1 << width) - 1)))
 
 

@@ -11,6 +11,7 @@ from msslab import (
     BinaryRelation,
     DeltaPredicate,
     Granulation,
+    MssStructure,
     MsslabError,
     StructureError,
     SumOperation,
@@ -384,26 +385,43 @@ def test_a_delta_or_sum_over_another_granulation_is_unbound():
         delta = DeltaPredicate.builtin("uE1", u, g)
         return assemble(u, granulation=g, delta=delta, sum=SumOperation.granular(g))
 
-    mixed = over(first)._replace(granulation=third)
-    assert not {"delta", "sum"} & mixed.bound_slots()
-    assert [v.status for v in verify(mixed, ["n-coh", "delta-sum1"])] == ["deferred"] * 2
-    assert verify(mixed, ["n-coh"])[0].note == "unbound slots: ['delta']"
+    # A structure never holds a delta or sum over another granulation than its
+    # own: _replace refuses one from either side, as assemble does.
+    s = over(first)
+    refused = {
+        "delta predicate": {"delta": DeltaPredicate.builtin("uE1", u, third)},
+        "sum operation": {"sum": SumOperation.granular(third)},
+    }
+    for name, value in refused.items():
+        message = f"{name} granulation differs from the structure's"
+        with pytest.raises(StructureError, match=message):
+            s._replace(**value)
+        with pytest.raises(StructureError, match=message):
+            assemble(u, granulation=first, **value)
+    with pytest.raises(StructureError, match="delta predicate granulation differs"):
+        s._replace(granulation=third)
+    # The structure they were refused on still binds both and decides them.
+    assert [v.status for v in verify(s, ["n-coh", "delta-sum1"])] == ["fails", "holds"]
     # Built over the granulation it is given, the structure decides both.
     n_coh = check_axiom(over(third), "n-coh")
     assert (n_coh.status, n_coh.instances_checked) == ("fails", 1025)
     assert n_coh.witnesses[0] == (u.subset(["x3"]), u.empty, u.empty)
     # An equal granulation is the structure's own; with none, delta and the sum stay bound.
     for own in (Granulation(u, [0b0001]), None):
-        assert over(first)._replace(granulation=own).bound_slots() >= {"delta", "sum"}
+        assert s._replace(granulation=own).bound_slots() >= {"delta", "sum"}
     assert assemble(u, delta=DeltaPredicate.builtin("E2", u, first)).bound_slots() >= {"delta"}
 
 
 OTHER = Universe(["p", "q"])
-# A value over another universe, and the slots it would bind.
+# A value over another universe, the slots it would bind, and its name.
 FOREIGN_VALUES = {
-    "delta": (lambda: DeltaPredicate.builtin("E0", OTHER), {"delta"}),
-    "sum": (lambda: SumOperation.total_union(OTHER), {"sum"}),
-    "granulation": (lambda: Granulation(OTHER, [0b01, 0b10]), {"l", "u", "gamma"}),
+    "delta": (lambda: DeltaPredicate.builtin("E0", OTHER), {"delta"}, "delta predicate"),
+    "sum": (lambda: SumOperation.total_union(OTHER), {"sum"}, "sum operation"),
+    "granulation": (
+        lambda: Granulation(OTHER, [0b01, 0b10]),
+        {"l", "u", "gamma"},
+        "granulation",
+    ),
 }
 
 
@@ -412,37 +430,31 @@ def test_a_value_over_another_universe_is_unbound(H, field):
     g = Granulation(H, [0b0011, 0b1100])
     own = {"delta": DeltaPredicate.builtin("E0", H), "sum": SumOperation.total_union(H)}
     s = assemble(H, granulation=g, kappa=[0b0011, 0b1100], **own)
-    make, slots = FOREIGN_VALUES[field]
-    with pytest.raises(UniverseMismatchError):
+    make, slots, name = FOREIGN_VALUES[field]
+    # _replace refuses it as assemble does, so no structure holds it.
+    message = f"{name} universe differs from the carrier"
+    with pytest.raises(UniverseMismatchError, match=message):
         assemble(H, **{field: make()})
-    # Set with _replace, the value is held and unbound, and every check defers.
-    mixed = s._replace(**{field: make()})
-    assert s.bound_slots() - mixed.bound_slots() == slots
+    with pytest.raises(UniverseMismatchError, match=message):
+        s._replace(**{field: make()})
+    # The structure it was refused on still binds the slots and answers.
+    assert slots <= s.bound_slots()
     laws = [name for name, law in LAWS.items() if law.reads & slots]
-    for v in verify(mixed, laws):
-        assert v.status == "deferred", v.axiom
-        assert v.note == f"unbound slots: {sorted(LAWS[v.axiom].reads & slots)}"
-        if LAWS[v.axiom].arity is not None:
-            with pytest.raises(StructureError, match="reads unbound slots"):
-                evaluator(mixed, v.axiom)
-    assert (check_compatibility(mixed).status == "deferred") == (field == "delta")
-    if field == "granulation":
-        with pytest.raises(StructureError, match=re.escape("unbound slots ['l', 'u']")):
-            validate_clustering(mixed)
-    else:
-        assert validate_clustering(mixed) == validate_clustering(s)
+    assert "deferred" not in {v.status for v in verify(s, laws)}
+    assert check_compatibility(s).status == "vacuous"
+    assert len(validate_clustering(s).per_cluster) == 2
     # Over its own universe, E0 is checked on H's 256 pairs.
     i_coh = check_axiom(s, "i-coh")
     assert (i_coh.status, i_coh.instances_checked) == ("holds", 256)
 
 
-# A κ that is not all ints inside H: a mask above it, a negative mask, the
-# first mask past it, and a Subset.
+# A κ that is not all masks inside H, and what refuses it: a mask above H, a
+# negative mask, the first mask past H, and a Subset.
 FOREIGN_KAPPAS = {
-    "above": lambda H: (0b110000, 0b0011),
-    "negative": lambda H: (-1,),
-    "past": lambda H: (1 << 4,),
-    "subset": lambda H: (H.full,),
+    "above": ((0b110000, 0b0011), MsslabError, "mask 0x30 has members outside the universe"),
+    "negative": ((-1,), MsslabError, "mask -0x1 has members outside the universe"),
+    "past": ((1 << 4,), MsslabError, "mask 0x10 has members outside the universe"),
+    "subset": (None, TypeError, "expected a subset mask, got Subset"),
 }
 
 
@@ -450,19 +462,25 @@ FOREIGN_KAPPAS = {
 def test_a_kappa_outside_the_universe_is_unbound(H, name):
     g, e0 = Granulation(H, [0b0011, 0b1100]), DeltaPredicate.builtin("E0", H)
     s = assemble(H, granulation=g, delta=e0, kappa=[0b0011])
-    mixed = s._replace(kappa=FOREIGN_KAPPAS[name](H))
-    assert s.bound_slots() - mixed.bound_slots() == {"kappa"}
-    checks = [check_axiom(mixed, "lclu")] + [check_compatibility(mixed, m) for m in COMPATIBILITY_MODES]
-    for v in checks:
-        assert (v.status, v.note) == ("deferred", "unbound slots: ['kappa']"), v.axiom
-    with pytest.raises(StructureError, match=re.escape("reads unbound slots ['kappa']")):
-        validate_clustering(mixed)
-    assert check_axiom(mixed, "PT1") == check_axiom(s, "PT1") == theorem("PT1", THEOREMS["PT1"])
-    assert StructureDescription.from_structure(mixed).clusters is None
-    # Inside H, an empty and a repeated mask still bind: lclu reads a family of subsets.
+    kappa, error, message = FOREIGN_KAPPAS[name]
+    kappa = kappa or (H.full,)
+    with pytest.raises(error, match=message):
+        assemble(H, granulation=g, kappa=kappa)
+    with pytest.raises(error, match=message):
+        s._replace(kappa=kappa)
+    # The κ it was refused on still binds, and every check on it answers.
+    assert "kappa" in s.bound_slots()
+    checks = [check_axiom(s, "lclu")] + [check_compatibility(s, m) for m in COMPATIBILITY_MODES]
+    assert [v.status for v in checks] == ["holds", "vacuous", "fails"]
+    assert [r.cluster.mask for r in validate_clustering(s).per_cluster] == [0b0011]
+    assert StructureDescription.from_structure(s).clusters == (frozenset({"x1", "x2"}),)
+    # Inside H, an empty and a repeated mask still bind: lclu reads a family of
+    # subsets. Only a clustering refuses them.
     family = s._replace(kappa=(0, 0b0011, 0b0011))
     assert "kappa" in family.bound_slots()
     assert check_axiom(family, "lclu").status == "holds"
+    with pytest.raises(MsslabError, match="clusters must be nonempty"):
+        validate_clustering(family)
 
 
 # A κ that is neither a tuple nor a list, iterable or not.
@@ -473,17 +491,19 @@ UNLISTED_KAPPAS = {"int": 5, "set": frozenset({1})}
 def test_a_kappa_that_is_no_tuple_or_list_is_unbound(name):
     H2 = Universe(["x1", "x2"])
     s = assemble(H2, granulation=Granulation(H2, [0b01, 0b10]), kappa=[0b01])
-    mixed = s._replace(kappa=UNLISTED_KAPPAS[name])
-    assert s.bound_slots() - mixed.bound_slots() == {"kappa"}
-    assert repr(mixed) == repr(s).replace("'kappa', ", "")
-    statuses = {v.axiom: v.status for v in verify(mixed)}
-    assert statuses == {v.axiom: v.status for v in verify(s)} | {"lclu": "deferred"}
-    lclu = check_axiom(mixed, "lclu")
-    assert (lclu.status, lclu.note) == ("deferred", "unbound slots: ['kappa']")
-    with pytest.raises(StructureError, match=re.escape("reads unbound slots ['kappa']")):
-        validate_clustering(mixed)
-    # A list binds, as a clustering set with _replace is.
-    assert "kappa" in s._replace(kappa=[1, 2]).bound_slots()
+    kappa = UNLISTED_KAPPAS[name]
+    message = f"kappa: expected a tuple or list, got {type(kappa).__name__}"
+    with pytest.raises(TypeError, match=message):
+        assemble(H2, kappa=kappa)
+    with pytest.raises(TypeError, match=message):
+        s._replace(kappa=kappa)
+    # The structure it was refused on still binds κ and decides lclu.
+    assert "kappa" in s.bound_slots()
+    assert "'kappa'" in repr(s)
+    assert check_axiom(s, "lclu").status == "holds"
+    # A list binds, held as a tuple, as a clustering set with _replace is.
+    listed = s._replace(kappa=[1, 2])
+    assert listed.kappa == (1, 2) and "kappa" in listed.bound_slots()
 
 
 def test_the_oracle_describes_only_bound_slots(H, granulation, clustering, delta_builtins):
@@ -494,22 +514,143 @@ def test_the_oracle_describes_only_bound_slots(H, granulation, clustering, delta
     bare = StructureDescription.from_structure(cut)
     assert (bare.delta_kind, bare.sum_mode, bare.clusters) == (None, None, None)
     assert bare.granules == desc.granules
-    for other in (None, Granulation(OTHER, [0b01, 0b10])):
-        with pytest.raises(MsslabError, match="needs a granulation over the structure's universe"):
-            StructureDescription.from_structure(s._replace(granulation=other))
+    with pytest.raises(MsslabError, match="oracle needs a granulation"):
+        StructureDescription.from_structure(s._replace(granulation=None))
+    # A granulation over another universe never reaches the oracle.
+    with pytest.raises(UniverseMismatchError, match="granulation universe differs"):
+        s._replace(granulation=Granulation(OTHER, [0b01, 0b10]))
 
 
 def test_reduct_rejects_bad_slots(H, granulation):
     s = assemble(H, granulation=granulation)
     with pytest.raises(StructureError):
         reduct(s, ["universe"])
-    with pytest.raises(StructureError):
+    with pytest.raises(StructureError, match=re.escape("unknown signature slots ['volume']")):
         reduct(s, ["volume"])
     # A kept slot with no value is allowed and binds nothing until it has one.
     delta_only = reduct(s, ["delta"])
     assert delta_only.kept == {"delta"} and not delta_only.bound_slots()
     with pytest.raises(StructureError, match=re.escape("cannot keep dropped slots ['l']")):
         reduct(reduct(s, ["P"]), ["P", "l"])
+
+
+def test_kept_holds_only_signature_slot_names(H, granulation):
+    s = assemble(H, granulation=granulation)
+    for kept in (None, "P", 5):
+        message = f"kept: expected a set of slot names, got {type(kept).__name__}"
+        with pytest.raises(TypeError, match=message):
+            s._replace(kept=kept)
+    with pytest.raises(StructureError, match=re.escape("unknown signature slots ['zz']")):
+        s._replace(kept={"P", "zz"})
+    # A list of names is held as a frozenset.
+    assert s._replace(kept=["P", "l"]).kept == frozenset({"P", "l"})
+
+
+# Held values, well-formed and malformed, for each slot of a structure over
+# PROBE_H: values over another universe or granulation, values of another
+# type, masks outside the universe, and kept sets that are no set of names.
+PROBE_H = Universe(["x1", "x2", "x3", "x4"])
+PROBE_G, PROBE_G1 = Granulation(PROBE_H, [0b0011, 0b1100]), Granulation(PROBE_H, [0b0001])
+HELD_VALUES = {
+    "granulation": [None, PROBE_G, PROBE_G1, Granulation(OTHER, [0b01, 0b10]), "g", 5, [3]],
+    "delta": [
+        None,
+        DeltaPredicate.builtin("uE1", PROBE_H, PROBE_G),
+        DeltaPredicate.builtin("uE1", PROBE_H, PROBE_G1),
+        DeltaPredicate.builtin("E0", PROBE_H),
+        DeltaPredicate.builtin("E0", OTHER),
+        "E0",
+        5,
+    ],
+    "sum": [
+        None,
+        SumOperation.granular(PROBE_G),
+        SumOperation.granular(PROBE_G1),
+        SumOperation.total_union(OTHER),
+        "total-union",
+        5,
+    ],
+    "kappa": [
+        None, (), [1, 2], (0, 3, 3), (16,), (-1,), ("a",), 5, frozenset({1}),
+        (PROBE_H.full,), (1.0,), (True,),
+    ],
+    "kept": [None, ["P"], frozenset(), {"P", "zz"}, "P", 5, ["l", "gamma", "kappa", "delta"]],
+}
+PROBE = assemble(
+    PROBE_H,
+    granulation=PROBE_G,
+    delta=HELD_VALUES["delta"][1],
+    sum=HELD_VALUES["sum"][1],
+    kappa=[0b0011, 0b1100],
+)
+PROBE_CHECKS = (
+    verify,
+    classify,
+    repr,
+    *(lambda s, m=m: check_compatibility(s, m) for m in COMPATIBILITY_MODES),
+    validate_clustering,
+    StructureDescription.from_structure,
+)
+
+
+def replace_or_refuse(s, changes):
+    """``s`` with each change set by ``_replace`` in turn; a refused change
+    leaves the structure it was refused on. Every check on each structure
+    answers or raises an ``MsslabError``."""
+    for field, value in changes:
+        try:
+            s = s._replace(**{field: value})
+        except (MsslabError, TypeError):
+            continue
+        for check in PROBE_CHECKS:
+            try:
+                check(s)
+            except MsslabError:
+                pass
+    return s
+
+
+def test_each_held_value_is_refused_or_checked():
+    held = [
+        (field, value)
+        for field, values in HELD_VALUES.items()
+        for value in values
+        if replace_or_refuse(PROBE, [(field, value)]) is not PROBE
+    ]
+    # Only values of the right type over PROBE_H and its granulation are held.
+    assert held == [
+        ("granulation", None),
+        ("granulation", PROBE_G),
+        ("delta", None),
+        ("delta", HELD_VALUES["delta"][1]),
+        ("delta", HELD_VALUES["delta"][3]),
+        ("sum", None),
+        ("sum", HELD_VALUES["sum"][1]),
+        ("kappa", None),
+        ("kappa", ()),
+        ("kappa", [1, 2]),
+        ("kappa", (0, 3, 3)),
+        ("kappa", (True,)),
+        ("kept", ["P"]),
+        ("kept", frozenset()),
+        ("kept", ["l", "gamma", "kappa", "delta"]),
+    ]
+
+
+HELD_CHANGES = st.lists(
+    st.sampled_from(list(HELD_VALUES)).flatmap(
+        lambda field: st.tuples(st.just(field), st.sampled_from(HELD_VALUES[field]))
+    ),
+    max_size=4,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(HELD_CHANGES)
+def test_any_held_values_are_refused_or_checked(changes):
+    s = replace_or_refuse(PROBE, changes)
+    # Whatever a structure comes to hold passes the checks it was built with.
+    assert MssStructure(*s) == s
 
 
 def test_classify_example(H, granulation, clustering, delta_builtins):

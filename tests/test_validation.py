@@ -169,11 +169,13 @@ def test_clustering_validation_errors(clustering, delta_builtins):
             validate_clustering(s)
         with pytest.raises(MsslabError, match=message):
             check_compatibility(s)
-    # A mask outside the universe leaves κ unbound: validation refuses it, compatibility defers.
-    s = clustering._replace(delta=delta_builtins["E0"], kappa=(0b0001, 1 << 4))
-    with pytest.raises(StructureError, match=re.escape("reads unbound slots ['kappa']")):
-        validate_clustering(s)
-    assert check_compatibility(s).status == "deferred"
+    # A mask outside the universe is refused where κ is set, and the
+    # clustering it was refused on still answers.
+    s = clustering._replace(delta=delta_builtins["E0"])
+    with pytest.raises(MsslabError, match="mask 0x10 has members outside the universe"):
+        s._replace(kappa=(0b0001, 1 << 4))
+    assert len(validate_clustering(s).per_cluster) == 3
+    assert check_compatibility(s).status == "holds"
 
 
 def test_checks_on_a_structure_that_leaves_their_slots_unbound(H, granulation, delta_builtins):

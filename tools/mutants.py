@@ -381,29 +381,53 @@ MUTANTS = (
         'return (self.kept | {"delta", "sum", "kappa"}) - unset',
         ("tests/test_structure.py::test_reduct_drops_and_defers",),
     ),
-    # E2, uE1 and a granular sum bound over any granulation: a structure mixes two.
+    # E2, uE1 and a granular sum held over any granulation: a structure mixes two.
     Mutant(
         "foreign-granulation-binds",
         STRUCTURE,
-        " or g is not None and v.granulation not in (None, g)",
-        "",
+        "if value.granulation not in (None, granulation):",
+        "if False:",
         ("tests/test_structure.py::test_a_delta_or_sum_over_another_granulation_is_unbound",),
     ),
-    # A δ or sum over another universe binds, and is checked on that universe.
+    # A δ or sum over another universe is held, and checked on that universe.
     Mutant(
         "foreign-universe-binds",
         STRUCTURE,
-        "if v is None or v.universe != self.universe or",
-        "if v is None or",
+        "            if value.universe != universe:\n",
+        "            if value.universe != universe and kind is Granulation:\n",
         (FOREIGN_VALUE.format("delta"), FOREIGN_VALUE.format("sum")),
     ),
-    # A granulation over another universe binds l, u and gamma.
+    # A granulation over another universe is held and binds l, u and gamma.
     Mutant(
         "foreign-universe-granulation-binds",
         STRUCTURE,
-        "is None or g.universe != self.universe:",
-        "is None:",
+        "            if value.universe != universe:\n",
+        "            if value.universe != universe and kind is not Granulation:\n",
         (FOREIGN_VALUE.format("granulation"),),
+    ),
+    # _replace builds past the constructor's checks: a foreign value is held.
+    Mutant(
+        "make-bypasses-checks",
+        STRUCTURE,
+        "    @classmethod\n"
+        "    def _make(cls, iterable):\n"
+        "        # _replace builds through _make; route it through the checks too.\n"
+        "        return cls(*iterable)\n",
+        "",
+        tuple(FOREIGN_VALUE.format(field) for field in ("delta", "sum", "granulation")),
+    ),
+    # kept taken as any iterable of any names.
+    Mutant(
+        "kept-unchecked",
+        STRUCTURE,
+        "        if not isinstance(kept, (set, frozenset, tuple, list)):\n"
+        '            raise TypeError(f"kept: expected a set of slot names, got {type(kept).__name__}")\n'
+        "        kept = frozenset(kept)\n"
+        "        unknown = kept.difference(SIGNATURE_SLOTS)\n"
+        "        if unknown:\n"
+        '            raise StructureError(f"unknown signature slots {sorted(unknown)}")\n',
+        "        kept = frozenset(kept)\n",
+        ("tests/test_structure.py::test_kept_holds_only_signature_slot_names",),
     ),
     Mutant(
         "config-reduct-ignored",
@@ -416,8 +440,8 @@ MUTANTS = (
     Mutant(
         "reduct-refuses-valueless-slot",
         STRUCTURE,
-        "dropped = keep - s.kept",
-        "dropped = keep - s.bound_slots()",
+        "dropped = narrowed.kept - s.kept",
+        "dropped = narrowed.kept - s.bound_slots()",
         (
             "tests/test_values.py::test_a_config_reduct_is_the_structure_reduct[P-delta]",
             NO_KAPPA.format("validate"),
@@ -464,28 +488,28 @@ MUTANTS = (
             for name in ("extensional", "nearness", "sum")
         ),
     ),
-    # κ binds whatever masks it holds: lclu answers on a foreign mask.
+    # κ holds whatever masks it is given: lclu answers on a foreign mask.
     Mutant(
         "foreign-kappa-binds",
         STRUCTURE,
-        "isinstance(k, (tuple, list)) and all(isinstance(c, int) and not c >> n for c in k)",
-        "isinstance(k, (tuple, list))",
+        "kappa = tuple([check_mask(universe, c) for c in kappa])",
+        "kappa = tuple(kappa)",
         tuple(FOREIGN_KAPPA.format(name) for name in ("above", "negative", "past", "subset")),
     ),
-    # Any κ but None is walked as masks: an int raises, a set binds.
+    # Any κ is walked as masks: an int raises while walked, a set is held.
     Mutant(
         "kappa-type-unchecked",
         STRUCTURE,
-        "masks = isinstance(k, (tuple, list)) and all(",
-        "masks = k is not None and all(",
+        "if not isinstance(kappa, (tuple, list)):",
+        "if False:",
         tuple(UNLISTED_KAPPA.format(name) for name in ("int", "set")),
     ),
     # A negative mask reads as inside the universe.
     Mutant(
         "negative-kappa-binds",
-        STRUCTURE,
-        "isinstance(c, int) and not c >> n",
-        "isinstance(c, int) and c < 1 << n",
+        "src/msslab/sets.py",
+        "if mask < 0 or mask >> universe.size:",
+        "if mask >= 1 << universe.size:",
         (FOREIGN_KAPPA.format("negative"),),
     ),
     # lclu's κ walk finds the greatest violating cluster, not the least.
@@ -510,14 +534,6 @@ MUTANTS = (
         "src/msslab/oracles.py",
         'if "delta" in bound:',
         "if s.delta is not None:",
-        ("tests/test_structure.py::test_the_oracle_describes_only_bound_slots",),
-    ),
-    # The oracle names the granules of a granulation over another universe.
-    Mutant(
-        "oracle-reads-a-foreign-granulation",
-        "src/msslab/oracles.py",
-        "if s.granulation is None or s.granulation.universe != s.universe:",
-        "if s.granulation is None:",
         ("tests/test_structure.py::test_the_oracle_describes_only_bound_slots",),
     ),
     Mutant(
