@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .delta import KEYED_KINDS, DeltaPredicate, SumOperation
-from .errors import MsslabError, ParseError
+from .errors import MsslabError, ParseError, fields, is_int
 from .granules import (
     BinaryRelation,
     Granulation,
@@ -95,13 +95,6 @@ def _names(value, field, what="element names"):
     return value
 
 
-def _known(raw: dict, fields, field) -> None:
-    """Refuse a key outside ``fields``, which would fall back to its default unseen."""
-    unknown = set(raw) - set(fields)
-    if unknown:
-        raise ParseError(f"unknown fields {sorted(unknown)}", field)
-
-
 def _distinct(values: list, field) -> tuple:
     """The entries as a tuple; an entry equal to an earlier one is refused."""
     for k, value in enumerate(values):
@@ -167,11 +160,7 @@ def _function(universe: Universe, raw, field, *, total: bool) -> MaskRows:
 
 def parse_config(data: dict) -> LabConfig:
     """Check a config document and resolve its names to masks, once."""
-    if not isinstance(data, dict):
-        raise ParseError("config must be a JSON object")
-    _known(data, KNOWN_FIELDS, None)
-    if "universe" not in data:
-        raise ParseError("missing required field", "universe")
+    fields(data, "config", known=KNOWN_FIELDS, required="universe")
     names = _names(data["universe"], "universe")
     try:
         universe = Universe(names)
@@ -225,7 +214,7 @@ def parse_config(data: dict) -> LabConfig:
                 raise ParseError(f"unknown signature slot {slot!r}", f"reduct[{k}]")
 
     seed = data.get("seed")
-    if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
+    if seed is not None and not is_int(seed):
         raise ParseError("expected an integer", "seed")
 
     base = assemble(universe, granulation=granulation, sum=sum_op, kappa=clusters)
@@ -235,9 +224,7 @@ def parse_config(data: dict) -> LabConfig:
 
 
 def _parse_relation(universe, raw) -> BinaryRelation:
-    if not isinstance(raw, dict):
-        raise ParseError("relation must be an object", "relation")
-    _known(raw, ("pairs", "generators", "closure"), "relation")
+    fields(raw, "relation", "relation", known=("pairs", "generators", "closure"))
     has_pairs = "pairs" in raw
     has_generators = "generators" in raw
     if has_pairs == has_generators:
@@ -288,7 +275,8 @@ def _parse_deltas(universe, raw, granulation) -> tuple[DeltaSpec, ...]:
             kind = entry.get("kind")
             if kind not in ("extensional", "def0"):
                 raise ParseError(f"unknown delta kind {kind!r}", field)
-            _known(entry, ("kind", "name", "triples" if kind == "extensional" else "f"), field)
+            known = ("kind", "name", "triples" if kind == "extensional" else "f")
+            fields(entry, "delta entry", field, known=known)
             name = entry.get("name", f"{kind}-{k}")
             if not isinstance(name, str):
                 raise ParseError("expected a string", f"{field}.name")
@@ -324,7 +312,7 @@ def _parse_sum(universe, raw, granulation) -> Optional[SumOperation]:
             raise ParseError("granular-sum needs a granulation", "sum")
         return SumOperation.granular(granulation)
     if isinstance(raw, dict) and raw.get("kind") == "extensional-partial":
-        _known(raw, ("kind", "table"), "sum")
+        fields(raw, "sum", "sum", known=("kind", "table"))
         rows = _function(universe, raw.get("table"), "sum.table", total=False)
         return SumOperation.extensional(universe, {(a, b): v for a, b, v in rows})
     raise ParseError("sum must be total-union, granular-sum, or an extensional table", "sum")

@@ -75,10 +75,10 @@ class DeltaPredicate:
     """Ternary predicate over subsets; total on the powerset cube.
 
     Every kind is defined once, by its row of ``KEYED_KINDS`` or by its
-    table. Each constructor builds the predicate's key, R and mask
-    function once. ``masked`` returns the mask function and ``plane``
-    reads the key and R. Calling the predicate on subsets encodes them
-    and evaluates ``masked``.
+    table, and a keyed R other than ⊆, ⊊ or ⊋ is refused. Each constructor
+    builds the predicate's key, R and mask function once. ``masked``
+    returns the mask function and ``plane`` reads the key and R. Calling
+    the predicate on subsets encodes them and evaluates ``masked``.
     """
 
     __slots__ = ("universe", "kind", "table", "granulation", "_key", "_relation", "_masked", "_cube")
@@ -97,8 +97,10 @@ class DeltaPredicate:
             self._masked = lambda a, b, c: not key(a, b) & ~key(a, c)
         elif relation == "⊊":
             self._masked = lambda a, b, c: (kb := key(a, b)) != (kc := key(a, c)) and not kb & ~kc
-        else:
+        elif relation == "⊋":
             self._masked = lambda a, b, c: (kb := key(a, b)) != (kc := key(a, c)) and not kc & ~kb
+        else:
+            raise ConfigurationError(f"unknown relation {relation!r}; expected one of ⊆, ⊊, ⊋")
 
     @classmethod
     def builtin(

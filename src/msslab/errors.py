@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the reading rules of
+every document the CLI reads (config, search spec, report): ``fields``, ``is_int``."""
 
 
 class MsslabError(Exception):
@@ -22,7 +23,7 @@ class BudgetError(MsslabError):
 
 
 class ParseError(MsslabError):
-    """A config or spec document is malformed.
+    """A config, spec or report document is malformed.
 
     ``field`` points at the offending entry, e.g. ``clustering[2][0]``.
     """
@@ -30,3 +31,21 @@ class ParseError(MsslabError):
     def __init__(self, message, field=None):
         super().__init__(message if field is None else f"{field}: {message}")
         self.field = field
+
+
+def fields(document, what: str, field=None, known=None, required=None) -> dict:
+    """``document``, refused unless it is a JSON object whose keys are all
+    ``known`` (any, when None) and which holds the top-level ``required``."""
+    if not isinstance(document, dict):
+        raise ParseError(f"{what} must be a JSON object", field)
+    unknown = set(document) - set(document if known is None else known)
+    if unknown:
+        raise ParseError(f"unknown fields {sorted(unknown)}", field)
+    if required is not None and required not in document:
+        raise ParseError("missing required field", required)
+    return document
+
+
+def is_int(value) -> bool:
+    """Whether ``value`` is a JSON integer, which a bool is not."""
+    return isinstance(value, int) and not isinstance(value, bool)

@@ -31,7 +31,7 @@ from functools import partial
 from itertools import repeat
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Optional
 
-from .errors import BudgetError, ParseError
+from .errors import BudgetError, ParseError, fields, is_int
 from .laws import (
     BUILTIN_DELTAS,
     EXTENSIONAL_TABLE_LIMIT,
@@ -40,10 +40,10 @@ from .laws import (
     LAWS,
     SET_SLOTS,
 )
-from .sets import Universe
 from .verdicts import document, run_seed
 
 if TYPE_CHECKING:
+    from .sets import Universe
     from .structure import MssStructure
 
 FAMILIES = ("relations", "extensional-deltas", "granulations")
@@ -55,10 +55,6 @@ GRANULATION_SAMPLED_LIMIT = 16  # a sampled granulation draws 2**n - 1 bits
 SEARCHED_SLOTS = SET_SLOTS | GRANULATION_SLOTS | {"delta"}
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _is_laws(value) -> bool:
     return isinstance(value, (list, tuple)) and all(
         isinstance(a, str) and a in LAWS for a in value
@@ -68,15 +64,15 @@ def _is_laws(value) -> bool:
 # Each field of a search spec: the test its value must pass, and the
 # expected value its error names.
 FIELD_CHECKS = {
-    "n": (lambda v: _is_int(v) and v >= 1, "an integer of at least 1"),
+    "n": (lambda v: is_int(v) and v >= 1, "an integer of at least 1"),
     "family": (lambda v: v in FAMILIES, f"one of {', '.join(FAMILIES)}"),
     "delta": (lambda v: v in SEARCH_DELTAS, f"one of {', '.join(SEARCH_DELTAS)}"),
     "required": (_is_laws, "a list of axiom names"),
     "forbidden": (_is_laws, "a list of axiom names"),
-    "budget": (lambda v: _is_int(v) and v >= 1, "a positive integer"),
-    "seed": (lambda v: v is None or _is_int(v), "an integer"),
+    "budget": (lambda v: is_int(v) and v >= 1, "a positive integer"),
+    "seed": (lambda v: v is None or is_int(v), "an integer"),
     "density": (
-        lambda v: (_is_int(v) or isinstance(v, float)) and 0 <= v <= 1,
+        lambda v: (is_int(v) or isinstance(v, float)) and 0 <= v <= 1,
         "a number in [0, 1]",
     ),
     "exhaustive": (lambda v: isinstance(v, bool), "true or false"),
@@ -168,6 +164,7 @@ def __getattr__(name):
 
 
 def _universe(n: int) -> Universe:
+    from .sets import Universe  # only a search that builds a structure reads it
     return Universe([f"x{i + 1}" for i in range(n)])
 
 
@@ -253,12 +250,13 @@ def _candidates(
     pick a distinct granule set. A built structure carries no relation.
     An extensional ``build()`` draws its table from the stream's rng, so
     it must run before the next candidate is drawn. The stream holds
-    ``_length(spec)`` candidates, and raises its ``BudgetError`` when
-    first drawn from; only then is the model code loaded."""
+    ``_length(spec)`` candidates. It decides its length first, so a refused
+    walk allocates nothing: its ``BudgetError`` is raised when the stream
+    is first drawn from, before the universe and the model code load."""
+    length = _length(spec)
     n = spec.n
     universe = _universe(n)
     rng = random.Random(run_seed(None, spec.seed))
-    length = _length(spec)
     _load_model()
 
     def build(masks):
@@ -341,14 +339,7 @@ def find_witness(spec: SearchSpec) -> tuple[Optional[MssStructure], int]:
 def parse_spec(document) -> SearchSpec:
     """A search spec document as a ``SearchSpec``, which checks every
     field; a ``null`` seed is no seed, as in a config."""
-    if not isinstance(document, dict):
-        raise ParseError("search spec must be a JSON object")
-    unknown = set(document) - set(SearchSpec._fields)
-    if unknown:
-        raise ParseError(f"unknown fields {sorted(unknown)}")
-    if "n" not in document:
-        raise ParseError("missing required field", "n")
-    return SearchSpec(**document)
+    return SearchSpec(**fields(document, "search spec", known=SearchSpec._fields, required="n"))
 
 
 def build_search(spec: SearchSpec, *, seed: Optional[int] = None) -> dict:

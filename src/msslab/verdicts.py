@@ -27,10 +27,12 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from typing import Callable, NamedTuple, Optional
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 from . import __version__
-from .sets import Subset, Universe
+
+if TYPE_CHECKING:
+    from .sets import Subset, Universe
 
 HOLDS = "holds"
 FAILS = "fails"

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .config import LabConfig
-from .errors import ParseError
+from .config import LabConfig, _mask
+from .errors import ParseError, fields
 from .laws import LAWS
 from .structure import replay
 from .validation import COMPATIBILITY_MODES, COMPATIBILITY_READS, _compat_instances
@@ -27,24 +27,24 @@ def replay_failures(cfg: LabConfig, report) -> list[str]:
     """Re-evaluate every failing witness in a report; return unsound ones.
 
     Walks the report's own axiom verdicts and compatibility rows and, in a
-    pipeline report, those under ``steps.step5_investigate``. A part of
-    the report it reads whose shape is not that of
+    pipeline report, those under ``steps.step5_investigate``, reading each
+    witness part with the config's element reader. A report that is no
+    object (``errors.fields``), a part it reads whose shape is not that of
     ``schemas/report.schema.json``, a delta the config does not declare
-    (each ``per_delta`` key and each compatibility row's ``delta``),
-    a witness element outside its universe, a failing row whose axiom
-    names no law with a definition, or a failing law or compatibility row
-    that reads a slot the config leaves unbound, is a ``ParseError``
-    naming the JSON path, as is a failing compatibility row's unknown
-    ``mode``. A compatibility witness is replayed on the config's structure
-    under its delta, so its reduct applies, and must be an instance of the mode.
+    (each ``per_delta`` key and each compatibility row's ``delta``), a
+    witness element outside its universe, a failing row whose axiom names
+    no law with a definition, or a failing law or compatibility row that
+    reads a slot the config leaves unbound, is a ``ParseError`` naming the
+    JSON path, as is a failing compatibility row's unknown ``mode``. A
+    compatibility witness is replayed on the config's structure under its
+    delta, so its reduct applies, and must be an instance of the mode.
     """
     problems = []
     specs = {spec.name: spec for spec in cfg.deltas}
-    elements = frozenset(cfg.universe.elements)
 
     def failing(v, field: str, key: str) -> Optional[list]:
         """The witnesses of the row ``v`` when it fails, each a tuple of
-        ``arity`` subsets; None when it does not fail."""
+        ``arity`` masks; None when it does not fail."""
         if _expect(v, dict, field).get("status") != "fails":
             return None
         name = _expect(v.get(key), str, f"{field}.{key}")
@@ -56,12 +56,8 @@ def replay_failures(cfg: LabConfig, report) -> list[str]:
             # Every witness is an array, also of a law with no arity.
             if len(_expect(w, list, at)) != arity and arity is not None:
                 raise ParseError(f"a witness of {name} must have {arity} subsets", at)
-            for j, part in enumerate(w):
-                for k, element in enumerate(_expect(part, list, f"{at}[{j}]")):
-                    here = f"{at}[{j}][{k}]"
-                    if _expect(element, str, here) not in elements:
-                        raise ParseError(f"element {element!r} is not in the universe", here)
-            witnesses.append(tuple(map(cfg.universe.subset, w)))
+            masks = [_mask(cfg.universe, part, f"{at}[{j}]") for j, part in enumerate(w)]
+            witnesses.append(tuple(masks))
         return witnesses
 
     def declared(delta_name, field: str) -> None:
@@ -92,11 +88,11 @@ def replay_failures(cfg: LabConfig, report) -> list[str]:
             problems.append(f"{label}: failing verdict without witness")
             return
         s = bound(delta_name, law.reads, v["axiom"], field)
-        if not replay(s, Verdict(v["axiom"], FAILS, witnesses=tuple(witnesses))):
+        subsets = tuple(tuple(map(cfg.universe.from_mask, w)) for w in witnesses)
+        if not replay(s, Verdict(v["axiom"], FAILS, witnesses=subsets)):
             problems.append(f"{label}: a witness of {v['axiom']} does not replay")
 
-    if not isinstance(report, dict):
-        raise ParseError("report must be a JSON object")
+    fields(report, "report")
     steps = _expect(report.get("steps", {}), dict, "steps")
     step5 = _expect(steps.get("step5_investigate", {}), dict, "steps.step5_investigate")
     for prefix, section in (("", report), ("steps.step5_investigate.", step5)):
@@ -128,8 +124,8 @@ def replay_failures(cfg: LabConfig, report) -> list[str]:
             s = bound(row["delta"], COMPATIBILITY_READS, "compatibility", f"{field}[{i}]")
             triples = set(_compat_instances(s.kappa, s.universe.size, mode))
             for w in witnesses:
-                if s.delta(*w):
+                if s.delta.masked()(*w):
                     problems.append(f"{label}: witness does not violate")
-                elif tuple(p.mask for p in w) not in triples:
+                elif w not in triples:
                     problems.append(f"{label}: witness is not an instance of {mode}")
     return problems

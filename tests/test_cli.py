@@ -488,6 +488,56 @@ def test_malformed_configs_are_parse_errors_naming_the_field(tmp_path, capsys, c
     assert captured.err.count("\n") == 1
 
 
+# A config and a search spec, refused by the one rule of ``errors.fields``
+# that refuses a report (test_replay_subcommand_exits_1_on_a_report_it_cannot_read).
+@pytest.mark.parametrize(
+    "command, document, message",
+    [
+        ("check-axioms", [], "config must be a JSON object"),
+        ("search", [], "search spec must be a JSON object"),
+        ("check-axioms", {"universe": ["x1"], "sede": 1}, "unknown fields ['sede']"),
+        ("search", {"n": 2, "sede": 1}, "unknown fields ['sede']"),
+        ("check-axioms", {"seed": 1}, "universe: missing required field"),
+        ("search", {"seed": 1}, "n: missing required field"),
+        ("check-axioms", {**PAPER_CONFIG, "relation": 5}, "relation: relation must be a JSON object"),
+        (
+            "check-axioms",
+            {**PAPER_CONFIG, "relation": {"pairs": [], "pears": []}},
+            "relation: unknown fields ['pears']",
+        ),
+        (
+            "check-axioms",
+            {**PAPER_CONFIG, "delta": [{"kind": "def0", "f": "union", "g": 1}]},
+            "delta[0]: unknown fields ['g']",
+        ),
+        (
+            "check-axioms",
+            {**PAPER_CONFIG, "sum": {"kind": "extensional-partial", "table": [], "x": 1}},
+            "sum: unknown fields ['x']",
+        ),
+    ],
+    ids=[
+        "config-not-an-object",
+        "spec-not-an-object",
+        "config-unknown-field",
+        "spec-unknown-field",
+        "config-without-universe",
+        "spec-without-n",
+        "relation-not-an-object",
+        "relation-unknown-field",
+        "delta-entry-unknown-field",
+        "sum-unknown-field",
+    ],
+)
+def test_every_document_is_refused_by_the_same_reading_rule(
+    tmp_path, capsys, command, document, message
+):
+    from msslab.cli import main
+
+    assert main([command, str(write_config(tmp_path, document))]) == 1
+    assert capsys.readouterr() == ("", f"msslab: parse error: {message}\n")
+
+
 @pytest.mark.parametrize("command", ["check-axioms", "validate", "pipeline"])
 def test_text_reports_end_no_line_in_whitespace(tmp_path, capsys, command):
     from msslab.cli import main
@@ -710,8 +760,8 @@ def test_failed_write_is_reported_without_leftovers(repo_root, tmp_path, target)
 # What each command loads, beside msslab.cli and the modules every command
 # reads. A run without a bytecode cache compiles each module it imports, so
 # a module whose code a command never runs stays unloaded there.
-COMMON = {"cli", "errors", "laws", "sets", "verdicts"}
-MODEL = COMMON | {"delta", "granules", "structure"}
+COMMON = {"cli", "errors", "laws", "verdicts"}
+MODEL = COMMON | {"sets", "delta", "granules", "structure"}
 CONFIG_COMMAND = MODEL | {"config", "report", "validation"}
 
 
@@ -1307,6 +1357,17 @@ def test_replay_refuses_every_undeclared_delta_naming_its_path(
             json.dumps({"axioms": {"structural": [{"axiom": "PT1", "status": "fails", "witnesses": [5]}]}}),
             "axioms.structural[0].witnesses[0]: must be an array",
         ),
+        # A witness part is read as a config reads a list of element names.
+        (
+            json.dumps({"axioms": {"structural": [{"axiom": "lclu", "status": "fails", "witnesses": [[5]]}]}}),
+            "axioms.structural[0].witnesses[0][0]: expected a list of element names",
+        ),
+        (
+            json.dumps(
+                {"axioms": {"structural": [{"axiom": "lclu", "status": "fails", "witnesses": [[["x1", 3]]]}]}}
+            ),
+            "axioms.structural[0].witnesses[0][0]: expected a list of element names",
+        ),
     ],
     ids=[
         "invalid-json",
@@ -1318,6 +1379,8 @@ def test_replay_refuses_every_undeclared_delta_naming_its_path(
         "witnesses-not-an-array",
         "witness-of-the-wrong-arity",
         "witness-of-a-theorem-not-an-array",
+        "witness-part-not-a-list",
+        "witness-element-not-a-string",
     ],
 )
 def test_replay_subcommand_exits_1_on_a_report_it_cannot_read(repo_root, tmp_path, content, message):
@@ -1415,7 +1478,7 @@ def test_replay_refuses_a_witness_element_outside_the_universe(repo_root, tmp_pa
     assert main(["replay", str(repo_root / FIXTURE), str(report)]) == 1
     assert capsys.readouterr().err == (
         "msslab: parse error: validation.compatibility[0].witnesses[0][2][1]: "
-        "element 'x6' is not in the universe\n"
+        "element 'x6' not declared in universe\n"
     )
 
 

@@ -1,6 +1,8 @@
 import itertools
 import math
+import operator
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -522,6 +524,16 @@ def nearness_tables(draw):
 @given(nearness_tables())
 def test_keyed_planes_match_the_calls_on_nearness_tables(d):
     assert_planes_match_the_calls(d)
+
+
+# The mask function and the planes must read R the same way, so an R that
+# neither names is refused.
+@pytest.mark.parametrize("relation", ["⊇", "⊂", None])
+def test_a_keyed_predicate_under_an_unnamed_relation_is_refused(relation):
+    u = Universe(["x1", "x2", "x3"])
+    message = f"unknown relation {relation!r}; expected one of ⊆, ⊊, ⊋"
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        DeltaPredicate(u, "custom", operator.or_, relation)
 
 
 @st.composite

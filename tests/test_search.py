@@ -86,6 +86,41 @@ def test_refusing_a_huge_granulation_search_builds_no_huge_count():
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize(
+    "refuse",
+    [
+        lambda: next(enumerate_structures(SearchSpec(n=10**6))),
+        # UL1 is a required theorem, so the stream is the first thing drawn.
+        lambda: find_witness(SearchSpec(n=10**6, required=("UL1",))),
+    ],
+    ids=["enumerate", "find-witness"],
+)
+def test_a_refused_search_allocates_nothing_first(refuse):
+    # The universe of a million names alone takes about 200 MB.
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match=re.escape("needs 2**1000000000000 structures")):
+            refuse()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize(
+    "family, needs",
+    [
+        ("relations", "relation search needs 2**1000000000000 structures (limit n <= 4, "),
+        ("granulations", "granulation search needs 2**(2**1000000 - 1) structures ("),
+    ],
+)
+def test_a_search_on_a_million_elements_exits_3(tmp_path, capsys, family, needs):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"n": 10**6, "family": family}))
+    assert main(["search", str(spec)]) == 3
+    assert capsys.readouterr() == ("", f"msslab: budget exceeded: exhaustive {needs}budget 10000)\n")
+
+
 @pytest.mark.parametrize("n", [15000, 100000])
 def test_a_granulation_walk_past_the_int_to_str_limit_exits_3(tmp_path, capsys, n):
     # 2**n - 1 has more decimal digits than Python converts; the error writes it from n.

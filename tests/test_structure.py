@@ -377,7 +377,7 @@ def test_a_dropped_slot_stays_dropped_when_its_value_is_set_again(
     assert {v.status for v in verify(again, laws)} == {"deferred"}
 
 
-def test_a_delta_or_sum_over_another_granulation_is_unbound():
+def test_a_delta_or_sum_over_another_granulation_is_refused():
     u = Universe(["x1", "x2", "x3", "x4"])
     first, third = Granulation(u, [0b0001]), Granulation(u, [0b0100])
 
@@ -426,7 +426,7 @@ FOREIGN_VALUES = {
 
 
 @pytest.mark.parametrize("field", FOREIGN_VALUES)
-def test_a_value_over_another_universe_is_unbound(H, field):
+def test_a_value_over_another_universe_is_refused(H, field):
     g = Granulation(H, [0b0011, 0b1100])
     own = {"delta": DeltaPredicate.builtin("E0", H), "sum": SumOperation.total_union(H)}
     s = assemble(H, granulation=g, kappa=[0b0011, 0b1100], **own)
@@ -459,7 +459,7 @@ FOREIGN_KAPPAS = {
 
 
 @pytest.mark.parametrize("name", FOREIGN_KAPPAS)
-def test_a_kappa_outside_the_universe_is_unbound(H, name):
+def test_a_kappa_outside_the_universe_is_refused(H, name):
     g, e0 = Granulation(H, [0b0011, 0b1100]), DeltaPredicate.builtin("E0", H)
     s = assemble(H, granulation=g, delta=e0, kappa=[0b0011])
     kappa, error, message = FOREIGN_KAPPAS[name]
@@ -488,7 +488,7 @@ UNLISTED_KAPPAS = {"int": 5, "set": frozenset({1})}
 
 
 @pytest.mark.parametrize("name", UNLISTED_KAPPAS)
-def test_a_kappa_that_is_no_tuple_or_list_is_unbound(name):
+def test_a_kappa_that_is_no_tuple_or_list_is_refused(name):
     H2 = Universe(["x1", "x2"])
     s = assemble(H2, granulation=Granulation(H2, [0b01, 0b10]), kappa=[0b01])
     kappa = UNLISTED_KAPPAS[name]

@@ -67,11 +67,11 @@ CONFIG = "src/msslab/config.py"
 BASE_AND_FRESH_DELTA = "tests/test_values.py::test_a_config_holds_its_base_and_builds_each_delta_afresh"
 LCLU_PAST_THE_BUDGET = "tests/test_structure.py::test_lclu_is_decided_on_kappa_past_the_sample_budget"
 TABLE_WALK = "tests/test_delta.py::test_table_walk_matches_the_sweep_on_partial_sums"
-FOREIGN_VALUE = "tests/test_structure.py::test_a_value_over_another_universe_is_unbound[{}]"
-FOREIGN_KAPPA = "tests/test_structure.py::test_a_kappa_outside_the_universe_is_unbound[{}]"
+FOREIGN_VALUE = "tests/test_structure.py::test_a_value_over_another_universe_is_refused[{}]"
+FOREIGN_KAPPA = "tests/test_structure.py::test_a_kappa_outside_the_universe_is_refused[{}]"
 WITNESSLESS = "tests/test_cli.py::test_replay_exits_2_on_a_failing_row_without_a_witness"
 THEOREMS_ONCE = "tests/test_search.py::test_theorems_decided_once_match_the_plain_loop"
-UNLISTED_KAPPA = "tests/test_structure.py::test_a_kappa_that_is_no_tuple_or_list_is_unbound[{}]"
+UNLISTED_KAPPA = "tests/test_structure.py::test_a_kappa_that_is_no_tuple_or_list_is_refused[{}]"
 
 MUTANTS = (
     Mutant(
@@ -387,7 +387,7 @@ MUTANTS = (
         STRUCTURE,
         "if value.granulation not in (None, granulation):",
         "if False:",
-        ("tests/test_structure.py::test_a_delta_or_sum_over_another_granulation_is_unbound",),
+        ("tests/test_structure.py::test_a_delta_or_sum_over_another_granulation_is_refused",),
     ),
     # A δ or sum over another universe is held, and checked on that universe.
     Mutant(
@@ -568,6 +568,37 @@ MUTANTS = (
             "tests/test_delta.py::test_builtin_requiring_operators_without_them",
         ),
     ),
+    # An R that no kind names is read as ⊋ by the mask function and as ⊊ by the planes.
+    Mutant(
+        "unnamed-relation-read-as-superset",
+        DELTA,
+        '        elif relation == "⊋":\n'
+        "            self._masked = lambda a, b, c: (kb := key(a, b)) != (kc := key(a, c)) and not kc & ~kb\n"
+        "        else:\n"
+        '            raise ConfigurationError(f"unknown relation {relation!r}; expected one of ⊆, ⊊, ⊋")\n',
+        "        else:\n"
+        "            self._masked = lambda a, b, c: (kb := key(a, b)) != (kc := key(a, c)) and not kc & ~kb\n",
+        ("tests/test_delta.py::test_a_keyed_predicate_under_an_unnamed_relation_is_refused",),
+    ),
+    # A refused walk builds the universe of its n names before it refuses.
+    Mutant(
+        "refused-search-builds-its-universe-first",
+        SEARCH,
+        "    length = _length(spec)\n    n = spec.n\n    universe = _universe(n)\n",
+        "    n = spec.n\n    universe = _universe(n)\n    length = _length(spec)\n",
+        ("tests/test_search.py::test_a_refused_search_allocates_nothing_first[enumerate]",),
+    ),
+    # A document's unknown field read as absent: a misspelt field falls back to its default.
+    Mutant(
+        "unknown-fields-read",
+        "src/msslab/errors.py",
+        "    if unknown:\n",
+        "    if False:\n",
+        (
+            "tests/test_cli.py::test_every_document_is_refused_by_the_same_reading_rule[config-unknown-field]",
+            "tests/test_cli.py::test_every_document_is_refused_by_the_same_reading_rule[spec-unknown-field]",
+        ),
+    ),
     # A failing row without a witness passes as replayed, or as a witness that does not replay.
     Mutant(
         "witnessless-verdict-replayed",
@@ -586,7 +617,7 @@ MUTANTS = (
     Mutant(
         "compatibility-witness-never-violates",
         "src/msslab/witnesses.py",
-        "if s.delta(*w):",
+        "if s.delta.masked()(*w):",
         "if False:",
         ("tests/test_cli.py::test_replay_subcommand_exits_2_on_a_compatibility_witness_that_holds",),
     ),
@@ -594,7 +625,7 @@ MUTANTS = (
     Mutant(
         "compatibility-witness-of-any-triple",
         "src/msslab/witnesses.py",
-        "elif tuple(p.mask for p in w) not in triples:",
+        "elif w not in triples:",
         "elif False:",
         (
             "tests/test_cli.py::"
